@@ -9,9 +9,8 @@ Layers:
   padic      -- precision-tracked Q_p arithmetic, fermionic Riemann sums,
                 the Iwasawa logarithm, and p-adic log-gamma values
   cli        -- the qgenocchi command
-
-The hot integer kernels run on a compiled extension when it is built
-(`qgenocchi._kernel.BACKEND` says which one is active).
+  _kernel    -- the hot integer-polynomial loops, in pure Python
+                (`kernel_backend` names the implementation: "python")
 """
 
 from ._kernel import BACKEND as kernel_backend

@@ -1,28 +1,172 @@
-"""Kernel backend selection.
+"""Integer kernels, in pure Python.
 
-Imports the compiled extension when it is built, otherwise the pure-Python
-implementation.  Set QGENOCCHI_PURE=1 to force the pure backend (used by
-the benchmark and the parity tests).
+Dense polynomials over the integers are plain lists of coefficients,
+index i = coefficient of the i-th power, trailing coefficient nonzero
+(the zero polynomial is the empty list).  These routines are the hot
+loops behind rational-function canonicalization and the fermionic
+Riemann sums.  `BACKEND` names the implementation; the package exports
+it as `qgenocchi.kernel_backend`.
 """
 
-import os
+from math import gcd
 
-if os.environ.get("QGENOCCHI_PURE") == "1":
-    from . import _kernel_py as _impl
-else:
-    try:
-        from . import _kernel_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
+BACKEND = "python"
 
-BACKEND = _impl.BACKEND
-poly_trim = _impl.poly_trim
-poly_mul = _impl.poly_mul
-poly_content = _impl.poly_content
-poly_primitive = _impl.poly_primitive
-poly_pseudo_rem = _impl.poly_pseudo_rem
-poly_gcd = _impl.poly_gcd
-poly_divexact = _impl.poly_divexact
-poly_eval_int = _impl.poly_eval_int
-alt_weighted_int_sum = _impl.alt_weighted_int_sum
-alt_weighted_mod_sum = _impl.alt_weighted_mod_sum
+
+def poly_trim(a):
+    """Drop trailing zeros in place and return the list."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_mul(a, b):
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return []
+    out = [0] * (la + lb - 1)
+    for i in range(la):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(lb):
+            out[i + j] += ai * b[j]
+    return poly_trim(out)
+
+
+def poly_content(a):
+    """gcd of the coefficients (non-negative; 0 for the zero polynomial)."""
+    g = 0
+    for c in a:
+        g = gcd(g, c)
+        if g == 1:
+            return 1
+    return g
+
+
+def poly_primitive(a):
+    """Split into (content, primitive part with positive leading coefficient).
+
+    The zero polynomial maps to (0, []).  content * primitive == a.
+    """
+    if not a:
+        return 0, []
+    c = poly_content(a)
+    if a[-1] < 0:
+        c = -c
+    if c == 1:
+        return 1, list(a)
+    return c, [x // c for x in a]
+
+
+def poly_pseudo_rem(a, b):
+    """Pseudo-remainder over the integers: repeatedly r <- lc(b)*r - lead(r)*x^d*b.
+
+    Equals rem(lc(b)^s * a, b) for some s <= deg a - deg b + 1, which is all
+    the primitive-PRS gcd needs (content is stripped right after).
+    """
+    db = len(b) - 1
+    if db < 0:
+        raise ZeroDivisionError("pseudo-remainder by zero polynomial")
+    lb = b[-1]
+    r = list(a)
+    while r and len(r) - 1 >= db:
+        d = len(r) - 1 - db
+        lead = r[-1]
+        for i in range(len(r)):
+            r[i] *= lb
+        for i in range(db + 1):
+            r[i + d] -= lead * b[i]
+        poly_trim(r)
+    return r
+
+
+def poly_gcd(a, b):
+    """Primitive gcd in Z[q] via the Euclidean algorithm with content
+    normalization at every step.  Result is primitive with positive
+    leading coefficient; gcd with the zero polynomial is the other
+    argument's primitive part."""
+    _, a = poly_primitive(a)
+    _, b = poly_primitive(b)
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = poly_pseudo_rem(a, b)
+        _, r = poly_primitive(r)
+        a, b = b, r
+    return a
+
+
+def poly_divexact(a, b):
+    """Exact quotient a // b in Z[q]; raises if the division is not exact."""
+    if not b:
+        raise ZeroDivisionError("exact division by zero polynomial")
+    if not a:
+        return []
+    da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        raise ArithmeticError("inexact polynomial division")
+    r = list(a)
+    lb = b[-1]
+    q = [0] * (da - db + 1)
+    for k in range(da - db, -1, -1):
+        lead = r[db + k]
+        if lead % lb:
+            raise ArithmeticError("inexact polynomial division")
+        c = lead // lb
+        q[k] = c
+        if c:
+            for i in range(db + 1):
+                r[i + k] -= c * b[i]
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return poly_trim(q)
+
+
+def poly_eval_int(a, x):
+    """Horner evaluation at an integer point."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def alt_weighted_int_sum(anum, bden, count, g):
+    """sum_{xi=0}^{count-1} (-1)^xi * anum^xi * bden^(count-1-xi) * g(xi).
+
+    This is the cleared-denominator numerator of the level-m fermionic
+    Riemann sum for a polynomial integrand g at q = anum/bden.
+    """
+    total = 0
+    apow = 1
+    bpow = bden ** (count - 1) if bden != 1 else 1
+    sign = 1
+    for xi in range(count):
+        gval = poly_eval_int(g, xi)
+        if gval:
+            total += sign * apow * bpow * gval
+        apow *= anum
+        if bden != 1 and xi < count - 1:
+            bpow //= bden
+        sign = -sign
+    return total
+
+
+def alt_weighted_mod_sum(unit, count, g, modulus):
+    """sum_{xi} (-1)^xi * unit^xi * g(xi) modulo `modulus`."""
+    total = 0
+    upow = 1
+    sign = 1
+    for xi in range(count):
+        acc = 0
+        for c in reversed(g):
+            acc = (acc * xi + c) % modulus
+        if acc:
+            total = (total + sign * upow * acc) % modulus
+        upow = (upow * unit) % modulus
+        sign = -sign
+    return total % modulus

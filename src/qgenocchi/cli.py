@@ -5,8 +5,9 @@ suite as newline-delimited JSON reports), `padic-converge` (Riemann-sum
 error valuations), `loggamma` (series vs direct values), `bernstein`
 (basis polynomials and their fermionic integrals).
 
-Exit codes: 0 success, 2 invalid configuration, 3 evaluation error (pole),
-4 convergence/agreement criterion violated.
+Exit codes: 0 success, 1 `verify` found a FAIL (outside the probes) in an
+identity expected to pass, 2 invalid configuration, 3 evaluation error
+(pole), 4 convergence/agreement criterion violated.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
+from typing import Callable
 
 from . import identities as ident
 from .bernstein import bernstein_basis
@@ -124,39 +126,36 @@ def run_table(cfg: RunConfig) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-_EXPECTED_TO_PASS = {
-    "EQ6", "EQ7", "THM1", "THM2_EQ10", "THM3_EQ13", "THM4_EQ11",
-    "THM5_EQ12", "PROP_EQ14", "PROP_EQ15", "THM6_EQ16",
-}
+@dataclass(frozen=True)
+class IdentitySpec:
+    """How `verify` runs one identity.
 
-_INSTANCE_SIDES = {
-    "THM1": (0, ident.frobenius_link_sides),
-    "THM2_EQ10": (0, ident.complement_sides),
-    "THM3_EQ13": (1, ident.boundary_sides),
-    "THM4_EQ11": (1, ident.reflection_sides),
-    "THM5_EQ12": (0, ident.binomial_expansion_sides),
-    "PROP_EQ14": (0, ident.umbral_recurrence_sides),
-    "PROP_EQ15": (2, ident.shift_two_sides),
-    "THM6_EQ16": (1, ident.one_minus_xi_sides),
-}
+    `report(n_max)` returns the whole-range report(s); `n_max` is first
+    clamped to [nmax_min, nmax_max], with a notice on stderr.  Identities
+    with a `sides(n) -> (lhs, rhs)` function get a per-instance view under
+    `--only`: the probe indices (outside the stated range, never counted
+    toward the exit status) and then n = first..n_max.  A non-probe FAIL
+    of an identity with `expect_pass` makes the exit status 1.
+    """
 
-_DEFAULT_NMAX = {
-    "EQ6": 5, "EQ7": 5, "THM1": 20, "THM2_EQ10": 20, "THM3_EQ13": 30,
-    "THM4_EQ11": 25, "THM5_EQ12": 20, "PROP_EQ14": 30, "PROP_EQ15": 20,
-    "THM6_EQ16": 20, "THM7": 8, "THM8": 4,
-}
+    id: str
+    default_nmax: int
+    report: Callable
+    nmax_min: int = 0
+    nmax_max: int | None = None
+    sides: Callable | None = None
+    first: int = 0
+    probes: tuple = ()
+    expect_pass: bool = True
 
 
-def _resolve_identity_id(name: str) -> str:
-    """Accept an exact identity id or a unique prefix (THM4 -> THM4_EQ11)."""
-    if name in ident.IDENTITY_IDS:
-        return name
-    matches = [i for i in ident.IDENTITY_IDS if i.startswith(name)]
-    if len(matches) == 1:
-        return matches[0]
-    if matches:
-        raise _ConfigError(f"ambiguous identity id {name!r}: matches {matches}")
-    raise _ConfigError(f"unknown identity id {name!r}; choose from {list(ident.IDENTITY_IDS)}")
+def _shift_equation_reports(n_max: int):
+    return [ident.verify_shift_equation(n, 6) for n in range(2, n_max + 1)]
+
+
+def _shift_equation_n1(n_max: int):
+    """EQ7 is the shift equation at n = 1 alone; n_max does not apply."""
+    return ident.verify_shift_equation(1, 6)
 
 
 def _thm7_instances(n_max: int):
@@ -174,68 +173,64 @@ def _thm8_instances(max_degree: int):
                 yield ident.verify_bernstein_product(degrees, k)
 
 
-def _aggregate_reports(only: set | None, nmax_override: int | None):
-    """Reports in the default (aggregate) granularity, in id order."""
-    nm = dict(_DEFAULT_NMAX)
-    if nmax_override is not None:
-        for key in nm:
-            nm[key] = nmax_override
-    reports = []
-
-    def want(name):
-        return only is None or name in only
-
-    if want("EQ6"):
-        for n in range(2, max(nm["EQ6"], 2) + 1):
-            reports.append(ident.verify_shift_equation(n, 6))
-    if want("EQ7"):
-        reports.append(ident.verify_shift_equation(1, 6))
-    if want("THM1"):
-        reports.append(ident.verify_frobenius_link(nm["THM1"]))
-    if want("THM2_EQ10"):
-        reports.append(ident.verify_complement(nm["THM2_EQ10"]))
-    if want("THM3_EQ13"):
-        reports.append(ident.verify_boundary(nm["THM3_EQ13"]))
-    if want("THM4_EQ11"):
-        reports.append(ident.verify_reflection(nm["THM4_EQ11"]))
-    if want("THM5_EQ12"):
-        reports.append(ident.verify_binomial_expansion(nm["THM5_EQ12"]))
-    if want("PROP_EQ14"):
-        reports.append(ident.verify_umbral_recurrence(nm["PROP_EQ14"]))
-    if want("PROP_EQ15"):
-        reports.append(ident.verify_shift_two(max(nm["PROP_EQ15"], 2)))
-    if want("THM6_EQ16"):
-        reports.append(ident.verify_one_minus_xi(max(nm["THM6_EQ16"], 1)))
-    if want("THM7"):
-        reports.extend(_thm7_instances(nm["THM7"]))
-    if want("THM8"):
-        reports.extend(_thm8_instances(min(nm["THM8"], 4)))
-    return reports
+# One record per identity, in `ident.IDENTITY_IDS` order.  The functions are
+# plain module-level references so that tracing can patch them in place.
+IDENTITY_REGISTRY = (
+    IdentitySpec("EQ6", 5, _shift_equation_reports, nmax_min=2),
+    IdentitySpec("EQ7", 5, _shift_equation_n1),
+    IdentitySpec("THM1", 20, ident.verify_frobenius_link, sides=ident.frobenius_link_sides),
+    IdentitySpec("THM2_EQ10", 20, ident.verify_complement, sides=ident.complement_sides),
+    IdentitySpec("THM3_EQ13", 30, ident.verify_boundary, sides=ident.boundary_sides, first=1),
+    IdentitySpec("THM4_EQ11", 25, ident.verify_reflection, sides=ident.reflection_sides, first=1),
+    IdentitySpec("THM5_EQ12", 20, ident.verify_binomial_expansion,
+                 sides=ident.binomial_expansion_sides),
+    IdentitySpec("PROP_EQ14", 30, ident.verify_umbral_recurrence,
+                 sides=ident.umbral_recurrence_sides),
+    IdentitySpec("PROP_EQ15", 20, ident.verify_shift_two, nmax_min=2,
+                 sides=ident.shift_two_sides, first=2, probes=(0, 1)),
+    IdentitySpec("THM6_EQ16", 20, ident.verify_one_minus_xi, nmax_min=1,
+                 sides=ident.one_minus_xi_sides, first=1, probes=(0,)),
+    IdentitySpec("THM7", 8, _thm7_instances, expect_pass=False),
+    IdentitySpec("THM8", 4, _thm8_instances, nmax_max=4, expect_pass=False),
+)
 
 
-def _instance_reports(name: str, n_max: int):
-    """Per-instance reports for one range identity (the --only view)."""
-    start, sides = _INSTANCE_SIDES[name]
+def _resolve_identity_id(name: str) -> str:
+    """Accept an exact identity id or a unique prefix (THM4 -> THM4_EQ11)."""
+    if name in ident.IDENTITY_IDS:
+        return name
+    matches = [i for i in ident.IDENTITY_IDS if i.startswith(name)]
+    if len(matches) == 1:
+        return matches[0]
+    if matches:
+        raise _ConfigError(f"ambiguous identity id {name!r}: matches {matches}")
+    raise _ConfigError(f"unknown identity id {name!r}; choose from {list(ident.IDENTITY_IDS)}")
+
+
+def _range_reports(spec: IdentitySpec, n_max: int) -> list:
+    """The whole-range reports for n_max clamped to the identity's bounds."""
+    used = max(n_max, spec.nmax_min)
+    if spec.nmax_max is not None:
+        used = min(used, spec.nmax_max)
+    if used != n_max:
+        print(f"notice: {spec.id}: --nmax {n_max} is outside its range; using {used}",
+              file=sys.stderr)
+    out = spec.report(used)
+    return [out] if isinstance(out, ident.IdentityReport) else list(out)
+
+
+def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
+    """One report per index: the probes, then n = first..n_max."""
     out = []
-    if name == "PROP_EQ15":
-        for n in (0, 1):
-            lhs, rhs = sides(n)
-            out.append(ident.IdentityReport(
-                name, {"n": n}, ident.PASS if lhs == rhs else ident.FAIL,
-                corrected_form="probe outside the stated range; expected",
-                witness=(str(lhs), str(rhs)), is_probe=True))
-    if name == "THM6_EQ16":
-        lhs, rhs = sides(0)
+    for n in (*spec.probes, *range(spec.first, n_max + 1)):
+        lhs, rhs = spec.sides(n)
+        verdict = ident.PASS if lhs == rhs else ident.FAIL
+        probe = n < spec.first
         out.append(ident.IdentityReport(
-            name, {"n": 0}, ident.PASS if lhs == rhs else ident.FAIL,
-            corrected_form="probe outside the stated range; expected",
-            witness=(str(lhs), str(rhs)), is_probe=True))
-    for n in range(start, n_max + 1):
-        lhs, rhs = sides(n)
-        if lhs == rhs:
-            out.append(ident.IdentityReport(name, {"n": n}, ident.PASS))
-        else:
-            out.append(ident.IdentityReport(name, {"n": n}, ident.FAIL, witness=(str(lhs), str(rhs))))
+            spec.id, {"n": n}, verdict,
+            corrected_form="probe outside the stated range; expected" if probe else None,
+            witness=(str(lhs), str(rhs)) if probe or verdict == ident.FAIL else None,
+            is_probe=probe))
     return out
 
 
@@ -244,39 +239,26 @@ def run_verify(cfg: RunConfig) -> int:
         raise _ConfigError("verify runs symbolically; drop --q")
     if cfg.format == "csv":
         raise _ConfigError("verify emits json or text, not csv")
-    only = {_resolve_identity_id(name) for name in cfg.only} if cfg.only else None
-    nmax_override = cfg.n_max if cfg.n_max > 0 else None
-
-    reports = []
-    if only:
-        for name in ident.IDENTITY_IDS:
-            if name not in only:
-                continue
-            nm = nmax_override or _DEFAULT_NMAX[name]
-            if name in _INSTANCE_SIDES:
-                reports.extend(_instance_reports(name, nm))
-            elif name == "EQ7":
-                reports.append(ident.verify_shift_equation(1, 6))
-            elif name == "EQ6":
-                for n in range(2, max(nm, 2) + 1):
-                    reports.append(ident.verify_shift_equation(n, 6))
-            elif name == "THM7":
-                reports.extend(_thm7_instances(nm))
-            elif name == "THM8":
-                reports.extend(_thm8_instances(min(nm, 4)))
-    else:
-        reports = _aggregate_reports(None, nmax_override)
-
+    only = {_resolve_identity_id(name) for name in cfg.only}
     bad = False
-    for r in reports:
-        for line_report in (r, *r.probes):
-            if cfg.format == "json":
-                cfg.emit(line_report.to_json_line())
-            else:
-                extra = f"  [{line_report.corrected_form}]" if line_report.corrected_form else ""
-                cfg.emit(f"{line_report.identity_id} {line_report.params}: {line_report.verdict}{extra}")
-        if r.verdict == ident.FAIL and r.identity_id in _EXPECTED_TO_PASS and not r.is_probe:
-            bad = True
+    for spec in IDENTITY_REGISTRY:
+        if only and spec.id not in only:
+            continue
+        n_max = cfg.n_max if cfg.n_max > 0 else spec.default_nmax
+        if only and spec.sides is not None:
+            reports = _instance_reports(spec, n_max)
+        else:
+            reports = _range_reports(spec, n_max)
+        for r in reports:
+            for line_report in (r, *r.probes):
+                if cfg.format == "json":
+                    cfg.emit(line_report.to_json_line())
+                else:
+                    extra = f"  [{line_report.corrected_form}]" if line_report.corrected_form else ""
+                    cfg.emit(f"{line_report.identity_id} {line_report.params}: "
+                             f"{line_report.verdict}{extra}")
+            if r.verdict == ident.FAIL and spec.expect_pass and not r.is_probe:
+                bad = True
     return 1 if bad else 0
 
 

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
 
-from qgenocchi.cli import main
+from qgenocchi.cli import IDENTITY_REGISTRY, main
+from qgenocchi.identities import IDENTITY_IDS
 
 
 @pytest.fixture
@@ -122,6 +124,60 @@ class TestVerify:
         status, lines, _ = run("verify", "--only", "THM1", "--nmax", "5", "--format", "text")
         assert status == 0
         assert all(line.endswith("PASS") for line in lines)
+
+    def test_registry_holds_every_identity_in_order(self):
+        assert tuple(spec.id for spec in IDENTITY_REGISTRY) == IDENTITY_IDS
+
+    # (probe indices, in-range indices) of `verify --only ID --nmax 3`
+    ONLY_NMAX_3 = {
+        "EQ6": ([], [2, 3]),
+        "EQ7": ([], [1]),
+        "THM1": ([], [0, 1, 2, 3]),
+        "THM2_EQ10": ([], [0, 1, 2, 3]),
+        "THM3_EQ13": ([], [1, 2, 3]),
+        "THM4_EQ11": ([], [1, 2, 3]),
+        "THM5_EQ12": ([], [0, 1, 2, 3]),
+        "PROP_EQ14": ([], [0, 1, 2, 3]),
+        "PROP_EQ15": ([0, 1], [2, 3]),
+        "THM6_EQ16": ([0], [1, 2, 3]),
+        "THM7": ([], [(n, k) for n in range(1, 4) for k in range(n + 1)]),
+        "THM8": ([], [(degrees, k) for m in (1, 2, 3)
+                      for degrees in combinations_with_replacement(range(1, 4), m)
+                      for k in range(min(degrees) + 1)]),
+    }
+
+    @pytest.mark.parametrize("ident", IDENTITY_IDS)
+    def test_only_covers_probes_and_range(self, run, ident):
+        status, lines, err = run("verify", "--only", ident, "--nmax", "3")
+        assert status == 0 and err == ""
+        rows = [json.loads(line) for line in lines]
+        assert {row["id"] for row in rows} == {ident}
+
+        def index(params):
+            if ident == "THM7":
+                return params["n"], params["k"]
+            if ident == "THM8":
+                return tuple(params[f"n{i}"] for i in range(1, params["m"] + 1)), params["k"]
+            return params["n"]
+
+        probes = [index(r["params"]) for r in rows if "probe" in (r["corrected_form"] or "")]
+        covered = [index(r["params"]) for r in rows if "probe" not in (r["corrected_form"] or "")]
+        assert (probes, covered) == self.ONLY_NMAX_3[ident]
+
+    def test_thm8_cap_gives_notice(self, run):
+        status, lines, err = run("verify", "--only", "THM8", "--nmax", "6")
+        assert status == 0
+        assert lines == run("verify", "--only", "THM8", "--nmax", "4")[1]
+        assert err == "notice: THM8: --nmax 6 is outside its range; using 4\n"
+
+    def test_aggregate_floors_give_notices(self, run):
+        status, lines, err = run("verify", "--nmax", "1")
+        assert status == 0
+        assert err.splitlines() == [
+            "notice: EQ6: --nmax 1 is outside its range; using 2",
+            "notice: PROP_EQ15: --nmax 1 is outside its range; using 2",
+        ]
+        assert json.loads(lines[0])["params"] == {"n": 2, "f_degree": 6}
 
 
 class TestPadicCommands:

@@ -1,20 +1,14 @@
-"""Parity and correctness of the integer kernels, both backends."""
+"""Correctness of the integer kernels against naive references."""
 
 import random
 
 import pytest
 
-from qgenocchi import _kernel_py
+from qgenocchi import _kernel
 
-BACKENDS = [_kernel_py]
-try:
-    from qgenocchi import _kernel_c
-
-    BACKENDS.append(_kernel_c)
-except ImportError:
-    _kernel_c = None
-
-backend = pytest.fixture(params=BACKENDS, ids=lambda m: m.BACKEND)(lambda request: request.param)
+# Every test runs on the one kernel module; the id names its implementation
+# as `qgenocchi.kernel_backend` does.
+pytestmark = pytest.mark.parametrize("backend", [_kernel], ids=[_kernel.BACKEND])
 
 
 def rand_poly(rng, max_deg, lo=-20, hi=20, nonzero=False):
@@ -119,26 +113,3 @@ class TestWeightedSums:
             mod = 3 ** 12
             expect = backend.alt_weighted_int_sum(u, 1, count, g) % mod
             assert backend.alt_weighted_mod_sum(u, count, g, mod) == expect
-
-
-@pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not built")
-class TestBackendParity:
-    def test_randomized_parity(self):
-        rng = random.Random(23)
-        for _ in range(200):
-            a = rand_poly(rng, 8, -99, 99)
-            b = rand_poly(rng, 8, -99, 99, nonzero=True)
-            assert _kernel_py.poly_mul(a, b) == _kernel_c.poly_mul(a, b)
-            assert _kernel_py.poly_gcd(a, b) == _kernel_c.poly_gcd(a, b)
-            assert _kernel_py.poly_pseudo_rem(a, b) == _kernel_c.poly_pseudo_rem(a, b)
-            assert _kernel_py.poly_primitive(a) == _kernel_c.poly_primitive(a)
-
-    def test_sum_parity(self):
-        rng = random.Random(29)
-        for _ in range(30):
-            g = rand_poly(rng, 5)
-            count = rng.randint(1, 60)
-            assert (_kernel_py.alt_weighted_int_sum(4, 3, count, g)
-                    == _kernel_c.alt_weighted_int_sum(4, 3, count, g))
-            assert (_kernel_py.alt_weighted_mod_sum(7, count, g, 5 ** 10)
-                    == _kernel_c.alt_weighted_mod_sum(7, count, g, 5 ** 10))
