@@ -33,7 +33,11 @@ class BernsteinIndex:
 def bernstein_basis(k: int, n: int) -> XPolynomial:
     """C(n,k) x^k (1-x)^(n-k), expanded; degree exactly n, integer coefficients."""
     BernsteinIndex(k, n)
-    lead = comb(n, k)
+    return _expand(comb(n, k), k, n)
+
+
+def _expand(lead: int, k: int, n: int) -> XPolynomial:
+    """lead * x^k * (1-x)^(n-k) in the monomial basis."""
     coeffs = [QRational.zero()] * (n + 1)
     for j in range(n - k + 1):
         coeffs[k + j] = QRational(lead * comb(n - k, j) * (-1) ** j)
@@ -80,13 +84,7 @@ def bernstein_product(indices: Sequence[BernsteinIndex]) -> XPolynomial:
     for idx in indices:
         if k > idx.n:
             raise IndexError(f"k={k} exceeds factor degree n={idx.n}")
-    m = len(indices)
-    total = sum(idx.n for idx in indices)
     lead = 1
     for idx in indices:
         lead *= comb(idx.n, k)
-    mk = m * k
-    coeffs = [QRational.zero()] * (total + 1)
-    for j in range(total - mk + 1):
-        coeffs[mk + j] = QRational(lead * comb(total - mk, j) * (-1) ** j)
-    return XPolynomial(coeffs)
+    return _expand(lead, len(indices) * k, sum(idx.n for idx in indices))

@@ -221,17 +221,11 @@ def _range_reports(spec: IdentitySpec, n_max: int) -> list:
 
 def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
     """One report per index: the probes, then n = first..n_max."""
-    out = []
-    for n in (*spec.probes, *range(spec.first, n_max + 1)):
-        lhs, rhs = spec.sides(n)
-        verdict = ident.PASS if lhs == rhs else ident.FAIL
-        probe = n < spec.first
-        out.append(ident.IdentityReport(
-            spec.id, {"n": n}, verdict,
-            corrected_form="probe outside the stated range; expected" if probe else None,
-            witness=(str(lhs), str(rhs)) if probe or verdict == ident.FAIL else None,
-            is_probe=probe))
-    return out
+    probes = [ident.probe_report(spec.id, {"n": n}, spec.sides(n),
+                                 "probe outside the stated range; expected")
+              for n in spec.probes]
+    return probes + [ident.aggregate_report(spec.id, {"n": n}, [spec.sides(n)])
+                     for n in range(spec.first, n_max + 1)]
 
 
 def run_verify(cfg: RunConfig) -> int:
@@ -239,6 +233,8 @@ def run_verify(cfg: RunConfig) -> int:
         raise _ConfigError("verify runs symbolically; drop --q")
     if cfg.format == "csv":
         raise _ConfigError("verify emits json or text, not csv")
+    if cfg.n_max < 0:
+        raise _ConfigError("--nmax must be non-negative (0 means each identity's default)")
     only = {_resolve_identity_id(name) for name in cfg.only}
     bad = False
     for spec in IDENTITY_REGISTRY:
@@ -446,8 +442,12 @@ def main(argv=None) -> int:
         return 3
     text = "\n".join(cfg.lines) + ("\n" if cfg.lines else "")
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {cfg.output_path}: {e.strerror or e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return status

@@ -11,12 +11,18 @@ contain defects (a free summation index, a subscript that conflicts with
 the derivation), so the verifiers compute every candidate reading exactly
 and let the moment oracle decide, reporting CORRECTED_PASS or FAIL with a
 witness instead of guessing silently.
+
+Both rest on one integral, that of (1-xi)^j, whose right side `_eq16_rhs(j)`
+is memoised.  THM7 is the one-factor case of THM8: their left sides and
+their printed and derived right sides are each one private sum over
+(total degree, m*k), used with (n, k) by THM7 and (n1+...+nm, m*k) by THM8.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -93,7 +99,7 @@ class IdentityReport:
         return json.dumps(self.to_json_obj(), sort_keys=False)
 
 
-def _report(identity_id, params, ok_pairs, corrected_form=None, probes=()):
+def aggregate_report(identity_id, params, ok_pairs, corrected_form=None, probes=()):
     """Aggregate instance results: PASS iff every pair compared equal."""
     for lhs, rhs in ok_pairs:
         if lhs != rhs:
@@ -104,6 +110,15 @@ def _report(identity_id, params, ok_pairs, corrected_form=None, probes=()):
                 probes=tuple(probes),
             )
     return IdentityReport(identity_id, params, PASS, corrected_form=corrected_form, probes=tuple(probes))
+
+
+def probe_report(identity_id, params, sides, note) -> IdentityReport:
+    """An instance outside the stated range, with both sides as the witness."""
+    lhs, rhs = sides
+    return IdentityReport(
+        identity_id, params, PASS if lhs == rhs else FAIL,
+        corrected_form=note, witness=(str(lhs), str(rhs)), is_probe=True,
+    )
 
 
 # -- integral shift equation (and its n = 1 specialization) ------------------
@@ -129,7 +144,7 @@ def verify_shift_equation(n: int, f_degree: int) -> IdentityReport:
         raise ValueError("shift equation needs n >= 1")
     pairs = [shift_equation_sides(n, d) for d in range(f_degree + 1)]
     ident = "EQ7" if n == 1 else "EQ6"
-    return _report(ident, {"n": n, "f_degree": f_degree}, pairs)
+    return aggregate_report(ident, {"n": n, "f_degree": f_degree}, pairs)
 
 
 # -- Frobenius-Euler link -----------------------------------------------------
@@ -141,7 +156,7 @@ def frobenius_link_sides(n: int):
 
 def verify_frobenius_link(n_max: int) -> IdentityReport:
     pairs = [frobenius_link_sides(n) for n in range(n_max + 1)]
-    return _report("THM1", {"n_max": n_max}, pairs)
+    return aggregate_report("THM1", {"n_max": n_max}, pairs)
 
 
 # -- complement identity ------------------------------------------------------
@@ -171,7 +186,7 @@ def complement_classical_sides(n: int):
 def verify_complement(n_max: int) -> IdentityReport:
     pairs = [complement_sides(n) for n in range(n_max + 1)]
     pairs += [complement_classical_sides(n) for n in range(1, n_max + 1)]
-    return _report("THM2_EQ10", {"n_max": n_max}, pairs)
+    return aggregate_report("THM2_EQ10", {"n_max": n_max}, pairs)
 
 
 # -- boundary values and the umbral recurrence -------------------------------
@@ -186,7 +201,7 @@ def boundary_sides(n: int):
 
 def verify_boundary(n_max: int) -> IdentityReport:
     pairs = [boundary_sides(n) for n in range(1, n_max + 1)]
-    return _report("THM3_EQ13", {"n_max": n_max}, pairs)
+    return aggregate_report("THM3_EQ13", {"n_max": n_max}, pairs)
 
 
 def umbral_recurrence_sides(n: int):
@@ -204,7 +219,7 @@ def umbral_recurrence_sides(n: int):
 def verify_umbral_recurrence(n_max: int) -> IdentityReport:
     pairs = [(genocchi_number(0), QRational.zero())]
     pairs += [umbral_recurrence_sides(n) for n in range(n_max + 1)]
-    return _report("PROP_EQ14", {"n_max": n_max}, pairs)
+    return aggregate_report("PROP_EQ14", {"n_max": n_max}, pairs)
 
 
 # -- reflection symmetry ------------------------------------------------------
@@ -219,7 +234,7 @@ def reflection_sides(n: int):
 
 def verify_reflection(n_max: int) -> IdentityReport:
     pairs = [reflection_sides(n) for n in range(1, n_max + 1)]
-    return _report("THM4_EQ11", {"n_max": n_max}, pairs)
+    return aggregate_report("THM4_EQ11", {"n_max": n_max}, pairs)
 
 
 # -- binomial expansion / integral representation ----------------------------
@@ -235,7 +250,7 @@ def binomial_expansion_sides(n: int):
 
 def verify_binomial_expansion(n_max: int) -> IdentityReport:
     pairs = [binomial_expansion_sides(n) for n in range(n_max + 1)]
-    return _report("THM5_EQ12", {"n_max": n_max}, pairs)
+    return aggregate_report("THM5_EQ12", {"n_max": n_max}, pairs)
 
 
 # -- value at x = 2 -----------------------------------------------------------
@@ -253,48 +268,19 @@ def verify_shift_two(n_max: int) -> IdentityReport:
     and recorded as probes without affecting the verdict."""
     if n_max < 2:
         raise ValueError("verify_shift_two needs n_max >= 2")
-    probes = []
-    for n in (0, 1):
-        lhs, rhs = shift_two_sides(n)
-        verdict = PASS if lhs == rhs else FAIL
-        probes.append(IdentityReport(
-            "PROP_EQ15", {"n": n, "subscript": n + 1}, verdict,
-            corrected_form="probe outside the stated range n > 1; not counted toward the verdict",
-            witness=(str(lhs), str(rhs)),
-            is_probe=True,
-        ))
+    probes = [
+        probe_report("PROP_EQ15", {"n": n, "subscript": n + 1}, shift_two_sides(n),
+                     "probe outside the stated range n > 1; not counted toward the verdict")
+        for n in (0, 1)
+    ]
     pairs = [shift_two_sides(n) for n in range(2, n_max + 1)]
-    return _report("PROP_EQ15", {"n_min": 2, "n_max": n_max}, pairs, probes=probes)
+    return aggregate_report("PROP_EQ15", {"n_min": 2, "n_max": n_max}, pairs, probes=probes)
 
 
 # -- integral of (1-xi)^n -----------------------------------------------------
 
 
-def one_minus_xi_sides(n: int):
-    q = QRational.q()
-    base = XPolynomial((QRational.one(), QRational(-1)))
-    lhs = integrate_polynomial(base ** n)
-    rhs = _TWO_Q + q ** 2 * genocchi_number(n + 1).invert_q() / (n + 1)
-    return lhs, rhs
-
-
-def verify_one_minus_xi(n_max: int) -> IdentityReport:
-    """Stated range n = 1..n_max; n = 0 is evaluated and recorded as a probe
-    (both sides are computed; they genuinely differ there)."""
-    lhs0, rhs0 = one_minus_xi_sides(0)
-    probe = IdentityReport(
-        "THM6_EQ16", {"n": 0}, PASS if lhs0 == rhs0 else FAIL,
-        corrected_form="probe outside the stated range n >= 1; not counted toward the verdict",
-        witness=(str(lhs0), str(rhs0)),
-        is_probe=True,
-    )
-    pairs = [one_minus_xi_sides(n) for n in range(1, n_max + 1)]
-    return _report("THM6_EQ16", {"n_min": 1, "n_max": n_max}, pairs, probes=(probe,))
-
-
-# -- single Bernstein integral (adjudicated) ----------------------------------
-
-
+@cache
 def _eq16_rhs(j: int) -> QRational:
     """[2]_q + q^2 G~_{j+1,1/q}/(j+1) -- the right side of the (1-xi)^j
     integral identity, valid for j >= 1."""
@@ -302,16 +288,56 @@ def _eq16_rhs(j: int) -> QRational:
     return _TWO_Q + q ** 2 * genocchi_number(j + 1).invert_q() / (j + 1)
 
 
-def _eq16_rhs_guarded(j: int) -> QRational:
-    """As `_eq16_rhs` but with the exponent-0 case read as the integral of 1."""
-    return QRational.one() if j == 0 else _eq16_rhs(j)
+def one_minus_xi_sides(n: int):
+    base = XPolynomial((QRational.one(), QRational(-1)))
+    return integrate_polynomial(base ** n), _eq16_rhs(n)
+
+
+def verify_one_minus_xi(n_max: int) -> IdentityReport:
+    """Stated range n = 1..n_max; n = 0 is evaluated and recorded as a probe
+    (both sides are computed; they genuinely differ there)."""
+    probe = probe_report("THM6_EQ16", {"n": 0}, one_minus_xi_sides(0),
+                         "probe outside the stated range n >= 1; not counted toward the verdict")
+    pairs = [one_minus_xi_sides(n) for n in range(1, n_max + 1)]
+    return aggregate_report("THM6_EQ16", {"n_min": 1, "n_max": n_max}, pairs, probes=(probe,))
+
+
+# -- sums shared by THM7 (total = n, mk = k) and THM8 (total = sum n_s) ------
+
+
+def _bernstein_lhs(total: int, mk: int, invert: bool) -> QRational:
+    """sum_l C(total-mk, l) (-1)^l G~_{l+mk+1}/(l+mk+1); subscript 1/q if `invert`."""
+    acc = QRational.zero()
+    for ell in range(total - mk + 1):
+        g = genocchi_number(ell + mk + 1)
+        if invert:
+            g = g.invert_q()
+        acc = acc + comb(total - mk, ell) * (-1) ** ell * g / (ell + mk + 1)
+    return acc
+
+
+def _printed_rhs(total: int, mk: int) -> QRational:
+    """The printed right side; at mk = 0 the k=0 branch read with s = 0."""
+    acc = QRational.zero()
+    for ell in range(mk + 1):
+        acc = acc + comb(mk, ell) * (-1) ** (mk + ell) * _eq16_rhs(total + ell)
+    return acc
+
+
+def _derived_rhs(total: int, mk: int) -> QRational:
+    """The derived right side, with the exponent-0 term read as the integral of 1."""
+    acc = QRational.zero()
+    for ell in range(mk + 1):
+        j = total - mk + ell
+        acc = acc + comb(mk, ell) * (-1) ** ell * (QRational.one() if j == 0 else _eq16_rhs(j))
+    return acc
+
+
+# -- single Bernstein integral (adjudicated) ----------------------------------
 
 
 def bernstein_single_lhs(n: int, k: int) -> QRational:
-    acc = QRational.zero()
-    for ell in range(n - k + 1):
-        acc = acc + comb(n - k, ell) * (-1) ** ell * genocchi_number(ell + k + 1) / (ell + k + 1)
-    return acc
+    return _bernstein_lhs(n, k, invert=False)
 
 
 def verify_bernstein_single(n: int, k: int) -> IdentityReport:
@@ -334,8 +360,8 @@ def verify_bernstein_single(n: int, k: int) -> IdentityReport:
             corrected_form="left side disagrees with the moment oracle",
             witness=(str(a), str(c)),
         )
+    b = _printed_rhs(n, k)
     if k == 0:
-        b = _eq16_rhs(n)  # the free index s read as s = 0
         if a == b:
             return IdentityReport(
                 "THM7", params, CORRECTED_PASS,
@@ -347,16 +373,10 @@ def verify_bernstein_single(n: int, k: int) -> IdentityReport:
             corrected_form="left side equals the moment oracle, but the k=0 branch fails even under the s=0 reading",
             witness=(str(a), str(b)),
         )
-    b = QRational.zero()
-    for s in range(k + 1):
-        b = b + comb(k, s) * (-1) ** (k + s) * _eq16_rhs(n + s)
     if a == b:
         return IdentityReport("THM7", params, PASS)
-    derived = QRational.zero()
-    for s in range(k + 1):
-        derived = derived + comb(k, s) * (-1) ** s * _eq16_rhs_guarded(n - k + s)
     note = "left side equals the moment oracle; the printed k!=0 right side does not"
-    if a == derived:
+    if a == _derived_rhs(n, k):
         note += (
             "; it matches after replacing the sign (-1)^(k+s) by (-1)^s and the index n+s by n-k+s, "
             "reading the exponent-0 term as 1"
@@ -368,16 +388,7 @@ def verify_bernstein_single(n: int, k: int) -> IdentityReport:
 
 
 def bernstein_product_lhs(degrees: Sequence[int], k: int, invert: bool) -> QRational:
-    m = len(degrees)
-    total = sum(degrees)
-    mk = m * k
-    acc = QRational.zero()
-    for ell in range(total - mk + 1):
-        g = genocchi_number(ell + mk + 1)
-        if invert:
-            g = g.invert_q()
-        acc = acc + comb(total - mk, ell) * (-1) ** ell * g / (ell + mk + 1)
-    return acc
+    return _bernstein_lhs(sum(degrees), len(degrees) * k, invert)
 
 
 def verify_bernstein_product(degrees: Sequence[int], k: int) -> IdentityReport:
@@ -409,26 +420,16 @@ def verify_bernstein_product(degrees: Sequence[int], k: int) -> IdentityReport:
     a_q = bernstein_product_lhs(degrees, k, invert=False)
 
     # printed right side, both branches; recorded as annotations
-    if k == 0:
-        rhs = _eq16_rhs(total)
-        rhs_note = "printed k=0 right side equals the oracle" if rhs == oracle else \
-            "printed k=0 right side differs from the oracle"
+    branch = "k=0" if k == 0 else "k!=0"
+    if _printed_rhs(total, mk) == oracle:
+        rhs_note = f"printed {branch} right side equals the oracle"
     else:
-        rhs = QRational.zero()
-        for ell in range(mk + 1):
-            rhs = rhs + comb(mk, ell) * (-1) ** (mk + ell) * _eq16_rhs(total + ell)
-        if rhs == oracle:
-            rhs_note = "printed k!=0 right side equals the oracle"
-        else:
-            derived = QRational.zero()
-            for ell in range(mk + 1):
-                derived = derived + comb(mk, ell) * (-1) ** ell * _eq16_rhs_guarded(total - mk + ell)
-            rhs_note = "printed k!=0 right side differs from the oracle"
-            if derived == oracle:
-                rhs_note += (
-                    "; it matches after replacing the sign (-1)^(mk+l) by (-1)^l and the index "
-                    "n1+...+nm+l by n1+...+nm-mk+l, reading the exponent-0 term as 1"
-                )
+        rhs_note = f"printed {branch} right side differs from the oracle"
+        if k != 0 and _derived_rhs(total, mk) == oracle:
+            rhs_note += (
+                "; it matches after replacing the sign (-1)^(mk+l) by (-1)^l and the index "
+                "n1+...+nm+l by n1+...+nm-mk+l, reading the exponent-0 term as 1"
+            )
 
     if a_printed == oracle and a_q == oracle:
         return IdentityReport(

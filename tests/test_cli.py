@@ -1,12 +1,15 @@
 """CLI contract: output formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import qgenocchi
 from qgenocchi.cli import IDENTITY_REGISTRY, main
 from qgenocchi.identities import IDENTITY_IDS
 
@@ -170,6 +173,36 @@ class TestVerify:
         assert lines == run("verify", "--only", "THM8", "--nmax", "4")[1]
         assert err == "notice: THM8: --nmax 6 is outside its range; using 4\n"
 
+    def test_negative_nmax_exit_2(self, run):
+        status, lines, err = run("verify", "--nmax", "-3")
+        assert status == 2 and lines == []
+        assert err.startswith("error: --nmax must be non-negative")
+
+    THM7_FAIL_NOTE = (
+        "left side equals the moment oracle; the printed k!=0 right side does not; "
+        "it matches after replacing the sign (-1)^(k+s) by (-1)^s and the index n+s by n-k+s, "
+        "reading the exponent-0 term as 1")
+    THM8_SUBSCRIPT_NOTE = (
+        "left-side subscript 1/q read as q (the integral of xi^(l+mk) carries subscript q)")
+
+    def test_thm7_report_text(self, run):
+        status, lines, _ = run("verify", "--only", "THM7", "--nmax", "2", "--format", "text")
+        assert status == 0 and len(lines) == 5
+        assert lines[0] == ("THM7 {'n': 1, 'k': 0}: CORRECTED_PASS  "
+                            "[k=0 branch has a free index s; verified under the s=0 reading]")
+        assert lines[4] == f"THM7 {{'n': 2, 'k': 2}}: FAIL  [{self.THM7_FAIL_NOTE}]"
+
+    def test_thm8_report_text(self, run):
+        status, lines, _ = run("verify", "--only", "THM8", "--nmax", "2", "--format", "text")
+        assert status == 0 and len(lines) == 21
+        assert lines[0] == (f"THM8 {{'m': 1, 'k': 0, 'n1': 1}}: CORRECTED_PASS  "
+                            f"[{self.THM8_SUBSCRIPT_NOTE}; printed k=0 right side equals the oracle]")
+        assert lines[-1] == (
+            f"THM8 {{'m': 3, 'k': 2, 'n1': 2, 'n2': 2, 'n3': 2}}: CORRECTED_PASS  "
+            f"[{self.THM8_SUBSCRIPT_NOTE}; printed k!=0 right side differs from the oracle; "
+            "it matches after replacing the sign (-1)^(mk+l) by (-1)^l and the index "
+            "n1+...+nm+l by n1+...+nm-mk+l, reading the exponent-0 term as 1]")
+
     def test_aggregate_floors_give_notices(self, run):
         status, lines, err = run("verify", "--nmax", "1")
         assert status == 0
@@ -261,10 +294,21 @@ class TestPlumbing:
         assert lines == []
         assert path.read_text(encoding="utf-8") == "G~_0 = 0\nG~_1 = 1\n"
 
+    def test_unwritable_out_exit_2(self, run, tmp_path):
+        path = tmp_path / "missing" / "table.txt"
+        status, lines, err = run("table", "--nmax", "2", "--out", str(path))
+        assert status == 2 and lines == []
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
     def test_console_entry_point(self):
+        # the child imports the same qgenocchi as this test, installed or not
+        src = str(Path(qgenocchi.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "qgenocchi.cli", "table", "--nmax", "0"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == "G~_0 = 0\n"

@@ -193,10 +193,10 @@ class TestBernsteinProduct:
             assert ident.bernstein_product_lhs(degrees, k, invert=True) != oracle
 
     def test_single_factor_reduces_to_thm7_lhs(self):
-        for n in range(1, 5):
+        for n in range(9):
             for k in range(n + 1):
-                assert (ident.bernstein_product_lhs([n], k, invert=False)
-                        == ident.bernstein_single_lhs(n, k))
+                assert (ident.bernstein_single_lhs(n, k)
+                        == ident.bernstein_product_lhs((n,), k, invert=False))
 
     def test_rhs_k0_branch_note(self):
         r = ident.verify_bernstein_product((1, 1), 0)
