@@ -49,7 +49,7 @@ class RunConfig:
     m_max: int = 5
     q_spec: str = "symbolic"
     x_spec: str = "1/p"
-    only: tuple = ()
+    only: tuple | None = None  # None: every identity
     polynomials: bool = False
     format: str = "text"
     output_path: str | None = None
@@ -235,7 +235,9 @@ def run_verify(cfg: RunConfig) -> int:
         raise _ConfigError("verify emits json or text, not csv")
     if cfg.n_max < 0:
         raise _ConfigError("--nmax must be non-negative (0 means each identity's default)")
-    only = {_resolve_identity_id(name) for name in cfg.only}
+    if cfg.only == ():
+        raise _ConfigError("--only names no identity")
+    only = {_resolve_identity_id(name) for name in cfg.only or ()}
     bad = False
     for spec in IDENTITY_REGISTRY:
         if only and spec.id not in only:
@@ -379,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, ("text", "json", "csv"))
 
     p = sub.add_parser("verify", help="run identity verifiers, one JSON report per line")
-    p.add_argument("--only", default="", help="comma-separated identity ids")
+    p.add_argument("--only", default=None, help="comma-separated identity ids")
     p.add_argument("--nmax", dest="n_max", type=int, default=0)
     p.add_argument("--q", dest="q_spec", default="symbolic")
     add_common(p, ("json", "text"))
@@ -423,7 +425,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                  "x_spec", "polynomials", "format", "output_path"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
-    if getattr(args, "only", ""):
+    if getattr(args, "only", None) is not None:
         cfg.only = tuple(s.strip() for s in args.only.split(",") if s.strip())
     return cfg
 

@@ -14,12 +14,18 @@ Internally a QRational is stored as ``c * N / D`` with ``c`` a Fraction and
 and gcd(N, D) = 1; this keeps the hot gcd work (see `_kernel`) in integer
 arithmetic.  The public `num`/`den` views present the equivalent canonical
 pair with monic denominator.
+
+Every denominator the paper's generating function produces is
+q^i * (1+q)^j.  Both factors are irreducible, so a gcd with such a
+polynomial is exact by counting factors (`_int_gcd`); only the other pairs,
+e.g. parsed input, take the mod-p coprimality certificate and the
+Euclidean gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from . import _kernel as K
 from .errors import PoleError
@@ -68,8 +74,70 @@ def _coprime_certificate(a, b) -> bool:
     return False
 
 
+def _q_one_plus_q_exponents(a):
+    """(i, j) when the int list a is exactly q^i * (1+q)^j, else None.
+
+    That is: i zero coefficients followed by the binomial row C(j, 0..j).
+    a must be nonzero.
+    """
+    i = 0
+    while a[i] == 0:
+        i += 1
+    j = len(a) - 1 - i
+    c = 1
+    for k in range(j + 1):
+        if a[i + k] != c:
+            return None
+        c = c * (j - k) // (k + 1)
+    return i, j
+
+
+def _one_plus_q_valuation(a, cap):
+    """Largest k <= cap with (1+q)^k dividing the nonzero int list a.
+
+    Each pass is one synthetic division by q + 1; its remainder is a(-1).
+    """
+    k = 0
+    while k < cap:
+        quo = [0] * (len(a) - 1)
+        carry = 0
+        for idx in range(len(a) - 1, 0, -1):
+            carry = a[idx] - carry
+            quo[idx - 1] = carry
+        if a[0] != carry:
+            break
+        a = quo
+        k += 1
+    return k
+
+
+def _structured_gcd(i, j, other):
+    """gcd(q^i * (1+q)^j, other) by counting factors; other is nonzero.
+
+    q and 1+q are irreducible, so the gcd is q^min(i, v_q(other)) *
+    (1+q)^min(j, v_{1+q}(other)), primitive with positive leading
+    coefficient like `K.poly_gcd`'s result.
+    """
+    vq = 0
+    while vq < i and other[vq] == 0:
+        vq += 1
+    v1q = _one_plus_q_valuation(other[vq:], j)
+    return [0] * vq + [comb(v1q, k) for k in range(v1q + 1)]
+
+
 def _int_gcd(a, b):
-    """Primitive gcd of two primitive integer polynomials, trivial-fast path."""
+    """Primitive gcd of two primitive integer polynomials.
+
+    When either argument is q^i * (1+q)^j (every denominator the paper's
+    generating function produces), the gcd is exact by factor counting.
+    Other pairs take the mod-p certificate, which settles coprime pairs,
+    and then the Euclidean `K.poly_gcd`.
+    """
+    if a and b:
+        for s, other in ((b, a), (a, b)):
+            e = _q_one_plus_q_exponents(s)
+            if e is not None:
+                return _structured_gcd(*e, other)
     if _coprime_certificate(a, b):
         return [1]
     return K.poly_gcd(a, b)

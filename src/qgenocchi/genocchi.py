@@ -64,10 +64,6 @@ class GenocchiTable:
         self.extend_to(n)
         return self._values[n]
 
-    def snapshot(self) -> tuple:
-        """Immutable view of everything computed so far."""
-        return tuple(self._values)
-
 
 _TABLE = GenocchiTable()
 

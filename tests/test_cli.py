@@ -96,6 +96,13 @@ class TestVerify:
         status, _, err = run("verify", "--only", "THM99")
         assert status == 2
 
+    @pytest.mark.parametrize("only", [",", " ", "", " , "])
+    def test_only_naming_no_identity_exit_2(self, run, only):
+        status, lines, err = run("verify", "--only", only)
+        assert status == 2
+        assert lines == []
+        assert err == "error: --only names no identity\n"
+
     def test_ambiguous_id_exit_2(self, run):
         status, _, err = run("verify", "--only", "THM")
         assert status == 2

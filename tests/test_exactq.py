@@ -1,11 +1,18 @@
 """Exact arithmetic layer: ring laws, canonical forms, rendering."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qgenocchi
+from qgenocchi import _kernel as K
+from qgenocchi import exactq
 from qgenocchi.errors import PoleError
 from qgenocchi.exactq import (
     QPolynomial,
@@ -255,3 +262,100 @@ class TestXPolynomial:
         c = QRational(cpoly)
         p = XPolynomial((QRational(1), QRational(-2), QRational(3)))
         assert p.compose_shift(c).evaluate(QRational(x0)) == p.evaluate(QRational(x0) + c)
+
+
+# -- gcd with q^i * (1+q)^j by factor counting ---------------------------------
+
+
+def q_one_plus_q(i, j):
+    """q^i * (1+q)^j as an int list."""
+    out = [0] * i + [1]
+    for _ in range(j):
+        out = K.poly_mul(out, [1, 1])
+    return out
+
+
+@st.composite
+def primitive_int_polys(draw):
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=6))
+    _, f = K.poly_primitive(K.poly_trim(coeffs))
+    return f or [1]
+
+
+class TestStructuredGcd:
+    @pytest.fixture
+    def no_general_path(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("structured pair reached the general gcd")
+
+        monkeypatch.setattr(exactq, "_coprime_certificate", refuse)
+        monkeypatch.setattr(K, "poly_gcd", refuse)
+
+    @given(primitive_int_polys(), st.integers(0, 4), st.integers(0, 6),
+           st.integers(0, 4), st.integers(0, 6))
+    def test_matches_euclid(self, f, a, b, i, j):
+        num = K.poly_mul(f, q_one_plus_q(a, b))
+        den = q_one_plus_q(i, j)
+        expected = K.poly_gcd(num, den)
+        assert exactq._int_gcd(num, den) == expected
+        assert exactq._int_gcd(den, num) == expected
+
+    def test_constant_one(self, no_general_path):
+        assert exactq._int_gcd([1], [3, -2, 7]) == [1]
+        assert exactq._int_gcd([3, -2, 7], [1]) == [1]
+
+    def test_pure_powers(self, no_general_path):
+        # i = 0: only (1+q) factors; j = 0: only q factors
+        assert exactq._int_gcd([0, 0, 1, 1], q_one_plus_q(0, 3)) == [1, 1]
+        assert exactq._int_gcd([0, 0, 1, 1], q_one_plus_q(4, 0)) == [0, 0, 1]
+        assert exactq._int_gcd(q_one_plus_q(2, 0), q_one_plus_q(0, 5)) == [1]
+
+    def test_numerator_with_more_one_plus_q_factors(self, no_general_path):
+        num = K.poly_mul([2, 0, 3], q_one_plus_q(1, 6))
+        assert exactq._int_gcd(num, q_one_plus_q(3, 2)) == q_one_plus_q(1, 2)
+
+    def test_both_structured(self, no_general_path):
+        assert exactq._int_gcd(q_one_plus_q(3, 1), q_one_plus_q(1, 4)) == q_one_plus_q(1, 1)
+
+    def test_near_miss_takes_general_path(self, monkeypatch):
+        calls = []
+        certificate = exactq._coprime_certificate
+
+        def spy(a, b):
+            calls.append((a, b))
+            return certificate(a, b)
+
+        monkeypatch.setattr(exactq, "_coprime_certificate", spy)
+        near = q_one_plus_q(0, 4)
+        near[2] += 1  # 1 + 4q + 7q^2 + 4q^3 + q^4
+        num = K.poly_mul([1, 2], near)
+        assert exactq._int_gcd(num, near) == near
+        assert calls
+
+    def test_zero_keeps_euclid_result(self):
+        assert exactq._int_gcd([], [0, 1, 1]) == K.poly_gcd([], [0, 1, 1])
+        assert exactq._int_gcd([1, 1], []) == [1, 1]
+
+
+_REFUSE_CERTIFICATE = """
+import sys
+from qgenocchi import cli, exactq
+
+def refuse(a, b):
+    raise AssertionError(f"mod-p certificate called on {a} and {b}")
+
+exactq._coprime_certificate = refuse
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [("table", "--nmax", "30"), ("verify", "--nmax", "3")])
+def test_paper_paths_never_run_the_certificate(argv):
+    # a fresh interpreter, so no memoised value hides a gcd
+    src = str(Path(qgenocchi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _REFUSE_CERTIFICATE, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
