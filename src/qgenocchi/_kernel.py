@@ -139,20 +139,15 @@ def alt_weighted_int_sum(anum, bden, count, g):
     """sum_{xi=0}^{count-1} (-1)^xi * anum^xi * bden^(count-1-xi) * g(xi).
 
     This is the cleared-denominator numerator of the level-m fermionic
-    Riemann sum for a polynomial integrand g at q = anum/bden.
+    Riemann sum for a polynomial integrand g at q = anum/bden.  Horner's
+    rule in -anum, from xi = count-1 down, with bden^(count-1-xi) built up
+    alongside: every product has one small factor.
     """
     total = 0
-    apow = 1
-    bpow = bden ** (count - 1) if bden != 1 else 1
-    sign = 1
-    for xi in range(count):
-        gval = poly_eval_int(g, xi)
-        if gval:
-            total += sign * apow * bpow * gval
-        apow *= anum
-        if bden != 1 and xi < count - 1:
-            bpow //= bden
-        sign = -sign
+    bpow = 1
+    for xi in range(count - 1, -1, -1):
+        total = total * -anum + poly_eval_int(g, xi) * bpow
+        bpow *= bden
     return total
 
 

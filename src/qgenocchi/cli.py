@@ -7,7 +7,9 @@ error valuations), `loggamma` (series vs direct values), `bernstein`
 
 Exit codes: 0 success, 1 `verify` found a FAIL (outside the probes) in an
 identity expected to pass, 2 invalid configuration, 3 evaluation error
-(pole), 4 convergence/agreement criterion violated.
+(pole), 4 convergence/agreement criterion violated (a `loggamma` level
+whose agreement has saturated, i.e. reached the available precision,
+counts like an exact level).
 """
 
 from __future__ import annotations
@@ -263,9 +265,28 @@ def run_verify(cfg: RunConfig) -> int:
 # -- p-adic commands -------------------------------------------------------------
 
 
+# Largest p^mmax that `padic-converge` and `loggamma` accept: the number of
+# points in the finest Riemann sum.  At 3^11 = 177147 points `loggamma` takes
+# about 4 s and `padic-converge --q 5/2` about 7.5 s (CPython 3.11, 2-vCPU
+# Xeon); each further level multiplies the cost by more than p.
+MAX_RIEMANN_POINTS = 200_000
+
+
+def _check_riemann_points(cfg: RunConfig) -> None:
+    """Refuse p^mmax above the cap; checked before the primality test, whose
+    trial division would itself run unbounded on a huge --prime."""
+    points = 1
+    for _ in range(cfg.m_max):
+        points *= cfg.prime
+        if points > MAX_RIEMANN_POINTS:
+            raise _ConfigError(f"--prime {cfg.prime} --mmax {cfg.m_max}: p^mmax exceeds the "
+                               f"cap of {MAX_RIEMANN_POINTS} Riemann-sum points")
+
+
 def _strictly_increasing(vals):
     """Error valuations must strictly increase; exact (inf) entries may
-    repeat.  Returns the first offending level, or None."""
+    repeat, and `loggamma` passes its saturated levels as inf.  Returns the
+    first offending level, or None."""
     for (m1, a), (m2, b) in zip(vals, vals[1:]):
         if a == inf and b == inf:
             continue
@@ -275,6 +296,7 @@ def _strictly_increasing(vals):
 
 
 def run_padic_converge(cfg: RunConfig) -> int:
+    _check_riemann_points(cfg)
     ctx = _check_padic_config(cfg)
     q0 = _parse_q(cfg, allow_symbolic=False)
     if cfg.n < 0 or cfg.m_max < 1:
@@ -299,6 +321,7 @@ def run_padic_converge(cfg: RunConfig) -> int:
 
 
 def run_loggamma(cfg: RunConfig) -> int:
+    _check_riemann_points(cfg)
     ctx = _check_padic_config(cfg)
     q0 = _parse_q(cfg, allow_symbolic=False)
     x = PadicNumber.from_rational(_parse_x(cfg), ctx)
@@ -309,24 +332,25 @@ def run_loggamma(cfg: RunConfig) -> int:
     except DomainError as e:
         raise _ConfigError(str(e)) from None
     rows = []
-    agreements = []
     for m in range(1, cfg.m_max + 1):
         direct = loggamma_direct(x, q0, m, ctx)
         diff = series - direct
-        v = diff.abs_precision if diff.is_zero else diff.valuation
-        agreements.append((m, v))
-        rows.append((m, direct, v))
+        # zero at the available precision: the agreement has saturated
+        saturated = diff.is_zero
+        v = diff.abs_precision if saturated else diff.valuation
+        rows.append((m, direct, v, saturated))
     if cfg.format == "text":
         cfg.emit(f"series: {series}")
-        for m, direct, v in rows:
+        for m, direct, v, _ in rows:
             cfg.emit(f"level {m}: direct {direct}; agreement valuation {v}")
     else:
         cfg.emit(json.dumps({"kind": "series", "value": str(series),
                              "abs_precision": series.abs_precision}))
-        for m, direct, v in rows:
+        for m, direct, v, saturated in rows:
             cfg.emit(json.dumps({"kind": "direct", "level": m, "value": str(direct),
-                                 "agreement_valuation": v}))
-    offender = _strictly_increasing(agreements)
+                                 "agreement_valuation": v, "saturated": saturated}))
+    offender = _strictly_increasing([(m, inf if saturated else v)
+                                     for m, _, v, saturated in rows])
     if offender is not None:
         print(f"agreement criterion violated at level {offender}", file=sys.stderr)
         return 4

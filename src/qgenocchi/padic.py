@@ -9,6 +9,10 @@ polynomial integrands be asserted exactly, with no tolerance.  Series
 operations (the p-adic logarithm, the log-gamma series) truncate, so they
 drop the shadow and report the truncation-limited precision.
 
+Every Riemann sum has a polynomial integrand.  The direct log-gamma sum
+expands log(1 + xi/x) in powers of xi to the target precision, so it too is
+one polynomial sum, with no p-adic logarithm taken per point.
+
 The logarithm uses the Iwasawa branch (log p = 0), with evaluation points
 restricted to p-power times principal unit, where the branch term is
 computable and vanishes at pure powers of p.
@@ -411,13 +415,14 @@ class IntegrandSpec:
 
     kind = "monomial":  f(xi) = xi^degree
     kind = "polynomial": f(xi) = sum coefficients[j] * xi^j  (exact rationals)
-    kind = "loggamma":  f(xi) = (x + xi) * (log_p(x + xi) - 1)
+
+    The log-gamma integrand enters as a polynomial too: `loggamma_direct`
+    expands it in powers of xi before summing.
     """
 
     kind: str
     degree: int = 0
     coefficients: tuple = ()
-    point: PadicNumber | None = None
 
     @classmethod
     def monomial(cls, n: int) -> "IntegrandSpec":
@@ -433,10 +438,6 @@ class IntegrandSpec:
     def polynomial_from_xpoly(cls, poly: XPolynomial, q0) -> "IntegrandSpec":
         """Specialize an XPolynomial's coefficients at a rational q."""
         return cls.polynomial(poly.evaluate_coeffs(Fraction(q0)))
-
-    @classmethod
-    def loggamma(cls, x: PadicNumber) -> "IntegrandSpec":
-        return cls("loggamma", point=x)
 
 
 def _require_valid_q(q: PadicNumber) -> None:
@@ -473,52 +474,32 @@ def fermionic_riemann_sum(f: IntegrandSpec, m: int, q, ctx: PadicContext) -> Pad
     _require_valid_q(q)
     count = ctx.p ** m
 
-    if f.kind in ("monomial", "polynomial"):
-        if f.kind == "monomial":
-            coeffs = (Fraction(0),) * f.degree + (Fraction(1),)
-        else:
-            coeffs = f.coefficients
-        if q.exact_value is not None:
-            qr = q.exact_value
-            a, b = qr.numerator, qr.denominator
-            g, den = _int_coeffs(coeffs)
-            total = K.alt_weighted_int_sum(a, b, count, g)
-            value = Fraction((a + b) * total, den * (a ** count + b ** count))
-            return PadicNumber.from_rational(value, ctx)
-        # modular path: q known only as a residue
-        rel = min(q.abs_precision, ctx.precision)  # q is a unit (v = 0)
-        g, den = _int_coeffs(coeffs)
-        vden = 0
-        while den % ctx.p == 0:
-            den //= ctx.p
-            vden += 1
-        digits = rel + vden
-        mod = ctx.p ** digits
-        u = q.unit % mod
-        total = K.alt_weighted_mod_sum(u, count, [c % mod for c in g], mod)
-        pref = (1 + u) * pow(1 + pow(u, count, mod), -1, mod) % mod
-        mantissa = total * pref % mod * pow(den, -1, mod) % mod
-        return PadicNumber._from_mantissa(ctx, mantissa, -vden, digits)
-
-    if f.kind != "loggamma":
+    if f.kind == "monomial":
+        coeffs = (Fraction(0),) * f.degree + (Fraction(1),)
+    elif f.kind == "polynomial":
+        coeffs = f.coefficients
+    else:
         raise DomainError(f"unknown integrand kind {f.kind!r}")
-    x = f.point
-    if x is None or x.ctx != ctx:
-        raise DomainError("loggamma integrand needs a point in the same context")
-    if x.is_zero or x.valuation is None or x.valuation >= 0:
-        raise DomainError("loggamma integrand needs valuation(x) < 0")
-    logx = iwasawa_log(x)
-    one = ctx.one()
-    inv_x = one / x
-    acc = ctx.zero()
-    qpow = one
-    for xi in range(count):
-        lg = logx if xi == 0 else logx + padic_log1p(inv_x * xi)
-        term = (x + xi) * (lg - one)
-        acc = acc + (qpow * term if xi % 2 == 0 else -(qpow * term))
-        qpow = qpow * q
-    prefactor = (one + q) / (one + q ** count)
-    return prefactor * acc
+    g, den = _int_coeffs(coeffs)
+    if q.exact_value is not None:
+        qr = q.exact_value
+        a, b = qr.numerator, qr.denominator
+        total = K.alt_weighted_int_sum(a, b, count, g)
+        value = Fraction((a + b) * total, den * (a ** count + b ** count))
+        return PadicNumber.from_rational(value, ctx)
+    # modular path: q is a unit known mod p^rel, so the integer sum is known
+    # mod p^rel as well, and dividing out p^vden leaves rel - vden digits
+    rel = min(q.abs_precision, ctx.precision)
+    vden = 0
+    while den % ctx.p == 0:
+        den //= ctx.p
+        vden += 1
+    mod = ctx.p ** rel
+    u = q.unit % mod
+    total = K.alt_weighted_mod_sum(u, count, [c % mod for c in g], mod)
+    pref = (1 + u) * pow(1 + pow(u, count, mod), -1, mod) % mod
+    mantissa = total * pref % mod * pow(den, -1, mod) % mod
+    return PadicNumber._from_mantissa(ctx, mantissa, -vden, rel)
 
 
 def qrational_at_padic(r: QRational, q: PadicNumber) -> PadicNumber:
@@ -575,6 +556,15 @@ def _loggamma_domain_check(x: PadicNumber) -> int:
     return x.valuation
 
 
+def _floor_log(n: int, p: int) -> int:
+    """floor(log_p n) for n >= 1: the largest valuation among 1..n."""
+    k = 0
+    while n >= p:
+        n //= p
+        k += 1
+    return k
+
+
 def loggamma_series(x: PadicNumber, q, ctx: PadicContext) -> PadicNumber:
     """(x + G~_2/2) log x + sum_{n>=1} (-1)^(n+1) G~_{n+2}/(n(n+1)(n+2) x^n) - x.
 
@@ -607,6 +597,34 @@ def loggamma_series(x: PadicNumber, q, ctx: PadicContext) -> PadicNumber:
 
 def loggamma_direct(x: PadicNumber, q, m: int, ctx: PadicContext) -> PadicNumber:
     """Level-m Riemann sum of (x+xi)(log_p(x+xi) - 1) against the
-    alternating q-weights, with log_p(x+xi) = log_p x + log1p(xi/x)."""
-    _loggamma_domain_check(x)
-    return fermionic_riemann_sum(IntegrandSpec.loggamma(x), m, q, ctx)
+    alternating q-weights, with log_p(x+xi) = log_p x + log1p(xi/x).
+
+    Since v(xi/x) >= 1, log1p(xi/x) = sum_j (-1)^(j+1) xi^j / (j x^j); the
+    terms up to J are kept, J being the last j with j*w - floor(log_p j)
+    <= N + 2 (w = -v(x), N the context precision).  That bound increases
+    in j, so every omitted term of the integrand, (x + xi) times a term of
+    valuation > N + 2, has valuation > v(x) + N + 2.
+    The truncated integrand is one rational polynomial in xi, summed by the
+    polynomial path of `fermionic_riemann_sum`; the result carries the
+    precision of x on the scale of x, v(x) + N at most.
+    """
+    if x.ctx != ctx:
+        raise DomainError("x belongs to a different context")
+    v = _loggamma_domain_check(x)
+    p, N = ctx.p, ctx.precision
+    w = -v
+    J = 0
+    while (J + 1) * w - _floor_log(J + 1, p) <= N + 2:
+        J += 1
+    xr = x.rational_representative()
+    log_part = [iwasawa_log(x).rational_representative() - 1]
+    xpow = Fraction(1)
+    for j in range(1, J + 1):
+        xpow *= xr
+        log_part.append(Fraction((-1) ** (j + 1)) / (j * xpow))
+    # (x + xi) * sum_j log_part[j] xi^j
+    coeffs = [xr * c for c in log_part] + [Fraction(0)]
+    for j, c in enumerate(log_part):
+        coeffs[j + 1] += c
+    value = fermionic_riemann_sum(IntegrandSpec.polynomial(coeffs), m, q, ctx)
+    return value.truncated(min(v + N, x.abs_precision))

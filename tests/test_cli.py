@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qgenocchi
-from qgenocchi.cli import IDENTITY_REGISTRY, main
+from qgenocchi.cli import IDENTITY_REGISTRY, MAX_RIEMANN_POINTS, main
 from qgenocchi.identities import IDENTITY_IDS
 
 
@@ -269,6 +269,36 @@ class TestPadicCommands:
     def test_loggamma_bad_x_exit_2(self, run):
         status, _, err = run("loggamma", "--prime", "3", "--x", "2")
         assert status == 2
+
+    def test_loggamma_saturated_levels_exit_0(self, run):
+        # levels 2..6 agree with the series to all 3 reported digits
+        argv = ("loggamma", "--prime", "3", "--q", "1+p", "--x", "1/p",
+                "--precision", "4", "--mmax", "6")
+        status, lines, err = run(*argv)
+        assert status == 0 and err == ""
+        rows = [json.loads(line) for line in lines]
+        assert rows[0]["abs_precision"] == 3
+        assert [(r["agreement_valuation"], r["saturated"]) for r in rows[1:]] == \
+            [(2, False)] + [(3, True)] * 5
+        status, lines, _ = run(*argv, "--format", "text")
+        assert status == 0
+        assert lines[1:3] == ["level 1: direct 3^-1 * (2 2 0 0)_3 + O(3^3); agreement valuation 2",
+                              "level 2: direct 3^-1 * (2 2 0 1)_3 + O(3^3); agreement valuation 3"]
+
+    @pytest.mark.parametrize("argv", [
+        ("loggamma", "--prime", "3", "--mmax", "12"),
+        ("padic-converge", "--n", "1", "--prime", "7", "--mmax", "7"),
+        # refused before the primality test, whose trial division would take minutes
+        ("padic-converge", "--n", "1", "--prime", "1000000000000000003", "--mmax", "1"),
+    ])
+    def test_riemann_points_over_cap_exit_2(self, run, argv):
+        status, lines, err = run(*argv)
+        assert status == 2 and lines == []
+        assert f"cap of {MAX_RIEMANN_POINTS} Riemann-sum points" in err
+
+    def test_riemann_points_cap_admits_3_to_the_11(self):
+        # the largest p^mmax measured to finish in seconds
+        assert MAX_RIEMANN_POINTS >= 3 ** 11
 
 
 class TestBernsteinCommand:

@@ -95,9 +95,9 @@ class TestPolyOps:
 class TestWeightedSums:
     def test_int_sum_matches_naive(self, backend):
         rng = random.Random(17)
-        for _ in range(20):
-            a, b = rng.randint(1, 9), rng.randint(1, 4)
-            count = rng.randint(1, 40)
+        for _ in range(30):
+            a, b = rng.randint(-9, 9), rng.randint(1, 4)
+            count = rng.randint(1, 200)
             g = rand_poly(rng, 4)
             expect = sum((-1) ** xi * a ** xi * b ** (count - 1 - xi) *
                          sum(c * xi ** i for i, c in enumerate(g))

@@ -1,12 +1,17 @@
 """p-adic layer: embeddings, precision propagation, logarithm, Riemann sums,
 convergence measurements, log-gamma values."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import inf
+from pathlib import Path
 
 import pytest
 
+import qgenocchi
 from qgenocchi.errors import DomainError, PrecisionExhausted
 from qgenocchi.exactq import XPolynomial
 from qgenocchi.genocchi import moment
@@ -195,6 +200,26 @@ class TestRiemannSum:
             diff = s1 - s2
             assert diff.is_zero or diff.valuation >= s2.abs_precision
 
+    def test_modular_path_digits_hold_for_every_lift(self):
+        # q = 4 known to O(3^2): every exact q = 4 + 9k must agree with the
+        # reported value to its reported precision, also when a coefficient
+        # has 3 in its denominator
+        ctx = PadicContext(3, 8)
+        q_approx = PadicNumber.from_rational(F(4), ctx).truncated(2)
+        for coeffs in ([F(0), F(1, 9)], [F(1, 3), F(0), F(2, 27)], [F(5), F(-1, 3)]):
+            spec = IntegrandSpec.polynomial(coeffs)
+            for m in (1, 2):
+                approx = fermionic_riemann_sum(spec, m, q_approx, ctx)
+                for k in range(4):
+                    exact = fermionic_riemann_sum(spec, m, F(4 + 9 * k), ctx)
+                    assert (exact - approx).is_zero, (coeffs, m, k, str(approx), str(exact))
+
+    def test_modular_path_reports_digits_left_after_the_denominator(self):
+        ctx = PadicContext(3, 8)
+        q_approx = PadicNumber.from_rational(F(4), ctx).truncated(5)
+        got = fermionic_riemann_sum(IntegrandSpec.polynomial([F(0), F(1, 9)]), 1, q_approx, ctx)
+        assert got.abs_precision == 5 - 2
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             fermionic_riemann_sum(IntegrandSpec.monomial(0), 0, F(4), CTX3)
@@ -280,6 +305,75 @@ class TestLogGamma:
         direct = loggamma_direct(x, F(1), 3, CTX3)
         diff = classical - direct
         assert diff.is_zero or diff.valuation >= 3
+
+
+def _loggamma_direct_reference(x, q, m, ctx):
+    """The level-m sum point by point: one p-adic logarithm per xi."""
+    q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
+    logx = iwasawa_log(x)
+    one = ctx.one()
+    inv_x = one / x
+    acc = ctx.zero()
+    qpow = one
+    for xi in range(ctx.p ** m):
+        lg = logx if xi == 0 else logx + padic_log1p(inv_x * xi)
+        term = (x + xi) * (lg - one)
+        acc = acc + (qpow * term if xi % 2 == 0 else -(qpow * term))
+        qpow = qpow * q
+    return (one + q) / (one + q ** (ctx.p ** m)) * acc
+
+
+_COUNT_LOG1P = """
+import contextlib, io, sys
+from qgenocchi import cli, padic
+
+calls = 0
+log1p = padic.padic_log1p
+
+def counted(z):
+    global calls
+    calls += 1
+    return log1p(z)
+
+padic.padic_log1p = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(sys.argv[1:])
+print(status, calls)
+"""
+
+
+class TestLogGammaDirect:
+    @pytest.mark.parametrize("p,N", [(3, 4), (3, 8), (3, 12), (5, 4), (5, 12), (7, 4), (7, 8)])
+    def test_matches_pointwise_reference(self, p, N):
+        ctx = PadicContext(p, N)
+        for xv in (F(1, p), F(1 + p, p), F(1, p * p), F(1 + 2 * p, p * p)):
+            for qv in (F(1 + p), F(1 + 2 * p, 1 - p)):
+                for x_exact in (True, False):
+                    for q_exact in (True, False):
+                        x = PadicNumber.from_rational(xv, ctx)
+                        if not x_exact:
+                            x = x.truncated(x.valuation + N - 1)
+                        q = PadicNumber.from_rational(qv, ctx)
+                        if not q_exact:
+                            q = q.truncated(N - 2)
+                        for m in (1, 2, 3):
+                            want = _loggamma_direct_reference(x, q, m, ctx)
+                            got = loggamma_direct(x, q, m, ctx)
+                            case = (xv, x_exact, qv, q_exact, m)
+                            assert (str(got), got.abs_precision) == \
+                                (str(want), want.abs_precision), case
+
+    def test_log1p_calls_do_not_grow_with_the_level(self):
+        # a fresh interpreter, so the count covers the whole command: one
+        # logarithm for the series and one per level, none per point
+        src = str(Path(qgenocchi.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", _COUNT_LOG1P,
+                               "loggamma", "--prime", "5", "--mmax", "5"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", str(1 + 5)]
 
 
 class TestQRationalAtPadic:
