@@ -5,6 +5,14 @@ suite as newline-delimited JSON reports), `padic-converge` (Riemann-sum
 error valuations), `loggamma` (series vs direct values), `bernstein`
 (basis polynomials and their fermionic integrals).
 
+Each subparser names its runner, `run(args, out)`, which reads the argparse
+namespace and appends output lines to `out`; argparse's defaults are the
+only ones.  Each record goes through `_emit`, the one place that picks
+among the text, json and csv forms, and `main` writes the lines to stdout
+or `--out` once the runner returns.  `--q` takes a rational, `symbolic`
+(`table` only) or `1+p`, which needs a command with `--prime`; `verify`
+runs symbolically and has no `--q`.
+
 Exit codes: 0 success, 1 `verify` found a FAIL (outside the probes) in an
 identity expected to pass, 2 invalid configuration, 3 evaluation error
 (pole), 4 convergence/agreement criterion violated (a `loggamma` level
@@ -17,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 from typing import Callable
@@ -25,7 +33,7 @@ from typing import Callable
 from . import identities as ident
 from .bernstein import bernstein_basis
 from .errors import DomainError, PoleError, PrecisionExhausted
-from .exactq import QRational
+from .exactq import QRational, xpoly_text
 from .genocchi import genocchi_number, genocchi_polynomial, integrate_polynomial
 from .padic import (
     PadicContext,
@@ -40,54 +48,46 @@ class _ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n_max: int = 0
-    n: int = 0
-    k: int | None = None
-    prime: int = 3
-    precision: int = 12
-    m_max: int = 5
-    q_spec: str = "symbolic"
-    x_spec: str = "1/p"
-    only: tuple | None = None  # None: every identity
-    polynomials: bool = False
-    format: str = "text"
-    output_path: str | None = None
-    lines: list = field(default_factory=list)
-
-    def emit(self, line: str) -> None:
-        self.lines.append(line)
+def _emit(args, out: list, record: dict, text: str, *csv: str) -> None:
+    """Append one record to `out` in `args.format`: `record` as one JSON
+    line, `text` as one line, or the csv lines (a record may have none)."""
+    if args.format == "json":
+        out.append(json.dumps(record))
+    elif args.format == "text":
+        out.append(text)
+    else:
+        out.extend(csv)
 
 
-def _parse_q(cfg: RunConfig, allow_symbolic: bool):
-    spec = cfg.q_spec.strip()
+def _parse_q(args, allow_symbolic: bool):
+    spec = args.q_spec.strip()
     if spec == "symbolic":
         if not allow_symbolic:
             raise _ConfigError("this command needs a numeric q (a rational or 1+p)")
         return None
     if spec == "1+p":
-        return Fraction(1 + cfg.prime)
+        if "prime" not in args:
+            raise _ConfigError(f"--q 1+p needs a prime, and {args.command} has no --prime")
+        return Fraction(1 + args.prime)
     try:
         return Fraction(spec)
     except (ValueError, ZeroDivisionError) as e:
         raise _ConfigError(f"cannot parse q spec {spec!r}: {e}") from None
 
 
-def _parse_x(cfg: RunConfig) -> Fraction:
-    spec = cfg.x_spec.strip()
+def _parse_x(args) -> Fraction:
+    spec = args.x_spec.strip()
     if spec == "1/p":
-        return Fraction(1, cfg.prime)
+        return Fraction(1, args.prime)
     try:
         return Fraction(spec)
     except (ValueError, ZeroDivisionError) as e:
         raise _ConfigError(f"cannot parse x spec {spec!r}: {e}") from None
 
 
-def _check_padic_config(cfg: RunConfig) -> PadicContext:
+def _check_padic_config(args) -> PadicContext:
     try:
-        return PadicContext(cfg.prime, cfg.precision)
+        return PadicContext(args.prime, args.precision)
     except DomainError as e:
         raise _ConfigError(str(e)) from None
 
@@ -95,33 +95,25 @@ def _check_padic_config(cfg: RunConfig) -> PadicContext:
 # -- table ---------------------------------------------------------------------
 
 
-def run_table(cfg: RunConfig) -> int:
-    if cfg.n_max < 0:
+def run_table(args, out: list) -> int:
+    if args.n_max < 0:
         raise _ConfigError("--nmax must be non-negative")
-    q0 = _parse_q(cfg, allow_symbolic=True)
-    if cfg.format == "csv" and not cfg.polynomials:
-        cfg.emit("n,value")
-    for n in range(cfg.n_max + 1):
-        if cfg.polynomials:
+    q0 = _parse_q(args, allow_symbolic=True)
+    if args.format == "csv" and not args.polynomials:
+        out.append("n,value")
+    for n in range(args.n_max + 1):
+        if args.polynomials:
             poly = genocchi_polynomial(n)
             if q0 is not None:
                 poly = poly.map_coeffs(lambda c: QRational(c.evaluate(q0)))
-            if cfg.format == "json":
-                cfg.emit(json.dumps({"n": n, "coefficients": [c.to_text() for c in poly.coeffs]}))
-            elif cfg.format == "csv":
-                for k, c in enumerate(poly.coeffs):
-                    cfg.emit(f"{n},{k},{c.to_text()}")
-            else:
-                cfg.emit(f"G~_{n}(x) = {poly.to_text()}")
+            texts = [c.to_text() for c in poly.coeffs]
+            _emit(args, out, {"n": n, "coefficients": texts},
+                  f"G~_{n}(x) = {xpoly_text(texts)}",
+                  *(f"{n},{k},{t}" for k, t in enumerate(texts)))
         else:
             g = genocchi_number(n)
             value = g.to_text() if q0 is None else str(g.evaluate(q0))
-            if cfg.format == "json":
-                cfg.emit(json.dumps({"n": n, "value": value}))
-            elif cfg.format == "csv":
-                cfg.emit(f"{n},{value}")
-            else:
-                cfg.emit(f"G~_{n} = {value}")
+            _emit(args, out, {"n": n, "value": value}, f"G~_{n} = {value}", f"{n},{value}")
     return 0
 
 
@@ -230,33 +222,28 @@ def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
                      for n in range(spec.first, n_max + 1)]
 
 
-def run_verify(cfg: RunConfig) -> int:
-    if cfg.q_spec != "symbolic":
-        raise _ConfigError("verify runs symbolically; drop --q")
-    if cfg.format == "csv":
-        raise _ConfigError("verify emits json or text, not csv")
-    if cfg.n_max < 0:
+def run_verify(args, out: list) -> int:
+    if args.n_max < 0:
         raise _ConfigError("--nmax must be non-negative (0 means each identity's default)")
-    if cfg.only == ():
+    names = [s.strip() for s in (args.only or "").split(",") if s.strip()]
+    if args.only is not None and not names:
         raise _ConfigError("--only names no identity")
-    only = {_resolve_identity_id(name) for name in cfg.only or ()}
+    only = {_resolve_identity_id(name) for name in names}
     bad = False
     for spec in IDENTITY_REGISTRY:
         if only and spec.id not in only:
             continue
-        n_max = cfg.n_max if cfg.n_max > 0 else spec.default_nmax
+        n_max = args.n_max if args.n_max > 0 else spec.default_nmax
         if only and spec.sides is not None:
             reports = _instance_reports(spec, n_max)
         else:
             reports = _range_reports(spec, n_max)
         for r in reports:
             for line_report in (r, *r.probes):
-                if cfg.format == "json":
-                    cfg.emit(line_report.to_json_line())
-                else:
-                    extra = f"  [{line_report.corrected_form}]" if line_report.corrected_form else ""
-                    cfg.emit(f"{line_report.identity_id} {line_report.params}: "
-                             f"{line_report.verdict}{extra}")
+                extra = f"  [{line_report.corrected_form}]" if line_report.corrected_form else ""
+                _emit(args, out, line_report.to_json_obj(),
+                      f"{line_report.identity_id} {line_report.params}: "
+                      f"{line_report.verdict}{extra}")
             if r.verdict == ident.FAIL and spec.expect_pass and not r.is_probe:
                 bad = True
     return 1 if bad else 0
@@ -272,14 +259,14 @@ def run_verify(cfg: RunConfig) -> int:
 MAX_RIEMANN_POINTS = 200_000
 
 
-def _check_riemann_points(cfg: RunConfig) -> None:
+def _check_riemann_points(args) -> None:
     """Refuse p^mmax above the cap; checked before the primality test, whose
     trial division would itself run unbounded on a huge --prime."""
     points = 1
-    for _ in range(cfg.m_max):
-        points *= cfg.prime
+    for _ in range(args.m_max):
+        points *= args.prime
         if points > MAX_RIEMANN_POINTS:
-            raise _ConfigError(f"--prime {cfg.prime} --mmax {cfg.m_max}: p^mmax exceeds the "
+            raise _ConfigError(f"--prime {args.prime} --mmax {args.m_max}: p^mmax exceeds the "
                                f"cap of {MAX_RIEMANN_POINTS} Riemann-sum points")
 
 
@@ -295,24 +282,19 @@ def _strictly_increasing(vals):
     return None
 
 
-def run_padic_converge(cfg: RunConfig) -> int:
-    _check_riemann_points(cfg)
-    ctx = _check_padic_config(cfg)
-    q0 = _parse_q(cfg, allow_symbolic=False)
-    if cfg.n < 0 or cfg.m_max < 1:
+def run_padic_converge(args, out: list) -> int:
+    _check_riemann_points(args)
+    ctx = _check_padic_config(args)
+    q0 = _parse_q(args, allow_symbolic=False)
+    if args.n < 0 or args.m_max < 1:
         raise _ConfigError("need --n >= 0 and --mmax >= 1")
-    seq = moment_convergence(cfg.n, q0, cfg.m_max, ctx)
-    rows = [(m, "exact" if v == inf else v) for m, v in seq]
-    if cfg.format == "csv":
-        cfg.emit("level,error_valuation")
-        for m, v in rows:
-            cfg.emit(f"{m},{v}")
-    elif cfg.format == "text":
-        for m, v in rows:
-            cfg.emit(f"level {m}: error valuation {v}")
-    else:
-        for m, v in rows:
-            cfg.emit(json.dumps({"level": m, "error_valuation": v}))
+    seq = moment_convergence(args.n, q0, args.m_max, ctx)
+    if args.format == "csv":
+        out.append("level,error_valuation")
+    for m, v in seq:
+        v = "exact" if v == inf else v
+        _emit(args, out, {"level": m, "error_valuation": v},
+              f"level {m}: error valuation {v}", f"{m},{v}")
     offender = _strictly_increasing(seq)
     if offender is not None:
         print(f"convergence criterion violated at level {offender}", file=sys.stderr)
@@ -320,37 +302,33 @@ def run_padic_converge(cfg: RunConfig) -> int:
     return 0
 
 
-def run_loggamma(cfg: RunConfig) -> int:
-    _check_riemann_points(cfg)
-    ctx = _check_padic_config(cfg)
-    q0 = _parse_q(cfg, allow_symbolic=False)
-    x = PadicNumber.from_rational(_parse_x(cfg), ctx)
-    if cfg.m_max < 1:
+def run_loggamma(args, out: list) -> int:
+    _check_riemann_points(args)
+    ctx = _check_padic_config(args)
+    q0 = _parse_q(args, allow_symbolic=False)
+    x = PadicNumber.from_rational(_parse_x(args), ctx)
+    if args.m_max < 1:
         raise _ConfigError("need --mmax >= 1")
     try:
         series = loggamma_series(x, q0, ctx)
     except DomainError as e:
         raise _ConfigError(str(e)) from None
-    rows = []
-    for m in range(1, cfg.m_max + 1):
+    value = str(series)
+    _emit(args, out, {"kind": "series", "value": value,
+                      "abs_precision": series.abs_precision}, f"series: {value}")
+    levels = []
+    for m in range(1, args.m_max + 1):
         direct = loggamma_direct(x, q0, m, ctx)
         diff = series - direct
         # zero at the available precision: the agreement has saturated
         saturated = diff.is_zero
         v = diff.abs_precision if saturated else diff.valuation
-        rows.append((m, direct, v, saturated))
-    if cfg.format == "text":
-        cfg.emit(f"series: {series}")
-        for m, direct, v, _ in rows:
-            cfg.emit(f"level {m}: direct {direct}; agreement valuation {v}")
-    else:
-        cfg.emit(json.dumps({"kind": "series", "value": str(series),
-                             "abs_precision": series.abs_precision}))
-        for m, direct, v, saturated in rows:
-            cfg.emit(json.dumps({"kind": "direct", "level": m, "value": str(direct),
-                                 "agreement_valuation": v, "saturated": saturated}))
-    offender = _strictly_increasing([(m, inf if saturated else v)
-                                     for m, _, v, saturated in rows])
+        value = str(direct)
+        _emit(args, out, {"kind": "direct", "level": m, "value": value,
+                          "agreement_valuation": v, "saturated": saturated},
+              f"level {m}: direct {value}; agreement valuation {v}")
+        levels.append((m, inf if saturated else v))
+    offender = _strictly_increasing(levels)
     if offender is not None:
         print(f"agreement criterion violated at level {offender}", file=sys.stderr)
         return 4
@@ -360,27 +338,20 @@ def run_loggamma(cfg: RunConfig) -> int:
 # -- bernstein --------------------------------------------------------------------
 
 
-def run_bernstein(cfg: RunConfig) -> int:
-    if cfg.n < 0:
+def run_bernstein(args, out: list) -> int:
+    if args.n < 0:
         raise _ConfigError("--n must be non-negative")
-    ks = list(range(cfg.n + 1)) if cfg.k is None else [cfg.k]
-    if cfg.format == "csv":
-        cfg.emit("k,n,polynomial,integral")
+    ks = list(range(args.n + 1)) if args.k is None else [args.k]
+    if args.format == "csv":
+        out.append("k,n,polynomial,integral")
     for k in ks:
-        if not 0 <= k <= cfg.n:
-            raise _ConfigError(f"need 0 <= k <= n, got k={k}, n={cfg.n}")
-        basis = bernstein_basis(k, cfg.n)
-        integral = integrate_polynomial(basis)
-        if cfg.format == "json":
-            cfg.emit(json.dumps({
-                "k": k, "n": cfg.n,
-                "polynomial": basis.to_text(),
-                "integral": integral.to_text(),
-            }))
-        elif cfg.format == "csv":
-            cfg.emit(f'{k},{cfg.n},"{basis.to_text()}","{integral.to_text()}"')
-        else:
-            cfg.emit(f"B_{k},{cfg.n}(x) = {basis.to_text()}; integral = {integral.to_text()}")
+        if not 0 <= k <= args.n:
+            raise _ConfigError(f"need 0 <= k <= n, got k={k}, n={args.n}")
+        basis = bernstein_basis(k, args.n)
+        poly, integral = basis.to_text(), integrate_polynomial(basis).to_text()
+        _emit(args, out, {"k": k, "n": args.n, "polynomial": poly, "integral": integral},
+              f"B_{k},{args.n}(x) = {poly}; integral = {integral}",
+              f'{k},{args.n},"{poly}","{integral}"')
     return 0
 
 
@@ -394,21 +365,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt_choices):
+    def add_common(p, run, fmt_choices):
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         p.add_argument("--out", dest="output_path", default=None, metavar="PATH")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("table", help="emit q-Genocchi numbers or polynomial coefficients")
     p.add_argument("--nmax", dest="n_max", type=int, required=True)
     p.add_argument("--q", dest="q_spec", default="symbolic")
     p.add_argument("--polynomials", action="store_true")
-    add_common(p, ("text", "json", "csv"))
+    add_common(p, run_table, ("text", "json", "csv"))
 
     p = sub.add_parser("verify", help="run identity verifiers, one JSON report per line")
     p.add_argument("--only", default=None, help="comma-separated identity ids")
     p.add_argument("--nmax", dest="n_max", type=int, default=0)
-    p.add_argument("--q", dest="q_spec", default="symbolic")
-    add_common(p, ("json", "text"))
+    add_common(p, run_verify, ("json", "text"))
 
     p = sub.add_parser("padic-converge", help="Riemann-sum error valuations toward a moment")
     p.add_argument("--n", type=int, required=True)
@@ -416,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", dest="q_spec", default="1+p")
     p.add_argument("--mmax", dest="m_max", type=int, default=5)
     p.add_argument("--precision", type=int, default=12)
-    add_common(p, ("json", "csv", "text"))
+    add_common(p, run_padic_converge, ("json", "csv", "text"))
 
     p = sub.add_parser("loggamma", help="log-gamma series vs direct Riemann sums")
     p.add_argument("--prime", type=int, required=True)
@@ -424,55 +395,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", dest="x_spec", default="1/p")
     p.add_argument("--mmax", dest="m_max", type=int, default=4)
     p.add_argument("--precision", type=int, default=12)
-    add_common(p, ("json", "text"))
+    add_common(p, run_loggamma, ("json", "text"))
 
     p = sub.add_parser("bernstein", help="Bernstein basis polynomials and their integrals")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    add_common(p, ("text", "json", "csv"))
+    add_common(p, run_bernstein, ("text", "json", "csv"))
 
     return parser
 
 
-_RUNNERS = {
-    "table": run_table,
-    "verify": run_verify,
-    "padic-converge": run_padic_converge,
-    "loggamma": run_loggamma,
-    "bernstein": run_bernstein,
-}
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("n_max", "n", "k", "prime", "precision", "m_max", "q_spec",
-                 "x_spec", "polynomials", "format", "output_path"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "only", None) is not None:
-        cfg.only = tuple(s.strip() for s in args.only.split(",") if s.strip())
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    args = _build_parser().parse_args(argv)
+    out = []
     try:
-        status = _RUNNERS[cfg.command](cfg)
+        status = args.run(args, out)
     except (_ConfigError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (PoleError, PrecisionExhausted) as e:
         print(f"evaluation error: {e}", file=sys.stderr)
         return 3
-    text = "\n".join(cfg.lines) + ("\n" if cfg.lines else "")
-    if cfg.output_path:
+    text = "\n".join(out) + ("\n" if out else "")
+    if args.output_path:
         try:
-            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+            with open(args.output_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
-            print(f"error: cannot write {cfg.output_path}: {e.strerror or e}", file=sys.stderr)
+            print(f"error: cannot write {args.output_path}: {e.strerror or e}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

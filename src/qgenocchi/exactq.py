@@ -25,7 +25,7 @@ Euclidean gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, lcm
 
 from . import _kernel as K
 from .errors import PoleError
@@ -33,10 +33,6 @@ from .errors import PoleError
 Rational = Fraction
 
 _GCD_CHECK_PRIMES = (1000003, 999983, 754573)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def _gf_gcd_degree(a, b, p):
@@ -265,9 +261,7 @@ class QPolynomial:
         """
         if not self.coeffs:
             return Fraction(0), []
-        L = 1
-        for c in self.coeffs:
-            L = _lcm(L, c.denominator)
+        L = lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * L) for c in self.coeffs]
         g = K.poly_content(ints)
         if ints[-1] < 0:
@@ -408,7 +402,7 @@ class QRational:
                 rest = K.poly_mul(d1r, d2r)
         # combined numerator c1*m1 + c2*m2 over common*rest
         c1, c2 = self._c, o._c
-        den_lcm = _lcm(c1.denominator, c2.denominator)
+        den_lcm = lcm(c1.denominator, c2.denominator)
         i1 = c1.numerator * (den_lcm // c1.denominator)
         i2 = c2.numerator * (den_lcm // c2.denominator)
         ln, lm = len(m1), len(m2)
@@ -742,42 +736,46 @@ class XPolynomial:
         return [c.evaluate(q0) for c in self.coeffs]
 
     def to_text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero:
-                continue
-            txt = c.to_text()
-            if k == 0:
-                term = f"({txt})" if _has_toplevel_sum(txt) else txt
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                if txt == "1":
-                    term = xs
-                elif txt == "-1":
-                    term = f"-{xs}"
-                elif _is_simple_term(txt):
-                    term = f"{txt}*{xs}"
-                else:
-                    term = f"({txt})*{xs}"
-            parts.append(term)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        return xpoly_text([c.to_text() for c in self.coeffs])
 
     def __str__(self):
         return self.to_text()
 
     def __repr__(self):
         return f"XPolynomial({self.to_text()!r})"
+
+
+def xpoly_text(coeff_texts) -> str:
+    """Render a polynomial in x from its coefficients' `to_text` forms,
+    constant term first; `XPolynomial.to_text` is this on its own
+    coefficients."""
+    parts = []
+    for k in range(len(coeff_texts) - 1, -1, -1):
+        txt = coeff_texts[k]
+        if txt == "0":
+            continue
+        if k == 0:
+            term = f"({txt})" if _has_toplevel_sum(txt) else txt
+        else:
+            xs = "x" if k == 1 else f"x^{k}"
+            if txt == "1":
+                term = xs
+            elif txt == "-1":
+                term = f"-{xs}"
+            elif _is_simple_term(txt):
+                term = f"{txt}*{xs}"
+            else:
+                term = f"({txt})*{xs}"
+        parts.append(term)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for term in parts[1:]:
+        if term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out
 
 
 def _is_simple_term(txt: str) -> bool:

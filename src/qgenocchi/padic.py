@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import inf, lcm
 
 from . import _kernel as K
 from .errors import DomainError, PrecisionExhausted
@@ -355,13 +355,23 @@ class PadicNumber:
 # -- the p-adic logarithm -----------------------------------------------------
 
 
+def _floor_log(n: int, p: int) -> int:
+    """floor(log_p n) for n >= 1: the largest valuation among 1..n."""
+    k = 0
+    while n >= p:
+        n //= p
+        k += 1
+    return k
+
+
 def padic_log1p(z: PadicNumber) -> PadicNumber:
     """log(1+z) for valuation(z) >= 1, by exact partial summation.
 
-    Terms are included until the guaranteed term valuation n*v(z) - v_p(n)
-    clears the target precision plus a two-digit margin; the result's
-    reported precision is capped by both the input precision and the
-    context.
+    Terms are included until n*v(z) - floor(log_p n) clears the target
+    precision plus a two-digit margin.  That bound never decreases in n and
+    is at most the term valuation n*v(z) - v_p(n), so every omitted term
+    clears the margin too.  The result's reported precision is capped by
+    both the input precision and the context.
     """
     ctx = z.ctx
     if z.is_exact_zero:
@@ -378,10 +388,7 @@ def padic_log1p(z: PadicNumber) -> PadicNumber:
     acc = Fraction(0)
     zn = zr
     n = 1
-    while True:
-        nv = fraction_valuation(Fraction(n), ctx.p)
-        if n * v - nv > target + 2:
-            break
+    while n * v - _floor_log(n, ctx.p) <= target + 2:
         acc += Fraction((-1) ** (n + 1), n) * zn
         zn *= zr
         n += 1
@@ -411,28 +418,25 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """The finite family of integrands the artifact integrates.
+    """A polynomial integrand f(xi) = sum coefficients[j] * xi^j with exact
+    rational coefficients.
 
-    kind = "monomial":  f(xi) = xi^degree
-    kind = "polynomial": f(xi) = sum coefficients[j] * xi^j  (exact rationals)
-
-    The log-gamma integrand enters as a polynomial too: `loggamma_direct`
-    expands it in powers of xi before summing.
+    The log-gamma integrand is one too: `loggamma_direct` expands it in
+    powers of xi before summing.
     """
 
-    kind: str
-    degree: int = 0
-    coefficients: tuple = ()
+    coefficients: tuple
 
     @classmethod
     def monomial(cls, n: int) -> "IntegrandSpec":
+        """f(xi) = xi^n."""
         if n < 0:
             raise DomainError("monomial degree must be non-negative")
-        return cls("monomial", degree=n)
+        return cls((Fraction(0),) * n + (Fraction(1),))
 
     @classmethod
     def polynomial(cls, coefficients) -> "IntegrandSpec":
-        return cls("polynomial", coefficients=tuple(Fraction(c) for c in coefficients))
+        return cls(tuple(Fraction(c) for c in coefficients))
 
     @classmethod
     def polynomial_from_xpoly(cls, poly: XPolynomial, q0) -> "IntegrandSpec":
@@ -451,19 +455,17 @@ def _require_valid_q(q: PadicNumber) -> None:
 
 def _int_coeffs(coefficients):
     """Clear denominators: returns (integer coefficients, common denominator)."""
-    den = 1
-    for c in coefficients:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in coefficients))
     return [int(c * den) for c in coefficients], den
 
 
 def fermionic_riemann_sum(f: IntegrandSpec, m: int, q, ctx: PadicContext) -> PadicNumber:
     """Level-m weighted sum ((1+q)/(1+q^(p^m))) * sum_xi (-1)^xi q^xi f(xi).
 
-    For polynomial integrands with exactly-known rational q the sum is
-    computed in exact integer arithmetic with a single deferred division
-    (the prefactor's denominator is a unit, so no precision is lost);
-    otherwise it runs in modular arithmetic at the available precision.
+    With an exactly-known rational q the sum is computed in exact integer
+    arithmetic with a single deferred division (the prefactor's denominator
+    is a unit, so no precision is lost); otherwise it runs in modular
+    arithmetic at the available precision.
     The constant integrand gives exactly 1 at every level.
     """
     if m < 1:
@@ -473,14 +475,7 @@ def fermionic_riemann_sum(f: IntegrandSpec, m: int, q, ctx: PadicContext) -> Pad
         raise DomainError("q belongs to a different context")
     _require_valid_q(q)
     count = ctx.p ** m
-
-    if f.kind == "monomial":
-        coeffs = (Fraction(0),) * f.degree + (Fraction(1),)
-    elif f.kind == "polynomial":
-        coeffs = f.coefficients
-    else:
-        raise DomainError(f"unknown integrand kind {f.kind!r}")
-    g, den = _int_coeffs(coeffs)
+    g, den = _int_coeffs(f.coefficients)
     if q.exact_value is not None:
         qr = q.exact_value
         a, b = qr.numerator, qr.denominator
@@ -554,15 +549,6 @@ def _loggamma_domain_check(x: PadicNumber) -> int:
     if x.is_zero or x.valuation is None or x.valuation >= 0:
         raise DomainError("log-gamma needs valuation(x) < 0 (|x|_p > 1)")
     return x.valuation
-
-
-def _floor_log(n: int, p: int) -> int:
-    """floor(log_p n) for n >= 1: the largest valuation among 1..n."""
-    k = 0
-    while n >= p:
-        n //= p
-        k += 1
-    return k
 
 
 def loggamma_series(x: PadicNumber, q, ctx: PadicContext) -> PadicNumber:

@@ -70,6 +70,18 @@ class TestTable:
         assert status == 0
         assert lines[2] == "G~_2 = -2/3"
 
+    def test_q_one_plus_p_needs_a_prime(self, run):
+        status, lines, err = run("table", "--nmax", "3", "--q", "1+p")
+        assert status == 2 and lines == []
+        assert err == "error: --q 1+p needs a prime, and table has no --prime\n"
+
+    @pytest.mark.parametrize("nmax, rows", [("0", []), ("1", ["1,0,1"])], ids=["nmax0", "nmax1"])
+    def test_polynomial_csv_rows(self, run, nmax, rows):
+        # G~_0(x) = 0 has no coefficient, so no row at all
+        status, lines, _ = run("table", "--nmax", nmax, "--polynomials", "--format", "csv")
+        assert status == 0
+        assert lines == rows
+
 
 class TestVerify:
     def test_only_reflection_emits_per_instance(self, run):
@@ -111,6 +123,12 @@ class TestVerify:
     def test_csv_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--format", "csv"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("q", ["symbolic", "2"])
+    def test_q_is_not_an_option(self, q):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--q", q])
         assert exc.value.code == 2
 
     def test_default_run_small(self, run):
@@ -354,3 +372,16 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def _readme_cli_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_commands_run(run, argv):
+    # keeps the documented commands in step with the options
+    status, lines, _ = run(*argv)
+    assert status == 0 and lines

@@ -149,6 +149,16 @@ class TestLog:
             tol = min(lhs.abs_precision, rhs.abs_precision)
             assert diff.is_zero or diff.valuation >= tol
 
+    def test_log_keeps_every_term_below_its_precision(self):
+        # the n = 729 = 3^6 term has valuation 729 - 6 = 723, below the
+        # reported 724, and comes after the n = 727 term, whose valuation
+        # 727 already clears 724 + 2: stopping at the first term past the
+        # margin would drop it
+        lg = padic_log1p(PadicNumber.from_rational(3, PadicContext(3, 723)))
+        long_sum = sum(F((-1) ** (n + 1), n) * F(3) ** n for n in range(1, 1201))
+        assert lg.abs_precision == 724
+        assert fraction_valuation(lg.rational_representative() - long_sum, 3) >= 724
+
     def test_iwasawa_log_of_p_power_vanishes(self):
         x = PadicNumber.from_rational(F(1, 3), CTX3)
         assert iwasawa_log(x).is_exact_zero
