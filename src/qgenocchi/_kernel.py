@@ -4,8 +4,10 @@ Dense polynomials over the integers are plain lists of coefficients,
 index i = coefficient of the i-th power, trailing coefficient nonzero
 (the zero polynomial is the empty list).  These routines are the hot
 loops behind rational-function canonicalization and the fermionic
-Riemann sums.  `BACKEND` names the implementation; the package exports
-it as `qgenocchi.kernel_backend`.
+Riemann sums.  The one polynomial gcd, `poly_gcd`, is the heuristic gcd:
+it works on the integers the polynomials take at one large point, so its
+cost rests on Python's integer gcd.  `BACKEND` names the implementation;
+the package exports it as `qgenocchi.kernel_backend`.
 """
 
 from math import gcd
@@ -59,46 +61,55 @@ def poly_primitive(a):
     return c, [x // c for x in a]
 
 
-def poly_pseudo_rem(a, b):
-    """Pseudo-remainder over the integers: repeatedly r <- lc(b)*r - lead(r)*x^d*b.
-
-    Equals rem(lc(b)^s * a, b) for some s <= deg a - deg b + 1, which is all
-    the primitive-PRS gcd needs (content is stripped right after).
-    """
-    db = len(b) - 1
-    if db < 0:
-        raise ZeroDivisionError("pseudo-remainder by zero polynomial")
-    lb = b[-1]
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        d = len(r) - 1 - db
-        lead = r[-1]
-        for i in range(len(r)):
-            r[i] *= lb
-        for i in range(db + 1):
-            r[i + d] -= lead * b[i]
-        poly_trim(r)
-    return r
-
-
 def poly_gcd(a, b):
-    """Primitive gcd in Z[q] via the Euclidean algorithm with content
-    normalization at every step.  Result is primitive with positive
+    """Primitive gcd in Z[q] by the heuristic gcd (Char, Geddes and Gonnet,
+    J. Symbolic Comput. 7 (1989)).  Result is primitive with positive
     leading coefficient; gcd with the zero polynomial is the other
-    argument's primitive part."""
+    argument's primitive part.
+
+    Both primitive inputs are evaluated at one integer x, the integer gcd
+    of the two values is read back in balanced base-x digits, and the
+    primitive part of that candidate is the gcd once it divides both
+    inputs, so no intermediate polynomial grows.  x starts at the larger
+    of 2*min(|a|, |b|) + 2 (max-norms) and 2^64.  Above the first bound
+    every root of a common factor is smaller than x/2 in absolute value,
+    so a common factor of positive degree makes the integer gcd exceed
+    x/2, and a constant candidate proves the inputs coprime without a
+    division check.  The 2^64 floor makes a spurious candidate rare, so
+    one point usually settles a pair.  A candidate that does not divide
+    both inputs carries a spurious integer factor; that factor divides the
+    resultant of the two cofactors, which does not depend on x, so
+    squaring x ends the loop.
+    """
     _, a = poly_primitive(a)
     _, b = poly_primitive(b)
     if not a:
         return b
     if not b:
         return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = poly_pseudo_rem(a, b)
-        _, r = poly_primitive(r)
-        a, b = b, r
-    return a
+    x = max(2 * min(max(map(abs, a)), max(map(abs, b))) + 2, 1 << 64)
+    while True:
+        h = gcd(poly_eval_int(a, x), poly_eval_int(b, x))
+        digits = []
+        while h:
+            h, d = divmod(h, x)
+            if 2 * d > x:
+                d -= x
+                h += 1
+            digits.append(d)
+        _, g = poly_primitive(digits)
+        if g == [1] or (_divides(g, a) and _divides(g, b)):
+            return g
+        x *= x
+
+
+def _divides(b, a):
+    """True when b divides a exactly in Z[q]."""
+    try:
+        poly_divexact(a, b)
+    except ArithmeticError:
+        return False
+    return True
 
 
 def poly_divexact(a, b):

@@ -13,6 +13,12 @@ or `--out` once the runner returns.  `--q` takes a rational, `symbolic`
 (`table` only) or `1+p`, which needs a command with `--prime`; `verify`
 runs symbolically and has no `--q`.
 
+Inputs that set the amount of work are capped: p^mmax at
+`MAX_RIEMANN_POINTS` for `padic-converge` and `loggamma`, and `bernstein
+--n` at `MAX_BERNSTEIN_DEGREE`.  Above a cap the command exits 2 with an
+error naming it, before any work.  (`exactq.parse_qrational` caps the `^`
+exponent at `exactq.MAX_EXPONENT`.)
+
 Exit codes: 0 success, 1 `verify` found a FAIL (outside the probes) in an
 identity expected to pass, 2 invalid configuration, 3 evaluation error
 (pole), 4 convergence/agreement criterion violated (a `loggamma` level
@@ -338,9 +344,18 @@ def run_loggamma(args, out: list) -> int:
 # -- bernstein --------------------------------------------------------------------
 
 
+# Largest --n that `bernstein` accepts.  All n+1 basis polynomials of degree
+# 100 and their integrals take about 6 s (CPython 3.11, 2-vCPU Xeon), and the
+# cost grows about as n^3.3: n = 200 took 71.5 s.
+MAX_BERNSTEIN_DEGREE = 100
+
+
 def run_bernstein(args, out: list) -> int:
     if args.n < 0:
         raise _ConfigError("--n must be non-negative")
+    if args.n > MAX_BERNSTEIN_DEGREE:
+        raise _ConfigError(f"--n {args.n} exceeds the cap of {MAX_BERNSTEIN_DEGREE} "
+                           "on the Bernstein degree")
     ks = list(range(args.n + 1)) if args.k is None else [args.k]
     if args.format == "csv":
         out.append("k,n,polynomial,integral")

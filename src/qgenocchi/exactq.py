@@ -18,8 +18,7 @@ pair with monic denominator.
 Every denominator the paper's generating function produces is
 q^i * (1+q)^j.  Both factors are irreducible, so a gcd with such a
 polynomial is exact by counting factors (`_int_gcd`); only the other pairs,
-e.g. parsed input, take the mod-p coprimality certificate and the
-Euclidean gcd.
+e.g. parsed input, take the heuristic gcd `K.poly_gcd`.
 """
 
 from __future__ import annotations
@@ -31,43 +30,6 @@ from . import _kernel as K
 from .errors import PoleError
 
 Rational = Fraction
-
-_GCD_CHECK_PRIMES = (1000003, 999983, 754573)
-
-
-def _gf_gcd_degree(a, b, p):
-    """Degree of gcd(a, b) over GF(p); inputs are int lists, consumed."""
-    a = K.poly_trim([x % p for x in a])
-    b = K.poly_trim([x % p for x in b])
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            d = len(a) - len(b)
-            c = a[-1] * inv % p
-            for i in range(len(b)):
-                a[i + d] = (a[i + d] - c * b[i]) % p
-            K.poly_trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return len(a) - 1
-
-
-def _coprime_certificate(a, b) -> bool:
-    """True guarantees gcd(a, b) is constant in Q[q] (mod-p certificate).
-
-    False is inconclusive (unlucky prime or an actual common factor); the
-    caller then runs the exact Euclidean gcd.
-    """
-    if not a or not b:
-        return False
-    for p in _GCD_CHECK_PRIMES:
-        if a[-1] % p == 0 or b[-1] % p == 0:
-            continue
-        return _gf_gcd_degree(a, b, p) == 0
-    return False
 
 
 def _q_one_plus_q_exponents(a):
@@ -126,16 +88,13 @@ def _int_gcd(a, b):
 
     When either argument is q^i * (1+q)^j (every denominator the paper's
     generating function produces), the gcd is exact by factor counting.
-    Other pairs take the mod-p certificate, which settles coprime pairs,
-    and then the Euclidean `K.poly_gcd`.
+    Every other pair, coprime or not, takes the heuristic gcd `K.poly_gcd`.
     """
     if a and b:
         for s, other in ((b, a), (a, b)):
             e = _q_one_plus_q_exponents(s)
             if e is not None:
                 return _structured_gcd(*e, other)
-    if _coprime_certificate(a, b):
-        return [1]
     return K.poly_gcd(a, b)
 
 
@@ -836,6 +795,13 @@ def _render_poly(coeffs, var: str, latex: bool) -> str:
     return out
 
 
+# Largest |n| that `parse_qrational` accepts in `^n`.  (2+q)^1000 parses in
+# about 0.6 s and (3+q)^-1000 in about 1 s (CPython 3.11, 2-vCPU Xeon); the
+# cost grows faster than the square of the exponent, and q^-30000000 had
+# run 19 s and taken 1.1 GB before the limit.
+MAX_EXPONENT = 1000
+
+
 class _Parser:
     """Recursive-descent parser for rational-function expressions in q.
 
@@ -899,7 +865,12 @@ class _Parser:
         val = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            return val ** self.integer()
+            column = self.pos
+            exponent = self.integer()
+            if abs(exponent) > MAX_EXPONENT:
+                raise ValueError(f"exponent {exponent} at column {column} exceeds the limit "
+                                 f"of {MAX_EXPONENT} in absolute value")
+            return val ** exponent
         return val
 
     def atom(self) -> QRational:
@@ -931,5 +902,8 @@ class _Parser:
 
 
 def parse_qrational(text: str) -> QRational:
-    """Parse the plain-text rendering back to a QRational (exact round-trip)."""
+    """Parse the plain-text rendering back to a QRational (exact round-trip).
+
+    An exponent ``^n`` with |n| above `MAX_EXPONENT` raises ValueError
+    before the power is computed."""
     return _Parser(text).parse()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qgenocchi
-from qgenocchi.cli import IDENTITY_REGISTRY, MAX_RIEMANN_POINTS, main
+from qgenocchi.cli import IDENTITY_REGISTRY, MAX_BERNSTEIN_DEGREE, MAX_RIEMANN_POINTS, main
 from qgenocchi.identities import IDENTITY_IDS
 
 
@@ -334,6 +334,24 @@ class TestBernsteinCommand:
     def test_bad_k(self, run):
         status, _, err = run("bernstein", "--n", "2", "--k", "5")
         assert status == 2
+
+    @pytest.mark.parametrize("n", [MAX_BERNSTEIN_DEGREE + 1, 10 ** 9])
+    def test_degree_over_cap_exit_2(self, run, monkeypatch, n):
+        def refuse(*_):
+            raise AssertionError("basis built for a degree over the cap")
+
+        monkeypatch.setattr("qgenocchi.cli.bernstein_basis", refuse)
+        status, lines, err = run("bernstein", "--n", str(n), "--k", "0")
+        assert status == 2 and lines == []
+        assert err == f"error: --n {n} exceeds the cap of {MAX_BERNSTEIN_DEGREE} " \
+                      "on the Bernstein degree\n"
+
+    def test_degree_at_cap_runs(self, run):
+        status, lines, _ = run("bernstein", "--n", str(MAX_BERNSTEIN_DEGREE), "--k", "0",
+                               "--format", "csv")
+        assert status == 0
+        assert lines[0] == "k,n,polynomial,integral"
+        assert lines[1].startswith(f'0,{MAX_BERNSTEIN_DEGREE},"')
 
 
 class TestPlumbing:

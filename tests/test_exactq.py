@@ -223,6 +223,18 @@ class TestRendering:
             with pytest.raises(ValueError):
                 parse_qrational(bad)
 
+    def test_parse_refuses_exponent_over_the_limit(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("power computed for an exponent over the limit")
+
+        monkeypatch.setattr(QRational, "__pow__", refuse)
+        for text in ("q^-30000000", f"(2+q)^{exactq.MAX_EXPONENT + 1}"):
+            with pytest.raises(ValueError, match=f"limit of {exactq.MAX_EXPONENT}"):
+                parse_qrational(text)
+        monkeypatch.undo()
+        assert parse_qrational("q^3") == Q ** 3
+        assert parse_qrational(f"q^-{exactq.MAX_EXPONENT}") == Q ** -exactq.MAX_EXPONENT
+
 
 # -- polynomials in x ---------------------------------------------------------------
 
@@ -288,7 +300,6 @@ class TestStructuredGcd:
         def refuse(*_):
             raise AssertionError("structured pair reached the general gcd")
 
-        monkeypatch.setattr(exactq, "_coprime_certificate", refuse)
         monkeypatch.setattr(K, "poly_gcd", refuse)
 
     @given(primitive_int_polys(), st.integers(0, 4), st.integers(0, 6),
@@ -319,13 +330,13 @@ class TestStructuredGcd:
 
     def test_near_miss_takes_general_path(self, monkeypatch):
         calls = []
-        certificate = exactq._coprime_certificate
+        general = K.poly_gcd
 
         def spy(a, b):
             calls.append((a, b))
-            return certificate(a, b)
+            return general(a, b)
 
-        monkeypatch.setattr(exactq, "_coprime_certificate", spy)
+        monkeypatch.setattr(K, "poly_gcd", spy)
         near = q_one_plus_q(0, 4)
         near[2] += 1  # 1 + 4q + 7q^2 + 4q^3 + q^4
         num = K.poly_mul([1, 2], near)
@@ -337,25 +348,25 @@ class TestStructuredGcd:
         assert exactq._int_gcd([1, 1], []) == [1, 1]
 
 
-_REFUSE_CERTIFICATE = """
+_REFUSE_GENERAL_GCD = """
 import sys
-from qgenocchi import cli, exactq
+from qgenocchi import _kernel, cli
 
 def refuse(a, b):
-    raise AssertionError(f"mod-p certificate called on {a} and {b}")
+    raise AssertionError(f"general gcd called on {a} and {b}")
 
-exactq._coprime_certificate = refuse
+_kernel.poly_gcd = refuse
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 @pytest.mark.parametrize("argv", [("table", "--nmax", "30"), ("verify", "--nmax", "3")])
-def test_paper_paths_never_run_the_certificate(argv):
+def test_paper_paths_never_run_the_general_gcd(argv):
     # a fresh interpreter, so no memoised value hides a gcd
     src = str(Path(qgenocchi.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", _REFUSE_CERTIFICATE, *argv],
+    proc = subprocess.run([sys.executable, "-c", _REFUSE_GENERAL_GCD, *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -1,6 +1,8 @@
 """Correctness of the integer kernels against naive references."""
 
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -31,6 +33,26 @@ def naive_mul(a, b):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def naive_gcd(a, b):
+    """Euclid over Fraction, scaled to a primitive integer polynomial with
+    positive leading coefficient."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            c, d = a[-1] / b[-1], len(a) - len(b)
+            for i, y in enumerate(b):
+                a[i + d] -= c * y
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    if not a:
+        return []
+    scale = lcm(*(c.denominator for c in a))
+    ints = [int(c * scale) for c in a]
+    g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // g for c in ints]
 
 
 class TestPolyOps:
@@ -83,13 +105,33 @@ class TestPolyOps:
             assert backend.poly_divexact(naive_mul(b, c), g) is not None
             assert backend.poly_divexact(g, backend.poly_gcd(g, cp)) is not None
 
-    def test_pseudo_rem_degree_drops(self, backend):
+    def test_gcd_matches_naive_euclid(self, backend):
         rng = random.Random(13)
-        for _ in range(30):
-            a = rand_poly(rng, 6, nonzero=True)
-            b = rand_poly(rng, 3, nonzero=True)
-            r = backend.poly_pseudo_rem(a, b)
-            assert len(r) < len(b) or not r
+        big = 10 ** 20
+        cases = [([], []), ([], [0, 3]), ([5], [0, 3]), ([-7], []), ([4], [6]),
+                 ([0, 0, 2], [0, 4])]
+        for _ in range(40):
+            a = rand_poly(rng, 4, -big, big, nonzero=True)
+            b = rand_poly(rng, 4, -big, big, nonzero=True)
+            c = rand_poly(rng, 3, -big, big, nonzero=True)
+            cases.append((naive_mul(a, c), naive_mul(b, c)))
+        for a, b in cases:
+            assert backend.poly_gcd(a, b) == naive_gcd(a, b)
+
+    def test_gcd_grows_the_evaluation_point(self, backend, monkeypatch):
+        # at x0 = 2^64 the candidate is q*(1+q), which does not divide
+        # (1+q)*(q + x0); at x0^2 the integer gcd is 2^64 * (1 + x0^2)
+        x0 = 2 ** 64
+        points = []
+        evaluate = backend.poly_eval_int
+
+        def spy(a, x):
+            points.append(x)
+            return evaluate(a, x)
+
+        monkeypatch.setattr(backend, "poly_eval_int", spy)
+        assert backend.poly_gcd([0, 1, 1], naive_mul([1, 1], [x0, 1])) == [1, 1]
+        assert sorted(set(points)) == [x0, x0 * x0]
 
 
 class TestWeightedSums:
