@@ -18,7 +18,8 @@ pair with monic denominator.
 Every denominator the paper's generating function produces is
 q^i * (1+q)^j.  Both factors are irreducible, so a gcd with such a
 polynomial is exact by counting factors (`_int_gcd`); only the other pairs,
-e.g. parsed input, take the heuristic gcd `K.poly_gcd`.
+e.g. parsed input, take the mod-p coprimality certificate and then the
+heuristic gcd `K.poly_gcd`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,43 @@ from . import _kernel as K
 from .errors import PoleError
 
 Rational = Fraction
+
+_GCD_CHECK_PRIMES = (1000003, 999983, 754573)
+
+
+def _gf_gcd_degree(a, b, p):
+    """Degree of gcd(a, b) over GF(p); inputs are int lists, consumed."""
+    a = K.poly_trim([x % p for x in a])
+    b = K.poly_trim([x % p for x in b])
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            d = len(a) - len(b)
+            c = a[-1] * inv % p
+            for i in range(len(b)):
+                a[i + d] = (a[i + d] - c * b[i]) % p
+            K.poly_trim(a)
+            if not a:
+                break
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coprime_certificate(a, b) -> bool:
+    """True guarantees gcd(a, b) is constant in Q[q] (mod-p certificate).
+
+    False is inconclusive (unlucky prime or an actual common factor); the
+    caller then runs the exact heuristic gcd `K.poly_gcd`.
+    """
+    if not a or not b:
+        return False
+    for p in _GCD_CHECK_PRIMES:
+        if a[-1] % p == 0 or b[-1] % p == 0:
+            continue
+        return _gf_gcd_degree(a, b, p) == 0
+    return False
 
 
 def _q_one_plus_q_exponents(a):
@@ -88,13 +126,16 @@ def _int_gcd(a, b):
 
     When either argument is q^i * (1+q)^j (every denominator the paper's
     generating function produces), the gcd is exact by factor counting.
-    Every other pair, coprime or not, takes the heuristic gcd `K.poly_gcd`.
+    Other pairs take the mod-p certificate, which settles coprime pairs,
+    and then the heuristic `K.poly_gcd`.
     """
     if a and b:
         for s, other in ((b, a), (a, b)):
             e = _q_one_plus_q_exponents(s)
             if e is not None:
                 return _structured_gcd(*e, other)
+    if _coprime_certificate(a, b):
+        return [1]
     return K.poly_gcd(a, b)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qgenocchi
+from naive_reference import naive_gcd
 from qgenocchi import _kernel as K
 from qgenocchi import exactq
 from qgenocchi.errors import PoleError
@@ -300,6 +301,7 @@ class TestStructuredGcd:
         def refuse(*_):
             raise AssertionError("structured pair reached the general gcd")
 
+        monkeypatch.setattr(exactq, "_coprime_certificate", refuse)
         monkeypatch.setattr(K, "poly_gcd", refuse)
 
     @given(primitive_int_polys(), st.integers(0, 4), st.integers(0, 6),
@@ -307,7 +309,7 @@ class TestStructuredGcd:
     def test_matches_euclid(self, f, a, b, i, j):
         num = K.poly_mul(f, q_one_plus_q(a, b))
         den = q_one_plus_q(i, j)
-        expected = K.poly_gcd(num, den)
+        expected = naive_gcd(num, den)
         assert exactq._int_gcd(num, den) == expected
         assert exactq._int_gcd(den, num) == expected
 
@@ -330,13 +332,13 @@ class TestStructuredGcd:
 
     def test_near_miss_takes_general_path(self, monkeypatch):
         calls = []
-        general = K.poly_gcd
+        certificate = exactq._coprime_certificate
 
         def spy(a, b):
             calls.append((a, b))
-            return general(a, b)
+            return certificate(a, b)
 
-        monkeypatch.setattr(K, "poly_gcd", spy)
+        monkeypatch.setattr(exactq, "_coprime_certificate", spy)
         near = q_one_plus_q(0, 4)
         near[2] += 1  # 1 + 4q + 7q^2 + 4q^3 + q^4
         num = K.poly_mul([1, 2], near)
@@ -344,29 +346,30 @@ class TestStructuredGcd:
         assert calls
 
     def test_zero_keeps_euclid_result(self):
-        assert exactq._int_gcd([], [0, 1, 1]) == K.poly_gcd([], [0, 1, 1])
+        assert exactq._int_gcd([], [0, 1, 1]) == naive_gcd([], [0, 1, 1])
         assert exactq._int_gcd([1, 1], []) == [1, 1]
 
 
-_REFUSE_GENERAL_GCD = """
+_REFUSE_CERTIFICATE = """
 import sys
-from qgenocchi import _kernel, cli
+from qgenocchi import _kernel, cli, exactq
 
 def refuse(a, b):
-    raise AssertionError(f"general gcd called on {a} and {b}")
+    raise AssertionError(f"general gcd path called on {a} and {b}")
 
+exactq._coprime_certificate = refuse
 _kernel.poly_gcd = refuse
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 @pytest.mark.parametrize("argv", [("table", "--nmax", "30"), ("verify", "--nmax", "3")])
-def test_paper_paths_never_run_the_general_gcd(argv):
+def test_paper_paths_never_run_the_certificate(argv):
     # a fresh interpreter, so no memoised value hides a gcd
     src = str(Path(qgenocchi.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", _REFUSE_GENERAL_GCD, *argv],
+    proc = subprocess.run([sys.executable, "-c", _REFUSE_CERTIFICATE, *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -1,11 +1,10 @@
 """Correctness of the integer kernels against naive references."""
 
 import random
-from fractions import Fraction
-from math import gcd, lcm
 
 import pytest
 
+from naive_reference import naive_gcd
 from qgenocchi import _kernel
 
 # Every test runs on the one kernel module; the id names its implementation
@@ -33,26 +32,6 @@ def naive_mul(a, b):
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def naive_gcd(a, b):
-    """Euclid over Fraction, scaled to a primitive integer polynomial with
-    positive leading coefficient."""
-    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
-    while b:
-        while len(a) >= len(b):
-            c, d = a[-1] / b[-1], len(a) - len(b)
-            for i, y in enumerate(b):
-                a[i + d] -= c * y
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    if not a:
-        return []
-    scale = lcm(*(c.denominator for c in a))
-    ints = [int(c * scale) for c in a]
-    g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
-    return [c // g for c in ints]
 
 
 class TestPolyOps:
