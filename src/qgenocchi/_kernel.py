@@ -49,7 +49,8 @@ def poly_content(a):
 def poly_primitive(a):
     """Split into (content, primitive part with positive leading coefficient).
 
-    The zero polynomial maps to (0, []).  content * primitive == a.
+    The zero polynomial maps to (0, []).  content * primitive == a; when
+    the content is 1 the primitive part is `a` itself, not a copy.
     """
     if not a:
         return 0, []
@@ -57,7 +58,7 @@ def poly_primitive(a):
     if a[-1] < 0:
         c = -c
     if c == 1:
-        return 1, list(a)
+        return 1, a
     return c, [x // c for x in a]
 
 

@@ -16,8 +16,9 @@ runs symbolically and has no `--q`.
 Inputs that set the amount of work are capped: p^mmax at
 `MAX_RIEMANN_POINTS` for `padic-converge` and `loggamma`, and `bernstein
 --n` at `MAX_BERNSTEIN_DEGREE`.  Above a cap the command exits 2 with an
-error naming it, before any work.  (`exactq.parse_qrational` caps the `^`
-exponent at `exactq.MAX_EXPONENT`.)
+error naming it, before any work.  (`exactq.parse_qrational` caps the
+product of nested `^` exponents at `exactq.MAX_EXPONENT` and the nesting
+of parentheses at `exactq.MAX_NESTING`.)
 
 Exit codes: 0 success, 1 `verify` found a FAIL (outside the probes) in an
 identity expected to pass, 2 invalid configuration, 3 evaluation error

@@ -20,10 +20,19 @@ q^i * (1+q)^j.  Both factors are irreducible, so a gcd with such a
 polynomial is exact by counting factors (`_int_gcd`); only the other pairs,
 e.g. parsed input, take the mod-p coprimality certificate and then the
 heuristic gcd `K.poly_gcd`.
+
+Each arithmetic rule is written once: `_cancel` divides a gcd out of a
+pair, `K.poly_primitive` splits off the content, `_clear_denominators`
+turns rational coefficients into integers, and `_power` is the
+square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too).
+`parse_qrational` checks the whole text before any arithmetic; it caps
+the product of nested `^` exponents at `MAX_EXPONENT` and the nesting of
+parentheses at `MAX_NESTING`.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import comb, lcm
 
@@ -139,6 +148,32 @@ def _int_gcd(a, b):
     return K.poly_gcd(a, b)
 
 
+def _cancel(a, b):
+    """(g, a/g, b/g) for g = gcd(a, b) of two nonzero primitive integer
+    polynomials; a and b come back unchanged when g = [1]."""
+    g = _int_gcd(a, b)
+    if len(g) == 1:
+        return g, a, b
+    return g, K.poly_divexact(a, g), K.poly_divexact(b, g)
+
+
+def _clear_denominators(coeffs):
+    """Integer coefficients and their common denominator L: coeffs == ints / L."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, starting from `one`."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 class QPolynomial:
     """Polynomial in q over exact rationals, dense, trailing coefficient nonzero."""
 
@@ -221,14 +256,7 @@ class QPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = QPolynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, QPolynomial((1,)))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -259,14 +287,9 @@ class QPolynomial:
         content * primitive == self; primitive has positive leading
         coefficient.  The zero polynomial gives (0, []).
         """
-        if not self.coeffs:
-            return Fraction(0), []
-        L = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * L) for c in self.coeffs]
-        g = K.poly_content(ints)
-        if ints[-1] < 0:
-            g = -g
-        return Fraction(g, L), [x // g for x in ints]
+        ints, den = _clear_denominators(self.coeffs)
+        g, prim = K.poly_primitive(ints)
+        return Fraction(g, den), prim
 
     def reversed(self) -> "QPolynomial":
         """Coefficient reversal: q^deg * self(1/q)."""
@@ -383,23 +406,12 @@ class QRational:
             return self
         n1, d1, n2, d2 = list(self._num), list(self._den), list(o._num), list(o._den)
         if d1 == d2:
-            common = d1
-            m1, m2 = n1, n2
-            rest = [1]
+            common, m1, m2, rest = d1, n1, n2, [1]
         else:
-            gp = _int_gcd(d1, d2)
-            if len(gp) == 1:
-                common = [1]
-                m1 = K.poly_mul(n1, d2)
-                m2 = K.poly_mul(n2, d1)
-                rest = K.poly_mul(d1, d2)
-            else:
-                common = gp
-                d1r = K.poly_divexact(d1, gp)
-                d2r = K.poly_divexact(d2, gp)
-                m1 = K.poly_mul(n1, d2r)
-                m2 = K.poly_mul(n2, d1r)
-                rest = K.poly_mul(d1r, d2r)
+            common, d1, d2 = _cancel(d1, d2)
+            m1 = K.poly_mul(n1, d2)
+            m2 = K.poly_mul(n2, d1)
+            rest = K.poly_mul(d1, d2)
         # combined numerator c1*m1 + c2*m2 over common*rest
         c1, c2 = self._c, o._c
         den_lcm = lcm(c1.denominator, c2.denominator)
@@ -414,17 +426,11 @@ class QRational:
         K.poly_trim(num)
         if not num:
             return QRational.zero()
-        cont = K.poly_content(num)
-        if num[-1] < 0:
-            cont = -cont
-        num = [x // cont for x in num]
+        cont, num = K.poly_primitive(num)
         c3 = Fraction(cont, den_lcm)
         # any common factor of num and the denominator divides `common`
         if common != [1]:
-            g3 = _int_gcd(num, common)
-            if len(g3) > 1:
-                num = K.poly_divexact(num, g3)
-                common = K.poly_divexact(common, g3)
+            _, num, common = _cancel(num, common)
         den = K.poly_mul(common, rest) if common != [1] else rest
         return QRational._raw(c3, num, den)
 
@@ -449,14 +455,8 @@ class QRational:
         if self._c == 0 or o._c == 0:
             return QRational.zero()
         n1, d1, n2, d2 = list(self._num), list(self._den), list(o._num), list(o._den)
-        g1 = _int_gcd(n1, d2)
-        if len(g1) > 1:
-            n1 = K.poly_divexact(n1, g1)
-            d2 = K.poly_divexact(d2, g1)
-        g2 = _int_gcd(n2, d1)
-        if len(g2) > 1:
-            n2 = K.poly_divexact(n2, g2)
-            d1 = K.poly_divexact(d1, g2)
+        _, n1, d2 = _cancel(n1, d2)
+        _, n2, d1 = _cancel(n2, d1)
         return QRational._raw(self._c * o._c, K.poly_mul(n1, n2), K.poly_mul(d1, d2))
 
     __rmul__ = __mul__
@@ -479,19 +479,8 @@ class QRational:
         return o / self
 
     def __pow__(self, n: int):
-        if n == 0:
-            return QRational.one()
-        base = self
-        if n < 0:
-            base = QRational.one() / self
-            n = -n
-        out = QRational.one()
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        base = self if n >= 0 else QRational.one() / self
+        return _power(base, abs(n), QRational.one())
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -573,10 +562,7 @@ def _canonical_triplet(num: QPolynomial, den: QPolynomial):
         return Fraction(0), (), (1,)
     cn, pn = num.content_primitive()
     cd, pd = den.content_primitive()
-    g = _int_gcd(pn, pd)
-    if len(g) > 1:
-        pn = K.poly_divexact(pn, g)
-        pd = K.poly_divexact(pd, g)
+    _, pn, pd = _cancel(pn, pd)
     return cn / cd, tuple(pn), tuple(pd)
 
 
@@ -686,14 +672,7 @@ class XPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = XPolynomial((QRational.one(),))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, XPolynomial((QRational.one(),)))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -836,11 +815,21 @@ def _render_poly(coeffs, var: str, latex: bool) -> str:
     return out
 
 
-# Largest |n| that `parse_qrational` accepts in `^n`.  (2+q)^1000 parses in
-# about 0.6 s and (3+q)^-1000 in about 1 s (CPython 3.11, 2-vCPU Xeon); the
-# cost grows faster than the square of the exponent, and q^-30000000 had
-# run 19 s and taken 1.1 GB before the limit.
+# Largest product of the `^` exponents that `parse_qrational` applies to one
+# subexpression, in absolute value.  (2+q)^1000 parses in about 0.6 s and
+# (3+q)^-1000 in about 1 s (CPython 3.11, 2-vCPU Xeon); the cost grows faster
+# than the square of the exponent, and q^-30000000 had run 19 s and taken
+# 1.1 GB before the limit.  A bound on each exponent alone let nested powers
+# through: ((2+q)^40)^40 took 10.4 s, and (9^1000)^1000 built a 3.17-Mbit
+# constant.
 MAX_EXPONENT = 1000
+
+# Deepest nesting of parentheses that `parse_qrational` accepts.  Each level
+# takes four frames of the recursive-descent parser, so this keeps it well
+# inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
+
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class _Parser:
@@ -849,20 +838,44 @@ class _Parser:
     Grammar (standard precedence, left-associative * and /):
         expr   := term (('+' | '-') term)*
         term   := factor (('*' | '/') factor)*
-        factor := '-' factor | atom ('^' integer)?
+        factor := '-'* atom ('^' integer)?
         atom   := integer | 'q' | '(' expr ')'
+
+    Reading the text does no arithmetic: it checks the syntax and the
+    limits and records the expression in postfix order in `program`, which
+    `evaluate` then runs on a stack.  Each grammar method returns the
+    largest product of `^` exponents applied to one subexpression of what
+    it read (1 when there is none).
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
+        self.program = []
 
     def parse(self) -> QRational:
-        val = self.expr()
+        self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             raise ValueError(f"trailing input at column {self.pos}: {self.text[self.pos:]!r}")
-        return val
+        return self.evaluate()
+
+    def evaluate(self) -> QRational:
+        """Run `program`: QRational operands, operator symbols, "neg" and
+        integer exponents."""
+        stack = []
+        for item in self.program:
+            if isinstance(item, QRational):
+                stack.append(item)
+            elif item == "neg":
+                stack[-1] = -stack[-1]
+            elif isinstance(item, int):
+                stack[-1] = stack[-1] ** item
+            else:
+                right = stack.pop()
+                stack[-1] = _BINARY_OPS[item](stack[-1], right)
+        return stack[0]
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -872,62 +885,62 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expr(self) -> QRational:
-        val = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                val = val + self.term()
-            elif ch == "-":
-                self.pos += 1
-                val = val - self.term()
-            else:
-                return val
-
-    def term(self) -> QRational:
-        val = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                val = val * self.factor()
-            elif ch == "/":
-                self.pos += 1
-                val = val / self.factor()
-            else:
-                return val
-
-    def factor(self) -> QRational:
-        ch = self.peek()
-        if ch == "-":
+    def expr(self) -> int:
+        bound = self.term()
+        while (op := self.peek()) in ("+", "-"):
             self.pos += 1
-            return -self.factor()
-        val = self.atom()
+            bound = max(bound, self.term())
+            self.program.append(op)
+        return bound
+
+    def term(self) -> int:
+        bound = self.factor()
+        while (op := self.peek()) in ("*", "/"):
+            self.pos += 1
+            bound = max(bound, self.factor())
+            self.program.append(op)
+        return bound
+
+    def factor(self) -> int:
+        negate = False
+        while self.peek() == "-":
+            self.pos += 1
+            negate = not negate
+        bound = self.atom()
         if self.peek() == "^":
             self.pos += 1
             column = self.pos
             exponent = self.integer()
-            if abs(exponent) > MAX_EXPONENT:
-                raise ValueError(f"exponent {exponent} at column {column} exceeds the limit "
-                                 f"of {MAX_EXPONENT} in absolute value")
-            return val ** exponent
-        return val
+            bound *= max(abs(exponent), 1)
+            if bound > MAX_EXPONENT:
+                raise ValueError(f"exponent {exponent} at column {column} exceeds the limit of "
+                                 f"{MAX_EXPONENT} on the product of nested exponents ({bound})")
+            self.program.append(exponent)
+        if negate:
+            self.program.append("neg")
+        return bound
 
-    def atom(self) -> QRational:
+    def atom(self) -> int:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ValueError(f"parentheses at column {self.pos} nested deeper than "
+                                 f"the limit of {MAX_NESTING}")
+            self.depth += 1
             self.pos += 1
-            val = self.expr()
+            bound = self.expr()
             if self.peek() != ")":
                 raise ValueError(f"expected ')' at column {self.pos}")
             self.pos += 1
-            return val
+            self.depth -= 1
+            return bound
         if ch == "q":
             self.pos += 1
-            return QRational.q()
+            self.program.append(QRational.q())
+            return 1
         if ch.isdigit():
-            return QRational(self.integer())
+            self.program.append(QRational(self.integer()))
+            return 1
         raise ValueError(f"unexpected {ch!r} at column {self.pos}")
 
     def integer(self) -> int:
@@ -945,6 +958,9 @@ class _Parser:
 def parse_qrational(text: str) -> QRational:
     """Parse the plain-text rendering back to a QRational (exact round-trip).
 
-    An exponent ``^n`` with |n| above `MAX_EXPONENT` raises ValueError
-    before the power is computed."""
+    The whole text is checked before any arithmetic.  ValueError: bad
+    syntax; `^` exponents whose product on one subexpression exceeds
+    `MAX_EXPONENT` in absolute value (``(q^2)^600``); parentheses nested
+    deeper than `MAX_NESTING`.  ZeroDivisionError: division by zero, or a
+    negative power of zero."""
     return _Parser(text).parse()

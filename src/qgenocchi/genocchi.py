@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactq import QPolynomial, QRational, XPolynomial, q_bracket
+from .exactq import QRational, XPolynomial, q_bracket
 
 _TWO_Q = QRational(q_bracket(2))  # [2]_q = 1 + q
-_ONE_PLUS_Q = QRational(QPolynomial((1, 1)))
 
 
 class GenocchiTable:
@@ -56,7 +55,7 @@ class GenocchiTable:
                     if not v.is_zero:
                         acc = acc + comb(m, k) * v
                 rhs = (_TWO_Q if m == 1 else QRational.zero()) - q * acc
-                self._values.append(rhs / _ONE_PLUS_Q)
+                self._values.append(rhs / _TWO_Q)
 
     def __getitem__(self, n: int) -> QRational:
         if n < 0:
@@ -103,7 +102,7 @@ def genocchi_series_oracle(order: int) -> SeriesExpansion:
         raise ValueError("order must be non-negative")
     q = QRational.q()
     # A(t) = q*e^t + 1: a_0 = q + 1, a_n = q/n!
-    a0 = _ONE_PLUS_Q
+    a0 = _TWO_Q
     inv = [QRational.one() / a0]
     for n in range(1, order):
         acc = QRational.zero()

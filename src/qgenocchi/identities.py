@@ -27,8 +27,9 @@ from math import comb
 from typing import Sequence
 
 from .bernstein import BernsteinIndex, bernstein_basis, bernstein_product
-from .exactq import QRational, XPolynomial, q_bracket
+from .exactq import QRational, XPolynomial
 from .genocchi import (
+    _TWO_Q,
     frobenius_euler_polynomial,
     genocchi_number,
     genocchi_polynomial,
@@ -54,8 +55,6 @@ IDENTITY_IDS = (
     "THM7",
     "THM8",
 )
-
-_TWO_Q = QRational(q_bracket(2))
 
 
 @dataclass(frozen=True)

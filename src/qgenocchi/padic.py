@@ -16,17 +16,21 @@ one polynomial sum, with no p-adic logarithm taken per point.
 The logarithm uses the Iwasawa branch (log p = 0), with evaluation points
 restricted to p-power times principal unit, where the branch term is
 computable and vanishes at pure powers of p.
+
+Every valuation and unit of an integer comes from `_split_p`, and every q
+that enters a Riemann sum or the log-gamma series passes `_admit_q`: it is
+taken into the context and must satisfy |q-1|_p < 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 
 from . import _kernel as K
 from .errors import DomainError, PrecisionExhausted
-from .exactq import QRational, XPolynomial
+from .exactq import QRational, XPolynomial, _clear_denominators, _power
 from .genocchi import genocchi_number, moment
 
 __all__ = [
@@ -55,20 +59,20 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
+def _split_p(n: int, p: int):
+    """(v, u) with n = p^v * u and p not dividing u, for an integer n != 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def fraction_valuation(x: Fraction, p: int):
     """p-adic valuation of an exact rational; +inf for zero."""
     if x == 0:
         return inf
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _split_p(x.numerator, p)[0] - _split_p(x.denominator, p)[0]
 
 
 @dataclass(frozen=True)
@@ -117,16 +121,12 @@ class PadicNumber:
         r = Fraction(r)
         if r == 0:
             return cls(ctx, inf, None, inf, Fraction(0))
-        p, N = ctx.p, ctx.precision
-        v = fraction_valuation(r, p)
-        num, den = r.numerator, r.denominator
-        if v > 0:
-            num //= p ** v
-        elif v < 0:
-            den //= p ** (-v)
-        mod = p ** N
+        vnum, num = _split_p(r.numerator, ctx.p)
+        vden, den = _split_p(r.denominator, ctx.p)
+        v = vnum - vden
+        mod = ctx.p ** ctx.precision
         unit = num * pow(den, -1, mod) % mod
-        return cls(ctx, v, unit, v + N, r)
+        return cls(ctx, v, unit, v + ctx.precision, r)
 
     @classmethod
     def _order_term(cls, ctx, a) -> "PadicNumber":
@@ -150,10 +150,7 @@ class PadicNumber:
         mantissa %= ctx.p ** known_digits
         if mantissa == 0:
             return cls._order_term(ctx, known_digits + shift)
-        v = 0
-        while mantissa % ctx.p == 0:
-            mantissa //= ctx.p
-            v += 1
+        v, mantissa = _split_p(mantissa, ctx.p)
         return cls._from_unit(ctx, v + shift, mantissa, known_digits + shift, exact)
 
     # -- state predicates ------------------------------------------------------
@@ -297,14 +294,7 @@ class PadicNumber:
             return (self.ctx.one() / self) ** (-n)
         if self._exact is not None:
             return PadicNumber.from_rational(self._exact ** n, self.ctx)
-        out = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.ctx.one())
 
     # -- helpers ---------------------------------------------------------------
 
@@ -444,19 +434,18 @@ class IntegrandSpec:
         return cls.polynomial(poly.evaluate_coeffs(Fraction(q0)))
 
 
-def _require_valid_q(q: PadicNumber) -> None:
+def _admit_q(q, ctx: PadicContext) -> PadicNumber:
+    """q as an element of ctx, refused unless |q-1|_p < 1.
+
+    q = 1, the classical limit point, has |q-1|_p = 0 and is admitted.
+    """
+    q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
+    if q.ctx != ctx:
+        raise DomainError("q belongs to a different context")
     diff = q - 1
-    if diff.is_exact_zero:
-        return  # q = 1 is the classical limit point, |q-1|_p = 0
-    v = diff.valuation if not diff.is_order_term else diff.abs_precision
-    if v < 1:
+    if (diff.abs_precision if diff.is_order_term else diff.valuation) < 1:
         raise DomainError("need |q-1|_p < 1 (valuation(q-1) >= 1)")
-
-
-def _int_coeffs(coefficients):
-    """Clear denominators: returns (integer coefficients, common denominator)."""
-    den = lcm(*(c.denominator for c in coefficients))
-    return [int(c * den) for c in coefficients], den
+    return q
 
 
 def fermionic_riemann_sum(f: IntegrandSpec, m: int, q, ctx: PadicContext) -> PadicNumber:
@@ -470,12 +459,9 @@ def fermionic_riemann_sum(f: IntegrandSpec, m: int, q, ctx: PadicContext) -> Pad
     """
     if m < 1:
         raise DomainError("level m must be >= 1")
-    q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
-    if q.ctx != ctx:
-        raise DomainError("q belongs to a different context")
-    _require_valid_q(q)
+    q = _admit_q(q, ctx)
     count = ctx.p ** m
-    g, den = _int_coeffs(f.coefficients)
+    g, den = _clear_denominators(f.coefficients)
     if q.exact_value is not None:
         qr = q.exact_value
         a, b = qr.numerator, qr.denominator
@@ -485,10 +471,7 @@ def fermionic_riemann_sum(f: IntegrandSpec, m: int, q, ctx: PadicContext) -> Pad
     # modular path: q is a unit known mod p^rel, so the integer sum is known
     # mod p^rel as well, and dividing out p^vden leaves rel - vden digits
     rel = min(q.abs_precision, ctx.precision)
-    vden = 0
-    while den % ctx.p == 0:
-        den //= ctx.p
-        vden += 1
+    vden, den = _split_p(den, ctx.p)
     mod = ctx.p ** rel
     u = q.unit % mod
     total = K.alt_weighted_mod_sum(u, count, [c % mod for c in g], mod)
@@ -560,8 +543,7 @@ def loggamma_series(x: PadicNumber, q, ctx: PadicContext) -> PadicNumber:
     at q, which is p-integral for |q-1|_p < 1.
     """
     v = _loggamma_domain_check(x)
-    q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
-    _require_valid_q(q)
+    q = _admit_q(q, ctx)
     target = v + ctx.precision
     logx = iwasawa_log(x)
     g2 = qrational_at_padic(genocchi_number(2), q)

@@ -22,6 +22,7 @@ from qgenocchi.exactq import (
     parse_qrational,
     q_bracket,
 )
+from qgenocchi.padic import PadicContext, PadicNumber
 
 Q = QRational.q()
 ONE = QRational.one()
@@ -235,6 +236,72 @@ class TestRendering:
         monkeypatch.undo()
         assert parse_qrational("q^3") == Q ** 3
         assert parse_qrational(f"q^-{exactq.MAX_EXPONENT}") == Q ** -exactq.MAX_EXPONENT
+
+    def test_parse_refuses_nested_exponents_over_the_limit(self, monkeypatch):
+        # the bound is on the product of the exponents applied to one
+        # subexpression, checked before any power: both the degree blow-up
+        # and the huge constant of (9^1000)^1000 are refused
+        powers = []
+        monkeypatch.setattr(QRational, "__pow__", lambda self, n: powers.append(n) or self)
+        for text in ("(q^2)^600", "((2+q)^40)^40", "(9^1000)^1000", "(-(q^-40))^-40"):
+            with pytest.raises(ValueError, match=f"limit of {exactq.MAX_EXPONENT}"):
+                parse_qrational(text)
+        assert powers == []
+        parse_qrational(f"(2+q)^{exactq.MAX_EXPONENT}")
+        parse_qrational("((q^2)^20)^25 + q^999")
+        assert powers == [exactq.MAX_EXPONENT, 2, 20, 25, 999]
+        monkeypatch.undo()
+        assert parse_qrational("(q^2)^500") == Q ** 1000
+
+    def test_parse_deep_nesting_raises_value_error(self):
+        assert parse_qrational("-" * 5000 + "q") == Q
+        assert parse_qrational("-" * 5001 + "q") == -Q
+        depth = exactq.MAX_NESTING
+        assert parse_qrational("(" * depth + "q" + ")" * depth) == Q
+        for text in ("(" * (depth + 1) + "q" + ")" * (depth + 1),
+                     "(" * 5000 + "q" + ")" * 5000,
+                     "-(" * 5000 + "q" + ")" * 5000):
+            with pytest.raises(ValueError, match=f"limit of {depth}"):
+                parse_qrational(text)
+
+    def test_parse_checks_syntax_before_arithmetic(self):
+        with pytest.raises(ValueError):
+            parse_qrational("1/0 + )")
+        with pytest.raises(ZeroDivisionError):
+            parse_qrational("1/0 + q")
+
+
+# -- the shared power loop -----------------------------------------------------------
+
+_CTX5 = PadicContext(5, 8)
+_POWER_BASES = {
+    "QPolynomial": qp(2, -1, F(1, 3)),
+    "XPolynomial": XPolynomial((Q, parse_qrational("(2-q)/(1+q)"))),
+    "QRational": parse_qrational("(2-q)/(1+q)^2"),
+    "PadicNumber exact": PadicNumber.from_rational(F(50, 3), _CTX5),
+    "PadicNumber inexact": PadicNumber.from_rational(F(50, 3), _CTX5).truncated(6),
+}
+
+
+def _power_key(x):
+    if isinstance(x, PadicNumber):
+        return x.valuation, x.abs_precision, x.unit, x.exact_value
+    return x
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (0, 3), (1, 1), (2, 5), (4, 4)])
+@pytest.mark.parametrize("kind", list(_POWER_BASES))
+def test_power_laws(kind, a, b):
+    x = _POWER_BASES[kind]
+    n = a + b
+    assert _power_key(x ** n) == _power_key(x ** a * x ** b)
+    if kind == "PadicNumber inexact" and n:
+        assert (x ** n).exact_value is None and (x ** -n).exact_value is None
+    if isinstance(x, (QPolynomial, XPolynomial)):
+        with pytest.raises(ValueError, match="negative power"):
+            x ** -max(n, 1)
+    else:
+        assert _power_key(x ** -n) == _power_key(1 / x ** n)
 
 
 # -- polynomials in x ---------------------------------------------------------------

@@ -287,6 +287,14 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             loggamma_direct(CTX3.one(), F(4), 2, CTX3)
 
+    def test_q_from_another_context_is_refused_up_front(self):
+        x = PadicNumber.from_rational(F(1, 3), CTX3)
+        q = PadicNumber.from_rational(F(6), PadicContext(5, 12))
+        with pytest.raises(DomainError, match="different context"):
+            loggamma_series(x, q, CTX3)
+        with pytest.raises(DomainError, match="different context"):
+            fermionic_riemann_sum(IntegrandSpec.monomial(1), 1, q, CTX3)
+
     def test_series_stable_under_more_precision(self):
         x12 = PadicNumber.from_rational(F(1, 3), CTX3)
         lo = loggamma_series(x12, F(4), CTX3)
