@@ -2,8 +2,9 @@
 
 Layers:
   exactq     -- arithmetic in Q[q] and Q(q) with canonical forms
-  genocchi   -- the number/polynomial sequences, two independent pipelines,
-                Frobenius-Euler polynomials, the fermionic moment oracle
+  genocchi   -- the number/polynomial sequences: two pipelines in Q(q) and
+                a closed form at a numeric q; Frobenius-Euler polynomials,
+                the fermionic moment oracle
   bernstein  -- Bernstein basis polynomials and products
   identities -- mechanical verification of the identity suite
   padic      -- precision-tracked Q_p arithmetic, fermionic Riemann sums,
@@ -46,6 +47,7 @@ from .genocchi import (
     genocchi_series_oracle,
     integrate_polynomial,
     moment,
+    moments_at,
 )
 from .identities import IdentityReport
 from .padic import (
@@ -96,6 +98,7 @@ __all__ = [
     "loggamma_series",
     "moment",
     "moment_convergence",
+    "moments_at",
     "padic_log1p",
     "parse_qrational",
     "q_bracket",

@@ -11,14 +11,19 @@ only ones.  Each record goes through `_emit`, the one place that picks
 among the text, json and csv forms, and `main` writes the lines to stdout
 or `--out` once the runner returns.  `--q` takes a rational, `symbolic`
 (`table` only) or `1+p`, which needs a command with `--prime`; `verify`
-runs symbolically and has no `--q`.
+runs symbolically and has no `--q`.  A numeric q never builds the symbolic
+Genocchi table: `table --q`, `padic-converge` and `loggamma` read the
+values at q from `genocchi.moments_at`.
 
 Inputs that set the amount of work are capped: p^mmax at
-`MAX_RIEMANN_POINTS` for `padic-converge` and `loggamma`, and `bernstein
---n` at `MAX_BERNSTEIN_DEGREE`.  Above a cap the command exits 2 with an
-error naming it, before any work.  (`exactq.parse_qrational` caps the
-product of nested `^` exponents at `exactq.MAX_EXPONENT` and the nesting
-of parentheses at `exactq.MAX_NESTING`.)
+`MAX_RIEMANN_POINTS` for `padic-converge` and `loggamma`, the index of the
+Genocchi numbers a command needs at `MAX_GENOCCHI_INDEX` (`table --nmax`,
+`padic-converge --n`, and `loggamma` through `--precision` and `--x`),
+and `bernstein --n` at `MAX_BERNSTEIN_DEGREE`.  Above a cap the command
+exits 2 with an error naming it, before any work.
+(`exactq.parse_qrational` caps the product of nested `^` exponents at
+`exactq.MAX_EXPONENT` and the nesting of parentheses at
+`exactq.MAX_NESTING`.)
 
 Exit codes: 0 success, 1 `verify` found a FAIL (outside the probes) in an
 identity expected to pass, 2 invalid configuration, 3 evaluation error
@@ -34,18 +39,19 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import comb, inf
 from typing import Callable
 
 from . import identities as ident
 from .bernstein import bernstein_basis
 from .errors import DomainError, PoleError, PrecisionExhausted
-from .exactq import QRational, xpoly_text
-from .genocchi import genocchi_number, genocchi_polynomial, integrate_polynomial
+from .exactq import XPolynomial, xpoly_text
+from .genocchi import genocchi_number, genocchi_polynomial, integrate_polynomial, moments_at
 from .padic import (
     PadicContext,
     PadicNumber,
     loggamma_direct,
+    loggamma_genocchi_index,
     loggamma_series,
     moment_convergence,
 )
@@ -99,27 +105,50 @@ def _check_padic_config(args) -> PadicContext:
         raise _ConfigError(str(e)) from None
 
 
+# Largest index n of a Genocchi number G~_n that a command may need:
+# `table --nmax`, `padic-converge --n` (G~_{n+1}) and `loggamma` (a few
+# indices past --precision at v(x) = -1: 204 for --precision 200 at p = 3).
+# The symbolic `table` is the slowest of them: --nmax 200 took 17 s,
+# --nmax 250 36 s and --nmax 300 76 s (CPython 3.11, 2-vCPU Xeon), while
+# `table --q` at the cap takes under 3 s.
+MAX_GENOCCHI_INDEX = 250
+
+
+def _check_genocchi_index(index: int, what: str) -> None:
+    if index > MAX_GENOCCHI_INDEX:
+        raise _ConfigError(f"{what} needs G~_{index}, above the cap of {MAX_GENOCCHI_INDEX} "
+                           "on the Genocchi index")
+
+
 # -- table ---------------------------------------------------------------------
+
+
+def _genocchi_values_at(q0: Fraction, n_max: int) -> list:
+    """[G~_0(q0), ..., G~_n_max(q0)] from the moments: G~_{k+1} = (k+1) * m_k."""
+    moments = moments_at(q0, n_max - 1) if n_max else []
+    return [Fraction(0)] + [(k + 1) * m for k, m in enumerate(moments)]
 
 
 def run_table(args, out: list) -> int:
     if args.n_max < 0:
         raise _ConfigError("--nmax must be non-negative")
+    _check_genocchi_index(args.n_max, f"--nmax {args.n_max}")
     q0 = _parse_q(args, allow_symbolic=True)
+    values = None if q0 is None else _genocchi_values_at(q0, args.n_max)
     if args.format == "csv" and not args.polynomials:
         out.append("n,value")
     for n in range(args.n_max + 1):
         if args.polynomials:
-            poly = genocchi_polynomial(n)
-            if q0 is not None:
-                poly = poly.map_coeffs(lambda c: QRational(c.evaluate(q0)))
+            if values is None:
+                poly = genocchi_polynomial(n)
+            else:
+                poly = XPolynomial([comb(n, k) * values[k] for k in range(n, -1, -1)])
             texts = [c.to_text() for c in poly.coeffs]
             _emit(args, out, {"n": n, "coefficients": texts},
                   f"G~_{n}(x) = {xpoly_text(texts)}",
                   *(f"{n},{k},{t}" for k, t in enumerate(texts)))
         else:
-            g = genocchi_number(n)
-            value = g.to_text() if q0 is None else str(g.evaluate(q0))
+            value = genocchi_number(n).to_text() if values is None else str(values[n])
             _emit(args, out, {"n": n, "value": value}, f"G~_{n} = {value}", f"{n},{value}")
     return 0
 
@@ -295,6 +324,7 @@ def run_padic_converge(args, out: list) -> int:
     q0 = _parse_q(args, allow_symbolic=False)
     if args.n < 0 or args.m_max < 1:
         raise _ConfigError("need --n >= 0 and --mmax >= 1")
+    _check_genocchi_index(args.n + 1, f"--n {args.n}")
     seq = moment_convergence(args.n, q0, args.m_max, ctx)
     if args.format == "csv":
         out.append("level,error_valuation")
@@ -316,10 +346,9 @@ def run_loggamma(args, out: list) -> int:
     x = PadicNumber.from_rational(_parse_x(args), ctx)
     if args.m_max < 1:
         raise _ConfigError("need --mmax >= 1")
-    try:
-        series = loggamma_series(x, q0, ctx)
-    except DomainError as e:
-        raise _ConfigError(str(e)) from None
+    _check_genocchi_index(loggamma_genocchi_index(x, ctx),
+                          f"--precision {args.precision} --x {args.x_spec}")
+    series = loggamma_series(x, q0, ctx)
     value = str(series)
     _emit(args, out, {"kind": "series", "value": value,
                       "abs_precision": series.abs_precision}, f"series: {value}")

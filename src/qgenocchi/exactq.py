@@ -164,14 +164,16 @@ def _clear_denominators(coeffs):
 
 
 def _power(base, n: int, one):
-    """base ** n for n >= 0 by square-and-multiply, starting from `one`."""
-    out = one
+    """base ** n for n >= 0 by square-and-multiply: floor(log2 n) squarings
+    and popcount(n) - 1 further products for n >= 1, and `one` for n = 0."""
+    out = None
     while n:
         if n & 1:
-            out = out * base
-        base = base * base
+            out = base if out is None else out * base
         n >>= 1
-    return out
+        if n:
+            base = base * base
+    return one if out is None else out
 
 
 class QPolynomial:

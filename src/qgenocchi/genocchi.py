@@ -1,10 +1,14 @@
 """q-Genocchi numbers and polynomials with weight zero.
 
-Two independent pipelines produce the number sequence: the umbral
-recurrence (solved for the top index) and exact inversion of the
+Three pipelines produce the number sequence.  Two build it in Q(q): the
+umbral recurrence (solved for the top index) and exact inversion of the
 exponential generating function [2]_q * t / (q*e^t + 1).  Their agreement
 is the package's internal trust anchor; `tests` cross-check them for
-every index in use.
+every index in use.  The third, `moments_at`, works at one numeric q: a
+closed form in Stirling numbers gives the moments G~_{k+1,q}/(k+1) there
+with no rational function built.  Every numeric-q consumer (`table --q`,
+the p-adic moment limit and the log-gamma series) reads it, and `tests`
+check it against the other two evaluated at q.
 
 Also here: Frobenius-Euler polynomials at parameter -1/q, the fermionic
 moments, and `integrate_polynomial` -- the moment oracle that integrates
@@ -15,11 +19,13 @@ that oracle.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from .errors import PoleError
 from .exactq import QRational, XPolynomial, q_bracket
 
 _TWO_Q = QRational(q_bracket(2))  # [2]_q = 1 + q
@@ -160,6 +166,44 @@ def moment(n: int) -> QRational:
     if n < 0:
         raise ValueError("moment index must be non-negative")
     return genocchi_number(n + 1) / (n + 1)
+
+
+def moments_at(q, n: int) -> list:
+    """[m_0, ..., m_n] at one numeric q, where m_k = G~_{k+1,q}/(k+1) is
+    the k-th fermionic moment; so G~_{k+1}(q) = (k+1) * m_k.
+
+    [2]_q/(q*e^t + 1) = sum_j r^j (e^t - 1)^j with r = -q/(1+q), and
+    (e^t - 1)^j = j! sum_k S(k,j) t^k/k!, so m_k = sum_j T(k,j) r^j with
+    T(k,j) = j!*S(k,j) (S the Stirling numbers of the second kind; Graham,
+    Knuth and Patashnik, Concrete Mathematics 6.1; T. Kim, J. Math. Anal.
+    Appl. 326 (2007)).  The rows come from T(k,j) = j*(T(k-1,j) + T(k-1,j-1)).
+    With r = a/b the sum is taken as sum_j T(k,j) a^j b^(k-j) and divided
+    by b^k once.
+
+    q is a rational (the values are Fractions) or a `PadicNumber` (the
+    values are PadicNumbers, with precision tracked through the sum).
+    m_0 = 1 at every q; any m_k with k >= 1 at q = -1 raises PoleError.
+    """
+    if n < 0:
+        raise ValueError("moment index must be non-negative")
+    if isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+        a, b, one, div = -q.numerator, q.numerator + q.denominator, 1, Fraction
+    else:
+        a, b, one, div = -q, 1 + q, q ** 0, operator.truediv
+    row, a_pow, b_pow, out = [1], [one], [one], []
+    for k in range(n + 1):
+        if k:
+            prev = row + [0]
+            row = [0] + [j * (prev[j] + prev[j - 1]) for j in range(1, k + 1)]
+            a_pow.append(a_pow[-1] * a)
+            b_pow.append(b_pow[-1] * b)
+        acc = sum(t * a_pow[j] * b_pow[k - j] for j, t in enumerate(row) if t)
+        try:
+            out.append(div(acc, b_pow[k]))
+        except ZeroDivisionError:
+            raise PoleError(f"pole at q = {q}") from None
+    return out
 
 
 def integrate_polynomial(poly: XPolynomial) -> QRational:

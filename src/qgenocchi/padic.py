@@ -19,7 +19,10 @@ computable and vanishes at pure powers of p.
 
 Every valuation and unit of an integer comes from `_split_p`, and every q
 that enters a Riemann sum or the log-gamma series passes `_admit_q`: it is
-taken into the context and must satisfy |q-1|_p < 1.
+taken into the context and must satisfy |q-1|_p < 1.  The moment limit and
+the log-gamma coefficients need the q-Genocchi numbers only at that q, so
+they read `genocchi.moments_at` (through `_moments`) and never build a
+rational function of q.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from math import inf
 from . import _kernel as K
 from .errors import DomainError, PrecisionExhausted
 from .exactq import QRational, XPolynomial, _clear_denominators, _power
-from .genocchi import genocchi_number, moment
+from .genocchi import moments_at
 
 __all__ = [
     "PadicContext",
@@ -43,6 +46,7 @@ __all__ = [
     "fermionic_riemann_sum",
     "moment_convergence",
     "loggamma_series",
+    "loggamma_genocchi_index",
     "loggamma_direct",
     "qrational_at_padic",
 ]
@@ -480,8 +484,20 @@ def fermionic_riemann_sum(f: IntegrandSpec, m: int, q, ctx: PadicContext) -> Pad
     return PadicNumber._from_mantissa(ctx, mantissa, -vden, rel)
 
 
+def _moments(q: PadicNumber, n: int) -> list:
+    """The moments m_0..m_n at q as elements of q's context: exact
+    embeddings of the rational values when q is exact, and the closed form
+    run in p-adic arithmetic otherwise."""
+    if q.exact_value is None:
+        return moments_at(q, n)
+    return [PadicNumber.from_rational(m, q.ctx) for m in moments_at(q.exact_value, n)]
+
+
 def qrational_at_padic(r: QRational, q: PadicNumber) -> PadicNumber:
-    """Evaluate a rational function of q at a p-adic point."""
+    """Evaluate a rational function of q at a p-adic point.
+
+    The tests use it as the reference that the closed form behind
+    `_moments` must reproduce digit for digit at an inexact q."""
     ctx = q.ctx
     if q.exact_value is not None:
         return PadicNumber.from_rational(r.evaluate(q.exact_value), ctx)
@@ -496,7 +512,9 @@ def qrational_at_padic(r: QRational, q: PadicNumber) -> PadicNumber:
 
 def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
     """Measure v_p(S_m - L) for m = 1..m_max, where S_m is the level-m
-    Riemann sum of xi^n and L the exact moment evaluated at q.
+    Riemann sum of xi^n and L = m_n = G~_{n+1,q}/(n+1) the moment at q,
+    from `genocchi.moments_at` for exact and inexact q alike (PoleError at
+    q = -1 for n >= 1, before any sum).
 
     Returns a list of (level, error_valuation) pairs; the valuation is
     +inf when the level value is exactly the moment (the constant
@@ -506,22 +524,11 @@ def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
     if n < 0:
         raise DomainError("moment index must be non-negative")
     q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
-    limit = moment(n)
+    limit = _moments(q, n)[n]
     out = []
-    exact_q = q.exact_value
-    limit_value = None
-    if exact_q is not None:
-        limit_value = limit.evaluate(exact_q)
-    else:
-        limit_padic = qrational_at_padic(limit, q)
     for m in range(1, m_max + 1):
-        s = fermionic_riemann_sum(IntegrandSpec.monomial(n), m, q, ctx)
-        if exact_q is not None:
-            err = s.exact_value - limit_value
-            out.append((m, fraction_valuation(err, ctx.p)))
-        else:
-            diff = s - limit_padic
-            out.append((m, diff.valuation if not diff.is_order_term else None))
+        diff = fermionic_riemann_sum(IntegrandSpec.monomial(n), m, q, ctx) - limit
+        out.append((m, None if diff.is_order_term else diff.valuation))
     return out
 
 
@@ -534,33 +541,45 @@ def _loggamma_domain_check(x: PadicNumber) -> int:
     return x.valuation
 
 
+def _loggamma_series_terms(v: int, ctx: PadicContext) -> int:
+    """How many terms n = 1, 2, ... `loggamma_series` keeps at v = v(x): it
+    stops before the first n whose guaranteed valuation
+    n*(-v) - v_p(n(n+1)(n+2)) exceeds the target v + N plus two digits."""
+    target = v + ctx.precision
+    n = 1
+    while n * (-v) - _split_p(n * (n + 1) * (n + 2), ctx.p)[0] <= target + 2:
+        n += 1
+    return n - 1
+
+
+def loggamma_genocchi_index(x: PadicNumber, ctx: PadicContext) -> int:
+    """The largest index n of a G~_{n,q} that `loggamma_series(x, q, ctx)`
+    reads (DomainError unless v(x) < 0); cheap, so a caller can refuse an
+    input before any work."""
+    return _loggamma_series_terms(_loggamma_domain_check(x), ctx) + 2
+
+
 def loggamma_series(x: PadicNumber, q, ctx: PadicContext) -> PadicNumber:
     """(x + G~_2/2) log x + sum_{n>=1} (-1)^(n+1) G~_{n+2}/(n(n+1)(n+2) x^n) - x.
 
     Truncated so the first omitted term's guaranteed valuation exceeds the
     target precision (context precision on the scale of x) plus a two-digit
-    margin; the G~ coefficients are supplied by the Genocchi table evaluated
-    at q, which is p-integral for |q-1|_p < 1.
+    margin.  With the moments m_k = G~_{k+1,q}/(k+1) at q from
+    `genocchi.moments_at`, G~_2/2 = m_1 and the n-th coefficient is
+    (-1)^(n+1) m_{n+1}/(n(n+1)); they are p-integral for |q-1|_p < 1.
     """
     v = _loggamma_domain_check(x)
     q = _admit_q(q, ctx)
-    target = v + ctx.precision
+    terms = _loggamma_series_terms(v, ctx)
     logx = iwasawa_log(x)
-    g2 = qrational_at_padic(genocchi_number(2), q)
-    acc = (x + g2 / 2) * logx - x
+    m = _moments(q, terms + 1)
+    acc = (x + m[1]) * logx - x
     inv_x = ctx.one() / x
     xpow = inv_x
-    n = 1
-    while True:
-        divisor_val = fraction_valuation(Fraction(n * (n + 1) * (n + 2)), ctx.p)
-        if n * (-v) - divisor_val > target + 2:
-            break
-        coeff = qrational_at_padic(
-            genocchi_number(n + 2) * Fraction((-1) ** (n + 1), n * (n + 1) * (n + 2)), q)
-        acc = acc + coeff * xpow
+    for n in range(1, terms + 1):
+        acc = acc + m[n + 1] * Fraction((-1) ** (n + 1), n * (n + 1)) * xpow
         xpow = xpow * inv_x
-        n += 1
-    return acc.truncated(target)
+    return acc.truncated(v + ctx.precision)
 
 
 def loggamma_direct(x: PadicNumber, q, m: int, ctx: PadicContext) -> PadicNumber:

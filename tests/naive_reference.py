@@ -1,7 +1,8 @@
-"""Slow, obviously correct references shared by the kernel and exactq tests."""
+"""Slow, obviously correct references shared by the kernel, exactq and
+genocchi tests."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 def naive_gcd(a, b):
@@ -22,3 +23,15 @@ def naive_gcd(a, b):
     ints = [int(c * scale) for c in a]
     g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
     return [c // g for c in ints]
+
+
+def genocchi_recurrence_at(q0, n):
+    """[G~_0, ..., G~_n] at a rational q0 != -1 from the umbral recurrence,
+    (1+q) G~_m = [2]_q * delta(m,1) - q * sum_{k<m} C(m,k) G~_k, run in
+    Fractions at q0."""
+    q0 = Fraction(q0)
+    values = [Fraction(0)]
+    for m in range(1, n + 1):
+        acc = sum(comb(m, k) * values[k] for k in range(m))
+        values.append(((1 + q0 if m == 1 else 0) - q0 * acc) / (1 + q0))
+    return values

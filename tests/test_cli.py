@@ -4,14 +4,24 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
 import qgenocchi
-from qgenocchi.cli import IDENTITY_REGISTRY, MAX_BERNSTEIN_DEGREE, MAX_RIEMANN_POINTS, main
+from qgenocchi.cli import (
+    IDENTITY_REGISTRY,
+    MAX_BERNSTEIN_DEGREE,
+    MAX_GENOCCHI_INDEX,
+    MAX_RIEMANN_POINTS,
+    main,
+)
+from qgenocchi.exactq import QRational, xpoly_text
+from qgenocchi.genocchi import genocchi_number, genocchi_polynomial
 from qgenocchi.identities import IDENTITY_IDS
+from qgenocchi.padic import PadicContext, PadicNumber, loggamma_genocchi_index
 
 
 @pytest.fixture
@@ -22,6 +32,23 @@ def run(capsys):
         return status, captured.out.splitlines(), captured.err
 
     return _run
+
+
+def _symbolic_table_at(n_max, q0, fmt, polynomials):
+    """`table --q q0` lines the long way: each symbolic value evaluated at q0."""
+    lines = ["n,value"] if fmt == "csv" and not polynomials else []
+    for n in range(n_max + 1):
+        if polynomials:
+            poly = genocchi_polynomial(n).map_coeffs(lambda c: QRational(c.evaluate(q0)))
+            texts = [c.to_text() for c in poly.coeffs]
+            lines += {"text": [f"G~_{n}(x) = {xpoly_text(texts)}"],
+                      "json": [json.dumps({"n": n, "coefficients": texts})],
+                      "csv": [f"{n},{k},{t}" for k, t in enumerate(texts)]}[fmt]
+        else:
+            value = str(genocchi_number(n).evaluate(q0))
+            lines.append({"text": f"G~_{n} = {value}", "json": json.dumps({"n": n, "value": value}),
+                          "csv": f"{n},{value}"}[fmt])
+    return lines
 
 
 class TestTable:
@@ -74,6 +101,24 @@ class TestTable:
         status, lines, err = run("table", "--nmax", "3", "--q", "1+p")
         assert status == 2 and lines == []
         assert err == "error: --q 1+p needs a prime, and table has no --prime\n"
+
+    @pytest.mark.parametrize("q", ["4", "2/3", "1", "0", "-5/2"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("polynomials", [False, True], ids=["numbers", "polynomials"])
+    def test_numeric_q_matches_the_symbolic_values(self, run, q, fmt, polynomials):
+        argv = ("table", "--nmax", "14", f"--q={q}", "--format", fmt)
+        status, lines, err = run(*argv, *(("--polynomials",) if polynomials else ()))
+        assert status == 0 and err == ""
+        assert lines == _symbolic_table_at(14, F(q), fmt, polynomials)
+
+    @pytest.mark.parametrize("polynomials", [(), ("--polynomials",)], ids=["numbers", "polynomials"])
+    def test_pole_only_past_the_first_number(self, run, polynomials):
+        # G~_0 and G~_1 have no pole at q = -1; G~_2 = -2q/(1+q) has one
+        status, lines, err = run("table", "--nmax", "1", "--q", "-1", *polynomials)
+        assert status == 0 and err == "" and len(lines) == 2
+        status, lines, err = run("table", "--nmax", "2", "--q", "-1", *polynomials)
+        assert status == 3 and lines == []
+        assert err == "evaluation error: pole at q = -1\n"
 
     @pytest.mark.parametrize("nmax, rows", [("0", []), ("1", ["1,0,1"])], ids=["nmax0", "nmax1"])
     def test_polynomial_csv_rows(self, run, nmax, rows):
@@ -319,6 +364,44 @@ class TestPadicCommands:
         assert MAX_RIEMANN_POINTS >= 3 ** 11
 
 
+class TestGenocchiIndexCap:
+    @pytest.mark.parametrize("argv, what", [
+        (("table", "--nmax", str(MAX_GENOCCHI_INDEX + 1)), f"--nmax {MAX_GENOCCHI_INDEX + 1}"),
+        (("table", "--nmax", "100000", "--q", "1"), "--nmax 100000"),
+        (("table", "--nmax", "100000", "--q", "1", "--polynomials"), "--nmax 100000"),
+        (("padic-converge", "--n", str(MAX_GENOCCHI_INDEX), "--prime", "3"),
+         f"--n {MAX_GENOCCHI_INDEX}"),
+        (("loggamma", "--prime", "3", "--precision", "400"), "--precision 400 --x 1/p"),
+    ])
+    def test_over_cap_exit_2_before_any_work(self, run, monkeypatch, argv, what):
+        def refuse(*_):
+            raise AssertionError("Genocchi values computed for an index over the cap")
+
+        for target in ("qgenocchi.cli.moments_at", "qgenocchi.cli.genocchi_number",
+                       "qgenocchi.cli.genocchi_polynomial", "qgenocchi.padic.moments_at",
+                       "qgenocchi.padic.iwasawa_log"):
+            monkeypatch.setattr(target, refuse)
+        status, lines, err = run(*argv)
+        assert status == 2 and lines == []
+        assert err.startswith(f"error: {what} needs G~_")
+        assert err.endswith(f"above the cap of {MAX_GENOCCHI_INDEX} on the Genocchi index\n")
+
+    def test_numeric_table_at_cap_runs(self, run):
+        status, lines, _ = run("table", "--nmax", str(MAX_GENOCCHI_INDEX), "--q", "4",
+                               "--format", "csv")
+        assert status == 0 and len(lines) == MAX_GENOCCHI_INDEX + 2
+
+    def test_padic_converge_at_cap_runs(self, run):
+        status, lines, _ = run("padic-converge", "--n", str(MAX_GENOCCHI_INDEX - 1),
+                               "--prime", "3", "--mmax", "1", "--format", "csv")
+        assert status == 0 and len(lines) == 2
+
+    def test_cap_admits_loggamma_at_precision_200(self):
+        ctx = PadicContext(3, 200)
+        assert loggamma_genocchi_index(PadicNumber.from_rational(F(1, 3), ctx), ctx) \
+            <= MAX_GENOCCHI_INDEX
+
+
 class TestBernsteinCommand:
     def test_all_k(self, run):
         status, lines, _ = run("bernstein", "--n", "2")
@@ -403,3 +486,32 @@ def test_readme_cli_commands_run(run, argv):
     # keeps the documented commands in step with the options
     status, lines, _ = run(*argv)
     assert status == 0 and lines
+
+
+_REFUSE_SYMBOLIC_TABLE = """
+import sys
+from qgenocchi import cli, genocchi
+
+def refuse(self, n):
+    raise AssertionError(f"symbolic Genocchi table extended to {n}")
+
+genocchi.GenocchiTable.extend_to = refuse
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("loggamma", "--prime", "5", "--mmax", "3"),
+    ("padic-converge", "--n", "6", "--prime", "3", "--mmax", "4"),
+    ("table", "--nmax", "30", "--q", "2/3"),
+    ("table", "--nmax", "12", "--q", "1", "--polynomials"),
+], ids=" ".join)
+def test_numeric_q_never_builds_the_symbolic_table(argv):
+    # a fresh interpreter, so no memoised value hides a table extension
+    src = str(Path(qgenocchi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _REFUSE_SYMBOLIC_TABLE, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

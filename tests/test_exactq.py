@@ -304,6 +304,25 @@ def test_power_laws(kind, a, b):
         assert _power_key(x ** -n) == _power_key(1 / x ** n)
 
 
+class _Counted:
+    """An integer that counts every product it takes part in."""
+
+    def __init__(self, value, products):
+        self.value, self.products = value, products
+
+    def __mul__(self, other):
+        self.products.append(1)
+        return _Counted(self.value * other.value, self.products)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 100, 1000, 1023, 1024])
+def test_power_takes_log2_plus_popcount_minus_one_products(n):
+    products = []
+    got = exactq._power(_Counted(3, products), n, _Counted(1, products))
+    assert got.value == 3 ** n
+    assert len(products) == (0 if n == 0 else n.bit_length() - 1 + bin(n).count("1") - 1)
+
+
 # -- polynomials in x ---------------------------------------------------------------
 
 

@@ -1,12 +1,14 @@
 """Number/polynomial sequences: frozen values, dual-pipeline agreement,
-moment oracle."""
+the closed form at a numeric q, moment oracle."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from naive_reference import genocchi_recurrence_at
 
+from qgenocchi.errors import PoleError
 from qgenocchi.exactq import QPolynomial, QRational, XPolynomial, parse_qrational
 from qgenocchi.genocchi import (
     GenocchiTable,
@@ -17,6 +19,7 @@ from qgenocchi.genocchi import (
     genocchi_series_oracle,
     integrate_polynomial,
     moment,
+    moments_at,
 )
 
 ONE_PLUS_Q = QPolynomial((1, 1))
@@ -155,6 +158,36 @@ class TestMomentsAndOracle:
         lhs = integrate_polynomial(p * QRational(a) + r * QRational(b))
         rhs = QRational(a) * integrate_polynomial(p) + QRational(b) * integrate_polynomial(r)
         assert lhs == rhs
+
+
+MOMENT_POINTS = (F(4), F(7), F(11), F(2, 3), F(-5, 2), F(0), F(1))
+
+
+class TestMomentsAt:
+    @pytest.mark.parametrize("q0", MOMENT_POINTS)
+    def test_matches_the_symbolic_table(self, q0):
+        assert moments_at(q0, 79) == [genocchi_number(k + 1).evaluate(q0) / (k + 1)
+                                      for k in range(80)]
+
+    @pytest.mark.parametrize("q0", MOMENT_POINTS)
+    def test_matches_the_recurrence_in_fractions(self, q0):
+        values = genocchi_recurrence_at(q0, 80)
+        assert moments_at(q0, 79) == [values[k + 1] / (k + 1) for k in range(80)]
+
+    def test_first_values(self):
+        # m_0 = 1, m_1 = -q/(1+q), m_2 = q(q-1)/(1+q)^2 at q = 4
+        assert moments_at(4, 2) == [1, F(-4, 5), F(12, 25)]
+        assert all(isinstance(m, F) for m in moments_at(4, 2))
+
+    def test_pole_only_past_the_zeroth_moment(self):
+        assert moments_at(-1, 0) == [1]
+        for n in (1, 2, 5):
+            with pytest.raises(PoleError, match="pole at q = -1"):
+                moments_at(F(-1), n)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            moments_at(4, -1)
 
 
 class TestClassicalSpecialization:

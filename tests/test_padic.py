@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import qgenocchi
-from qgenocchi.errors import DomainError, PrecisionExhausted
+from qgenocchi.errors import DomainError, PoleError, PrecisionExhausted
 from qgenocchi.exactq import XPolynomial
-from qgenocchi.genocchi import moment
+from qgenocchi.genocchi import genocchi_number, moment, moments_at
 from qgenocchi.padic import (
     IntegrandSpec,
     PadicContext,
@@ -23,6 +23,7 @@ from qgenocchi.padic import (
     fraction_valuation,
     iwasawa_log,
     loggamma_direct,
+    loggamma_genocchi_index,
     loggamma_series,
     moment_convergence,
     padic_log1p,
@@ -406,3 +407,82 @@ class TestQRationalAtPadic:
         approx = qrational_at_padic(r, PadicNumber.from_rational(F(4), CTX3).truncated(8))
         diff = exact - approx
         assert diff.is_zero or diff.valuation >= approx.abs_precision
+
+
+def _inexact_points(p, N):
+    """q = 1 + p*u known to several absolute precisions below N, with no
+    exact shadow."""
+    for qv in (F(1 + p), F(1 - p), F(1 + 2 * p, 1 - p), F(2 + p, 2)):
+        for digits in sorted({1, N // 2, N - 1, N}):
+            yield PadicNumber.from_rational(qv, PadicContext(p, N)).truncated(digits)
+
+
+class TestMomentsAtPadic:
+    """The closed form run in p-adic arithmetic reproduces, digit for digit
+    and in reported precision, the symbolic moment evaluated at q."""
+
+    @pytest.mark.parametrize("p,N", [(3, 4), (3, 12), (5, 8), (7, 4), (7, 12)])
+    def test_inexact_q_matches_the_symbolic_moment(self, p, N):
+        for q in _inexact_points(p, N):
+            for k, got in enumerate(moments_at(q, 20)):
+                want = qrational_at_padic(moment(k), q)
+                assert (str(got), got.abs_precision) == (str(want), want.abs_precision), (q, k)
+
+    def test_exact_q_keeps_the_exact_values(self):
+        q = PadicNumber.from_rational(F(4), CTX3)
+        assert [m.exact_value for m in moments_at(q, 10)] == moments_at(F(4), 10)
+
+    def test_pole_at_minus_one(self):
+        # m_0 = 1 has no pole: q = -1 is then refused by the Riemann sum
+        with pytest.raises(DomainError):
+            moment_convergence(0, F(-1), 2, CTX3)
+        with pytest.raises(PoleError, match="pole at q = -1"):
+            moment_convergence(1, F(-1), 2, CTX3)
+
+    @pytest.mark.parametrize("p,N", [(3, 12), (5, 8), (7, 12)])
+    def test_inexact_moment_convergence_matches_the_symbolic_limit(self, p, N):
+        ctx = PadicContext(p, N)
+        for q in _inexact_points(p, N):
+            for n in (1, 4):
+                want = []
+                for m in (1, 2):
+                    diff = (fermionic_riemann_sum(IntegrandSpec.monomial(n), m, q, ctx)
+                            - qrational_at_padic(moment(n), q))
+                    want.append((m, None if diff.is_order_term else diff.valuation))
+                assert moment_convergence(n, q, 2, ctx) == want, (q, n)
+
+
+def _loggamma_series_reference(x, q, ctx):
+    """The series with every coefficient taken from the symbolic G~_{n+2}
+    evaluated at q."""
+    q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
+    v = x.valuation
+    target = v + ctx.precision
+    acc = (x + qrational_at_padic(genocchi_number(2), q) / 2) * iwasawa_log(x) - x
+    inv_x = ctx.one() / x
+    xpow = inv_x
+    n = 1
+    while n * (-v) - fraction_valuation(F(n * (n + 1) * (n + 2)), ctx.p) <= target + 2:
+        coeff = qrational_at_padic(
+            genocchi_number(n + 2) * F((-1) ** (n + 1), n * (n + 1) * (n + 2)), q)
+        acc = acc + coeff * xpow
+        xpow = xpow * inv_x
+        n += 1
+    return acc.truncated(target), n + 1
+
+
+class TestLogGammaSeriesCoefficients:
+    @pytest.mark.parametrize("p,N", [(3, 4), (3, 12), (5, 12), (7, 8)])
+    def test_matches_the_symbolic_coefficients(self, p, N):
+        ctx = PadicContext(p, N)
+        for xv in (F(1, p), F(1 + p, p * p)):
+            x = PadicNumber.from_rational(xv, ctx)
+            for q in (F(1 + p), F(1), *_inexact_points(p, N)):
+                want, index = _loggamma_series_reference(x, q, ctx)
+                got = loggamma_series(x, q, ctx)
+                assert (str(got), got.abs_precision) == (str(want), want.abs_precision), (xv, q)
+            assert loggamma_genocchi_index(x, ctx) == index
+
+    def test_index_needs_a_pole_of_x(self):
+        with pytest.raises(DomainError):
+            loggamma_genocchi_index(CTX3.one(), CTX3)
