@@ -5,6 +5,9 @@ exact rational coefficients.  `QRational` is a quotient of two such
 polynomials kept in canonical form (gcd-reduced, monic denominator), so
 identity checking reduces to structural equality.  `XPolynomial` is a
 polynomial in a second indeterminate x whose coefficients are QRational.
+The two polynomial classes share one dense base, `_DensePolynomial`
+(construction, `+`, `-`, `**`, equality, hashing); each adds its own
+coefficient ring, coercion and multiplication.
 
 Values are immutable; all operations are pure functions, safe to share
 across threads.
@@ -23,8 +26,10 @@ heuristic gcd `K.poly_gcd`.
 
 Each arithmetic rule is written once: `_cancel` divides a gcd out of a
 pair, `K.poly_primitive` splits off the content, `_clear_denominators`
-turns rational coefficients into integers, and `_power` is the
-square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too).
+turns rational coefficients into integers, `_power` is the
+square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too), and
+`_horner` is Horner's rule for every evaluation outside the integer
+kernel.  A rational constant becomes a QRational with no gcd.
 `parse_qrational` checks the whole text before any arithmetic; it caps
 the product of nested `^` exponents at `MAX_EXPONENT` and the nesting of
 parentheses at `MAX_NESTING`.
@@ -176,27 +181,38 @@ def _power(base, n: int, one):
     return one if out is None else out
 
 
-class QPolynomial:
-    """Polynomial in q over exact rationals, dense, trailing coefficient nonzero."""
+def _horner(coeffs, x, zero):
+    """sum coeffs[k] * x^k by Horner's rule, starting from `zero`, the zero
+    of the ring that x lives in."""
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class _DensePolynomial:
+    """Dense polynomial, trailing coefficient nonzero: the algebra that Q[q]
+    and Q(q)[x] share.
+
+    A subclass gives `_convert` (the coefficients, as a list in its ring),
+    `_coerce` and `__mul__`; addition, negation, subtraction, `**`, equality
+    and hashing are written here once.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = self._convert(coeffs)
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, *_):
-        raise AttributeError("QPolynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def constant(cls, c) -> "QPolynomial":
+    def constant(cls, c):
         return cls((c,))
-
-    @classmethod
-    def _from_ints(cls, scale: Fraction, ints) -> "QPolynomial":
-        return cls([scale * c for c in ints])
 
     @property
     def degree(self) -> int:
@@ -207,16 +223,6 @@ class QPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, QPolynomial):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QPolynomial((other,))
-        return None
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -226,13 +232,13 @@ class QPolynomial:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return QPolynomial(out)
+            out[i] = out[i] + c
+        return type(self)(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPolynomial([-c for c in self.coeffs])
+        return type(self)([-c for c in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -242,6 +248,44 @@ class QPolynomial:
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        return _power(self, n, self.constant(1))
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.coeffs))
+
+
+class QPolynomial(_DensePolynomial):
+    """Polynomial in q over exact rationals, dense, trailing coefficient nonzero."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _convert(coeffs):
+        return [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+
+    @classmethod
+    def _from_ints(cls, scale: Fraction, ints) -> "QPolynomial":
+        return cls([scale * c for c in ints])
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def _coerce(self, other):
+        if isinstance(other, QPolynomial):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QPolynomial((other,))
+        return None
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -255,20 +299,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return _power(self, n, QPolynomial((1,)))
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(("QPolynomial", self.coeffs))
-
     def __repr__(self):
         return f"QPolynomial({list(self.coeffs)!r})"
 
@@ -277,11 +307,7 @@ class QPolynomial:
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point (Horner)."""
-        q0 = Fraction(q0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return acc
+        return _horner(self.coeffs, Fraction(q0), Fraction(0))
 
     def content_primitive(self):
         """Split into (rational content, primitive int coefficient list).
@@ -322,16 +348,19 @@ class QRational:
     __slots__ = ("_c", "_num", "_den")
 
     def __init__(self, num=0, den=1):
-        if isinstance(num, QRational) or isinstance(den, QRational):
+        if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
+            if den == 0:
+                raise ZeroDivisionError("zero denominator in QRational")
+            c = Fraction(num, den)
+            n, d = (1,) if c else (), (1,)
+        elif isinstance(num, QRational) or isinstance(den, QRational):
             a = num if isinstance(num, QRational) else QRational(num)
             r = a / den if not (isinstance(den, int) and den == 1) else a
-            object.__setattr__(self, "_c", r._c)
-            object.__setattr__(self, "_num", r._num)
-            object.__setattr__(self, "_den", r._den)
-            return
-        npoly = num if isinstance(num, QPolynomial) else QPolynomial((num,))
-        dpoly = den if isinstance(den, QPolynomial) else QPolynomial((den,))
-        c, n, d = _canonical_triplet(npoly, dpoly)
+            c, n, d = r._c, r._num, r._den
+        else:
+            npoly = num if isinstance(num, QPolynomial) else QPolynomial((num,))
+            dpoly = den if isinstance(den, QPolynomial) else QPolynomial((den,))
+            c, n, d = _canonical_triplet(npoly, dpoly)
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_num", n)
         object.__setattr__(self, "_den", d)
@@ -389,12 +418,7 @@ class QRational:
     def _coerce(self, other):
         if isinstance(other, QRational):
             return other
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                return QRational.zero()
-            return QRational._raw(f, (1,), (1,))
-        if isinstance(other, QPolynomial):
+        if isinstance(other, (int, Fraction, QPolynomial)):
             return QRational(other)
         return None
 
@@ -571,12 +595,13 @@ def _canonical_triplet(num: QPolynomial, den: QPolynomial):
 # -- polynomials in x over QRational ----------------------------------------
 
 
-class XPolynomial:
+class XPolynomial(_DensePolynomial):
     """Polynomial in x with QRational coefficients (dense, trailing nonzero)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=()):
+    @staticmethod
+    def _convert(coeffs):
         cs = []
         for c in coeffs:
             if isinstance(c, QRational):
@@ -585,28 +610,11 @@ class XPolynomial:
                 cs.append(QRational(c))
             else:
                 raise TypeError(f"bad XPolynomial coefficient {type(c)}")
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("XPolynomial is immutable")
+        return cs
 
     @classmethod
     def x_power(cls, k: int) -> "XPolynomial":
         return cls((QRational.zero(),) * k + (QRational.one(),))
-
-    @classmethod
-    def constant(cls, c) -> "XPolynomial":
-        return cls((c,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coeff(self, k: int) -> QRational:
         if 0 <= k < len(self.coeffs):
@@ -620,31 +628,8 @@ class XPolynomial:
             return XPolynomial((other,))
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return XPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # an entry of this class's own namespace, so tracing can wrap it here
+    __add__ = __radd__ = _DensePolynomial.__add__
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPolynomial, QRational)):
@@ -671,42 +656,20 @@ class XPolynomial:
             return XPolynomial([c / s for c in self.coeffs])
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return _power(self, n, XPolynomial((QRational.one(),)))
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(("XPolynomial", self.coeffs))
-
     def evaluate(self, x0) -> QRational:
         x0 = x0 if isinstance(x0, QRational) else QRational(x0)
-        acc = QRational.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        return _horner(self.coeffs, x0, QRational.zero())
 
     def compose_shift(self, c) -> "XPolynomial":
         """P(x + c) by binomial expansion; degree and leading coefficient
         are preserved."""
-        c = c if isinstance(c, QRational) else QRational(c)
-        return self.compose_linear(c, QRational.one())
+        return self.compose_linear(c, 1)
 
     def compose_linear(self, c0, c1) -> "XPolynomial":
         """P(c0 + c1*x) via Horner over XPolynomial."""
         c0 = c0 if isinstance(c0, QRational) else QRational(c0)
         c1 = c1 if isinstance(c1, QRational) else QRational(c1)
-        lin = XPolynomial((c0, c1))
-        acc = XPolynomial()
-        for a in reversed(self.coeffs):
-            acc = acc * lin + XPolynomial((a,))
-        return acc
+        return _horner(self.coeffs, XPolynomial((c0, c1)), XPolynomial())
 
     def map_coeffs(self, fn) -> "XPolynomial":
         return XPolynomial([fn(c) for c in self.coeffs])

@@ -73,12 +73,12 @@ class GenocchiTable:
 _TABLE = GenocchiTable()
 
 
-def genocchi_number(n: int, table: GenocchiTable | None = None) -> QRational:
+def genocchi_number(n: int) -> QRational:
     """G~_{n,q} as a canonical rational function of q.
 
     The denominator divides (1+q)^(n-1) for n >= 1.
     """
-    return (table or _TABLE)[n]
+    return _TABLE[n]
 
 
 @dataclass(frozen=True)

@@ -284,7 +284,7 @@ def _eq16_rhs(j: int) -> QRational:
     """[2]_q + q^2 G~_{j+1,1/q}/(j+1) -- the right side of the (1-xi)^j
     integral identity, valid for j >= 1."""
     q = QRational.q()
-    return _TWO_Q + q ** 2 * genocchi_number(j + 1).invert_q() / (j + 1)
+    return _TWO_Q + q ** 2 * moment(j).invert_q()
 
 
 def one_minus_xi_sides(n: int):
@@ -308,10 +308,10 @@ def _bernstein_lhs(total: int, mk: int, invert: bool) -> QRational:
     """sum_l C(total-mk, l) (-1)^l G~_{l+mk+1}/(l+mk+1); subscript 1/q if `invert`."""
     acc = QRational.zero()
     for ell in range(total - mk + 1):
-        g = genocchi_number(ell + mk + 1)
+        m = moment(ell + mk)
         if invert:
-            g = g.invert_q()
-        acc = acc + comb(total - mk, ell) * (-1) ** ell * g / (ell + mk + 1)
+            m = m.invert_q()
+        acc = acc + comb(total - mk, ell) * (-1) ** ell * m
     return acc
 
 

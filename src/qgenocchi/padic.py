@@ -33,7 +33,7 @@ from math import inf
 
 from . import _kernel as K
 from .errors import DomainError, PrecisionExhausted
-from .exactq import QRational, XPolynomial, _clear_denominators, _power
+from .exactq import QRational, XPolynomial, _clear_denominators, _horner, _power
 from .genocchi import moments_at
 
 __all__ = [
@@ -358,14 +358,23 @@ def _floor_log(n: int, p: int) -> int:
     return k
 
 
+def _log_series_terms(v: int, target, p: int) -> int:
+    """How many terms n = 1, 2, ... of a series in z^n/n with v(z) = v >= 1
+    to keep: the last n with n*v - floor(log_p n) <= target + 2 (0 if none).
+    That bound never decreases in n and is at most the term valuation
+    n*v - v_p(n), so every omitted term clears the two-digit margin."""
+    n = 0
+    while (n + 1) * v - _floor_log(n + 1, p) <= target + 2:
+        n += 1
+    return n
+
+
 def padic_log1p(z: PadicNumber) -> PadicNumber:
     """log(1+z) for valuation(z) >= 1, by exact partial summation.
 
-    Terms are included until n*v(z) - floor(log_p n) clears the target
-    precision plus a two-digit margin.  That bound never decreases in n and
-    is at most the term valuation n*v(z) - v_p(n), so every omitted term
-    clears the margin too.  The result's reported precision is capped by
-    both the input precision and the context.
+    `_log_series_terms` says how many terms the target precision needs.
+    The result's reported precision is capped by both the input precision
+    and the context.
     """
     ctx = z.ctx
     if z.is_exact_zero:
@@ -381,11 +390,9 @@ def padic_log1p(z: PadicNumber) -> PadicNumber:
     zr = z.rational_representative()
     acc = Fraction(0)
     zn = zr
-    n = 1
-    while n * v - _floor_log(n, ctx.p) <= target + 2:
+    for n in range(1, _log_series_terms(v, target, ctx.p) + 1):
         acc += Fraction((-1) ** (n + 1), n) * zn
         zn *= zr
-        n += 1
     return PadicNumber.from_rational(acc, ctx).truncated(target)
 
 
@@ -501,13 +508,7 @@ def qrational_at_padic(r: QRational, q: PadicNumber) -> PadicNumber:
     ctx = q.ctx
     if q.exact_value is not None:
         return PadicNumber.from_rational(r.evaluate(q.exact_value), ctx)
-    num = ctx.zero()
-    for c in reversed(r.num.coeffs):
-        num = num * q + PadicNumber.from_rational(c, ctx)
-    den = ctx.zero()
-    for c in reversed(r.den.coeffs):
-        den = den * q + PadicNumber.from_rational(c, ctx)
-    return num / den
+    return _horner(r.num.coeffs, q, ctx.zero()) / _horner(r.den.coeffs, q, ctx.zero())
 
 
 def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
@@ -587,10 +588,9 @@ def loggamma_direct(x: PadicNumber, q, m: int, ctx: PadicContext) -> PadicNumber
     alternating q-weights, with log_p(x+xi) = log_p x + log1p(xi/x).
 
     Since v(xi/x) >= 1, log1p(xi/x) = sum_j (-1)^(j+1) xi^j / (j x^j); the
-    terms up to J are kept, J being the last j with j*w - floor(log_p j)
-    <= N + 2 (w = -v(x), N the context precision).  That bound increases
-    in j, so every omitted term of the integrand, (x + xi) times a term of
-    valuation > N + 2, has valuation > v(x) + N + 2.
+    terms up to J = `_log_series_terms`(-v(x), N) are kept (N the context
+    precision), so every omitted term of the integrand, (x + xi) times a
+    term of valuation > N + 2, has valuation > v(x) + N + 2.
     The truncated integrand is one rational polynomial in xi, summed by the
     polynomial path of `fermionic_riemann_sum`; the result carries the
     precision of x on the scale of x, v(x) + N at most.
@@ -598,11 +598,8 @@ def loggamma_direct(x: PadicNumber, q, m: int, ctx: PadicContext) -> PadicNumber
     if x.ctx != ctx:
         raise DomainError("x belongs to a different context")
     v = _loggamma_domain_check(x)
-    p, N = ctx.p, ctx.precision
-    w = -v
-    J = 0
-    while (J + 1) * w - _floor_log(J + 1, p) <= N + 2:
-        J += 1
+    N = ctx.precision
+    J = _log_series_terms(-v, N, ctx.p)
     xr = x.rational_representative()
     log_part = [iwasawa_log(x).rational_representative() - 1]
     xpow = Fraction(1)

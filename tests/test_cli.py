@@ -16,6 +16,7 @@ from qgenocchi.cli import (
     MAX_BERNSTEIN_DEGREE,
     MAX_GENOCCHI_INDEX,
     MAX_RIEMANN_POINTS,
+    MAX_VERIFY_NMAX,
     main,
 )
 from qgenocchi.exactq import QRational, xpoly_text
@@ -247,6 +248,23 @@ class TestVerify:
         status, lines, err = run("verify", "--nmax", "-3")
         assert status == 2 and lines == []
         assert err.startswith("error: --nmax must be non-negative")
+
+    @pytest.mark.parametrize("only", [(), ("--only", "THM1"), ("--only", "THM7,THM8")],
+                             ids=["all", "only-THM1", "only-THM7,THM8"])
+    @pytest.mark.parametrize("n", [MAX_VERIFY_NMAX + 1, 10 ** 9])
+    def test_nmax_over_cap_exit_2_before_any_work(self, run, monkeypatch, only, n):
+        def refuse(*_):
+            raise AssertionError("identities verified for an --nmax over the cap")
+
+        monkeypatch.setattr("qgenocchi.cli._range_reports", refuse)
+        monkeypatch.setattr("qgenocchi.cli._instance_reports", refuse)
+        status, lines, err = run("verify", *only, "--nmax", str(n))
+        assert status == 2 and lines == []
+        assert err == f"error: --nmax {n} exceeds the cap of {MAX_VERIFY_NMAX} " \
+                      "on the verify range\n"
+
+    def test_nmax_cap_admits_every_default_range(self):
+        assert MAX_VERIFY_NMAX >= max(spec.default_nmax for spec in IDENTITY_REGISTRY)
 
     THM7_FAIL_NOTE = (
         "left side equals the moment oracle; the printed k!=0 right side does not; "
@@ -490,12 +508,13 @@ def test_readme_cli_commands_run(run, argv):
 
 _REFUSE_SYMBOLIC_TABLE = """
 import sys
-from qgenocchi import cli, genocchi
+from qgenocchi import cli, exactq, genocchi
 
-def refuse(self, n):
-    raise AssertionError(f"symbolic Genocchi table extended to {n}")
+def refuse(self, *args):
+    raise AssertionError(f"Q(q) work at a numeric q: {type(self).__name__}{args}")
 
 genocchi.GenocchiTable.extend_to = refuse
+exactq.QRational.to_text = refuse
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -505,9 +524,11 @@ sys.exit(cli.main(sys.argv[1:]))
     ("padic-converge", "--n", "6", "--prime", "3", "--mmax", "4"),
     ("table", "--nmax", "30", "--q", "2/3"),
     ("table", "--nmax", "12", "--q", "1", "--polynomials"),
+    ("table", "--nmax", "12", "--q", "2/3", "--polynomials"),
 ], ids=" ".join)
 def test_numeric_q_never_builds_the_symbolic_table(argv):
-    # a fresh interpreter, so no memoised value hides a table extension
+    # a fresh interpreter, so no memoised value hides a table extension;
+    # neither the symbolic table nor a QRational rendering may run
     src = str(Path(qgenocchi.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

@@ -52,7 +52,7 @@ class TestGenocchiNumbers:
 
     def test_fresh_table_matches_default(self):
         table = GenocchiTable()
-        assert genocchi_number(7, table) == genocchi_number(7)
+        assert table[7] == genocchi_number(7)
         assert len(table) == 8
 
     def test_recurrence_constraint(self):
