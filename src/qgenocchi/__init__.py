@@ -32,14 +32,12 @@ from .errors import (
 from .exactq import (
     QPolynomial,
     QRational,
-    Rational,
     XPolynomial,
     parse_qrational,
     q_bracket,
 )
 from .genocchi import (
     GenocchiTable,
-    SeriesExpansion,
     classical_genocchi,
     frobenius_euler_polynomial,
     genocchi_number,
@@ -51,7 +49,6 @@ from .genocchi import (
 )
 from .identities import IdentityReport
 from .padic import (
-    IntegrandSpec,
     PadicContext,
     PadicNumber,
     fermionic_riemann_sum,
@@ -69,7 +66,6 @@ __all__ = [
     "DomainError",
     "GenocchiTable",
     "IdentityReport",
-    "IntegrandSpec",
     "LengthError",
     "PadicContext",
     "PadicNumber",
@@ -78,8 +74,6 @@ __all__ = [
     "QGenocchiError",
     "QPolynomial",
     "QRational",
-    "Rational",
-    "SeriesExpansion",
     "XPolynomial",
     "bernstein_basis",
     "bernstein_operator",

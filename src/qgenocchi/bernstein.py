@@ -68,23 +68,17 @@ def bernstein_operator(samples: Sequence, n: int) -> XPolynomial:
     return acc
 
 
-def bernstein_product(indices: Sequence[BernsteinIndex]) -> XPolynomial:
-    """Expanded product of Bernstein bases sharing one k:
+def bernstein_product(k: int, degrees: Sequence[int]) -> XPolynomial:
+    """Expanded product of the Bernstein bases B_{k,n} for n in degrees:
 
-        prod_s B_{k,n_s}(x) = prod_s C(n_s,k) * x^(m*k) * (1-x)^(sum n_s - m*k)
+        prod_n B_{k,n}(x) = prod_n C(n,k) * x^(m*k) * (1-x)^(sum n - m*k)
 
-    Degree is the sum of the degrees.
+    with m = len(degrees).  Degree is the sum of the degrees.
     """
-    if not indices:
+    if not degrees:
         raise ValueError("empty Bernstein product")
-    ks = {idx.k for idx in indices}
-    if len(ks) > 1:
-        raise ValueError(f"product factors must share one k, got {sorted(ks)}")
-    k = ks.pop()
-    for idx in indices:
-        if k > idx.n:
-            raise IndexError(f"k={k} exceeds factor degree n={idx.n}")
     lead = 1
-    for idx in indices:
-        lead *= comb(idx.n, k)
-    return _expand(lead, len(indices) * k, sum(idx.n for idx in indices))
+    for n in degrees:
+        BernsteinIndex(k, n)
+        lead *= comb(n, k)
+    return _expand(lead, len(degrees) * k, sum(degrees))

@@ -17,14 +17,17 @@ values at q from `genocchi.moments_at`, and `table --q --polynomials`
 prints its rational coefficients as they are, with no QRational.
 
 Inputs that set the amount of work are capped: p^mmax at
-`MAX_RIEMANN_POINTS` for `padic-converge` and `loggamma`, the index of the
-Genocchi numbers a command needs at `MAX_GENOCCHI_INDEX` (`table --nmax`,
-`padic-converge --n`, and `loggamma` through `--precision` and `--x`),
-`verify --nmax` (with or without `--only`) at `MAX_VERIFY_NMAX`, and
-`bernstein --n` at `MAX_BERNSTEIN_DEGREE`.  Above a cap the command exits 2
-with an error naming it, before any work.
+`MAX_RIEMANN_POINTS` for `padic-converge` and `loggamma`, and p^mmax times
+the number of integrand coefficients (n+1 for `padic-converge --n`, a few
+more than --precision for `loggamma` at x = 1/p) at `MAX_RIEMANN_WORK`; the
+index of the Genocchi numbers a command needs at `MAX_GENOCCHI_INDEX`
+(`table --nmax`, `padic-converge --n`, and `loggamma` through `--precision`
+and `--x`), `verify --nmax` (with or without `--only`) at `MAX_VERIFY_NMAX`,
+and `bernstein --n` at `MAX_BERNSTEIN_DEGREE`.  Above a cap the command
+exits 2 with an error naming it, before any work.
 (`exactq.parse_qrational` caps the product of nested `^` exponents at
-`exactq.MAX_EXPONENT` and the nesting of parentheses at
+`exactq.MAX_EXPONENT`, the degree of each subexpression at
+`exactq.MAX_DEGREE` and the nesting of parentheses at
 `exactq.MAX_NESTING`.)
 
 Exit codes: 0 success, 1 `verify` found a FAIL (outside the probes) in an
@@ -52,6 +55,7 @@ from .genocchi import genocchi_number, genocchi_polynomial, integrate_polynomial
 from .padic import (
     PadicContext,
     PadicNumber,
+    _log_series_terms,
     loggamma_direct,
     loggamma_genocchi_index,
     loggamma_series,
@@ -318,6 +322,26 @@ def _check_riemann_points(args) -> None:
                                f"cap of {MAX_RIEMANN_POINTS} Riemann-sum points")
 
 
+# Largest p^mmax times the number of integrand coefficients that
+# `padic-converge` and `loggamma` accept: the work of the finest Riemann sum.
+# Each cap above bounds only one factor: `padic-converge --n 249 --prime 3`
+# took 6.3 s at --mmax 10 (14.7 million) and 27.9 s at --mmax 11 (44.3
+# million).  Near this cap `padic-converge --n 110 --prime 3 --mmax 11` took
+# 7.1 s and `loggamma --prime 3 --mmax 11 --precision 100` 9.0 s (CPython
+# 3.11, 2-vCPU Xeon).
+MAX_RIEMANN_WORK = 20_000_000
+
+
+def _check_riemann_work(args, coefficients: int) -> None:
+    """Refuse p^mmax times the integrand's coefficient count above the cap;
+    p^mmax has already passed `_check_riemann_points`."""
+    work = args.prime ** args.m_max * coefficients
+    if work > MAX_RIEMANN_WORK:
+        raise _ConfigError(f"--prime {args.prime} --mmax {args.m_max}: p^mmax times the "
+                           f"{coefficients} integrand coefficients is {work}, above the cap "
+                           f"of {MAX_RIEMANN_WORK} on Riemann-sum work")
+
+
 def _strictly_increasing(vals):
     """Error valuations must strictly increase; exact (inf) entries may
     repeat, and `loggamma` passes its saturated levels as inf.  Returns the
@@ -337,6 +361,7 @@ def run_padic_converge(args, out: list) -> int:
     if args.n < 0 or args.m_max < 1:
         raise _ConfigError("need --n >= 0 and --mmax >= 1")
     _check_genocchi_index(args.n + 1, f"--n {args.n}")
+    _check_riemann_work(args, args.n + 1)
     seq = moment_convergence(args.n, q0, args.m_max, ctx)
     if args.format == "csv":
         out.append("level,error_valuation")
@@ -360,6 +385,8 @@ def run_loggamma(args, out: list) -> int:
         raise _ConfigError("need --mmax >= 1")
     _check_genocchi_index(loggamma_genocchi_index(x, ctx),
                           f"--precision {args.precision} --x {args.x_spec}")
+    # `loggamma_direct` sums (x + xi) times the first J + 1 terms of log(x + xi)
+    _check_riemann_work(args, _log_series_terms(-x.valuation, args.precision, args.prime) + 2)
     series = loggamma_series(x, q0, ctx)
     value = str(series)
     _emit(args, out, {"kind": "series", "value": value,

@@ -31,8 +31,9 @@ square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too), and
 `_horner` is Horner's rule for every evaluation outside the integer
 kernel.  A rational constant becomes a QRational with no gcd.
 `parse_qrational` checks the whole text before any arithmetic; it caps
-the product of nested `^` exponents at `MAX_EXPONENT` and the nesting of
-parentheses at `MAX_NESTING`.
+the product of nested `^` exponents at `MAX_EXPONENT`, the degree that
+the operators can build at `MAX_DEGREE` (bounded per subexpression from
+the text alone) and the nesting of parentheses at `MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from math import comb, lcm
 
 from . import _kernel as K
 from .errors import PoleError
-
-Rational = Fraction
 
 _GCD_CHECK_PRIMES = (1000003, 999983, 754573)
 
@@ -318,16 +317,6 @@ class QPolynomial(_DensePolynomial):
         ints, den = _clear_denominators(self.coeffs)
         g, prim = K.poly_primitive(ints)
         return Fraction(g, den), prim
-
-    def reversed(self) -> "QPolynomial":
-        """Coefficient reversal: q^deg * self(1/q)."""
-        return QPolynomial(tuple(reversed(self.coeffs)))
-
-    def shifted(self, k: int) -> "QPolynomial":
-        """Multiply by q^k."""
-        if self.is_zero:
-            return self
-        return QPolynomial((Fraction(0),) * k + self.coeffs)
 
 
 def q_bracket(m: int) -> QPolynomial:
@@ -616,11 +605,6 @@ class XPolynomial(_DensePolynomial):
     def x_power(cls, k: int) -> "XPolynomial":
         return cls((QRational.zero(),) * k + (QRational.one(),))
 
-    def coeff(self, k: int) -> QRational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return QRational.zero()
-
     def _coerce(self, other):
         if isinstance(other, XPolynomial):
             return other
@@ -673,11 +657,6 @@ class XPolynomial(_DensePolynomial):
 
     def map_coeffs(self, fn) -> "XPolynomial":
         return XPolynomial([fn(c) for c in self.coeffs])
-
-    def evaluate_coeffs(self, q0):
-        """Specialize every coefficient at a rational q; returns a list of
-        Fractions indexed by the power of x."""
-        return [c.evaluate(q0) for c in self.coeffs]
 
     def to_text(self) -> str:
         return xpoly_text([c.to_text() for c in self.coeffs])
@@ -789,6 +768,14 @@ def _render_poly(coeffs, var: str, latex: bool) -> str:
 # constant.
 MAX_EXPONENT = 1000
 
+# Largest degree bound that `parse_qrational` accepts for one subexpression:
+# the larger of its numerator and denominator bounds.  The exponent limit
+# alone let products through: "(" + "*".join(["(2+q)"] * k) + ")^100" took
+# 0.03 / 0.24 / 2.55 s at degree 500 / 1000 / 2000, about ten times for each
+# doubling.  At the limit (2+q)^1000 parses in 0.65 s, (3+q)^-1000 in 0.5 s
+# and (2+q)^1000/(3+q)^1000 in 1 s (CPython 3.11, 2-vCPU Xeon).
+MAX_DEGREE = 1000
+
 # Deepest nesting of parentheses that `parse_qrational` accepts.  Each level
 # takes four frames of the recursive-descent parser, so this keeps it well
 # inside Python's default recursion limit of 1000.
@@ -808,9 +795,10 @@ class _Parser:
 
     Reading the text does no arithmetic: it checks the syntax and the
     limits and records the expression in postfix order in `program`, which
-    `evaluate` then runs on a stack.  Each grammar method returns the
-    largest product of `^` exponents applied to one subexpression of what
-    it read (1 when there is none).
+    `evaluate` then runs on a stack.  Each grammar method returns a triple
+    for what it read: the largest product of `^` exponents applied to one
+    subexpression (1 when there is none), and upper bounds on the degrees
+    of its numerator and denominator.
     """
 
     def __init__(self, text: str):
@@ -850,42 +838,56 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expr(self) -> int:
-        bound = self.term()
+    @staticmethod
+    def bounded(power, num, den, column):
+        """(power, num, den), once the degree bounds pass `MAX_DEGREE`."""
+        if max(num, den) > MAX_DEGREE:
+            raise ValueError(f"subexpression ending at column {column} may have degree "
+                             f"{max(num, den)}, above the limit of {MAX_DEGREE}")
+        return power, num, den
+
+    def expr(self):
+        power, n, d = self.term()
         while (op := self.peek()) in ("+", "-"):
             self.pos += 1
-            bound = max(bound, self.term())
+            pb, nb, db = self.term()
+            power, n, d = self.bounded(max(power, pb), max(n + db, nb + d), d + db, self.pos)
             self.program.append(op)
-        return bound
+        return power, n, d
 
-    def term(self) -> int:
-        bound = self.factor()
+    def term(self):
+        power, n, d = self.factor()
         while (op := self.peek()) in ("*", "/"):
             self.pos += 1
-            bound = max(bound, self.factor())
+            pb, nb, db = self.factor()
+            nb, db = (nb, db) if op == "*" else (db, nb)
+            power, n, d = self.bounded(max(power, pb), n + nb, d + db, self.pos)
             self.program.append(op)
-        return bound
+        return power, n, d
 
-    def factor(self) -> int:
+    def factor(self):
         negate = False
         while self.peek() == "-":
             self.pos += 1
             negate = not negate
-        bound = self.atom()
+        power, n, d = self.atom()
         if self.peek() == "^":
             self.pos += 1
             column = self.pos
             exponent = self.integer()
-            bound *= max(abs(exponent), 1)
-            if bound > MAX_EXPONENT:
+            power *= max(abs(exponent), 1)
+            if power > MAX_EXPONENT:
                 raise ValueError(f"exponent {exponent} at column {column} exceeds the limit of "
-                                 f"{MAX_EXPONENT} on the product of nested exponents ({bound})")
+                                 f"{MAX_EXPONENT} on the product of nested exponents ({power})")
+            if exponent < 0:
+                n, d = d, n
+            power, n, d = self.bounded(power, n * abs(exponent), d * abs(exponent), self.pos)
             self.program.append(exponent)
         if negate:
             self.program.append("neg")
-        return bound
+        return power, n, d
 
-    def atom(self) -> int:
+    def atom(self):
         ch = self.peek()
         if ch == "(":
             if self.depth == MAX_NESTING:
@@ -893,19 +895,19 @@ class _Parser:
                                  f"the limit of {MAX_NESTING}")
             self.depth += 1
             self.pos += 1
-            bound = self.expr()
+            bounds = self.expr()
             if self.peek() != ")":
                 raise ValueError(f"expected ')' at column {self.pos}")
             self.pos += 1
             self.depth -= 1
-            return bound
+            return bounds
         if ch == "q":
             self.pos += 1
             self.program.append(QRational.q())
-            return 1
+            return 1, 1, 0
         if ch.isdigit():
             self.program.append(QRational(self.integer()))
-            return 1
+            return 1, 0, 0
         raise ValueError(f"unexpected {ch!r} at column {self.pos}")
 
     def integer(self) -> int:
@@ -925,7 +927,9 @@ def parse_qrational(text: str) -> QRational:
 
     The whole text is checked before any arithmetic.  ValueError: bad
     syntax; `^` exponents whose product on one subexpression exceeds
-    `MAX_EXPONENT` in absolute value (``(q^2)^600``); parentheses nested
-    deeper than `MAX_NESTING`.  ZeroDivisionError: division by zero, or a
+    `MAX_EXPONENT` in absolute value (``(q^2)^600``); a subexpression
+    whose numerator or denominator may have degree above `MAX_DEGREE`
+    (``(2+q)^600*(3+q)^600``); parentheses nested deeper than
+    `MAX_NESTING`.  ZeroDivisionError: division by zero, or a
     negative power of zero."""
     return _Parser(text).parse()

@@ -2,9 +2,10 @@
 
 Three pipelines produce the number sequence.  Two build it in Q(q): the
 umbral recurrence (solved for the top index) and exact inversion of the
-exponential generating function [2]_q * t / (q*e^t + 1).  Their agreement
-is the package's internal trust anchor; `tests` cross-check them for
-every index in use.  The third, `moments_at`, works at one numeric q: a
+exponential generating function [2]_q * t / (q*e^t + 1), which
+`genocchi_series_oracle(order)` returns as the tuple of its first
+order + 1 coefficients.  Their agreement is the package's internal trust
+anchor; `tests` cross-check them for every index in use.  The third, `moments_at`, works at one numeric q: a
 closed form in Stirling numbers gives the moments G~_{k+1,q}/(k+1) there
 with no rational function built.  Every numeric-q consumer (`table --q`,
 the p-adic moment limit and the log-gamma series) reads it, and `tests`
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -81,24 +81,9 @@ def genocchi_number(n: int) -> QRational:
     return _TABLE[n]
 
 
-@dataclass(frozen=True)
-class SeriesExpansion:
-    """Truncated exponential generating function: coefficient n is the
-    coefficient of t^n/n!."""
-
-    order: int
-    coefficients: tuple
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError("SeriesExpansion length must be order + 1")
-
-    def __getitem__(self, n: int) -> QRational:
-        return self.coefficients[n]
-
-
-def genocchi_series_oracle(order: int) -> SeriesExpansion:
-    """Coefficients of [2]_q * t / (q*e^t + 1) to the given order.
+def genocchi_series_oracle(order: int) -> tuple:
+    """Coefficients of [2]_q * t / (q*e^t + 1) to the given order: a tuple
+    of order + 1 QRationals, entry n the coefficient of t^n/n!.
 
     Exact power-series inversion over Q(q) -- algorithmically independent
     of the recurrence in `GenocchiTable`, which is the point: coefficient n
@@ -118,7 +103,7 @@ def genocchi_series_oracle(order: int) -> SeriesExpansion:
     coeffs = [QRational.zero()]
     for n in range(1, order + 1):
         coeffs.append(factorial(n) * _TWO_Q * inv[n - 1])
-    return SeriesExpansion(order, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def genocchi_polynomial(n: int) -> XPolynomial:

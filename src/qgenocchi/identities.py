@@ -20,7 +20,6 @@ their printed and derived right sides are each one private sum over
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 from math import comb
@@ -93,9 +92,6 @@ class IdentityReport:
             "corrected_form": self.corrected_form,
             "witness": None if self.witness is None else {"lhs": self.witness[0], "rhs": self.witness[1]},
         }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=False)
 
 
 def aggregate_report(identity_id, params, ok_pairs, corrected_form=None, probes=()):
@@ -414,7 +410,7 @@ def verify_bernstein_product(degrees: Sequence[int], k: int) -> IdentityReport:
     binom_prod = 1
     for n_s in degrees:
         binom_prod *= comb(n_s, k)
-    oracle = integrate_polynomial(bernstein_product([BernsteinIndex(k, n_s) for n_s in degrees])) / binom_prod
+    oracle = integrate_polynomial(bernstein_product(k, degrees)) / binom_prod
     a_printed = bernstein_product_lhs(degrees, k, invert=True)
     a_q = bernstein_product_lhs(degrees, k, invert=False)
 

@@ -9,9 +9,11 @@ polynomial integrands be asserted exactly, with no tolerance.  Series
 operations (the p-adic logarithm, the log-gamma series) truncate, so they
 drop the shadow and report the truncation-limited precision.
 
-Every Riemann sum has a polynomial integrand.  The direct log-gamma sum
-expands log(1 + xi/x) in powers of xi to the target precision, so it too is
-one polynomial sum, with no p-adic logarithm taken per point.
+Every Riemann sum has a polynomial integrand, passed to
+`fermionic_riemann_sum` as its coefficients, constant term first.  The
+direct log-gamma sum expands log(1 + xi/x) in powers of xi to the target
+precision, so it too is one polynomial sum, with no p-adic logarithm taken
+per point.
 
 The logarithm uses the Iwasawa branch (log p = 0), with evaluation points
 restricted to p-power times principal unit, where the branch term is
@@ -33,13 +35,12 @@ from math import inf
 
 from . import _kernel as K
 from .errors import DomainError, PrecisionExhausted
-from .exactq import QRational, XPolynomial, _clear_denominators, _horner, _power
+from .exactq import QRational, _clear_denominators, _horner, _power
 from .genocchi import moments_at
 
 __all__ = [
     "PadicContext",
     "PadicNumber",
-    "IntegrandSpec",
     "fraction_valuation",
     "padic_log1p",
     "iwasawa_log",
@@ -414,35 +415,7 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
     return padic_log1p(z)
 
 
-# -- integrands and the fermionic Riemann sum ---------------------------------
-
-
-@dataclass(frozen=True)
-class IntegrandSpec:
-    """A polynomial integrand f(xi) = sum coefficients[j] * xi^j with exact
-    rational coefficients.
-
-    The log-gamma integrand is one too: `loggamma_direct` expands it in
-    powers of xi before summing.
-    """
-
-    coefficients: tuple
-
-    @classmethod
-    def monomial(cls, n: int) -> "IntegrandSpec":
-        """f(xi) = xi^n."""
-        if n < 0:
-            raise DomainError("monomial degree must be non-negative")
-        return cls((Fraction(0),) * n + (Fraction(1),))
-
-    @classmethod
-    def polynomial(cls, coefficients) -> "IntegrandSpec":
-        return cls(tuple(Fraction(c) for c in coefficients))
-
-    @classmethod
-    def polynomial_from_xpoly(cls, poly: XPolynomial, q0) -> "IntegrandSpec":
-        """Specialize an XPolynomial's coefficients at a rational q."""
-        return cls.polynomial(poly.evaluate_coeffs(Fraction(q0)))
+# -- the fermionic Riemann sum -------------------------------------------------
 
 
 def _admit_q(q, ctx: PadicContext) -> PadicNumber:
@@ -459,8 +432,12 @@ def _admit_q(q, ctx: PadicContext) -> PadicNumber:
     return q
 
 
-def fermionic_riemann_sum(f: IntegrandSpec, m: int, q, ctx: PadicContext) -> PadicNumber:
-    """Level-m weighted sum ((1+q)/(1+q^(p^m))) * sum_xi (-1)^xi q^xi f(xi).
+def fermionic_riemann_sum(coefficients, m: int, q, ctx: PadicContext) -> PadicNumber:
+    """Level-m weighted sum ((1+q)/(1+q^(p^m))) * sum_xi (-1)^xi q^xi f(xi)
+    for the polynomial f(xi) = sum_j coefficients[j] * xi^j.
+
+    The coefficients come constant term first, each anything `Fraction`
+    takes (an int, a Fraction, a float or a string such as "3/2").
 
     With an exactly-known rational q the sum is computed in exact integer
     arithmetic with a single deferred division (the prefactor's denominator
@@ -472,7 +449,7 @@ def fermionic_riemann_sum(f: IntegrandSpec, m: int, q, ctx: PadicContext) -> Pad
         raise DomainError("level m must be >= 1")
     q = _admit_q(q, ctx)
     count = ctx.p ** m
-    g, den = _clear_denominators(f.coefficients)
+    g, den = _clear_denominators([Fraction(c) for c in coefficients])
     if q.exact_value is not None:
         qr = q.exact_value
         a, b = qr.numerator, qr.denominator
@@ -526,9 +503,10 @@ def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
         raise DomainError("moment index must be non-negative")
     q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
     limit = _moments(q, n)[n]
+    monomial = (0,) * n + (1,)
     out = []
     for m in range(1, m_max + 1):
-        diff = fermionic_riemann_sum(IntegrandSpec.monomial(n), m, q, ctx) - limit
+        diff = fermionic_riemann_sum(monomial, m, q, ctx) - limit
         out.append((m, None if diff.is_order_term else diff.valuation))
     return out
 
@@ -610,5 +588,5 @@ def loggamma_direct(x: PadicNumber, q, m: int, ctx: PadicContext) -> PadicNumber
     coeffs = [xr * c for c in log_part] + [Fraction(0)]
     for j, c in enumerate(log_part):
         coeffs[j + 1] += c
-    value = fermionic_riemann_sum(IntegrandSpec.polynomial(coeffs), m, q, ctx)
+    value = fermionic_riemann_sum(coeffs, m, q, ctx)
     return value.truncated(min(v + N, x.abs_precision))

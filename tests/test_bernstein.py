@@ -81,31 +81,31 @@ class TestOperator:
 
 class TestProduct:
     def test_single_factor_reduces_to_basis(self):
-        assert bernstein_product([BernsteinIndex(1, 2)]) == bernstein_basis(1, 2)
+        assert bernstein_product(1, [2]) == bernstein_basis(1, 2)
 
     def test_two_linear_factors(self):
-        got = bernstein_product([BernsteinIndex(0, 1), BernsteinIndex(0, 1)])
+        got = bernstein_product(0, [1, 1])
         assert got == XPolynomial((1, -2, 1))  # (1-x)^2
 
     def test_two_quadratics(self):
-        got = bernstein_product([BernsteinIndex(1, 2), BernsteinIndex(1, 2)])
+        got = bernstein_product(1, [2, 2])
         # 4 x^2 (1-x)^2
         assert got == XPolynomial((0, 0, 4, -8, 4))
 
     def test_matches_iterated_multiplication(self):
         for degrees in [(1,), (2, 3), (4, 2), (1, 2, 3), (4, 4, 4), (2, 2, 2)]:
             for k in range(min(degrees) + 1):
-                direct = bernstein_product([BernsteinIndex(k, n) for n in degrees])
+                direct = bernstein_product(k, degrees)
                 iterated = XPolynomial((1,))
                 for n in degrees:
                     iterated = iterated * bernstein_basis(k, n)
                 assert direct == iterated
                 assert direct.degree == sum(degrees)
 
-    def test_mixed_k_rejected(self):
-        with pytest.raises(ValueError):
-            bernstein_product([BernsteinIndex(0, 1), BernsteinIndex(1, 2)])
+    def test_k_above_a_degree_rejected(self):
+        with pytest.raises(IndexError):
+            bernstein_product(2, [3, 1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            bernstein_product([])
+            bernstein_product(0, [])

@@ -16,13 +16,14 @@ from qgenocchi.cli import (
     MAX_BERNSTEIN_DEGREE,
     MAX_GENOCCHI_INDEX,
     MAX_RIEMANN_POINTS,
+    MAX_RIEMANN_WORK,
     MAX_VERIFY_NMAX,
     main,
 )
 from qgenocchi.exactq import QRational, xpoly_text
 from qgenocchi.genocchi import genocchi_number, genocchi_polynomial
 from qgenocchi.identities import IDENTITY_IDS
-from qgenocchi.padic import PadicContext, PadicNumber, loggamma_genocchi_index
+from qgenocchi.padic import PadicContext, PadicNumber, _log_series_terms, loggamma_genocchi_index
 
 
 @pytest.fixture
@@ -380,6 +381,30 @@ class TestPadicCommands:
     def test_riemann_points_cap_admits_3_to_the_11(self):
         # the largest p^mmax measured to finish in seconds
         assert MAX_RIEMANN_POINTS >= 3 ** 11
+
+    @pytest.mark.parametrize("argv, coefficients", [
+        (("padic-converge", "--n", "249", "--prime", "3", "--mmax", "11"), 250),
+        (("loggamma", "--prime", "3", "--mmax", "11", "--precision", "120"), 128),
+    ])
+    def test_riemann_work_over_cap_exit_2_before_any_sum(self, run, monkeypatch, argv,
+                                                          coefficients):
+        def refuse(*_):
+            raise AssertionError("Riemann sum taken for work over the cap")
+
+        monkeypatch.setattr("qgenocchi.padic.fermionic_riemann_sum", refuse)
+        status, lines, err = run(*argv)
+        assert status == 2 and lines == []
+        assert f"the {coefficients} integrand coefficients is {3 ** 11 * coefficients}," in err
+        assert err.endswith(f"above the cap of {MAX_RIEMANN_WORK} on Riemann-sum work\n")
+
+    def test_riemann_work_cap_admits_the_documented_runs(self, run):
+        # loggamma at the default precision 12 and 3^11 points, the largest
+        # p^mmax; and padic-converge as the benchmark runs it, n <= 8 at
+        # p^m <= 19683
+        assert 3 ** 11 * (_log_series_terms(1, 12, 3) + 2) <= MAX_RIEMANN_WORK
+        status, lines, _ = run("padic-converge", "--n", "8", "--prime", "3", "--mmax", "9",
+                               "--format", "csv")
+        assert status == 0 and len(lines) == 10
 
 
 class TestGenocchiIndexCap:

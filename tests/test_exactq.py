@@ -253,6 +253,37 @@ class TestRendering:
         monkeypatch.undo()
         assert parse_qrational("(q^2)^500") == Q ** 1000
 
+    def test_parse_refuses_degree_over_the_limit(self, monkeypatch):
+        # no exponent product is over its limit here, but the degree the
+        # operators build is, and it is bounded before any arithmetic
+        def refuse(*_):
+            raise AssertionError("arithmetic done for a text over the degree limit")
+
+        monkeypatch.setattr(QRational, "__mul__", refuse)
+        monkeypatch.setattr(QRational, "__pow__", refuse)
+        limit = exactq.MAX_DEGREE
+        for text in ("(" + "*".join(["(2+q)"] * 20) + ")^100",
+                     "(2+q)^600*(3+q)^600", "(2+q)^600/(3+q)^-600", "q^-600/q^600",
+                     f"(2+q)^{limit} + 1/(3+q)^{limit}", "q*" * limit + "q"):
+            with pytest.raises(ValueError, match=f"limit of {limit}"):
+                parse_qrational(text)
+
+    def test_parse_admits_degree_at_the_limit(self, monkeypatch):
+        from qgenocchi.cli import MAX_GENOCCHI_INDEX
+
+        # a text shaped like to_text of G~_n, n = MAX_GENOCCHI_INDEX: degree
+        # n-1 over (1+q)^(n-1)
+        n = MAX_GENOCCHI_INDEX
+        widest = QRational(QPolynomial(range(1, n + 1)), q_bracket(2) ** (n - 1))
+        assert parse_qrational(widest.to_text()) == widest
+        # the rest only need to pass the checks, so the arithmetic is stubbed
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
+            monkeypatch.setattr(QRational, name, lambda self, other: self)
+        limit = exactq.MAX_DEGREE
+        for text in (f"(2+q)^{limit}", f"(3+q)^-{limit}", f"(2+q)^{limit}/(3+q)^{limit}",
+                     "(" + "*".join(["(2+q)"] * 10) + ")^100", "q*" * (limit - 1) + "q"):
+            parse_qrational(text)
+
     def test_parse_deep_nesting_raises_value_error(self):
         assert parse_qrational("-" * 5000 + "q") == Q
         assert parse_qrational("-" * 5001 + "q") == -Q

@@ -70,7 +70,7 @@ class TestGenocchiNumbers:
 class TestSeriesOracle:
     def test_order_zero(self):
         ser = genocchi_series_oracle(0)
-        assert ser.order == 0
+        assert len(ser) == 1
         assert ser[0].is_zero
 
     def test_order_one(self):
@@ -86,11 +86,9 @@ class TestSeriesOracle:
         for n in range(31):
             assert ser[n] == genocchi_number(n)
 
-    def test_length_invariant(self):
-        with pytest.raises(ValueError):
-            from qgenocchi.genocchi import SeriesExpansion
-
-            SeriesExpansion(2, (QRational.zero(),))
+    def test_length_is_order_plus_one(self):
+        for order in (0, 1, 5, 12):
+            assert len(genocchi_series_oracle(order)) == order + 1
 
 
 class TestGenocchiPolynomials:

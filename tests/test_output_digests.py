@@ -88,6 +88,12 @@ DIGESTS = {
     "padic-converge --n 2 --prime 5 --q 7/2 --mmax 3 --format csv": (
         "32e3b4865cefc674332aa1e3d4067826a7ac9f07f1f99673ee1520551a18ea6e",
         EMPTY, 0),
+    "padic-converge --n 249 --prime 3 --mmax 11": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "912ca589bface4fc414cf7493cb333a8fdcacf5b05c539bba2e68a3ed15cb518", 2),
+    "loggamma --prime 3 --mmax 11 --precision 120": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "963674bbff93edc9c2f5542aeb3c8d934c0ea9244330a953055eb4ff7d1c3a1a", 2),
 }
 
 

@@ -13,10 +13,8 @@ import pytest
 
 import qgenocchi
 from qgenocchi.errors import DomainError, PoleError, PrecisionExhausted
-from qgenocchi.exactq import XPolynomial
 from qgenocchi.genocchi import genocchi_number, moment, moments_at
 from qgenocchi.padic import (
-    IntegrandSpec,
     PadicContext,
     PadicNumber,
     fermionic_riemann_sum,
@@ -32,6 +30,11 @@ from qgenocchi.padic import (
 
 CTX3 = PadicContext(3, 12)
 CTX5 = PadicContext(5, 12)
+
+
+def _monomial(n):
+    """The coefficients of xi^n, constant term first."""
+    return (0,) * n + (1,)
 
 
 class TestContext:
@@ -176,11 +179,11 @@ class TestRiemannSum:
         for p, ctx in ((3, CTX3), (5, CTX5)):
             for qv in (F(1 + p), F(1), F(1 + 2 * p, 1 + p)):
                 for m in range(1, 7 if p == 3 else 4):
-                    s = fermionic_riemann_sum(IntegrandSpec.monomial(0), m, qv, ctx)
+                    s = fermionic_riemann_sum(_monomial(0), m, qv, ctx)
                     assert s.exact_value == 1
 
     def test_classical_first_moment_level(self):
-        s = fermionic_riemann_sum(IntegrandSpec.monomial(1), 2, F(1), CTX3)
+        s = fermionic_riemann_sum(_monomial(1), 2, F(1), CTX3)
         assert s.exact_value == 4
         assert (2 * 4 + 1) % 9 == 0  # 4 = -1/2 mod 9
 
@@ -188,26 +191,27 @@ class TestRiemannSum:
         # p=3, m=1, f=xi: brute-force alternating sum in plain Fractions
         qv = F(4)
         expect = (1 + qv) / (1 + qv ** 3) * sum((-1) ** xi * qv ** xi * xi for xi in range(3))
-        got = fermionic_riemann_sum(IntegrandSpec.monomial(1), 1, qv, CTX3)
+        got = fermionic_riemann_sum(_monomial(1), 1, qv, CTX3)
         assert got.exact_value == expect
 
     def test_polynomial_matches_monomial_combination(self):
-        spec = IntegrandSpec.polynomial([F(2), F(0), F(-3, 2)])
-        direct = fermionic_riemann_sum(spec, 2, F(4), CTX3).exact_value
-        m0 = fermionic_riemann_sum(IntegrandSpec.monomial(0), 2, F(4), CTX3).exact_value
-        m2 = fermionic_riemann_sum(IntegrandSpec.monomial(2), 2, F(4), CTX3).exact_value
+        direct = fermionic_riemann_sum([F(2), F(0), F(-3, 2)], 2, F(4), CTX3).exact_value
+        m0 = fermionic_riemann_sum(_monomial(0), 2, F(4), CTX3).exact_value
+        m2 = fermionic_riemann_sum(_monomial(2), 2, F(4), CTX3).exact_value
         assert direct == 2 * m0 - F(3, 2) * m2
 
-    def test_polynomial_from_xpoly(self):
-        spec = IntegrandSpec.polynomial_from_xpoly(XPolynomial((1, -1)), F(4))
-        assert spec.coefficients == (F(1), F(-1))
+    def test_int_and_str_coefficients_match_fractions(self):
+        want = fermionic_riemann_sum((F(2), F(0), F(-3, 2)), 2, F(4), CTX3)
+        for coeffs in ((2, 0, F(-3, 2)), ("2", "0", "-3/2"), [2, "0", -1.5]):
+            got = fermionic_riemann_sum(coeffs, 2, F(4), CTX3)
+            assert got.exact_value == want.exact_value, coeffs
 
     def test_modular_path_agrees_with_exact(self):
         q_exact = PadicNumber.from_rational(F(4), CTX3)
         q_approx = q_exact.truncated(9)
         for n in (1, 2, 5):
-            s1 = fermionic_riemann_sum(IntegrandSpec.monomial(n), 2, q_exact, CTX3)
-            s2 = fermionic_riemann_sum(IntegrandSpec.monomial(n), 2, q_approx, CTX3)
+            s1 = fermionic_riemann_sum(_monomial(n), 2, q_exact, CTX3)
+            s2 = fermionic_riemann_sum(_monomial(n), 2, q_approx, CTX3)
             diff = s1 - s2
             assert diff.is_zero or diff.valuation >= s2.abs_precision
 
@@ -218,24 +222,23 @@ class TestRiemannSum:
         ctx = PadicContext(3, 8)
         q_approx = PadicNumber.from_rational(F(4), ctx).truncated(2)
         for coeffs in ([F(0), F(1, 9)], [F(1, 3), F(0), F(2, 27)], [F(5), F(-1, 3)]):
-            spec = IntegrandSpec.polynomial(coeffs)
             for m in (1, 2):
-                approx = fermionic_riemann_sum(spec, m, q_approx, ctx)
+                approx = fermionic_riemann_sum(coeffs, m, q_approx, ctx)
                 for k in range(4):
-                    exact = fermionic_riemann_sum(spec, m, F(4 + 9 * k), ctx)
+                    exact = fermionic_riemann_sum(coeffs, m, F(4 + 9 * k), ctx)
                     assert (exact - approx).is_zero, (coeffs, m, k, str(approx), str(exact))
 
     def test_modular_path_reports_digits_left_after_the_denominator(self):
         ctx = PadicContext(3, 8)
         q_approx = PadicNumber.from_rational(F(4), ctx).truncated(5)
-        got = fermionic_riemann_sum(IntegrandSpec.polynomial([F(0), F(1, 9)]), 1, q_approx, ctx)
+        got = fermionic_riemann_sum([F(0), F(1, 9)], 1, q_approx, ctx)
         assert got.abs_precision == 5 - 2
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
-            fermionic_riemann_sum(IntegrandSpec.monomial(0), 0, F(4), CTX3)
+            fermionic_riemann_sum(_monomial(0), 0, F(4), CTX3)
         with pytest.raises(DomainError):
-            fermionic_riemann_sum(IntegrandSpec.monomial(0), 1, F(2), CTX3)  # |q-1|=1
+            fermionic_riemann_sum(_monomial(0), 1, F(2), CTX3)  # |q-1|=1
 
 
 class TestMomentConvergence:
@@ -253,7 +256,7 @@ class TestMomentConvergence:
     def test_matches_direct_evaluation(self):
         qv = F(4)
         limit = moment(2).evaluate(qv)
-        s = fermionic_riemann_sum(IntegrandSpec.monomial(2), 3, qv, CTX3)
+        s = fermionic_riemann_sum(_monomial(2), 3, qv, CTX3)
         expect = fraction_valuation(s.exact_value - limit, 3)
         assert moment_convergence(2, qv, 3, CTX3)[-1] == (3, expect)
 
@@ -294,7 +297,7 @@ class TestLogGamma:
         with pytest.raises(DomainError, match="different context"):
             loggamma_series(x, q, CTX3)
         with pytest.raises(DomainError, match="different context"):
-            fermionic_riemann_sum(IntegrandSpec.monomial(1), 1, q, CTX3)
+            fermionic_riemann_sum(_monomial(1), 1, q, CTX3)
 
     def test_series_stable_under_more_precision(self):
         x12 = PadicNumber.from_rational(F(1, 3), CTX3)
@@ -446,7 +449,7 @@ class TestMomentsAtPadic:
             for n in (1, 4):
                 want = []
                 for m in (1, 2):
-                    diff = (fermionic_riemann_sum(IntegrandSpec.monomial(n), m, q, ctx)
+                    diff = (fermionic_riemann_sum(_monomial(n), m, q, ctx)
                             - qrational_at_padic(moment(n), q))
                     want.append((m, None if diff.is_order_term else diff.valuation))
                 assert moment_convergence(n, q, 2, ctx) == want, (q, n)
