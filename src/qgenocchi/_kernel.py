@@ -3,11 +3,16 @@
 Dense polynomials over the integers are plain lists of coefficients,
 index i = coefficient of the i-th power, trailing coefficient nonzero
 (the zero polynomial is the empty list).  These routines are the hot
-loops behind rational-function canonicalization and the fermionic
-Riemann sums.  The one polynomial gcd, `poly_gcd`, is the heuristic gcd:
-it works on the integers the polynomials take at one large point, so its
-cost rests on Python's integer gcd.  `BACKEND` names the implementation;
-the package exports it as `qgenocchi.kernel_backend`.
+loops behind rational-function canonicalization; the one polynomial gcd,
+`poly_gcd`, is the heuristic gcd: it works on the integers the
+polynomials take at one large point, so its cost rests on Python's
+integer gcd.  The fermionic Riemann sums have two kernels:
+`alt_weighted_int_sum`, the exact sum at a rational q, in closed form
+with O(deg^2) multiplications by small integers and two large powers
+whatever the number of points (point by point when there are no more
+points than coefficients); and `alt_weighted_mod_sum`, the same sum modulo a prime
+power, one step per point.  `BACKEND` names the implementation; the
+package exports it as `qgenocchi.kernel_backend`.
 """
 
 from math import gcd
@@ -151,15 +156,61 @@ def alt_weighted_int_sum(anum, bden, count, g):
     """sum_{xi=0}^{count-1} (-1)^xi * anum^xi * bden^(count-1-xi) * g(xi).
 
     This is the cleared-denominator numerator of the level-m fermionic
-    Riemann sum for a polynomial integrand g at q = anum/bden.  Horner's
-    rule in -anum, from xi = count-1 down, with bden^(count-1-xi) built up
-    alongside: every product has one small factor.
+    Riemann sum for a polynomial integrand g at q = anum/bden: bden^(count-1)
+    times sum_xi g(xi) * r^xi with r = -anum/bden.
+
+    With more points than coefficients it is summed in closed form, by parts
+    (Graham, Knuth and Patashnik, Concrete Mathematics, section 2.6): if
+    r*F(xi+1) - F(xi) = g(xi) for a polynomial F, the sum telescopes to
+    r^count * F(count) - F(0).  Work in the falling powers
+    x^(k) = x(x-1)...(x-k+1), where (x+1)^(k) = x^(k) + k*x^(k-1):
+    g = sum_k c_k x^(k) with integer c_k (synthetic division by x - k for
+    k = 1..d-1, d = deg g), and for s = anum + bden != 0 (r != 1) the
+    coefficients of F follow from s*f_k + anum*(k+1)*f_(k+1) = -bden*c_k,
+    k = d down to 0.  The scaled h_k = f_k * s^(d-k+1) are integers,
+        h_k = -(bden * c_k * s^(d-k) + anum * (k+1) * h_(k+1)),
+    and the sum is
+        ((-anum)^count * sum_k h_k count^(k) s^k - bden^count * h_0)
+            / (bden * s^(d+1)),
+    one exact division.  With s = 0 (r = 1, q = -1) F(x+1) - F(x) = g(x)
+    instead, and sum_xi xi^(k) = count^(k+1) / (k+1).  This is d(d-1)/2
+    multiply-adds by small integers, O(d) large products and two large
+    powers, whatever the number of points.  With no more points than
+    coefficients, or bden = 0, the points are summed one by one (Horner's
+    rule in -anum, from xi = count-1 down), which is cheaper there.
     """
-    total = 0
-    bpow = 1
-    for xi in range(count - 1, -1, -1):
-        total = total * -anum + poly_eval_int(g, xi) * bpow
-        bpow *= bden
+    if count <= len(g) or bden == 0:
+        total = 0
+        bpow = 1
+        for xi in range(count - 1, -1, -1):
+            total = total * -anum + poly_eval_int(g, xi) * bpow
+            bpow *= bden
+        return total
+    if not g:
+        return 0
+    d = len(g) - 1
+    c = list(g)
+    for k in range(1, d):
+        for i in range(d - 1, k - 1, -1):
+            c[i] += k * c[i + 1]
+    s = anum + bden
+    if s == 0:
+        total = 0
+        falling = count
+        for k in range(d + 1):
+            total += c[k] * (falling // (k + 1))
+            falling *= count - k - 1
+        return bden ** (count - 1) * total
+    # descending in k: h_k, and sum_k h_k count^(k) s^k by Horner's rule
+    h = acc = 0
+    spow = 1
+    for k in range(d, -1, -1):
+        h = -(bden * c[k] * spow + anum * (k + 1) * h)
+        acc = h + (count - k) * s * acc
+        spow *= s
+    total, rest = divmod((-anum) ** count * acc - bden ** count * h, bden * spow)
+    if rest:
+        raise ArithmeticError("alt_weighted_int_sum: closed form left a remainder")
     return total
 
 

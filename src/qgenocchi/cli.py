@@ -27,7 +27,8 @@ and `bernstein --n` at `MAX_BERNSTEIN_DEGREE`.  Above a cap the command
 exits 2 with an error naming it, before any work.
 (`exactq.parse_qrational` caps the product of nested `^` exponents at
 `exactq.MAX_EXPONENT`, the degree of each subexpression at
-`exactq.MAX_DEGREE` and the nesting of parentheses at
+`exactq.MAX_DEGREE`, the bits of its coefficients at
+`exactq.MAX_COEFFICIENT_BITS` and the nesting of parentheses at
 `exactq.MAX_NESTING`.)
 
 Exit codes: 0 success, 1 `verify` found a FAIL (outside the probes) in an
@@ -305,9 +306,10 @@ def run_verify(args, out: list) -> int:
 
 
 # Largest p^mmax that `padic-converge` and `loggamma` accept: the number of
-# points in the finest Riemann sum.  At 3^11 = 177147 points `loggamma` takes
-# about 4 s and `padic-converge --q 5/2` about 7.5 s (CPython 3.11, 2-vCPU
-# Xeon); each further level multiplies the cost by more than p.
+# points in the finest Riemann sum.  The exact sum is in closed form, so its
+# cost follows the size of q^(p^mmax), not one step per point: at 3^11 =
+# 177147 points `loggamma` takes 0.12 s and `padic-converge --n 5 --q 5/2`
+# 0.29 s (CPython 3.11, 2-vCPU Xeon).
 MAX_RIEMANN_POINTS = 200_000
 
 
@@ -323,12 +325,15 @@ def _check_riemann_points(args) -> None:
 
 
 # Largest p^mmax times the number of integrand coefficients that
-# `padic-converge` and `loggamma` accept: the work of the finest Riemann sum.
-# Each cap above bounds only one factor: `padic-converge --n 249 --prime 3`
-# took 6.3 s at --mmax 10 (14.7 million) and 27.9 s at --mmax 11 (44.3
-# million).  Near this cap `padic-converge --n 110 --prime 3 --mmax 11` took
-# 7.1 s and `loggamma --prime 3 --mmax 11 --precision 100` 9.0 s (CPython
-# 3.11, 2-vCPU Xeon).
+# `padic-converge` and `loggamma` accept.  It was sized for a loop over the
+# points, whose cost grew with this product: `padic-converge --n 249 --prime
+# 3` took 6.3 s at --mmax 10 (14.7 million) and 27.9 s at --mmax 11 (44.3
+# million).  The closed form does O(n^2) small-integer operations and two
+# powers, so the cap no longer tracks its cost: the same runs take 0.18 and
+# about 0.3 s (the second with the cap lifted), and near the cap
+# `padic-converge --n 110 --prime 3 --mmax 11` and `loggamma --prime 3
+# --mmax 11 --precision 100` take 0.12 and 0.17 s (CPython 3.11, 2-vCPU
+# Xeon).
 MAX_RIEMANN_WORK = 20_000_000
 
 

@@ -32,15 +32,17 @@ square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too), and
 kernel.  A rational constant becomes a QRational with no gcd.
 `parse_qrational` checks the whole text before any arithmetic; it caps
 the product of nested `^` exponents at `MAX_EXPONENT`, the degree that
-the operators can build at `MAX_DEGREE` (bounded per subexpression from
-the text alone) and the nesting of parentheses at `MAX_NESTING`.
+the operators can build at `MAX_DEGREE` and the size of the coefficients
+they can build at `MAX_COEFFICIENT_BITS` (both bounded per subexpression
+from the text alone) and the nesting of parentheses at `MAX_NESTING`.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import comb, lcm
+from math import ceil, comb, lcm, log2
+from typing import NamedTuple
 
 from . import _kernel as K
 from .errors import PoleError
@@ -776,12 +778,86 @@ MAX_EXPONENT = 1000
 # and (2+q)^1000/(3+q)^1000 in 1 s (CPython 3.11, 2-vCPU Xeon).
 MAX_DEGREE = 1000
 
+# Largest bound, in bits, that `parse_qrational` accepts on the coefficients
+# of one subexpression's numerator or denominator (the bound is on their l1
+# norm, which no coefficient exceeds).  The degree limit alone let large
+# coefficients through: (123456789+987654321*q)^1000, about 30000 bits, took
+# 43.5 s.  Near the limit (16+q)^1000 (4087 bits) parses in about 0.9 s; at
+# 8000 and 16000 bits (255+q)^1000 and (65535+q)^1000 took 3.2 and 9.2 s
+# (CPython 3.11, 2-vCPU Xeon).
+MAX_COEFFICIENT_BITS = 4096
+
 # Deepest nesting of parentheses that `parse_qrational` accepts.  Each level
 # takes four frames of the recursive-descent parser, so this keeps it well
 # inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
 _BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+class _Bounds(NamedTuple):
+    """What the parser knows of a subexpression before any arithmetic.
+
+    `power` is the largest product of `^` exponents applied inside it (1
+    when there is none).  The rest bound a representation N/D of it as the
+    operators build it, with no cancellation but common integer
+    denominators: `num` and `den` the degrees of N and D, `num_bits` and
+    `den_bits` log2 of their l1 norms (the sums of the coefficients'
+    absolute values), which bound every coefficient.  The l1 norm of a
+    product is at most the product of the norms.  `num_const` and
+    `den_const` are |N| and |D| when they are nonzero integers read from the
+    text (products and powers of literals); two terms over integer
+    denominators add over their lcm, as in the rendering of a polynomial
+    with rational coefficients."""
+
+    power: int
+    num: int
+    den: int
+    num_bits: float
+    den_bits: float
+    num_const: int | None = None
+    den_const: int | None = None
+
+    def plus(self, other):
+        """N1/D1 + N2/D2 = (N1*D2 + N2*D1) / (D1*D2), or over lcm(D1, D2)."""
+        if self.den_const and other.den_const:
+            common = lcm(self.den_const, other.den_const)
+            den_bits = log2(common)
+            x = self.num_bits + den_bits - self.den_bits
+            y = other.num_bits + den_bits - other.den_bits
+        else:
+            common = None
+            den_bits = self.den_bits + other.den_bits
+            x, y = self.num_bits + other.den_bits, other.num_bits + self.den_bits
+        return _Bounds(max(self.power, other.power),
+                       max(self.num + other.den, other.num + self.den), self.den + other.den,
+                       max(x, y) + log2(1 + 2.0 ** -abs(x - y)), den_bits, None, common)
+
+    def times(self, other):
+        return _Bounds(max(self.power, other.power), self.num + other.num, self.den + other.den,
+                       self.num_bits + other.num_bits, self.den_bits + other.den_bits,
+                       _product(self.num_const, other.num_const),
+                       _product(self.den_const, other.den_const))
+
+    def inverse(self):
+        return self._replace(num=self.den, den=self.num, num_bits=self.den_bits,
+                             den_bits=self.num_bits, num_const=self.den_const,
+                             den_const=self.num_const)
+
+    def raised(self, exponent, power):
+        """The bounds of the exponent-th power, whose exponent product is `power`."""
+        e = abs(exponent)
+        num_bits, den_bits = self.num_bits * e, self.den_bits * e
+        out = _Bounds(power, self.num * e, self.den * e, num_bits, den_bits,
+                      self.num_const ** e if self.num_const and num_bits <= MAX_COEFFICIENT_BITS
+                      else None,
+                      self.den_const ** e if self.den_const and den_bits <= MAX_COEFFICIENT_BITS
+                      else None)
+        return out.inverse() if exponent < 0 else out
+
+
+def _product(a, b):
+    return a * b if a and b else None
 
 
 class _Parser:
@@ -795,10 +871,8 @@ class _Parser:
 
     Reading the text does no arithmetic: it checks the syntax and the
     limits and records the expression in postfix order in `program`, which
-    `evaluate` then runs on a stack.  Each grammar method returns a triple
-    for what it read: the largest product of `^` exponents applied to one
-    subexpression (1 when there is none), and upper bounds on the degrees
-    of its numerator and denominator.
+    `evaluate` then runs on a stack.  Each grammar method returns the
+    `_Bounds` of what it read.
     """
 
     def __init__(self, text: str):
@@ -839,53 +913,55 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     @staticmethod
-    def bounded(power, num, den, column):
-        """(power, num, den), once the degree bounds pass `MAX_DEGREE`."""
-        if max(num, den) > MAX_DEGREE:
+    def bounded(bounds, column):
+        """`bounds`, once they pass `MAX_DEGREE` and `MAX_COEFFICIENT_BITS`."""
+        degree = max(bounds.num, bounds.den)
+        if degree > MAX_DEGREE:
             raise ValueError(f"subexpression ending at column {column} may have degree "
-                             f"{max(num, den)}, above the limit of {MAX_DEGREE}")
-        return power, num, den
+                             f"{degree}, above the limit of {MAX_DEGREE}")
+        bits = max(bounds.num_bits, bounds.den_bits)
+        if bits > MAX_COEFFICIENT_BITS:
+            raise ValueError(f"subexpression ending at column {column} may have coefficients "
+                             f"of {ceil(bits)} bits, above the limit of {MAX_COEFFICIENT_BITS}")
+        return bounds
 
     def expr(self):
-        power, n, d = self.term()
+        bounds = self.term()
         while (op := self.peek()) in ("+", "-"):
             self.pos += 1
-            pb, nb, db = self.term()
-            power, n, d = self.bounded(max(power, pb), max(n + db, nb + d), d + db, self.pos)
+            bounds = self.bounded(bounds.plus(self.term()), self.pos)
             self.program.append(op)
-        return power, n, d
+        return bounds
 
     def term(self):
-        power, n, d = self.factor()
+        bounds = self.factor()
         while (op := self.peek()) in ("*", "/"):
             self.pos += 1
-            pb, nb, db = self.factor()
-            nb, db = (nb, db) if op == "*" else (db, nb)
-            power, n, d = self.bounded(max(power, pb), n + nb, d + db, self.pos)
+            right = self.factor()
+            right = right if op == "*" else right.inverse()
+            bounds = self.bounded(bounds.times(right), self.pos)
             self.program.append(op)
-        return power, n, d
+        return bounds
 
     def factor(self):
         negate = False
         while self.peek() == "-":
             self.pos += 1
             negate = not negate
-        power, n, d = self.atom()
+        bounds = self.atom()
         if self.peek() == "^":
             self.pos += 1
             column = self.pos
             exponent = self.integer()
-            power *= max(abs(exponent), 1)
+            power = bounds.power * max(abs(exponent), 1)
             if power > MAX_EXPONENT:
                 raise ValueError(f"exponent {exponent} at column {column} exceeds the limit of "
                                  f"{MAX_EXPONENT} on the product of nested exponents ({power})")
-            if exponent < 0:
-                n, d = d, n
-            power, n, d = self.bounded(power, n * abs(exponent), d * abs(exponent), self.pos)
+            bounds = self.bounded(bounds.raised(exponent, power), self.pos)
             self.program.append(exponent)
         if negate:
             self.program.append("neg")
-        return power, n, d
+        return bounds
 
     def atom(self):
         ch = self.peek()
@@ -904,10 +980,12 @@ class _Parser:
         if ch == "q":
             self.pos += 1
             self.program.append(QRational.q())
-            return 1, 1, 0
+            return _Bounds(1, 1, 0, 0.0, 0.0, None, 1)
         if ch.isdigit():
-            self.program.append(QRational(self.integer()))
-            return 1, 0, 0
+            value = self.integer()
+            self.program.append(QRational(value))
+            return self.bounded(_Bounds(1, 0, 0, log2(max(value, 1)), 0.0, value or None, 1),
+                                self.pos)
         raise ValueError(f"unexpected {ch!r} at column {self.pos}")
 
     def integer(self) -> int:
@@ -929,7 +1007,8 @@ def parse_qrational(text: str) -> QRational:
     syntax; `^` exponents whose product on one subexpression exceeds
     `MAX_EXPONENT` in absolute value (``(q^2)^600``); a subexpression
     whose numerator or denominator may have degree above `MAX_DEGREE`
-    (``(2+q)^600*(3+q)^600``); parentheses nested deeper than
+    (``(2+q)^600*(3+q)^600``) or coefficients above `MAX_COEFFICIENT_BITS`
+    bits (``(123456789+987654321*q)^1000``); parentheses nested deeper than
     `MAX_NESTING`.  ZeroDivisionError: division by zero, or a
     negative power of zero."""
     return _Parser(text).parse()

@@ -439,10 +439,14 @@ def fermionic_riemann_sum(coefficients, m: int, q, ctx: PadicContext) -> PadicNu
     The coefficients come constant term first, each anything `Fraction`
     takes (an int, a Fraction, a float or a string such as "3/2").
 
-    With an exactly-known rational q the sum is computed in exact integer
-    arithmetic with a single deferred division (the prefactor's denominator
-    is a unit, so no precision is lost); otherwise it runs in modular
-    arithmetic at the available precision.
+    With an exactly-known rational q = a/b the sum is exact:
+    `K.alt_weighted_int_sum` returns b^(p^m-1) times the inner sum in
+    closed form, with O(deg^2) multiplications by small integers and the
+    two powers a^(p^m) and b^(p^m), whatever the number of points, and the
+    prefactor (a+b)/(a^(p^m)+b^(p^m)) is applied in one rational division
+    (its denominator is a unit, so no precision is lost).  Otherwise q is known
+    only to its precision, and the sum runs in modular arithmetic, one step
+    per point.
     The constant integrand gives exactly 1 at every level.
     """
     if m < 1:

@@ -35,3 +35,17 @@ def genocchi_recurrence_at(q0, n):
         acc = sum(comb(m, k) * values[k] for k in range(m))
         values.append(((1 + q0 if m == 1 else 0) - q0 * acc) / (1 + q0))
     return values
+
+
+def naive_alt_weighted_sum(anum, bden, count, g):
+    """sum_{xi<count} (-1)^xi anum^xi bden^(count-1-xi) g(xi), one Horner
+    step in -anum per point from xi = count-1 down."""
+    total = 0
+    bpow = 1
+    for xi in range(count - 1, -1, -1):
+        value = 0
+        for c in reversed(g):
+            value = value * xi + c
+        total = total * -anum + value * bpow
+        bpow *= bden
+    return total

@@ -284,6 +284,32 @@ class TestRendering:
                      "(" + "*".join(["(2+q)"] * 10) + ")^100", "q*" * (limit - 1) + "q"):
             parse_qrational(text)
 
+    def test_parse_refuses_coefficients_over_the_limit(self, monkeypatch):
+        # under the exponent and degree limits, but the coefficients the
+        # operators build are not, and they are bounded before any arithmetic
+        def refuse(*_):
+            raise AssertionError("arithmetic done for a text over the coefficient limit")
+
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__", "__neg__"):
+            monkeypatch.setattr(QRational, name, refuse)
+        limit = exactq.MAX_COEFFICIENT_BITS
+        for text in ("(123456789+987654321*q)^1000", "(65535+q)^1000", "(99+q)^-900",
+                     "1/7^999 + 1/11^999", "(1024*q)^500", f"1+{2 ** (limit + 1)}*q"):
+            with pytest.raises(ValueError, match=f"bits, above the limit of {limit}"):
+                parse_qrational(text)
+
+    def test_parse_admits_coefficients_under_the_limit(self, monkeypatch):
+        # a polynomial with rational coefficients adds over the lcm of its
+        # denominators, so its rendering is bounded by its own size
+        coefficients = [F(k, 3 ** (k % 7) * 5 ** (k % 5)) for k in range(1, 200)]
+        poly = QRational(QPolynomial(coefficients))
+        assert parse_qrational(poly.to_text()) == poly
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
+            monkeypatch.setattr(QRational, name, lambda self, other: self)
+        for text in ("(2+q)^1000", "(3+q)^-1000", "(16+q)^1000/(15+q)^1000",
+                     "(123456789+987654321*q)^136", "1/2^600 - 1/2^601"):
+            parse_qrational(text)
+
     def test_parse_deep_nesting_raises_value_error(self):
         assert parse_qrational("-" * 5000 + "q") == Q
         assert parse_qrational("-" * 5001 + "q") == -Q

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from naive_reference import naive_gcd
+from naive_reference import naive_alt_weighted_sum, naive_gcd
 from qgenocchi import _kernel
 
 # Every test runs on the one kernel module; the id names its implementation
@@ -134,3 +136,34 @@ class TestWeightedSums:
             mod = 3 ** 12
             expect = backend.alt_weighted_int_sum(u, 1, count, g) % mod
             assert backend.alt_weighted_mod_sum(u, count, g, mod) == expect
+
+
+def _integrands(max_degree=20, bound=10 ** 40):
+    return st.lists(st.integers(-bound, bound), max_size=max_degree + 1).map(
+        lambda g: g[:max(i + 1 for i, c in enumerate(g) if c)] if any(g) else [])
+
+
+class TestClosedFormSum:
+    """`alt_weighted_int_sum` sums in closed form when there are more points
+    than coefficients; the reference runs one Horner step per point.  Its final division is exact on every integer
+    input, so agreement here is what shows the remainder check holds."""
+
+    @given(b=st.integers(-50, 50), a=st.integers(-50, 50),
+           relation=st.sampled_from(["free", "a = -b", "a = 0"]),
+           count=st.integers(0, 60), g=_integrands())
+    @example(b=3, a=-3, relation="free", count=1, g=[5, 0, 7])
+    @example(b=1, a=-7, relation="free", count=40, g=[1] * 21)
+    @example(b=9, a=4, relation="free", count=1, g=[10 ** 40, -1])
+    @example(b=2, a=0, relation="free", count=13, g=[3, 1])
+    @example(b=4, a=-4, relation="free", count=30, g=[2, -1, 3])
+    def test_matches_the_per_point_reference(self, backend, b, a, relation, count, g):
+        a = {"free": a, "a = -b": -b, "a = 0": 0}[relation]
+        assert backend.alt_weighted_int_sum(a, b, count, g) == \
+            naive_alt_weighted_sum(a, b, count, g)
+
+    def test_at_the_benchmark_size(self, backend):
+        rng = random.Random(23)
+        g = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(10)]
+        for a, b in [(4, 1), (7, 2), (-2, 1), (-5, 5)]:
+            assert backend.alt_weighted_int_sum(a, b, 3 ** 9, g) == \
+                naive_alt_weighted_sum(a, b, 3 ** 9, g)

@@ -94,6 +94,18 @@ DIGESTS = {
     "loggamma --prime 3 --mmax 11 --precision 120": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "963674bbff93edc9c2f5542aeb3c8d934c0ea9244330a953055eb4ff7d1c3a1a", 2),
+    "loggamma --prime 3 --mmax 7 --q=7 --x=1/3 --precision 12 --format json": (
+        "1a84224a8a9cf7a672622d99caf79e1180c887bc6128043db60739f0c04419e2",
+        EMPTY, 0),
+    "padic-converge --n 8 --prime 3 --mmax 9 --q=4": (
+        "87560cbac13e5beaf3d857febb894b41945d78266fdfd22d9a3bf1060760550f",
+        EMPTY, 0),
+    "padic-converge --n 5 --prime 5 --mmax 6 --q=7/2 --format csv": (
+        "5a6b9da7787e7d20deb6ab7cb9d880ac9ff118693f6e19df40d7f57746f3578d",
+        EMPTY, 0),
+    "padic-converge --n 3 --prime 3 --mmax 4 --q=4": (
+        "639172da0d4646ddb551892fbba24edc692e5a72de11da555868965f6bda916c",
+        "7d4ed6546d35694ea5d2e4fd48fa187cb7795a546fd3829115dd60a80089ef08", 4),
 }
 
 
