@@ -6,12 +6,12 @@ index i = coefficient of the i-th power, trailing coefficient nonzero
 loops behind rational-function canonicalization; the one polynomial gcd,
 `poly_gcd`, is the heuristic gcd: it works on the integers the
 polynomials take at one large point, so its cost rests on Python's
-integer gcd.  The fermionic Riemann sums have two kernels:
-`alt_weighted_int_sum`, the exact sum at a rational q, in closed form
-with O(deg^2) multiplications by small integers and two large powers
-whatever the number of points (point by point when there are no more
-points than coefficients); and `alt_weighted_mod_sum`, the same sum modulo a prime
-power, one step per point.  `BACKEND` names the implementation; the
+integer gcd.  The fermionic Riemann sums have one algorithm,
+`alt_weighted_int_sum`: the sum at a rational q in closed form, with
+O(deg^2) multiplications by small integers and two large powers whatever
+the number of points (point by point when there are no more points than
+coefficients), exact or modulo a prime power; `alt_weighted_mod_sum` is
+its modular form at an integer q.  `BACKEND` names the implementation; the
 package exports it as `qgenocchi.kernel_backend`.
 """
 
@@ -152,8 +152,9 @@ def poly_eval_int(a, x):
     return acc
 
 
-def alt_weighted_int_sum(anum, bden, count, g):
-    """sum_{xi=0}^{count-1} (-1)^xi * anum^xi * bden^(count-1-xi) * g(xi).
+def alt_weighted_int_sum(anum, bden, count, g, modulus=None):
+    """sum_{xi=0}^{count-1} (-1)^xi * anum^xi * bden^(count-1-xi) * g(xi),
+    reduced modulo `modulus` when one is given.
 
     This is the cleared-denominator numerator of the level-m fermionic
     Riemann sum for a polynomial integrand g at q = anum/bden: bden^(count-1)
@@ -175,19 +176,23 @@ def alt_weighted_int_sum(anum, bden, count, g):
     one exact division.  With s = 0 (r = 1, q = -1) F(x+1) - F(x) = g(x)
     instead, and sum_xi xi^(k) = count^(k+1) / (k+1).  This is d(d-1)/2
     multiply-adds by small integers, O(d) large products and two large
-    powers, whatever the number of points.  With no more points than
-    coefficients, or bden = 0, the points are summed one by one (Horner's
-    rule in -anum, from xi = count-1 down), which is cheaper there.
+    powers, whatever the number of points.  With a modulus M the two powers
+    are taken modulo M * bden * s^(d+1): the numerator is then known modulo
+    M times the divisor, so the division is still exact and its quotient is
+    the sum modulo M; no inverse is taken, so s need not be a unit mod M.
+    With no more points than coefficients, or bden = 0, the points are
+    summed one by one (Horner's rule in -anum, from xi = count-1 down),
+    which is cheaper there.
     """
+    if not g:
+        return 0
     if count <= len(g) or bden == 0:
         total = 0
         bpow = 1
         for xi in range(count - 1, -1, -1):
             total = total * -anum + poly_eval_int(g, xi) * bpow
             bpow *= bden
-        return total
-    if not g:
-        return 0
+        return total if modulus is None else total % modulus
     d = len(g) - 1
     c = list(g)
     for k in range(1, d):
@@ -200,7 +205,8 @@ def alt_weighted_int_sum(anum, bden, count, g):
         for k in range(d + 1):
             total += c[k] * (falling // (k + 1))
             falling *= count - k - 1
-        return bden ** (count - 1) * total
+        total *= pow(bden, count - 1, modulus)
+        return total if modulus is None else total % modulus
     # descending in k: h_k, and sum_k h_k count^(k) s^k by Horner's rule
     h = acc = 0
     spow = 1
@@ -208,23 +214,14 @@ def alt_weighted_int_sum(anum, bden, count, g):
         h = -(bden * c[k] * spow + anum * (k + 1) * h)
         acc = h + (count - k) * s * acc
         spow *= s
-    total, rest = divmod((-anum) ** count * acc - bden ** count * h, bden * spow)
+    divisor = bden * spow
+    big = None if modulus is None else abs(modulus * divisor)
+    total, rest = divmod(pow(-anum, count, big) * acc - pow(bden, count, big) * h, divisor)
     if rest:
         raise ArithmeticError("alt_weighted_int_sum: closed form left a remainder")
-    return total
+    return total if modulus is None else total % modulus
 
 
 def alt_weighted_mod_sum(unit, count, g, modulus):
     """sum_{xi} (-1)^xi * unit^xi * g(xi) modulo `modulus`."""
-    total = 0
-    upow = 1
-    sign = 1
-    for xi in range(count):
-        acc = 0
-        for c in reversed(g):
-            acc = (acc * xi + c) % modulus
-        if acc:
-            total = (total + sign * upow * acc) % modulus
-        upow = (upow * unit) % modulus
-        sign = -sign
-    return total % modulus
+    return alt_weighted_int_sum(unit, 1, count, g, modulus)

@@ -17,12 +17,12 @@ values at q from `genocchi.moments_at`, and `table --q --polynomials`
 prints its rational coefficients as they are, with no QRational.
 
 Inputs that set the amount of work are capped: p^mmax at
-`MAX_RIEMANN_POINTS` for `padic-converge` and `loggamma`, and p^mmax times
-the number of integrand coefficients (n+1 for `padic-converge --n`, a few
-more than --precision for `loggamma` at x = 1/p) at `MAX_RIEMANN_WORK`; the
-index of the Genocchi numbers a command needs at `MAX_GENOCCHI_INDEX`
-(`table --nmax`, `padic-converge --n`, and `loggamma` through `--precision`
-and `--x`), `verify --nmax` (with or without `--only`) at `MAX_VERIFY_NMAX`,
+`MAX_RIEMANN_POINTS` and `--precision` at `MAX_PRECISION` for
+`padic-converge` and `loggamma`; the numerator and denominator of a
+rational `--q` or `--x`, as written, at `MAX_INPUT_BITS` bits; the index of
+the Genocchi numbers a command needs at `MAX_GENOCCHI_INDEX` (`table
+--nmax`, `padic-converge --n`, and `loggamma` through `--precision` and
+`--x`), `verify --nmax` (with or without `--only`) at `MAX_VERIFY_NMAX`,
 and `bernstein --n` at `MAX_BERNSTEIN_DEGREE`.  Above a cap the command
 exits 2 with an error naming it, before any work.
 (`exactq.parse_qrational` caps the product of nested `^` exponents at
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +57,6 @@ from .genocchi import genocchi_number, genocchi_polynomial, integrate_polynomial
 from .padic import (
     PadicContext,
     PadicNumber,
-    _log_series_terms,
     loggamma_direct,
     loggamma_genocchi_index,
     loggamma_series,
@@ -79,6 +79,50 @@ def _emit(args, out: list, record: dict, text: str, *csv: str) -> None:
         out.extend(csv)
 
 
+# Largest numerator or denominator, in bits, of a rational --q or --x as
+# written.  It admits 1+p for every p that MAX_RIEMANN_POINTS admits.  The
+# p-adic sums slow down without bound as q and x grow: with q's numerator
+# and denominator of 32 bits `padic-converge --n 5 --prime 3 --mmax 11` took
+# 63.5 s, and a 1000-bit --x made `loggamma --prime 3 --mmax 9 --precision
+# 200` take 30.6 s.  At the cap `padic-converge --n 249 --prime 3 --mmax 11
+# --q 1048570/1048573` takes about 30 s (CPython 3.11, 2-vCPU Xeon), most
+# of it in reducing the level-11 sum, a fraction of 3.5 million bits.
+MAX_INPUT_BITS = 20
+
+# `Fraction`'s text form: a sign, digits (single underscores may separate
+# them), then a denominator, or a decimal part and an exponent.
+_RATIONAL = re.compile(r"([-+]?)(?=\d|\.\d)(\d*(?:_\d+)*)"
+                       r"(?:/(\d+(?:_\d+)*)|(?:\.((?:\d+(?:_\d+)*)?))?(?:[eE]([-+]?\d+(?:_\d+)*))?)")
+
+
+def _parse_rational(spec: str, option: str) -> Fraction:
+    """`spec` as a Fraction, refused when the numerator or denominator it is
+    written with has more than MAX_INPUT_BITS bits, where a decimal point
+    or an exponent moves powers of ten between the two.  The sizes are read
+    from the text before any number is built, so an exponent such as
+    1e20000000 costs nothing."""
+    m = _RATIONAL.fullmatch(spec)
+    if m is None:
+        raise _ConfigError(f"cannot parse {option} spec {spec!r}: "
+                           f"Invalid literal for Fraction: {spec!r}")
+    sign, num, den, decimal, exp = (g.replace("_", "") if g else "" for g in m.groups())
+    # a number with more decimal digits than 2^MAX_INPUT_BITS is over the cap
+    digits = len(str(1 << MAX_INPUT_BITS))
+    mantissa, den = (num + decimal).lstrip("0"), den.lstrip("0")
+    if max(len(mantissa), len(den), len(exp.lstrip("+-0"))) <= digits:
+        shift = int(exp or 0) - len(decimal)
+        if abs(shift) <= digits:
+            n = int(mantissa or 0) * 10 ** max(shift, 0)
+            d = int(den or 0) if m[3] else 10 ** max(-shift, 0)
+            if max(n, d).bit_length() <= MAX_INPUT_BITS:
+                try:
+                    return Fraction(-n if sign == "-" else n, d)
+                except ZeroDivisionError as e:
+                    raise _ConfigError(f"cannot parse {option} spec {spec!r}: {e}") from None
+    raise _ConfigError(f"--{option} {spec}: numerator or denominator above the cap of "
+                       f"{MAX_INPUT_BITS} bits on --q and --x")
+
+
 def _parse_q(args, allow_symbolic: bool):
     spec = args.q_spec.strip()
     if spec == "symbolic":
@@ -89,23 +133,34 @@ def _parse_q(args, allow_symbolic: bool):
         if "prime" not in args:
             raise _ConfigError(f"--q 1+p needs a prime, and {args.command} has no --prime")
         return Fraction(1 + args.prime)
-    try:
-        return Fraction(spec)
-    except (ValueError, ZeroDivisionError) as e:
-        raise _ConfigError(f"cannot parse q spec {spec!r}: {e}") from None
+    return _parse_rational(spec, "q")
 
 
 def _parse_x(args) -> Fraction:
     spec = args.x_spec.strip()
     if spec == "1/p":
         return Fraction(1, args.prime)
-    try:
-        return Fraction(spec)
-    except (ValueError, ZeroDivisionError) as e:
-        raise _ConfigError(f"cannot parse x spec {spec!r}: {e}") from None
+    return _parse_rational(spec, "x")
+
+
+# Largest --precision that `padic-converge` and `loggamma` accept.  Every
+# p-adic embedding works modulo p^precision, so the cost grows with
+# precision * log p, without bound: `padic-converge --n 1 --prime 3 --mmax 2`
+# took 1.8 s at --precision 1000000 and 12.5 s at 4000000, and at the cap
+# `padic-converge --n 249 --prime 199999 --mmax 1` takes 5 s (1.2 s at the
+# default 12; CPython 3.11, 2-vCPU Xeon).  `loggamma` needs G~ a few indices
+# past --precision / -v(x), so with x under MAX_INPUT_BITS the Genocchi
+# index cap stops it first, near 2980 at x = 1/3^12 and near 245 at
+# x = 1/p; --precision 400 at x = 1/p must reach that cap.
+MAX_PRECISION = 3000
 
 
 def _check_padic_config(args) -> PadicContext:
+    """The context of `--prime` and `--precision`; the precision cap is
+    checked first, so no p-adic value is built above it."""
+    if args.precision > MAX_PRECISION:
+        raise _ConfigError(f"--precision {args.precision} exceeds the cap of {MAX_PRECISION} "
+                           "on the p-adic precision")
     try:
         return PadicContext(args.prime, args.precision)
     except DomainError as e:
@@ -314,37 +369,15 @@ MAX_RIEMANN_POINTS = 200_000
 
 
 def _check_riemann_points(args) -> None:
-    """Refuse p^mmax above the cap; checked before the primality test, whose
-    trial division would itself run unbounded on a huge --prime."""
+    """Refuse p^mmax above the cap; checked after --mmax >= 1 and before the
+    primality test, whose trial division would itself run unbounded on a
+    huge --prime."""
     points = 1
     for _ in range(args.m_max):
         points *= args.prime
         if points > MAX_RIEMANN_POINTS:
             raise _ConfigError(f"--prime {args.prime} --mmax {args.m_max}: p^mmax exceeds the "
                                f"cap of {MAX_RIEMANN_POINTS} Riemann-sum points")
-
-
-# Largest p^mmax times the number of integrand coefficients that
-# `padic-converge` and `loggamma` accept.  It was sized for a loop over the
-# points, whose cost grew with this product: `padic-converge --n 249 --prime
-# 3` took 6.3 s at --mmax 10 (14.7 million) and 27.9 s at --mmax 11 (44.3
-# million).  The closed form does O(n^2) small-integer operations and two
-# powers, so the cap no longer tracks its cost: the same runs take 0.18 and
-# about 0.3 s (the second with the cap lifted), and near the cap
-# `padic-converge --n 110 --prime 3 --mmax 11` and `loggamma --prime 3
-# --mmax 11 --precision 100` take 0.12 and 0.17 s (CPython 3.11, 2-vCPU
-# Xeon).
-MAX_RIEMANN_WORK = 20_000_000
-
-
-def _check_riemann_work(args, coefficients: int) -> None:
-    """Refuse p^mmax times the integrand's coefficient count above the cap;
-    p^mmax has already passed `_check_riemann_points`."""
-    work = args.prime ** args.m_max * coefficients
-    if work > MAX_RIEMANN_WORK:
-        raise _ConfigError(f"--prime {args.prime} --mmax {args.m_max}: p^mmax times the "
-                           f"{coefficients} integrand coefficients is {work}, above the cap "
-                           f"of {MAX_RIEMANN_WORK} on Riemann-sum work")
 
 
 def _strictly_increasing(vals):
@@ -360,13 +393,12 @@ def _strictly_increasing(vals):
 
 
 def run_padic_converge(args, out: list) -> int:
+    if args.n < 0 or args.m_max < 1:
+        raise _ConfigError("need --n >= 0 and --mmax >= 1")
     _check_riemann_points(args)
     ctx = _check_padic_config(args)
     q0 = _parse_q(args, allow_symbolic=False)
-    if args.n < 0 or args.m_max < 1:
-        raise _ConfigError("need --n >= 0 and --mmax >= 1")
     _check_genocchi_index(args.n + 1, f"--n {args.n}")
-    _check_riemann_work(args, args.n + 1)
     seq = moment_convergence(args.n, q0, args.m_max, ctx)
     if args.format == "csv":
         out.append("level,error_valuation")
@@ -382,16 +414,14 @@ def run_padic_converge(args, out: list) -> int:
 
 
 def run_loggamma(args, out: list) -> int:
+    if args.m_max < 1:
+        raise _ConfigError("need --mmax >= 1")
     _check_riemann_points(args)
     ctx = _check_padic_config(args)
     q0 = _parse_q(args, allow_symbolic=False)
     x = PadicNumber.from_rational(_parse_x(args), ctx)
-    if args.m_max < 1:
-        raise _ConfigError("need --mmax >= 1")
     _check_genocchi_index(loggamma_genocchi_index(x, ctx),
                           f"--precision {args.precision} --x {args.x_spec}")
-    # `loggamma_direct` sums (x + xi) times the first J + 1 terms of log(x + xi)
-    _check_riemann_work(args, _log_series_terms(-x.valuation, args.precision, args.prime) + 2)
     series = loggamma_series(x, q0, ctx)
     value = str(series)
     _emit(args, out, {"kind": "series", "value": value,

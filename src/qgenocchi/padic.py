@@ -445,8 +445,8 @@ def fermionic_riemann_sum(coefficients, m: int, q, ctx: PadicContext) -> PadicNu
     two powers a^(p^m) and b^(p^m), whatever the number of points, and the
     prefactor (a+b)/(a^(p^m)+b^(p^m)) is applied in one rational division
     (its denominator is a unit, so no precision is lost).  Otherwise q is known
-    only to its precision, and the sum runs in modular arithmetic, one step
-    per point.
+    only to its precision, and `K.alt_weighted_mod_sum` takes the same closed
+    form modulo p^rel, the digits q is known to.
     The constant integrand gives exactly 1 at every level.
     """
     if m < 1:

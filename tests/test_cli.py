@@ -15,15 +15,16 @@ from qgenocchi.cli import (
     IDENTITY_REGISTRY,
     MAX_BERNSTEIN_DEGREE,
     MAX_GENOCCHI_INDEX,
+    MAX_INPUT_BITS,
+    MAX_PRECISION,
     MAX_RIEMANN_POINTS,
-    MAX_RIEMANN_WORK,
     MAX_VERIFY_NMAX,
     main,
 )
 from qgenocchi.exactq import QRational, xpoly_text
 from qgenocchi.genocchi import genocchi_number, genocchi_polynomial
 from qgenocchi.identities import IDENTITY_IDS
-from qgenocchi.padic import PadicContext, PadicNumber, _log_series_terms, loggamma_genocchi_index
+from qgenocchi.padic import PadicContext, PadicNumber, loggamma_genocchi_index
 
 
 @pytest.fixture
@@ -382,29 +383,30 @@ class TestPadicCommands:
         # the largest p^mmax measured to finish in seconds
         assert MAX_RIEMANN_POINTS >= 3 ** 11
 
-    @pytest.mark.parametrize("argv, coefficients", [
-        (("padic-converge", "--n", "249", "--prime", "3", "--mmax", "11"), 250),
-        (("loggamma", "--prime", "3", "--mmax", "11", "--precision", "120"), 128),
-    ])
-    def test_riemann_work_over_cap_exit_2_before_any_sum(self, run, monkeypatch, argv,
-                                                          coefficients):
+    def test_mmax_checked_before_the_prime(self, run, monkeypatch):
+        # --mmax 0 leaves p^mmax = 1, so without this order a huge --prime
+        # would reach the primality test's trial division
         def refuse(*_):
-            raise AssertionError("Riemann sum taken for work over the cap")
+            raise AssertionError("p-adic context built for --mmax 0")
 
-        monkeypatch.setattr("qgenocchi.padic.fermionic_riemann_sum", refuse)
-        status, lines, err = run(*argv)
+        monkeypatch.setattr("qgenocchi.cli.PadicContext", refuse)
+        status, lines, err = run("padic-converge", "--n", "1", "--prime",
+                                 "1000000000000000003", "--mmax", "0")
         assert status == 2 and lines == []
-        assert f"the {coefficients} integrand coefficients is {3 ** 11 * coefficients}," in err
-        assert err.endswith(f"above the cap of {MAX_RIEMANN_WORK} on Riemann-sum work\n")
+        assert err == "error: need --n >= 0 and --mmax >= 1\n"
+        status, lines, err = run("loggamma", "--prime", "1000000000000000003", "--mmax", "0")
+        assert status == 2 and err == "error: need --mmax >= 1\n"
 
-    def test_riemann_work_cap_admits_the_documented_runs(self, run):
-        # loggamma at the default precision 12 and 3^11 points, the largest
-        # p^mmax; and padic-converge as the benchmark runs it, n <= 8 at
-        # p^m <= 19683
-        assert 3 ** 11 * (_log_series_terms(1, 12, 3) + 2) <= MAX_RIEMANN_WORK
-        status, lines, _ = run("padic-converge", "--n", "8", "--prime", "3", "--mmax", "9",
-                               "--format", "csv")
-        assert status == 0 and len(lines) == 10
+    @pytest.mark.parametrize("argv, levels", [
+        (("padic-converge", "--n", "249", "--prime", "3", "--mmax", "11", "--format", "csv"), 11),
+        (("loggamma", "--prime", "3", "--mmax", "11", "--precision", "120"), 11),
+    ], ids=["padic-converge", "loggamma"])
+    def test_large_integrands_at_3_to_the_11_points_run(self, run, argv, levels):
+        # the exact sums are in closed form, so the integrand's degree does
+        # not multiply the number of points; the Genocchi-index cap bounds it
+        status, lines, err = run(*argv)
+        assert status == 0 and err == ""
+        assert len(lines) == levels + 1
 
 
 class TestGenocchiIndexCap:
@@ -443,6 +445,88 @@ class TestGenocchiIndexCap:
         ctx = PadicContext(3, 200)
         assert loggamma_genocchi_index(PadicNumber.from_rational(F(1, 3), ctx), ctx) \
             <= MAX_GENOCCHI_INDEX
+
+
+class TestInputCaps:
+    """--q, --x and --precision are refused above their caps with exit 2,
+    before any p-adic value, moment or Riemann sum is built; --precision
+    before the p-adic context too."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("work done for an input over its cap")
+
+        for target in ("qgenocchi.cli.PadicNumber.from_rational", "qgenocchi.cli.moments_at",
+                       "qgenocchi.cli.genocchi_number", "qgenocchi.padic.moments_at",
+                       "qgenocchi.padic.fermionic_riemann_sum"):
+            monkeypatch.setattr(target, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--nmax", "250", "--q", "123456789012345678901/2"),
+        ("table", "--nmax", "3", "--q", "1e20000000"),
+        ("table", "--nmax", "3", "--q", "1e-7"),
+        ("table", "--nmax", "3", "--q", str(2 ** MAX_INPUT_BITS)),
+        ("table", "--nmax", "3", "--q", f"1/{2 ** MAX_INPUT_BITS}"),
+        ("table", "--nmax", "3", "--q", f"{10 ** 50}/{10 ** 50}"),
+        ("padic-converge", "--n", "5", "--prime", "3", "--mmax", "11",
+         "--q", "16777217/16777216"),
+        ("loggamma", "--prime", "3", "--mmax", "9", "--precision", "200", "--x", "1e300"),
+        ("loggamma", "--prime", "3", "--x", f"1/{3 ** 13}"),
+    ], ids=" ".join)
+    def test_rational_over_cap_exit_2(self, run, monkeypatch, argv):
+        def small_fraction(*parts):
+            assert all(type(n) is int and n.bit_length() <= MAX_INPUT_BITS for n in parts)
+            return F(*parts)
+
+        monkeypatch.setattr("qgenocchi.cli.Fraction", small_fraction)
+        status, lines, err = run(*argv)
+        option, spec = argv[-2:]
+        assert status == 2 and lines == []
+        assert err == f"error: {option} {spec}: numerator or denominator above the cap of " \
+                      f"{MAX_INPUT_BITS} bits on --q and --x\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("padic-converge", "--n", "1", "--prime", "3", "--mmax", "2", "--precision", "4000000"),
+        ("loggamma", "--prime", "3", "--precision", "4000000"),
+        ("loggamma", "--prime", "3", "--precision", str(MAX_PRECISION + 1), "--x", "1e300"),
+    ], ids=" ".join)
+    def test_precision_over_cap_exit_2(self, run, monkeypatch, argv):
+        monkeypatch.setattr("qgenocchi.cli.PadicContext", None)
+        status, lines, err = run(*argv)
+        precision = argv[argv.index("--precision") + 1]
+        assert status == 2 and lines == []
+        assert err == f"error: --precision {precision} exceeds the cap of {MAX_PRECISION} " \
+                      "on the p-adic precision\n"
+
+
+class TestInputsAtTheirCaps:
+    @pytest.mark.parametrize("q, value", [
+        ("1048575/1048573", F(1048575, 1048573)),
+        ("-1_048_575", F(-1048575)),
+        ("0.000001", F(1, 10 ** 6)),
+        ("1.5e5", F(150000)),
+        (f"{10 ** 6}e-6", F(1)),
+    ])
+    def test_rational_at_cap_runs(self, run, q, value):
+        status, lines, _ = run("table", "--nmax", "2", f"--q={q}", "--format", "csv")
+        assert status == 0
+        assert lines[2] == f"1,{F(1)}" and lines[3] == f"2,{-2 * value / (1 + value)}"
+
+    def test_one_plus_p_is_within_the_cap_for_every_admitted_prime(self):
+        assert (1 + MAX_RIEMANN_POINTS).bit_length() <= MAX_INPUT_BITS
+
+    def test_bad_rational_keeps_the_parse_error(self, run):
+        for spec, reason in (("abc", "Invalid literal for Fraction: 'abc'"),
+                             ("1/0", "Fraction(1, 0)")):
+            status, lines, err = run("table", "--nmax", "2", "--q", spec)
+            assert status == 2 and lines == []
+            assert err == f"error: cannot parse q spec {spec!r}: {reason}\n"
+
+    def test_precision_at_cap_runs(self, run):
+        status, lines, _ = run("padic-converge", "--n", "1", "--prime", "3", "--mmax", "2",
+                               "--precision", str(MAX_PRECISION), "--format", "csv")
+        assert status == 0 and lines == ["level,error_valuation", "1,1", "2,2"]
 
 
 class TestBernsteinCommand:

@@ -146,7 +146,8 @@ def _integrands(max_degree=20, bound=10 ** 40):
 class TestClosedFormSum:
     """`alt_weighted_int_sum` sums in closed form when there are more points
     than coefficients; the reference runs one Horner step per point.  Its final division is exact on every integer
-    input, so agreement here is what shows the remainder check holds."""
+    input, so agreement here is what shows the remainder check holds, with
+    or without a modulus."""
 
     @given(b=st.integers(-50, 50), a=st.integers(-50, 50),
            relation=st.sampled_from(["free", "a = -b", "a = 0"]),
@@ -161,9 +162,46 @@ class TestClosedFormSum:
         assert backend.alt_weighted_int_sum(a, b, count, g) == \
             naive_alt_weighted_sum(a, b, count, g)
 
+    @given(b=st.integers(-50, 50), a=st.integers(-50, 50), modulus=st.integers(1, 10 ** 30),
+           count=st.integers(0, 60), g=_integrands())
+    @example(b=4, a=-4, modulus=3 ** 5, count=30, g=[2, -1, 3])
+    @example(b=2, a=7, modulus=3 ** 4, count=25, g=[1, 1, 1])
+    def test_with_a_modulus_matches_the_reduced_reference(self, backend, b, a, modulus, count, g):
+        assert backend.alt_weighted_int_sum(a, b, count, g, modulus) == \
+            naive_alt_weighted_sum(a, b, count, g) % modulus
+
     def test_at_the_benchmark_size(self, backend):
         rng = random.Random(23)
         g = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(10)]
         for a, b in [(4, 1), (7, 2), (-2, 1), (-5, 5)]:
             assert backend.alt_weighted_int_sum(a, b, 3 ** 9, g) == \
                 naive_alt_weighted_sum(a, b, 3 ** 9, g)
+
+
+class TestModularSum:
+    """`alt_weighted_mod_sum` is the closed form at bden = 1 with its two
+    powers taken modulo the modulus times the exact divisor; the reference
+    runs one Horner step per point on the exact integers.  u = -1 (mod p)
+    makes s = u + 1 a non-unit, which the closed form must handle without
+    an inverse."""
+
+    @given(p=st.sampled_from([3, 5, 7]), k=st.integers(1, 30), u=st.integers(0, 7 ** 30 - 1),
+           minus_one=st.booleans(), count=st.integers(0, 60), g=_integrands())
+    @example(p=3, k=1, u=2, minus_one=False, count=40, g=[1] * 21)
+    @example(p=7, k=30, u=7 ** 30 - 1, minus_one=False, count=7, g=[5, 0, 3])
+    @example(p=5, k=3, u=0, minus_one=True, count=60, g=[-3, 2, 0, 1])
+    def test_matches_the_per_point_reference(self, backend, p, k, u, minus_one, count, g):
+        modulus = p ** k
+        u %= modulus
+        if minus_one:
+            u = (u - (u + 1) % p) % modulus
+        assert backend.alt_weighted_mod_sum(u, count, g, modulus) == \
+            naive_alt_weighted_sum(u, 1, count, g) % modulus
+
+    def test_at_3_to_the_11_points(self, backend):
+        rng = random.Random(29)
+        modulus = 3 ** 12
+        g = [rng.randrange(modulus) for _ in range(10)]
+        for u in (4, modulus - 1):
+            assert backend.alt_weighted_mod_sum(u, 3 ** 11, g, modulus) == \
+                backend.alt_weighted_int_sum(u, 1, 3 ** 11, g) % modulus

@@ -89,11 +89,11 @@ DIGESTS = {
         "32e3b4865cefc674332aa1e3d4067826a7ac9f07f1f99673ee1520551a18ea6e",
         EMPTY, 0),
     "padic-converge --n 249 --prime 3 --mmax 11": (
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "912ca589bface4fc414cf7493cb333a8fdcacf5b05c539bba2e68a3ed15cb518", 2),
+        "6f24a91de56ab2e1c855db33b104184f234272182de158025963c9dc328b61b2",
+        EMPTY, 0),
     "loggamma --prime 3 --mmax 11 --precision 120": (
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "963674bbff93edc9c2f5542aeb3c8d934c0ea9244330a953055eb4ff7d1c3a1a", 2),
+        "6088613e45db5d05b80f22d83839e4cffa397547f4aa4f2a9a635e2f5a4b72e7",
+        EMPTY, 0),
     "loggamma --prime 3 --mmax 7 --q=7 --x=1/3 --precision 12 --format json": (
         "1a84224a8a9cf7a672622d99caf79e1180c887bc6128043db60739f0c04419e2",
         EMPTY, 0),
@@ -106,6 +106,27 @@ DIGESTS = {
     "padic-converge --n 3 --prime 3 --mmax 4 --q=4": (
         "639172da0d4646ddb551892fbba24edc692e5a72de11da555868965f6bda916c",
         "7d4ed6546d35694ea5d2e4fd48fa187cb7795a546fd3829115dd60a80089ef08", 4),
+    "table --nmax 250 --q 123456789012345678901/2": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2f656b78f9f81549accb90208c63f6a4edabd94a0aa0fe880bf9061e6241c62c", 2),
+    "table --nmax 3 --q 1e20000000": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2f0bd20d8ec7975db0a319671778914c24752d1b9f1dee027ad614652e8c7205", 2),
+    "padic-converge --n 5 --prime 3 --mmax 11 --q 16777217/16777216": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "195cfe5c1af36153e044d11bcef1bc1698d137752da1a3f2bffac2fe86639bec", 2),
+    "loggamma --prime 3 --mmax 9 --precision 200 --x 1e300": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "04298685be2580289ad1a97bbd3bab8ea2f3fb1118dc99bc8492e97630289355", 2),
+    "padic-converge --n 1 --prime 3 --mmax 2 --precision 4000000": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3ade6dafded6b8c1ce977f685c9e15f5abb16d348cde0c01dcbefce6282cd9f5", 2),
+    "loggamma --prime 3 --precision 4000000": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3ade6dafded6b8c1ce977f685c9e15f5abb16d348cde0c01dcbefce6282cd9f5", 2),
+    "padic-converge --n 1 --prime 1000000000000000003 --mmax 0": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "c8055db0a27bc2ecfa04159b1b8379bf3403f31d264f474f6f26973cff62fa92", 2),
 }
 
 
