@@ -35,6 +35,7 @@ from .exactq import (
     XPolynomial,
     parse_qrational,
     q_bracket,
+    weighted_sum,
 )
 from .genocchi import (
     GenocchiTable,
@@ -96,4 +97,5 @@ __all__ = [
     "padic_log1p",
     "parse_qrational",
     "q_bracket",
+    "weighted_sum",
 ]

@@ -321,9 +321,9 @@ def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
 
 
 # Largest --nmax that `verify` accepts, with or without --only; it must admit
-# 30, the largest default range.  The whole suite took 5.3 s at --nmax 25,
-# 24 s at 40 and 48 s at 50, printing 8.6 MB (CPython 3.11, 2-vCPU Xeon);
-# time and output grow about as nmax^3.5.
+# 30, the largest default range.  The whole suite took 1.5 s at --nmax 25,
+# 7.9 s at 40 and 19 s at 50, printing 0.69, 3.6 and 8.6 MB (CPython 3.11,
+# 2-vCPU Xeon); time grows about as nmax^3.7 and output as nmax^3.6.
 MAX_VERIFY_NMAX = 50
 
 

@@ -27,9 +27,15 @@ heuristic gcd `K.poly_gcd`.
 Each arithmetic rule is written once: `_cancel` divides a gcd out of a
 pair, `K.poly_primitive` splits off the content, `_clear_denominators`
 turns rational coefficients into integers, `_power` is the
-square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too), and
-`_horner` is Horner's rule for every evaluation outside the integer
-kernel.  A rational constant becomes a QRational with no gcd.
+square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too),
+`_horner` is Horner's rule for evaluating a polynomial in q at a number,
+and `weighted_sum` adds a linear combination of QRationals over one common
+denominator and canonicalises once.  Every weighted sum of the identity
+checks and of the moment oracle goes through `weighted_sum`, and so does
+the Taylor shift behind `XPolynomial.compose_linear` and
+`XPolynomial.evaluate`.  A rational constant becomes a QRational with no
+gcd, and a product with one scales the constant factor c alone, with no
+gcd either.
 `parse_qrational` checks the whole text before any arithmetic; it caps
 the product of nested `^` exponents at `MAX_EXPONENT`, the degree that
 the operators can build at `MAX_DEGREE` and the size of the coefficients
@@ -85,6 +91,11 @@ def _coprime_certificate(a, b) -> bool:
     return False
 
 
+def _q_one_plus_q(i, j):
+    """q^i * (1+q)^j as an int list."""
+    return [0] * i + [comb(j, k) for k in range(j + 1)]
+
+
 def _q_one_plus_q_exponents(a):
     """(i, j) when the int list a is exactly q^i * (1+q)^j, else None.
 
@@ -132,8 +143,7 @@ def _structured_gcd(i, j, other):
     vq = 0
     while vq < i and other[vq] == 0:
         vq += 1
-    v1q = _one_plus_q_valuation(other[vq:], j)
-    return [0] * vq + [comb(v1q, k) for k in range(v1q + 1)]
+    return _q_one_plus_q(vq, _one_plus_q_valuation(other[vq:], j))
 
 
 def _int_gcd(a, b):
@@ -184,7 +194,8 @@ def _power(base, n: int, one):
 
 def _horner(coeffs, x, zero):
     """sum coeffs[k] * x^k by Horner's rule, starting from `zero`, the zero
-    of the ring that x lives in."""
+    of the ring that x lives in: a Fraction in `QPolynomial.evaluate`, a
+    PadicNumber in `padic.qrational_at_padic`."""
     acc = zero
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -471,6 +482,11 @@ class QRational:
             return NotImplemented
         if self._c == 0 or o._c == 0:
             return QRational.zero()
+        # a rational constant scales c and leaves the canonical N/D as it is
+        if o._den == o._num == (1,):
+            return QRational._raw(self._c * o._c, self._num, self._den)
+        if self._den == self._num == (1,):
+            return QRational._raw(self._c * o._c, o._num, o._den)
         n1, d1, n2, d2 = list(self._num), list(self._den), list(o._num), list(o._den)
         _, n1, d2 = _cancel(n1, d2)
         _, n2, d1 = _cancel(n2, d1)
@@ -571,6 +587,67 @@ class QRational:
         return f"QRational({self.to_text()!r})"
 
 
+def weighted_sum(terms) -> QRational:
+    """sum w * v over the (w, v) pairs of `terms`, w an int or Fraction and v
+    a QRational, canonicalised once.
+
+    Terms are grouped by denominator.  When every denominator is
+    q^i * (1+q)^j the common denominator is q^max(i) * (1+q)^max(j) and each
+    group's cofactor follows from the exponents, with no gcd and no
+    division; otherwise the lcm is built with `_cancel`.  The integer
+    numerators are added over that denominator, and one `K.poly_primitive`
+    and one `_cancel` put the total in canonical form.
+    """
+    groups = {}
+    for w, v in terms:
+        if w and v._c:
+            groups.setdefault(v._den, []).append((w * v._c, v._num))
+    if not groups:
+        return QRational.zero()
+    if len(groups) == 1:
+        (common,) = groups
+        cofactors = {common: [1]}
+    else:
+        exps = {d: _q_one_plus_q_exponents(d) for d in groups}
+        if None not in exps.values():
+            top_i = max(i for i, _ in exps.values())
+            top_j = max(j for _, j in exps.values())
+            common = _q_one_plus_q(top_i, top_j)
+            cofactors = {d: _q_one_plus_q(top_i - i, top_j - j) for d, (i, j) in exps.items()}
+        else:
+            common = None
+            for d in groups:
+                d = list(d)
+                common = d if common is None else K.poly_mul(common, _cancel(common, d)[2])
+            cofactors = {d: K.poly_divexact(common, list(d)) for d in groups}
+    den_lcm = lcm(*(c.denominator for part in groups.values() for c, _ in part))
+    num = [0] * (len(common) + max(len(n) for part in groups.values() for _, n in part))
+    for d, part in groups.items():
+        acc = [0] * max(len(n) for _, n in part)
+        for c, n in part:
+            scale = c.numerator * (den_lcm // c.denominator)
+            for i, x in enumerate(n):
+                acc[i] += scale * x
+        cofactor = cofactors[d]
+        for i, x in enumerate(acc if cofactor == [1] else K.poly_mul(cofactor, acc)):
+            num[i] += x
+    K.poly_trim(num)
+    if not num:
+        return QRational.zero()
+    cont, num = K.poly_primitive(num)
+    _, num, den = _cancel(num, list(common))
+    return QRational._raw(Fraction(cont, den_lcm), num, den)
+
+
+def _powers(x, count):
+    """[x^0, ..., x^(count-1)] as QRationals."""
+    out = [QRational.one()]
+    x = x if isinstance(x, QRational) else QRational(x)
+    for _ in range(count - 1):
+        out.append(out[-1] * x)
+    return out
+
+
 def _canonical_triplet(num: QPolynomial, den: QPolynomial):
     """Reduce an arbitrary num/den pair to the internal canonical triplet."""
     if den.is_zero:
@@ -643,8 +720,8 @@ class XPolynomial(_DensePolynomial):
         return NotImplemented
 
     def evaluate(self, x0) -> QRational:
-        x0 = x0 if isinstance(x0, QRational) else QRational(x0)
-        return _horner(self.coeffs, x0, QRational.zero())
+        """sum_k a_k * x0^k, one `weighted_sum`."""
+        return weighted_sum((1, a * p) for a, p in zip(self.coeffs, _powers(x0, len(self.coeffs))))
 
     def compose_shift(self, c) -> "XPolynomial":
         """P(x + c) by binomial expansion; degree and leading coefficient
@@ -652,10 +729,13 @@ class XPolynomial(_DensePolynomial):
         return self.compose_linear(c, 1)
 
     def compose_linear(self, c0, c1) -> "XPolynomial":
-        """P(c0 + c1*x) via Horner over XPolynomial."""
-        c0 = c0 if isinstance(c0, QRational) else QRational(c0)
-        c1 = c1 if isinstance(c1, QRational) else QRational(c1)
-        return _horner(self.coeffs, XPolynomial((c0, c1)), XPolynomial())
+        """P(c0 + c1*x) by the Taylor shift: the coefficient of x^j is
+        c1^j * sum_{k>=j} C(k, j) * c0^(k-j) * a_k, one `weighted_sum` each."""
+        a = self.coeffs
+        p0, p1 = _powers(c0, len(a)), _powers(c1, len(a))
+        return XPolynomial([
+            weighted_sum((comb(k, j), a[k] * p0[k - j]) for k in range(j, len(a))) * p1[j]
+            for j in range(len(a))])
 
     def map_coeffs(self, fn) -> "XPolynomial":
         return XPolynomial([fn(c) for c in self.coeffs])

@@ -23,10 +23,11 @@ from __future__ import annotations
 import operator
 import threading
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .errors import PoleError
-from .exactq import QRational, XPolynomial, q_bracket
+from .exactq import QRational, XPolynomial, q_bracket, weighted_sum
 
 _TWO_Q = QRational(q_bracket(2))  # [2]_q = 1 + q
 
@@ -138,16 +139,18 @@ def frobenius_euler_polynomial(n: int) -> XPolynomial:
         one_minus_u = QRational.one() + 1 / q  # 1 - (-1/q)
         while len(_FE_CACHE) <= n:
             m = len(_FE_CACHE)
-            # series division, n! rescaled: H_m = x^m - (1/(1-u)) sum_{k>=1} C(m,k) H_{m-k}
-            acc = XPolynomial()
-            for k in range(1, m + 1):
-                acc = acc + comb(m, k) * _FE_CACHE[m - k]
+            # series division, n! rescaled: H_m = x^m - (1/(1-u)) sum_{k>=1} C(m,k) H_{m-k};
+            # H_{m-k} has degree m-k, so its coefficient i is there for k <= m-i
+            acc = XPolynomial([
+                weighted_sum((comb(m, k), _FE_CACHE[m - k].coeffs[i]) for k in range(1, m - i + 1))
+                for i in range(m)])
             _FE_CACHE.append(XPolynomial.x_power(m) - acc / one_minus_u)
         return _FE_CACHE[n]
 
 
+@cache
 def moment(n: int) -> QRational:
-    """The n-th fermionic moment: G~_{n+1,q}/(n+1)."""
+    """The n-th fermionic moment: G~_{n+1,q}/(n+1), memoised."""
     if n < 0:
         raise ValueError("moment index must be non-negative")
     return genocchi_number(n + 1) / (n + 1)
@@ -197,11 +200,7 @@ def integrate_polynomial(poly: XPolynomial) -> QRational:
     This is the independent oracle for every integral identity: it knows
     nothing beyond the moments of Eq-4 type and linearity.
     """
-    acc = QRational.zero()
-    for k, c in enumerate(poly.coeffs):
-        if not c.is_zero:
-            acc = acc + c * moment(k)
-    return acc
+    return weighted_sum((1, c * moment(k)) for k, c in enumerate(poly.coeffs) if not c.is_zero)
 
 
 def classical_genocchi(n: int) -> Fraction:

@@ -26,7 +26,7 @@ from math import comb
 from typing import Sequence
 
 from .bernstein import BernsteinIndex, bernstein_basis, bernstein_product
-from .exactq import QRational, XPolynomial
+from .exactq import QRational, XPolynomial, weighted_sum
 from .genocchi import (
     _TWO_Q,
     frobenius_euler_polynomial,
@@ -125,9 +125,7 @@ def shift_equation_sides(n: int, d: int):
     mono = XPolynomial.x_power(d)
     shifted = mono.compose_shift(QRational(n))
     lhs = q ** n * integrate_polynomial(shifted) + (-1) ** (n - 1) * integrate_polynomial(mono)
-    acc = QRational.zero()
-    for ell in range(n):
-        acc = acc + q ** ell * ((-1) ** (n - 1 - ell) * ell ** d)
+    acc = weighted_sum(((-1) ** (n - 1 - ell) * ell ** d, q ** ell) for ell in range(n))
     rhs = _TWO_Q * acc
     return lhs, rhs
 
@@ -203,9 +201,7 @@ def umbral_recurrence_sides(n: int):
     """q * (G~+1)^n + G~_n with the umbral convention (G~)^k -> G~_k
     (including the zeroth power -> G~_0)."""
     q = QRational.q()
-    acc = QRational.zero()
-    for k in range(n + 1):
-        acc = acc + comb(n, k) * genocchi_number(k)
+    acc = weighted_sum((comb(n, k), genocchi_number(k)) for k in range(n + 1))
     lhs = q * acc + genocchi_number(n)
     rhs = _TWO_Q if n == 1 else QRational.zero()
     return lhs, rhs
@@ -276,11 +272,17 @@ def verify_shift_two(n_max: int) -> IdentityReport:
 
 
 @cache
+def _inverted_moment(j: int) -> QRational:
+    """G~_{j+1,1/q}/(j+1): the j-th moment with q -> 1/q."""
+    return moment(j).invert_q()
+
+
+@cache
 def _eq16_rhs(j: int) -> QRational:
     """[2]_q + q^2 G~_{j+1,1/q}/(j+1) -- the right side of the (1-xi)^j
     integral identity, valid for j >= 1."""
     q = QRational.q()
-    return _TWO_Q + q ** 2 * moment(j).invert_q()
+    return _TWO_Q + q ** 2 * _inverted_moment(j)
 
 
 def one_minus_xi_sides(n: int):
@@ -302,30 +304,22 @@ def verify_one_minus_xi(n_max: int) -> IdentityReport:
 
 def _bernstein_lhs(total: int, mk: int, invert: bool) -> QRational:
     """sum_l C(total-mk, l) (-1)^l G~_{l+mk+1}/(l+mk+1); subscript 1/q if `invert`."""
-    acc = QRational.zero()
-    for ell in range(total - mk + 1):
-        m = moment(ell + mk)
-        if invert:
-            m = m.invert_q()
-        acc = acc + comb(total - mk, ell) * (-1) ** ell * m
-    return acc
+    m = _inverted_moment if invert else moment
+    return weighted_sum((comb(total - mk, ell) * (-1) ** ell, m(ell + mk))
+                        for ell in range(total - mk + 1))
 
 
 def _printed_rhs(total: int, mk: int) -> QRational:
     """The printed right side; at mk = 0 the k=0 branch read with s = 0."""
-    acc = QRational.zero()
-    for ell in range(mk + 1):
-        acc = acc + comb(mk, ell) * (-1) ** (mk + ell) * _eq16_rhs(total + ell)
-    return acc
+    return weighted_sum((comb(mk, ell) * (-1) ** (mk + ell), _eq16_rhs(total + ell))
+                        for ell in range(mk + 1))
 
 
 def _derived_rhs(total: int, mk: int) -> QRational:
     """The derived right side, with the exponent-0 term read as the integral of 1."""
-    acc = QRational.zero()
-    for ell in range(mk + 1):
-        j = total - mk + ell
-        acc = acc + comb(mk, ell) * (-1) ** ell * (QRational.one() if j == 0 else _eq16_rhs(j))
-    return acc
+    return weighted_sum((comb(mk, ell) * (-1) ** ell,
+                         QRational.one() if j == 0 else _eq16_rhs(j))
+                        for ell, j in enumerate(range(total - mk, total + 1)))
 
 
 # -- single Bernstein integral (adjudicated) ----------------------------------

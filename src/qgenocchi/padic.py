@@ -65,11 +65,22 @@ def _is_odd_prime(p: int) -> bool:
 
 
 def _split_p(n: int, p: int):
-    """(v, u) with n = p^v * u and p not dividing u, for an integer n != 0."""
+    """(v, u) with n = p^v * u and p not dividing u, for an integer n != 0.
+
+    Squaring finds the largest p^(2^k) dividing n, so v < 2^(k+1); the
+    powers p^(2^k), ..., p are then divided out where they divide, which
+    reads v off bit by bit: O(log v) big divisions rather than v.
+    """
+    if n % p:
+        return 0, n
+    powers = [p]
+    while n % (square := powers[-1] * powers[-1]) == 0:
+        powers.append(square)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for k in range(len(powers) - 1, -1, -1):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            v += 1 << k
     return v, n
 
 
@@ -472,13 +483,14 @@ def fermionic_riemann_sum(coefficients, m: int, q, ctx: PadicContext) -> PadicNu
     return PadicNumber._from_mantissa(ctx, mantissa, -vden, rel)
 
 
-def _moments(q: PadicNumber, n: int) -> list:
-    """The moments m_0..m_n at q as elements of q's context: exact
-    embeddings of the rational values when q is exact, and the closed form
-    run in p-adic arithmetic otherwise."""
+def _moments(q: PadicNumber, n: int, first: int = 0) -> list:
+    """The moments m_first..m_n at q as elements of q's context: exact
+    embeddings of the rational values when q is exact (only those asked
+    for are embedded), and the closed form run in p-adic arithmetic
+    otherwise."""
     if q.exact_value is None:
-        return moments_at(q, n)
-    return [PadicNumber.from_rational(m, q.ctx) for m in moments_at(q.exact_value, n)]
+        return moments_at(q, n)[first:]
+    return [PadicNumber.from_rational(m, q.ctx) for m in moments_at(q.exact_value, n)[first:]]
 
 
 def qrational_at_padic(r: QRational, q: PadicNumber) -> PadicNumber:
@@ -506,7 +518,7 @@ def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
     if n < 0:
         raise DomainError("moment index must be non-negative")
     q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
-    limit = _moments(q, n)[n]
+    limit = _moments(q, n, first=n)[0]
     monomial = (0,) * n + (1,)
     out = []
     for m in range(1, m_max + 1):

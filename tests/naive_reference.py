@@ -1,8 +1,10 @@
-"""Slow, obviously correct references shared by the kernel, exactq and
-genocchi tests."""
+"""Slow, obviously correct references shared by the kernel, exactq,
+genocchi and padic tests."""
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+
+from qgenocchi.exactq import QRational, XPolynomial
 
 
 def naive_gcd(a, b):
@@ -49,3 +51,29 @@ def naive_alt_weighted_sum(anum, bden, count, g):
         total = total * -anum + value * bpow
         bpow *= bden
     return total
+
+
+def naive_weighted_sum(terms):
+    """sum w * v over (w, v) pairs as the fold acc = acc + w * v, each step
+    canonicalised."""
+    acc = QRational.zero()
+    for w, v in terms:
+        acc = acc + w * v
+    return acc
+
+
+def naive_compose_linear(poly, c0, c1):
+    """P(c0 + c1*x) by Horner's rule over XPolynomial."""
+    acc = XPolynomial()
+    for c in reversed(poly.coeffs):
+        acc = acc * XPolynomial((c0, c1)) + c
+    return acc
+
+
+def naive_split_p(n, p):
+    """(v, u) with n = p^v * u, p not dividing u, one digit at a time."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n

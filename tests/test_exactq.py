@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qgenocchi
-from naive_reference import naive_gcd
+from naive_reference import naive_compose_linear, naive_gcd, naive_weighted_sum
 from qgenocchi import _kernel as K
 from qgenocchi import exactq
 from qgenocchi.errors import PoleError
@@ -21,6 +21,7 @@ from qgenocchi.exactq import (
     XPolynomial,
     parse_qrational,
     q_bracket,
+    weighted_sum,
 )
 from qgenocchi.padic import PadicContext, PadicNumber
 
@@ -418,6 +419,120 @@ class TestXPolynomial:
         c = QRational(cpoly)
         p = XPolynomial((QRational(1), QRational(-2), QRational(3)))
         assert p.compose_shift(c).evaluate(QRational(x0)) == p.evaluate(QRational(x0) + c)
+
+
+# -- one common denominator: weighted sums and the Taylor shift -----------------
+
+
+def q_one_plus_q_poly(i, j):
+    """q^i * (1+q)^j as a QPolynomial."""
+    return qp(*([0] * i + [1])) * qp(1, 1) ** j
+
+
+@st.composite
+def structured_qrationals(draw):
+    """num / (q^i * (1+q)^j), the denominators of the paper's sums."""
+    den = q_one_plus_q_poly(draw(st.integers(0, 3)), draw(st.integers(0, 5)))
+    return QRational(draw(qpolys()), den)
+
+
+@st.composite
+def parsed_qrationals(draw):
+    """Parsed text whose denominator is a product of factors free of q and
+    1+q, so a sum of them takes the lcm by gcds."""
+    def factor():
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=3)
+                      .filter(lambda c: c[0] and c[-1]))
+        return "(" + "+".join(f"({c})*q^{i}" for i, c in enumerate(coeffs)) + ")"
+
+    num = "*".join(factor() for _ in range(draw(st.integers(1, 2))))
+    den = "*".join(factor() for _ in range(draw(st.integers(1, 2))))
+    return parse_qrational(f"{num}/({den})")
+
+
+weights = st.one_of(st.integers(-6, 6), small_fractions)
+
+
+class TestWeightedSum:
+    @given(st.lists(st.tuples(weights, structured_qrationals()), max_size=8))
+    def test_structured_matches_fold(self, terms):
+        assert weighted_sum(terms) == naive_weighted_sum(terms)
+
+    @given(st.lists(st.tuples(weights, st.one_of(parsed_qrationals(), structured_qrationals())),
+                    max_size=5))
+    def test_parsed_denominators_match_fold(self, terms):
+        assert weighted_sum(terms) == naive_weighted_sum(terms)
+
+    @given(structured_qrationals(), st.lists(st.tuples(weights, qpolys()), min_size=1, max_size=6))
+    def test_repeated_denominator_matches_fold(self, shape, parts):
+        terms = [(w, QRational(n, shape.den)) for w, n in parts]
+        assert weighted_sum(terms) == naive_weighted_sum(terms)
+
+    @given(st.lists(st.tuples(weights, st.one_of(parsed_qrationals(), structured_qrationals())),
+                    min_size=1, max_size=5))
+    def test_cancelling_sum_is_canonical_zero(self, terms):
+        total = weighted_sum(terms + [(-w, v) for w, v in terms])
+        assert total == QRational.zero()
+        assert total.den == QPolynomial((1,))
+
+    def test_empty_sum_is_zero(self):
+        assert weighted_sum([]) == QRational.zero()
+        assert weighted_sum([(0, Q), (3, QRational.zero())]) == QRational.zero()
+
+    def test_structured_sum_canonicalises_once(self, monkeypatch):
+        calls = []
+        cancel = exactq._cancel
+
+        def counted(a, b):
+            calls.append((a, b))
+            return cancel(a, b)
+
+        def refuse(*_):
+            raise AssertionError("structured sum reached the general gcd")
+
+        monkeypatch.setattr(exactq, "_cancel", counted)
+        monkeypatch.setattr(exactq, "_coprime_certificate", refuse)
+        terms = [(k + 1, QRational(qp(k, 1, -k), q_one_plus_q_poly(k % 3, k))) for k in range(8)]
+        expected = naive_weighted_sum(terms)
+        calls.clear()
+        assert weighted_sum(terms) == expected
+        assert len(calls) == 1
+
+
+@st.composite
+def xpolys(draw):
+    return XPolynomial(draw(st.lists(st.one_of(structured_qrationals(), qrationals()), max_size=5)))
+
+
+constants_or_functions = st.one_of(small_fractions.map(QRational), structured_qrationals(),
+                                   qrationals())
+
+
+class TestTaylorShift:
+    @given(xpolys(), small_fractions, small_fractions)
+    def test_constant_arguments_match_horner(self, p, c0, c1):
+        assert p.compose_linear(c0, c1) == naive_compose_linear(p, QRational(c0), QRational(c1))
+
+    @given(xpolys(), constants_or_functions, constants_or_functions)
+    def test_rational_function_arguments_match_horner(self, p, c0, c1):
+        assert p.compose_linear(c0, c1) == naive_compose_linear(p, c0, c1)
+
+    @given(xpolys(), constants_or_functions)
+    def test_evaluate_matches_horner(self, p, x0):
+        assert XPolynomial((p.evaluate(x0),)) == naive_compose_linear(p, x0, QRational.zero())
+
+
+def test_constant_product_takes_no_gcd(monkeypatch):
+    r = QRational(qp(2, -1, 3), qp(0, 1, 1))
+    expected = [QRational(qp(6, -3, 9), qp(0, 1, 1)), QRational(qp(4, -2, 6), qp(0, 3, 3))]
+
+    def refuse(*_):
+        raise AssertionError("a product by a constant took a gcd")
+
+    monkeypatch.setattr(exactq, "_int_gcd", refuse)
+    assert r * 3 == 3 * r == r * QRational(3) == QRational(3) * r == expected[0]
+    assert r * F(2, 3) == F(2, 3) * r == r * QRational(F(2, 3)) == r / F(3, 2) == expected[1]
+    assert (r * 0).is_zero and (QRational.zero() * r).is_zero
 
 
 # -- gcd with q^i * (1+q)^j by factor counting ---------------------------------

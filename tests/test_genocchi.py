@@ -141,6 +141,9 @@ class TestMomentsAndOracle:
         p = XPolynomial((1, -1))
         assert integrate_polynomial(p) == parse_qrational("(1+2*q)/(1+q)")
 
+    def test_moment_is_memoised(self):
+        assert moment(9) is moment(9)
+
     def test_second_moment_is_third_number_over_three(self):
         assert moment(2) == genocchi_number(3) / 3
         assert moment(2) == parse_qrational("q*(q-1)/(1+q)^2")

@@ -67,6 +67,18 @@ DIGESTS = {
     "verify --only THM7 --nmax 3 --format text": (
         "773c1e718975d770c947d819ee6df026d8900f46b4b29ca294202eea821c2c86",
         EMPTY, 0),
+    "verify --nmax 20 --format json": (
+        "c33389306982c877cf3f26876b8c56fc67e48235342c18eb01905d94d1543ba7",
+        "43c7d7dec62e81b72630fc6ee2fee2e0200e66d976f586bff0a738ffd07ba741", 0),
+    "verify --only THM4_EQ11 --nmax 25": (
+        "b2c4a9dc786b5764f7c157a23897d357737eb52b95974c6c518f2adaf0d8af7a",
+        EMPTY, 0),
+    "verify --only THM1,THM2_EQ10,PROP_EQ14 --nmax 22 --format json": (
+        "e0f99a8a019c65ff5067ad90e035433fbe9b422513298cf68e2de4b44333f1f2",
+        EMPTY, 0),
+    "verify --only THM8 --nmax 4 --format text": (
+        "6afcb2471dad225e7ba98a3cdeee53b7decd401af14abda742bf395f52ca7442",
+        EMPTY, 0),
     "bernstein --n 4": (
         "a18e224fe89ef4aaaf648f8882123e2bac6b89c93a36753425b135cfffa6f473",
         EMPTY, 0),

@@ -10,8 +10,12 @@ from math import inf
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qgenocchi
+from naive_reference import naive_split_p
+from qgenocchi import padic
 from qgenocchi.errors import DomainError, PoleError, PrecisionExhausted
 from qgenocchi.genocchi import genocchi_number, moment, moments_at
 from qgenocchi.padic import (
@@ -46,6 +50,19 @@ class TestContext:
     def test_rejects_zero_precision(self):
         with pytest.raises(DomainError):
             PadicContext(3, 0)
+
+
+class TestSplitP:
+    @given(st.sampled_from((3, 5, 7, 199999)), st.integers(0, 5000), st.integers(1, 10**30),
+           st.booleans())
+    def test_matches_the_digit_loop(self, p, v, unit, negative):
+        unit += unit % p == 0  # p is odd, so this makes unit prime to p
+        n = (-1) ** negative * p ** v * unit
+        assert padic._split_p(n, p) == naive_split_p(n, p) == (v, n // p ** v)
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 4095, 4096, 4097, 8191])
+    def test_valuations_near_powers_of_two(self, v):
+        assert padic._split_p(2 * 3 ** v, 3) == (v, 2)
 
 
 class TestEmbedding:
@@ -441,6 +458,35 @@ class TestMomentsAtPadic:
             moment_convergence(0, F(-1), 2, CTX3)
         with pytest.raises(PoleError, match="pole at q = -1"):
             moment_convergence(1, F(-1), 2, CTX3)
+
+    def test_pole_is_raised_before_any_sum(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a Riemann sum ran before the pole check")
+
+        monkeypatch.setattr(padic, "fermionic_riemann_sum", refuse)
+        with pytest.raises(PoleError, match="pole at q = -1"):
+            moment_convergence(4, F(-1), 2, CTX3)
+
+    def test_only_the_limit_moment_is_embedded(self, monkeypatch):
+        embedded = []
+        embed = PadicNumber.from_rational.__func__
+
+        def counted(cls, r, ctx):
+            embedded.append(F(r))
+            return embed(cls, r, ctx)
+
+        class FirstSum(Exception):
+            pass
+
+        def stop(*_):
+            raise FirstSum
+
+        q = PadicNumber.from_rational(F(4), CTX3)
+        monkeypatch.setattr(PadicNumber, "from_rational", classmethod(counted))
+        monkeypatch.setattr(padic, "fermionic_riemann_sum", stop)
+        with pytest.raises(FirstSum):
+            moment_convergence(30, q, 1, CTX3)
+        assert embedded == [moments_at(F(4), 30)[30]]
 
     @pytest.mark.parametrize("p,N", [(3, 12), (5, 8), (7, 12)])
     def test_inexact_moment_convergence_matches_the_symbolic_limit(self, p, N):
