@@ -35,7 +35,6 @@ from .exactq import (
     XPolynomial,
     parse_qrational,
     q_bracket,
-    weighted_sum,
 )
 from .genocchi import (
     GenocchiTable,
@@ -97,5 +96,4 @@ __all__ = [
     "padic_log1p",
     "parse_qrational",
     "q_bracket",
-    "weighted_sum",
 ]

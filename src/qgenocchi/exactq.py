@@ -594,32 +594,29 @@ def weighted_sum(terms) -> QRational:
     Terms are grouped by denominator.  When every denominator is
     q^i * (1+q)^j the common denominator is q^max(i) * (1+q)^max(j) and each
     group's cofactor follows from the exponents, with no gcd and no
-    division; otherwise the lcm is built with `_cancel`.  The integer
-    numerators are added over that denominator, and one `K.poly_primitive`
-    and one `_cancel` put the total in canonical form.
+    division.  The integer numerators are added over that denominator, and
+    one `K.poly_primitive` and one `_cancel` put the total in canonical
+    form.  Any other denominator, e.g. from parsed input, sends the whole
+    sum through the term-by-term fold of `QRational.__add__`.
     """
     groups = {}
     for w, v in terms:
         if w and v._c:
-            groups.setdefault(v._den, []).append((w * v._c, v._num))
+            groups.setdefault(v._den, []).append((w, v))
     if not groups:
         return QRational.zero()
-    if len(groups) == 1:
-        (common,) = groups
-        cofactors = {common: [1]}
-    else:
-        exps = {d: _q_one_plus_q_exponents(d) for d in groups}
-        if None not in exps.values():
-            top_i = max(i for i, _ in exps.values())
-            top_j = max(j for _, j in exps.values())
-            common = _q_one_plus_q(top_i, top_j)
-            cofactors = {d: _q_one_plus_q(top_i - i, top_j - j) for d, (i, j) in exps.items()}
-        else:
-            common = None
-            for d in groups:
-                d = list(d)
-                common = d if common is None else K.poly_mul(common, _cancel(common, d)[2])
-            cofactors = {d: K.poly_divexact(common, list(d)) for d in groups}
+    exps = {d: _q_one_plus_q_exponents(d) for d in groups}
+    if None in exps.values():
+        acc = QRational.zero()
+        for part in groups.values():
+            for w, v in part:
+                acc = acc + w * v
+        return acc
+    top_i = max(i for i, _ in exps.values())
+    top_j = max(j for _, j in exps.values())
+    common = _q_one_plus_q(top_i, top_j)
+    cofactors = {d: _q_one_plus_q(top_i - i, top_j - j) for d, (i, j) in exps.items()}
+    groups = {d: [(w * v._c, v._num) for w, v in part] for d, part in groups.items()}
     den_lcm = lcm(*(c.denominator for part in groups.values() for c, _ in part))
     num = [0] * (len(common) + max(len(n) for part in groups.values() for _, n in part))
     for d, part in groups.items():

@@ -439,7 +439,7 @@ def structured_qrationals(draw):
 @st.composite
 def parsed_qrationals(draw):
     """Parsed text whose denominator is a product of factors free of q and
-    1+q, so a sum of them takes the lcm by gcds."""
+    1+q, so a sum with one of them takes the term-by-term fold."""
     def factor():
         coeffs = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=3)
                       .filter(lambda c: c[0] and c[-1]))
