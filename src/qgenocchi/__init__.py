@@ -2,9 +2,10 @@
 
 Layers:
   exactq     -- arithmetic in Q[q] and Q(q) with canonical forms
-  genocchi   -- the number/polynomial sequences: two pipelines in Q(q) and
-                a closed form at a numeric q; Frobenius-Euler polynomials,
-                the fermionic moment oracle
+  genocchi   -- the number/polynomial sequences from one closed form for
+                the moments, at the indeterminate q or a numeric one; the
+                recurrence and series inversion that cross-check it;
+                Frobenius-Euler polynomials, the fermionic moment oracle
   bernstein  -- Bernstein basis polynomials and products
   identities -- mechanical verification of the identity suite
   padic      -- precision-tracked Q_p arithmetic, fermionic Riemann sums,
@@ -38,7 +39,6 @@ from .exactq import (
 )
 from .genocchi import (
     GenocchiTable,
-    classical_genocchi,
     frobenius_euler_polynomial,
     genocchi_number,
     genocchi_polynomial,
@@ -79,7 +79,6 @@ __all__ = [
     "bernstein_operator",
     "bernstein_product",
     "bernstein_reflect",
-    "classical_genocchi",
     "fermionic_riemann_sum",
     "frobenius_euler_polynomial",
     "genocchi_number",

@@ -11,10 +11,10 @@ only ones.  Each record goes through `_emit`, the one place that picks
 among the text, json and csv forms, and `main` writes the lines to stdout
 or `--out` once the runner returns.  `--q` takes a rational, `symbolic`
 (`table` only) or `1+p`, which needs a command with `--prime`; `verify`
-runs symbolically and has no `--q`.  A numeric q never builds the symbolic
-Genocchi table: `table --q`, `padic-converge` and `loggamma` read the
-values at q from `genocchi.moments_at`, and `table --q --polynomials`
-prints its rational coefficients as they are, with no QRational.
+runs symbolically and has no `--q`.  `symbolic` stands for the
+indeterminate `QRational.q()`, so `table` reads every value, at any q,
+from the one closed form `genocchi.moments_at`, as do `padic-converge` and
+`loggamma`; at a numeric q the values are rationals, printed as they are.
 
 Inputs that set the amount of work are capped: p^mmax at
 `MAX_RIEMANN_POINTS` and `--precision` at `MAX_PRECISION` for
@@ -52,8 +52,8 @@ from typing import Callable
 from . import identities as ident
 from .bernstein import bernstein_basis
 from .errors import DomainError, PoleError, PrecisionExhausted
-from .exactq import xpoly_text
-from .genocchi import genocchi_number, genocchi_polynomial, integrate_polynomial, moments_at
+from .exactq import QRational, xpoly_text
+from .genocchi import integrate_polynomial, moments_at
 from .padic import (
     PadicContext,
     PadicNumber,
@@ -128,7 +128,7 @@ def _parse_q(args, allow_symbolic: bool):
     if spec == "symbolic":
         if not allow_symbolic:
             raise _ConfigError("this command needs a numeric q (a rational or 1+p)")
-        return None
+        return QRational.q()
     if spec == "1+p":
         if "prime" not in args:
             raise _ConfigError(f"--q 1+p needs a prime, and {args.command} has no --prime")
@@ -170,9 +170,9 @@ def _check_padic_config(args) -> PadicContext:
 # Largest index n of a Genocchi number G~_n that a command may need:
 # `table --nmax`, `padic-converge --n` (G~_{n+1}) and `loggamma` (a few
 # indices past --precision at v(x) = -1: 204 for --precision 200 at p = 3).
-# The symbolic `table` is the slowest of them: --nmax 200 took 17 s,
-# --nmax 250 36 s and --nmax 300 76 s (CPython 3.11, 2-vCPU Xeon), while
-# `table --q` at the cap takes under 3 s.
+# The symbolic `table` is the slowest of them: --nmax 200 took 3.0 s,
+# --nmax 250 6.5 s and the values to 300 11.8 s (CPython 3.11, 2-vCPU
+# Xeon), while `table --q` at the cap takes under 3 s.
 MAX_GENOCCHI_INDEX = 250
 
 
@@ -185,8 +185,9 @@ def _check_genocchi_index(index: int, what: str) -> None:
 # -- table ---------------------------------------------------------------------
 
 
-def _genocchi_values_at(q0: Fraction, n_max: int) -> list:
-    """[G~_0(q0), ..., G~_n_max(q0)] from the moments: G~_{k+1} = (k+1) * m_k."""
+def _genocchi_values_at(q0, n_max: int) -> list:
+    """[G~_0(q0), ..., G~_n_max(q0)] from the moments: G~_{k+1} = (k+1) * m_k.
+    q0 is a Fraction or the indeterminate `QRational.q()`."""
     moments = moments_at(q0, n_max - 1) if n_max else []
     return [Fraction(0)] + [(k + 1) * m for k, m in enumerate(moments)]
 
@@ -195,22 +196,18 @@ def run_table(args, out: list) -> int:
     if args.n_max < 0:
         raise _ConfigError("--nmax must be non-negative")
     _check_genocchi_index(args.n_max, f"--nmax {args.n_max}")
-    q0 = _parse_q(args, allow_symbolic=True)
-    values = None if q0 is None else _genocchi_values_at(q0, args.n_max)
+    values = _genocchi_values_at(_parse_q(args, allow_symbolic=True), args.n_max)
     if args.format == "csv" and not args.polynomials:
         out.append("n,value")
     for n in range(args.n_max + 1):
         if args.polynomials:
-            if values is None:
-                texts = [c.to_text() for c in genocchi_polynomial(n).coeffs]
-            else:
-                # coefficient of x^(n-k) is C(n,k) G~_k(q0); the x^n one, G~_0, is 0
-                texts = [str(comb(n, k) * values[k]) for k in range(n, 0, -1)]
+            # coefficient of x^(n-k) is C(n,k) G~_k; the x^n one, G~_0, is 0
+            texts = [str(comb(n, k) * values[k]) for k in range(n, 0, -1)]
             _emit(args, out, {"n": n, "coefficients": texts},
                   f"G~_{n}(x) = {xpoly_text(texts)}",
                   *(f"{n},{k},{t}" for k, t in enumerate(texts)))
         else:
-            value = genocchi_number(n).to_text() if values is None else str(values[n])
+            value = str(values[n])
             _emit(args, out, {"n": n, "value": value}, f"G~_{n} = {value}", f"{n},{value}")
     return 0
 

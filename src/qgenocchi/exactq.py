@@ -315,7 +315,7 @@ class QPolynomial(_DensePolynomial):
         return f"QPolynomial({list(self.coeffs)!r})"
 
     def __str__(self):
-        return _render_poly(self.coeffs, "q", latex=False)
+        return _render_poly(self.coeffs, "q")
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point (Horner)."""
@@ -566,19 +566,11 @@ class QRational:
     def to_text(self) -> str:
         """Plain-text rendering, e.g. ``(-2*q)/(1+q)``; exact round-trip
         through `parse_qrational`."""
-        num_txt = _render_poly(self.num.coeffs, "q", latex=False)
+        num_txt = _render_poly(self.num.coeffs, "q")
         if self.den.degree == 0:
             return num_txt
-        den_txt = _render_poly(self.den.coeffs, "q", latex=False)
+        den_txt = _render_poly(self.den.coeffs, "q")
         return f"({num_txt})/({den_txt})"
-
-    def to_latex(self) -> str:
-        """LaTeX rendering, e.g. ``\\frac{-2q}{1+q}``."""
-        num_txt = _render_poly(self.num.coeffs, "q", latex=True)
-        if self.den.degree == 0:
-            return num_txt
-        den_txt = _render_poly(self.den.coeffs, "q", latex=True)
-        return f"\\frac{{{num_txt}}}{{{den_txt}}}"
 
     def __str__(self):
         return self.to_text()
@@ -801,35 +793,28 @@ def _has_toplevel_sum(txt: str) -> bool:
 # -- text rendering and parsing ---------------------------------------------
 
 
-def _render_frac(c: Fraction, latex: bool) -> str:
+def _render_frac(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
-    if latex:
-        sign = "-" if c < 0 else ""
-        return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
     return f"{c.numerator}/{c.denominator}"
 
 
-def _render_poly(coeffs, var: str, latex: bool) -> str:
+def _render_poly(coeffs, var: str) -> str:
     if not coeffs:
         return "0"
     terms = []
     for i, c in enumerate(coeffs):
         if c == 0:
             continue
-        if latex:
-            vs = "" if i == 0 else (var if i == 1 else f"{var}^{{{i}}}")
-        else:
-            vs = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
+        vs = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
         if not vs:
-            terms.append(_render_frac(c, latex))
+            terms.append(_render_frac(c))
         elif c == 1:
             terms.append(vs)
         elif c == -1:
             terms.append(f"-{vs}")
         else:
-            sep = "" if latex else "*"
-            terms.append(f"{_render_frac(c, latex)}{sep}{vs}")
+            terms.append(f"{_render_frac(c)}*{vs}")
     if not terms:
         return "0"
     out = terms[0]

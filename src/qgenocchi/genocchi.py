@@ -1,21 +1,23 @@
 """q-Genocchi numbers and polynomials with weight zero.
 
-Three pipelines produce the number sequence.  Two build it in Q(q): the
-umbral recurrence (solved for the top index) and exact inversion of the
-exponential generating function [2]_q * t / (q*e^t + 1), which
-`genocchi_series_oracle(order)` returns as the tuple of its first
-order + 1 coefficients.  Their agreement is the package's internal trust
-anchor; `tests` cross-check them for every index in use.  The third, `moments_at`, works at one numeric q: a
-closed form in Stirling numbers gives the moments G~_{k+1,q}/(k+1) there
-with no rational function built.  Every numeric-q consumer (`table --q`,
-the p-adic moment limit and the log-gamma series) reads it, and `tests`
-check it against the other two evaluated at q.
+One engine produces every value: a closed form in Stirling numbers for the
+fermionic moments m_k = G~_{k+1,q}/(k+1), which runs unchanged at the
+indeterminate q (`moment`, memoised) and at one numeric q (`moments_at`,
+rational or p-adic).  `genocchi_number`, `genocchi_polynomial`,
+`integrate_polynomial`, `table` at any `--q`, the p-adic moment limit and
+the log-gamma series all read it.
 
-Also here: Frobenius-Euler polynomials at parameter -1/q, the fermionic
-moments, and `integrate_polynomial` -- the moment oracle that integrates
-an arbitrary polynomial against the alternating q-measure by linearity.
-Every integral identity elsewhere in the package is adjudicated against
-that oracle.
+Two further pipelines build the number sequence in Q(q) by other
+algorithms and serve only as cross-checks: `GenocchiTable`, the umbral
+recurrence solved for the top index, and `genocchi_series_oracle`, exact
+inversion of the exponential generating function [2]_q * t / (q*e^t + 1).
+`tests` require all three to agree for every index in use.
+
+Also here: Frobenius-Euler polynomials at parameter -1/q and
+`integrate_polynomial` -- the moment oracle that integrates an arbitrary
+polynomial against the alternating q-measure by linearity.  Every
+integral identity elsewhere in the package is adjudicated against that
+oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import operator
 import threading
 from fractions import Fraction
-from functools import cache
+from itertools import count, islice
 from math import comb, factorial
 
 from .errors import PoleError
@@ -34,6 +36,8 @@ _TWO_Q = QRational(q_bracket(2))  # [2]_q = 1 + q
 
 class GenocchiTable:
     """Memoized sequence of q-Genocchi numbers, grown by the umbral recurrence.
+
+    A cross-check only: `genocchi_number` reads the closed form.
 
     values[0] = 0, values[1] = 1, and for every n:
         (1+q) * values[n] = [2]_q * delta(n,1) - q * sum_{k<n} C(n,k) values[k].
@@ -71,15 +75,12 @@ class GenocchiTable:
         return self._values[n]
 
 
-_TABLE = GenocchiTable()
-
-
 def genocchi_number(n: int) -> QRational:
-    """G~_{n,q} as a canonical rational function of q.
-
-    The denominator divides (1+q)^(n-1) for n >= 1.
-    """
-    return _TABLE[n]
+    """G~_{n,q} = n * m_{n-1} (0 at n = 0) as a canonical rational function
+    of q; the denominator divides (1+q)^(n-1) for n >= 1."""
+    if n < 0:
+        raise ValueError("Genocchi index must be non-negative")
+    return QRational.zero() if n == 0 else n * moment(n - 1)
 
 
 def genocchi_series_oracle(order: int) -> tuple:
@@ -87,8 +88,9 @@ def genocchi_series_oracle(order: int) -> tuple:
     of order + 1 QRationals, entry n the coefficient of t^n/n!.
 
     Exact power-series inversion over Q(q) -- algorithmically independent
-    of the recurrence in `GenocchiTable`, which is the point: coefficient n
-    must equal genocchi_number(n) for every n <= order.
+    of the closed form and of the recurrence in `GenocchiTable`, which is
+    the point: coefficient n must equal genocchi_number(n) for every
+    n <= order.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -115,9 +117,7 @@ def genocchi_polynomial(n: int) -> XPolynomial:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    _TABLE.extend_to(n)
-    coeffs = [comb(n, k) * _TABLE[k] for k in range(n, -1, -1)]
-    return XPolynomial(coeffs)
+    return XPolynomial([comb(n, k) * genocchi_number(k) for k in range(n, -1, -1)])
 
 
 _FE_CACHE: list[XPolynomial] = []
@@ -148,17 +148,9 @@ def frobenius_euler_polynomial(n: int) -> XPolynomial:
         return _FE_CACHE[n]
 
 
-@cache
-def moment(n: int) -> QRational:
-    """The n-th fermionic moment: G~_{n+1,q}/(n+1), memoised."""
-    if n < 0:
-        raise ValueError("moment index must be non-negative")
-    return genocchi_number(n + 1) / (n + 1)
-
-
-def moments_at(q, n: int) -> list:
-    """[m_0, ..., m_n] at one numeric q, where m_k = G~_{k+1,q}/(k+1) is
-    the k-th fermionic moment; so G~_{k+1}(q) = (k+1) * m_k.
+def _stirling_moments(q):
+    """Yield m_0, m_1, ... at q, where m_k = G~_{k+1,q}/(k+1) is the k-th
+    fermionic moment.
 
     [2]_q/(q*e^t + 1) = sum_j r^j (e^t - 1)^j with r = -q/(1+q), and
     (e^t - 1)^j = j! sum_k S(k,j) t^k/k!, so m_k = sum_j T(k,j) r^j with
@@ -168,19 +160,16 @@ def moments_at(q, n: int) -> list:
     With r = a/b the sum is taken as sum_j T(k,j) a^j b^(k-j) and divided
     by b^k once.
 
-    q is a rational (the values are Fractions) or a `PadicNumber` (the
-    values are PadicNumbers, with precision tracked through the sum).
-    m_0 = 1 at every q; any m_k with k >= 1 at q = -1 raises PoleError.
+    Any q that is not rational runs through its own arithmetic.  m_0 = 1 at
+    every q; any m_k with k >= 1 at q = -1 raises PoleError.
     """
-    if n < 0:
-        raise ValueError("moment index must be non-negative")
     if isinstance(q, (int, Fraction)):
         q = Fraction(q)
         a, b, one, div = -q.numerator, q.numerator + q.denominator, 1, Fraction
     else:
         a, b, one, div = -q, 1 + q, q ** 0, operator.truediv
-    row, a_pow, b_pow, out = [1], [one], [one], []
-    for k in range(n + 1):
+    row, a_pow, b_pow = [1], [one], [one]
+    for k in count():
         if k:
             prev = row + [0]
             row = [0] + [j * (prev[j] + prev[j - 1]) for j in range(1, k + 1)]
@@ -188,10 +177,42 @@ def moments_at(q, n: int) -> list:
             b_pow.append(b_pow[-1] * b)
         acc = sum(t * a_pow[j] * b_pow[k - j] for j, t in enumerate(row) if t)
         try:
-            out.append(div(acc, b_pow[k]))
+            yield div(acc, b_pow[k])
         except ZeroDivisionError:
             raise PoleError(f"pole at q = {q}") from None
-    return out
+
+
+_MOMENTS: list[QRational] = []
+_MOMENT_ROWS = _stirling_moments(QRational.q())
+_MOMENT_LOCK = threading.Lock()
+
+
+def moment(n: int) -> QRational:
+    """The n-th fermionic moment G~_{n+1,q}/(n+1) in Q(q): the rows of
+    `_stirling_moments` at the indeterminate q, memoised; a call past the
+    end grows the list by the missing rows, under a lock."""
+    global _MOMENT_ROWS
+    if n < 0:
+        raise ValueError("moment index must be non-negative")
+    if n >= len(_MOMENTS):
+        with _MOMENT_LOCK:
+            try:
+                _MOMENTS.extend(islice(_MOMENT_ROWS, n + 1 - len(_MOMENTS)))
+            except BaseException:
+                # an exception in a row (an interrupt) ends the generator for
+                # good; a new one yields from the first row not stored
+                _MOMENT_ROWS = islice(_stirling_moments(QRational.q()), len(_MOMENTS), None)
+                raise
+    return _MOMENTS[n]
+
+
+def moments_at(q, n: int) -> list:
+    """[m_0, ..., m_n] at q from `_stirling_moments`, so G~_{k+1}(q) =
+    (k+1) * m_k: Fractions at a rational q, PadicNumbers (precision tracked
+    through the sum) at a p-adic one, QRationals at `QRational.q()`."""
+    if n < 0:
+        raise ValueError("moment index must be non-negative")
+    return list(islice(_stirling_moments(q), n + 1))
 
 
 def integrate_polynomial(poly: XPolynomial) -> QRational:
@@ -202,7 +223,3 @@ def integrate_polynomial(poly: XPolynomial) -> QRational:
     """
     return weighted_sum((1, c * moment(k)) for k, c in enumerate(poly.coeffs) if not c.is_zero)
 
-
-def classical_genocchi(n: int) -> Fraction:
-    """The q -> 1 specialization of G~_{n,q} (never a pole)."""
-    return genocchi_number(n).evaluate(1)

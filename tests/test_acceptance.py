@@ -20,6 +20,7 @@ from qgenocchi import identities as ident
 from qgenocchi.bernstein import bernstein_basis, bernstein_reflect
 from qgenocchi.exactq import QRational, XPolynomial
 from qgenocchi.genocchi import (
+    GenocchiTable,
     genocchi_number,
     genocchi_series_oracle,
     integrate_polynomial,
@@ -42,10 +43,13 @@ def _verdict_line(num: int, ok: bool, detail: str) -> str:
 def test_criterion_1_dual_pipeline_agreement():
     t0 = time.monotonic()
     series = genocchi_series_oracle(30)
-    mismatches = [n for n in range(31) if series[n] != genocchi_number(n)]
+    recurrence = GenocchiTable()
+    mismatches = [n for n in range(31)
+                  if not series[n] == recurrence[n] == genocchi_number(n)]
     elapsed = time.monotonic() - t0
     ok = not mismatches and elapsed < 10.0
-    _verdict_line(1, ok, f"recurrence vs series inversion exact for n<=30 in {elapsed:.2f}s")
+    _verdict_line(1, ok, "closed form, recurrence and series inversion exact for n<=30 "
+                         f"in {elapsed:.2f}s")
     assert not mismatches, f"pipelines disagree at n={mismatches}"
     assert elapsed < 10.0, f"runtime {elapsed:.2f}s exceeds 10s"
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,8 @@ from qgenocchi.cli import (
     MAX_VERIFY_NMAX,
     main,
 )
-from qgenocchi.exactq import QRational, xpoly_text
-from qgenocchi.genocchi import genocchi_number, genocchi_polynomial
+from qgenocchi.exactq import XPolynomial, xpoly_text
+from qgenocchi.genocchi import GenocchiTable
 from qgenocchi.identities import IDENTITY_IDS
 from qgenocchi.padic import PadicContext, PadicNumber, loggamma_genocchi_index
 
@@ -38,17 +39,20 @@ def run(capsys):
 
 
 def _symbolic_table_at(n_max, q0, fmt, polynomials):
-    """`table --q q0` lines the long way: each symbolic value evaluated at q0."""
+    """`table --q q0` lines the long way: each value of the umbral recurrence
+    in Q(q), a pipeline independent of the closed form, evaluated at q0."""
+    table = GenocchiTable()
+    values = [table[n].evaluate(q0) for n in range(n_max + 1)]
     lines = ["n,value"] if fmt == "csv" and not polynomials else []
     for n in range(n_max + 1):
         if polynomials:
-            poly = genocchi_polynomial(n).map_coeffs(lambda c: QRational(c.evaluate(q0)))
+            poly = XPolynomial([comb(n, k) * values[k] for k in range(n, -1, -1)])
             texts = [c.to_text() for c in poly.coeffs]
             lines += {"text": [f"G~_{n}(x) = {xpoly_text(texts)}"],
                       "json": [json.dumps({"n": n, "coefficients": texts})],
                       "csv": [f"{n},{k},{t}" for k, t in enumerate(texts)]}[fmt]
         else:
-            value = str(genocchi_number(n).evaluate(q0))
+            value = str(values[n])
             lines.append({"text": f"G~_{n} = {value}", "json": json.dumps({"n": n, "value": value}),
                           "csv": f"{n},{value}"}[fmt])
     return lines
@@ -422,8 +426,8 @@ class TestGenocchiIndexCap:
         def refuse(*_):
             raise AssertionError("Genocchi values computed for an index over the cap")
 
-        for target in ("qgenocchi.cli.moments_at", "qgenocchi.cli.genocchi_number",
-                       "qgenocchi.cli.genocchi_polynomial", "qgenocchi.padic.moments_at",
+        for target in ("qgenocchi.cli.moments_at", "qgenocchi.genocchi.genocchi_number",
+                       "qgenocchi.genocchi.moment", "qgenocchi.padic.moments_at",
                        "qgenocchi.padic.iwasawa_log"):
             monkeypatch.setattr(target, refuse)
         status, lines, err = run(*argv)
@@ -458,8 +462,8 @@ class TestInputCaps:
             raise AssertionError("work done for an input over its cap")
 
         for target in ("qgenocchi.cli.PadicNumber.from_rational", "qgenocchi.cli.moments_at",
-                       "qgenocchi.cli.genocchi_number", "qgenocchi.padic.moments_at",
-                       "qgenocchi.padic.fermionic_riemann_sum"):
+                       "qgenocchi.genocchi.genocchi_number", "qgenocchi.genocchi.moment",
+                       "qgenocchi.padic.moments_at", "qgenocchi.padic.fermionic_riemann_sum"):
             monkeypatch.setattr(target, refuse)
 
     @pytest.mark.parametrize("argv", [
@@ -615,6 +619,16 @@ def test_readme_cli_commands_run(run, argv):
     assert status == 0 and lines
 
 
+def _run_fresh(script, argv):
+    """`script` with `argv` in a fresh interpreter, so no memoised value
+    hides the work it refuses."""
+    src = str(Path(qgenocchi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env)
+
+
 _REFUSE_SYMBOLIC_TABLE = """
 import sys
 from qgenocchi import cli, exactq, genocchi
@@ -623,6 +637,7 @@ def refuse(self, *args):
     raise AssertionError(f"Q(q) work at a numeric q: {type(self).__name__}{args}")
 
 genocchi.GenocchiTable.extend_to = refuse
+genocchi.moment = refuse
 exactq.QRational.to_text = refuse
 sys.exit(cli.main(sys.argv[1:]))
 """
@@ -636,12 +651,38 @@ sys.exit(cli.main(sys.argv[1:]))
     ("table", "--nmax", "12", "--q", "2/3", "--polynomials"),
 ], ids=" ".join)
 def test_numeric_q_never_builds_the_symbolic_table(argv):
-    # a fresh interpreter, so no memoised value hides a table extension;
-    # neither the symbolic table nor a QRational rendering may run
-    src = str(Path(qgenocchi.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", _REFUSE_SYMBOLIC_TABLE, *argv],
-                          capture_output=True, text=True, env=env)
+    # neither the symbolic table, the symbolic moments nor a QRational
+    # rendering may run
+    proc = _run_fresh(_REFUSE_SYMBOLIC_TABLE, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+_REFUSE_RECURRENCE = """
+import sys
+from qgenocchi import cli, genocchi
+from qgenocchi.exactq import XPolynomial
+
+def refuse(self, *args):
+    raise AssertionError(f"the recurrence ran: GenocchiTable.extend_to{args}")
+
+genocchi.GenocchiTable.extend_to = refuse
+genocchi.genocchi_number(9), genocchi.genocchi_polynomial(9), genocchi.moment(12)
+genocchi.integrate_polynomial(XPolynomial([1, 2, 3]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--nmax", "30"),
+    ("table", "--nmax", "12", "--polynomials"),
+    ("verify", "--only", "THM1,THM3", "--nmax", "6"),
+    ("bernstein", "--n", "6"),
+], ids=" ".join)
+def test_symbolic_values_never_run_the_recurrence(argv):
+    # the recurrence is a cross-check only: no command and none of
+    # genocchi_number, genocchi_polynomial, moment or integrate_polynomial
+    # may extend a GenocchiTable
+    proc = _run_fresh(_REFUSE_RECURRENCE, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -194,11 +194,6 @@ class TestRendering:
         r = QRational(qp(0, -2), qp(1, 1))
         assert r.to_text() == "(-2*q)/(1+q)"
 
-    def test_latex(self):
-        r = QRational(qp(0, -2), qp(1, 1))
-        assert r.to_latex() == "\\frac{-2q}{1+q}"
-        assert (ONE / 2).to_latex() == "\\frac{1}{2}"
-
     def test_integer_renders_bare(self):
         assert QRational(qp(5)).to_text() == "5"
         assert QRational.zero().to_text() == "0"

@@ -37,6 +37,18 @@ DIGESTS = {
     "table --nmax 8 --polynomials --format csv": (
         "07a87ac86a665bf3ab5951c36fcc65a35d733d5f18f0c37baa55e5e72ca3f7a1",
         EMPTY, 0),
+    "table --nmax 72 --format json": (
+        "7adbdbd0316f7e009ef4b77d3d5a5d6edb0592c16383d09a5c7fc1965d2eb653",
+        EMPTY, 0),
+    "table --nmax 40 --polynomials --format csv": (
+        "c607a784fb3eee93cdedacbd15bb386a35d193c07316631ed8b2c7bc8f6283ce",
+        EMPTY, 0),
+    "table --nmax 0": (
+        "eb3cbf1c08ba7cda44acdc4ba518cb4de7a65571edb0cb3a86832fcd30e4386e",
+        EMPTY, 0),
+    "table --nmax 1 --polynomials": (
+        "3506743330426e14d797daf84b2b7eb09b3e9ddb80dc7f2537605c87decfa9bb",
+        EMPTY, 0),
     "table --nmax 12 --q 4": (
         "89052b205604d6d9f36bf59cecda55dd80dddb358dc4e1cdc44f3dba622eb081",
         EMPTY, 0),
