@@ -9,10 +9,9 @@ polynomials take at one large point, so its cost rests on Python's
 integer gcd.  The fermionic Riemann sums have one algorithm,
 `alt_weighted_int_sum`: the sum at a rational q in closed form, with
 O(deg^2) multiplications by small integers and two large powers whatever
-the number of points (point by point when there are no more points than
-coefficients), exact or modulo a prime power; `alt_weighted_mod_sum` is
-its modular form at an integer q.  `BACKEND` names the implementation; the
-package exports it as `qgenocchi.kernel_backend`.
+the number of points, exact or modulo a prime power; `alt_weighted_mod_sum`
+is its modular form at an integer q.  `BACKEND` names the implementation;
+the package exports it as `qgenocchi.kernel_backend`.
 """
 
 from math import gcd
@@ -145,7 +144,8 @@ def poly_divexact(a, b):
 
 
 def poly_eval_int(a, x):
-    """Horner evaluation at an integer point."""
+    """Horner evaluation at x: an integer here, a Fraction or a
+    PadicNumber when `exactq` and `padic` evaluate a polynomial in q."""
     acc = 0
     for c in reversed(a):
         acc = acc * x + c
@@ -160,53 +160,43 @@ def alt_weighted_int_sum(anum, bden, count, g, modulus=None):
     Riemann sum for a polynomial integrand g at q = anum/bden: bden^(count-1)
     times sum_xi g(xi) * r^xi with r = -anum/bden.
 
-    With more points than coefficients it is summed in closed form, by parts
-    (Graham, Knuth and Patashnik, Concrete Mathematics, section 2.6): if
-    r*F(xi+1) - F(xi) = g(xi) for a polynomial F, the sum telescopes to
-    r^count * F(count) - F(0).  Work in the falling powers
-    x^(k) = x(x-1)...(x-k+1), where (x+1)^(k) = x^(k) + k*x^(k-1):
-    g = sum_k c_k x^(k) with integer c_k (synthetic division by x - k for
-    k = 1..d-1, d = deg g), and for s = anum + bden != 0 (r != 1) the
-    coefficients of F follow from s*f_k + anum*(k+1)*f_(k+1) = -bden*c_k,
-    k = d down to 0.  The scaled h_k = f_k * s^(d-k+1) are integers,
+    It is summed in closed form, by parts (Graham, Knuth and Patashnik,
+    Concrete Mathematics, section 2.6): if r*F(xi+1) - F(xi) = g(xi) for a
+    polynomial F, the sum telescopes to r^count * F(count) - F(0).  Work in
+    the falling powers x^(k) = x(x-1)...(x-k+1), where
+    (x+1)^(k) = x^(k) + k*x^(k-1): g = sum_k c_k x^(k) with integer c_k
+    (synthetic division by x - k for k = 1..d-1, d = deg g), and with
+    s = anum + bden the coefficients of F follow from
+    s*f_k + anum*(k+1)*f_(k+1) = -bden*c_k, k = d down to 0.  The scaled
+    h_k = f_k * s^(d-k+1) are integers,
         h_k = -(bden * c_k * s^(d-k) + anum * (k+1) * h_(k+1)),
     and the sum is
         ((-anum)^count * sum_k h_k count^(k) s^k - bden^count * h_0)
             / (bden * s^(d+1)),
-    one exact division.  With s = 0 (r = 1, q = -1) F(x+1) - F(x) = g(x)
-    instead, and sum_xi xi^(k) = count^(k+1) / (k+1).  This is d(d-1)/2
-    multiply-adds by small integers, O(d) large products and two large
-    powers, whatever the number of points.  With a modulus M the two powers
-    are taken modulo M * bden * s^(d+1): the numerator is then known modulo
-    M times the divisor, so the division is still exact and its quotient is
-    the sum modulo M; no inverse is taken, so s need not be a unit mod M.
-    With no more points than coefficients, or bden = 0, the points are
-    summed one by one (Horner's rule in -anum, from xi = count-1 down),
-    which is cheaper there.
+    one exact division, at every count (count^(k) = 0 for k > count).
+    This is d(d-1)/2 multiply-adds by small integers, O(d) large products
+    and two large powers, whatever the number of points.  With a modulus M
+    the two powers are taken modulo M * bden * s^(d+1): the numerator is
+    then known modulo M times the divisor, so the division is still exact
+    and its quotient is the sum modulo M; no inverse is taken, so s need
+    not be a unit mod M.
+
+    bden = 0 and s = 0 (r = 1, q = -1) make the divisor 0 and raise
+    ValueError.  No caller passes either: `padic.fermionic_riemann_sum`
+    passes the denominator of q, at least 1, and `padic._admit_q` refuses
+    q = -1 for every odd p; `alt_weighted_mod_sum` passes bden = 1 and a
+    residue unit >= 0.
     """
+    s = anum + bden
+    if bden == 0 or s == 0:
+        raise ValueError("alt_weighted_int_sum needs bden != 0 and anum + bden != 0")
     if not g:
         return 0
-    if count <= len(g) or bden == 0:
-        total = 0
-        bpow = 1
-        for xi in range(count - 1, -1, -1):
-            total = total * -anum + poly_eval_int(g, xi) * bpow
-            bpow *= bden
-        return total if modulus is None else total % modulus
     d = len(g) - 1
     c = list(g)
     for k in range(1, d):
         for i in range(d - 1, k - 1, -1):
             c[i] += k * c[i + 1]
-    s = anum + bden
-    if s == 0:
-        total = 0
-        falling = count
-        for k in range(d + 1):
-            total += c[k] * (falling // (k + 1))
-            falling *= count - k - 1
-        total *= pow(bden, count - 1, modulus)
-        return total if modulus is None else total % modulus
     # descending in k: h_k, and sum_k h_k count^(k) s^k by Horner's rule
     h = acc = 0
     spow = 1

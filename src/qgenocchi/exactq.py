@@ -28,14 +28,17 @@ Each arithmetic rule is written once: `_cancel` divides a gcd out of a
 pair, `K.poly_primitive` splits off the content, `_clear_denominators`
 turns rational coefficients into integers, `_power` is the
 square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too),
-`_horner` is Horner's rule for evaluating a polynomial in q at a number,
-and `weighted_sum` adds a linear combination of QRationals over one common
-denominator and canonicalises once.  Every weighted sum of the identity
-checks and of the moment oracle goes through `weighted_sum`, and so does
-the Taylor shift behind `XPolynomial.compose_linear` and
-`XPolynomial.evaluate`.  A rational constant becomes a QRational with no
-gcd, and a product with one scales the constant factor c alone, with no
-gcd either.
+`K.poly_eval_int` is Horner's rule for evaluating a polynomial in q at a
+number (a Fraction in `QPolynomial.evaluate` and `QRational.evaluate`, a
+PadicNumber in `padic.qrational_at_padic`), and `weighted_sum` adds a
+linear combination of QRationals over one common denominator and
+canonicalises once.  Every weighted sum of the identity checks and of the
+moment oracle goes through `weighted_sum`, and so do each coefficient of
+an `XPolynomial` product, each row of the symbolic Stirling moments
+(`genocchi._stirling_moments`) and the Taylor shift behind
+`XPolynomial.compose_linear` and `XPolynomial.evaluate`.  A rational
+constant becomes a QRational with no gcd, and a product with one scales
+the constant factor c alone, with no gcd either.
 `parse_qrational` checks the whole text before any arithmetic; it caps
 the product of nested `^` exponents at `MAX_EXPONENT`, the degree that
 the operators can build at `MAX_DEGREE` and the size of the coefficients
@@ -192,16 +195,6 @@ def _power(base, n: int, one):
     return one if out is None else out
 
 
-def _horner(coeffs, x, zero):
-    """sum coeffs[k] * x^k by Horner's rule, starting from `zero`, the zero
-    of the ring that x lives in: a Fraction in `QPolynomial.evaluate`, a
-    PadicNumber in `padic.qrational_at_padic`."""
-    acc = zero
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 class _DensePolynomial:
     """Dense polynomial, trailing coefficient nonzero: the algebra that Q[q]
     and Q(q)[x] share.
@@ -319,7 +312,7 @@ class QPolynomial(_DensePolynomial):
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point (Horner)."""
-        return _horner(self.coeffs, Fraction(q0), Fraction(0))
+        return Fraction(K.poly_eval_int(self.coeffs, Fraction(q0)))
 
     def content_primitive(self):
         """Split into (rational content, primitive int coefficient list).
@@ -691,14 +684,12 @@ class XPolynomial(_DensePolynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return XPolynomial()
-        out = [QRational.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return XPolynomial(out)
+        # coefficient k is sum_i a_i * b_(k-i), one `weighted_sum`
+        a, b = self.coeffs, other.coeffs
+        return XPolynomial([
+            weighted_sum((1, a[i] * b[k - i])
+                         for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a))))
+            for k in range(len(a) + len(b) - 1)])
 
     __rmul__ = __mul__
 

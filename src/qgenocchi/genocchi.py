@@ -158,7 +158,9 @@ def _stirling_moments(q):
     Knuth and Patashnik, Concrete Mathematics 6.1; T. Kim, J. Math. Anal.
     Appl. 326 (2007)).  The rows come from T(k,j) = j*(T(k-1,j) + T(k-1,j-1)).
     With r = a/b the sum is taken as sum_j T(k,j) a^j b^(k-j) and divided
-    by b^k once.
+    by b^k once.  At the indeterminate q (a = -q, b = 1+q) that sum is one
+    `weighted_sum`, canonicalised once per row; at a rational q it is an
+    integer sum.
 
     Any q that is not rational runs through its own arithmetic.  m_0 = 1 at
     every q; any m_k with k >= 1 at q = -1 raises PoleError.
@@ -168,6 +170,7 @@ def _stirling_moments(q):
         a, b, one, div = -q.numerator, q.numerator + q.denominator, 1, Fraction
     else:
         a, b, one, div = -q, 1 + q, q ** 0, operator.truediv
+    symbolic = isinstance(q, QRational)
     row, a_pow, b_pow = [1], [one], [one]
     for k in count():
         if k:
@@ -175,7 +178,8 @@ def _stirling_moments(q):
             row = [0] + [j * (prev[j] + prev[j - 1]) for j in range(1, k + 1)]
             a_pow.append(a_pow[-1] * a)
             b_pow.append(b_pow[-1] * b)
-        acc = sum(t * a_pow[j] * b_pow[k - j] for j, t in enumerate(row) if t)
+        terms = [(t, a_pow[j] * b_pow[k - j]) for j, t in enumerate(row) if t]
+        acc = weighted_sum(terms) if symbolic else sum(t * v for t, v in terms)
         try:
             yield div(acc, b_pow[k])
         except ZeroDivisionError:

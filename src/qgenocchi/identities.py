@@ -286,8 +286,8 @@ def _eq16_rhs(j: int) -> QRational:
 
 
 def one_minus_xi_sides(n: int):
-    base = XPolynomial((QRational.one(), QRational(-1)))
-    return integrate_polynomial(base ** n), _eq16_rhs(n)
+    """The integral of (1-xi)^n = B_{0,n}(xi), and `_eq16_rhs(n)`."""
+    return integrate_polynomial(bernstein_basis(0, n)), _eq16_rhs(n)
 
 
 def verify_one_minus_xi(n_max: int) -> IdentityReport:
@@ -394,8 +394,7 @@ def verify_bernstein_product(degrees: Sequence[int], k: int) -> IdentityReport:
     if m < 1:
         raise ValueError("need at least one factor")
     for n_s in degrees:
-        if k > n_s:
-            raise IndexError(f"k={k} exceeds factor degree {n_s}")
+        BernsteinIndex(k, n_s)
     params = {"m": m, "k": k}
     for i, n_s in enumerate(degrees, 1):
         params[f"n{i}"] = n_s

@@ -35,7 +35,7 @@ from math import inf
 
 from . import _kernel as K
 from .errors import DomainError, PrecisionExhausted
-from .exactq import QRational, _clear_denominators, _horner, _power
+from .exactq import QRational, _clear_denominators, _power
 from .genocchi import moments_at
 
 __all__ = [
@@ -498,10 +498,9 @@ def qrational_at_padic(r: QRational, q: PadicNumber) -> PadicNumber:
 
     The tests use it as the reference that the closed form behind
     `_moments` must reproduce digit for digit at an inexact q."""
-    ctx = q.ctx
     if q.exact_value is not None:
-        return PadicNumber.from_rational(r.evaluate(q.exact_value), ctx)
-    return _horner(r.num.coeffs, q, ctx.zero()) / _horner(r.den.coeffs, q, ctx.zero())
+        return PadicNumber.from_rational(r.evaluate(q.exact_value), q.ctx)
+    return K.poly_eval_int(r.num.coeffs, q) / K.poly_eval_int(r.den.coeffs, q)
 
 
 def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):

@@ -62,6 +62,18 @@ def naive_weighted_sum(terms):
     return acc
 
 
+def naive_xpoly_mul(a, b):
+    """The XPolynomial product as the fold out[i+j] = out[i+j] + a_i * b_j,
+    each step canonicalised."""
+    if a.is_zero or b.is_zero:
+        return XPolynomial()
+    out = [QRational.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return XPolynomial(out)
+
+
 def naive_compose_linear(poly, c0, c1):
     """P(c0 + c1*x) by Horner's rule over XPolynomial."""
     acc = XPolynomial()

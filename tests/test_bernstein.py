@@ -40,6 +40,11 @@ class TestBasis:
         with pytest.raises(IndexError):
             BernsteinIndex(-1, 2)
 
+    def test_degree_zero_index_is_a_power_of_one_minus_x(self):
+        one_minus_x = XPolynomial((1, -1))
+        for n in range(31):
+            assert bernstein_basis(0, n) == one_minus_x ** n
+
     @pytest.mark.parametrize("n", range(11))
     def test_partition_of_unity(self, n):
         total = XPolynomial()

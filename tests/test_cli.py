@@ -686,3 +686,31 @@ def test_symbolic_values_never_run_the_recurrence(argv):
     proc = _run_fresh(_REFUSE_RECURRENCE, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+_COUNT_ADDS = """
+import io, sys
+from contextlib import redirect_stdout
+from qgenocchi import cli, exactq
+
+calls = []
+add = exactq.QRational.__add__
+
+def counted(self, other):
+    calls.append(1)
+    return add(self, other)
+
+exactq.QRational.__add__ = exactq.QRational.__radd__ = counted
+with redirect_stdout(io.StringIO()):
+    status = cli.main(sys.argv[1:])
+print(status, len(calls))
+"""
+
+
+def test_symbolic_table_sums_each_row_once():
+    # each Stirling row is one weighted_sum, so the moments add no QRational
+    # term by term; the one addition left is the 1 + q of the generator
+    proc = _run_fresh(_COUNT_ADDS, ["table", "--nmax", "40"])
+    status, adds = map(int, proc.stdout.split())
+    assert status == 0, proc.stderr
+    assert adds <= 2

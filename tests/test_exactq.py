@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qgenocchi
-from naive_reference import naive_compose_linear, naive_gcd, naive_weighted_sum
+from naive_reference import naive_compose_linear, naive_gcd, naive_weighted_sum, naive_xpoly_mul
 from qgenocchi import _kernel as K
 from qgenocchi import exactq
 from qgenocchi.errors import PoleError
@@ -79,6 +79,11 @@ class TestQPolynomial:
     def test_evaluate(self):
         assert qp(1, 1, 1).evaluate(2) == 7
         assert qp(1, 1).evaluate(F(1, 2)) == F(3, 2)
+
+    def test_evaluate_returns_a_fraction(self):
+        for p, x in [(qp(), 2), (qp(), F(1, 2)), (qp(3), 5), (qp(1, 1), 2)]:
+            assert type(p.evaluate(x)) is F
+        assert qp().evaluate(7) == 0
 
     @given(qpolys(), qpolys(), qpolys())
     def test_ring_laws(self, a, b, c):
@@ -515,6 +520,23 @@ class TestTaylorShift:
     @given(xpolys(), constants_or_functions)
     def test_evaluate_matches_horner(self, p, x0):
         assert XPolynomial((p.evaluate(x0),)) == naive_compose_linear(p, x0, QRational.zero())
+
+
+@st.composite
+def mixed_xpolys(draw):
+    """Coefficients with structured and parsed denominators, zeros among them."""
+    coeff = st.one_of(st.just(QRational.zero()), structured_qrationals(), parsed_qrationals())
+    return XPolynomial(draw(st.lists(coeff, max_size=5)))
+
+
+class TestXPolynomialProduct:
+    @given(mixed_xpolys(), mixed_xpolys())
+    def test_matches_the_fold(self, a, b):
+        assert a * b == b * a == naive_xpoly_mul(a, b)
+
+    def test_with_zero(self):
+        p = XPolynomial((1, Q))
+        assert (p * XPolynomial()).is_zero and (XPolynomial() * p).is_zero
 
 
 def test_constant_product_takes_no_gcd(monkeypatch):

@@ -165,6 +165,10 @@ class TestBernsteinSingle:
         with pytest.raises(IndexError):
             ident.verify_bernstein_single(2, 3)
 
+    def test_negative_k_is_an_index_error(self):
+        with pytest.raises(IndexError):
+            ident.verify_bernstein_single(2, -1)
+
 
 def _thm8_suite():
     for m in (1, 2, 3):
@@ -210,3 +214,10 @@ class TestBernsteinProduct:
     def test_index_error(self):
         with pytest.raises(IndexError):
             ident.verify_bernstein_product((2, 3), 3)
+
+    @pytest.mark.parametrize("degrees,k", [((2, 3), -1), ((2, -1), 0), ((-1,), -1), ((3, -2), -3)])
+    def test_negative_index_or_degree_is_an_index_error(self, degrees, k):
+        with pytest.raises(IndexError, match="Bernstein ind"):
+            ident.verify_bernstein_product(degrees, k)
+        with pytest.raises(IndexError, match="Bernstein ind"):
+            bernstein_product(k, degrees)

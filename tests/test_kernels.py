@@ -122,6 +122,10 @@ class TestWeightedSums:
             a, b = rng.randint(-9, 9), rng.randint(1, 4)
             count = rng.randint(1, 200)
             g = rand_poly(rng, 4)
+            if _refused(a, b):
+                with pytest.raises(ValueError):
+                    backend.alt_weighted_int_sum(a, b, count, g)
+                continue
             expect = sum((-1) ** xi * a ** xi * b ** (count - 1 - xi) *
                          sum(c * xi ** i for i, c in enumerate(g))
                          for xi in range(count))
@@ -138,16 +142,27 @@ class TestWeightedSums:
             assert backend.alt_weighted_mod_sum(u, count, g, mod) == expect
 
 
+def _refused(anum, bden):
+    """bden = 0 and anum = -bden (q = -1) leave the closed form no divisor;
+    `alt_weighted_int_sum` raises ValueError there."""
+    return bden == 0 or anum + bden == 0
+
+
+_WIDE = [(-1) ** i * (i * i + 3) for i in range(17)]  # 17 coefficients, none zero
+
+
 def _integrands(max_degree=20, bound=10 ** 40):
     return st.lists(st.integers(-bound, bound), max_size=max_degree + 1).map(
         lambda g: g[:max(i + 1 for i, c in enumerate(g) if c)] if any(g) else [])
 
 
 class TestClosedFormSum:
-    """`alt_weighted_int_sum` sums in closed form when there are more points
-    than coefficients; the reference runs one Horner step per point.  Its final division is exact on every integer
-    input, so agreement here is what shows the remainder check holds, with
-    or without a modulus."""
+    """`alt_weighted_int_sum` sums in closed form at every count, also with
+    no more points than coefficients; the reference runs one Horner step
+    per point.  Its final division is exact on every integer input, so
+    agreement here is what shows the remainder check holds, with or
+    without a modulus.  Draws with bden = 0 or anum = -bden must raise
+    ValueError."""
 
     @given(b=st.integers(-50, 50), a=st.integers(-50, 50),
            relation=st.sampled_from(["free", "a = -b", "a = 0"]),
@@ -157,8 +172,16 @@ class TestClosedFormSum:
     @example(b=9, a=4, relation="free", count=1, g=[10 ** 40, -1])
     @example(b=2, a=0, relation="free", count=13, g=[3, 1])
     @example(b=4, a=-4, relation="free", count=30, g=[2, -1, 3])
+    @example(b=3, a=5, relation="free", count=0, g=_WIDE)
+    @example(b=3, a=5, relation="free", count=1, g=_WIDE)
+    @example(b=-2, a=7, relation="free", count=2, g=_WIDE)
+    @example(b=5, a=-2, relation="free", count=len(_WIDE), g=_WIDE)
     def test_matches_the_per_point_reference(self, backend, b, a, relation, count, g):
         a = {"free": a, "a = -b": -b, "a = 0": 0}[relation]
+        if _refused(a, b):
+            with pytest.raises(ValueError):
+                backend.alt_weighted_int_sum(a, b, count, g)
+            return
         assert backend.alt_weighted_int_sum(a, b, count, g) == \
             naive_alt_weighted_sum(a, b, count, g)
 
@@ -166,16 +189,26 @@ class TestClosedFormSum:
            count=st.integers(0, 60), g=_integrands())
     @example(b=4, a=-4, modulus=3 ** 5, count=30, g=[2, -1, 3])
     @example(b=2, a=7, modulus=3 ** 4, count=25, g=[1, 1, 1])
+    @example(b=3, a=5, modulus=7 ** 6, count=0, g=_WIDE)
+    @example(b=3, a=5, modulus=7 ** 6, count=1, g=_WIDE)
+    @example(b=-2, a=7, modulus=5 ** 9, count=2, g=_WIDE)
+    @example(b=5, a=-2, modulus=3 ** 12, count=len(_WIDE), g=_WIDE)
     def test_with_a_modulus_matches_the_reduced_reference(self, backend, b, a, modulus, count, g):
+        if _refused(a, b):
+            with pytest.raises(ValueError):
+                backend.alt_weighted_int_sum(a, b, count, g, modulus)
+            return
         assert backend.alt_weighted_int_sum(a, b, count, g, modulus) == \
             naive_alt_weighted_sum(a, b, count, g) % modulus
 
     def test_at_the_benchmark_size(self, backend):
         rng = random.Random(23)
         g = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(10)]
-        for a, b in [(4, 1), (7, 2), (-2, 1), (-5, 5)]:
+        for a, b in [(4, 1), (7, 2), (-2, 1)]:
             assert backend.alt_weighted_int_sum(a, b, 3 ** 9, g) == \
                 naive_alt_weighted_sum(a, b, 3 ** 9, g)
+        with pytest.raises(ValueError):
+            backend.alt_weighted_int_sum(-5, 5, 3 ** 9, g)
 
 
 class TestModularSum:

@@ -118,6 +118,12 @@ DIGESTS = {
     "loggamma --prime 3 --mmax 11 --precision 120": (
         "6088613e45db5d05b80f22d83839e4cffa397547f4aa4f2a9a635e2f5a4b72e7",
         EMPTY, 0),
+    "loggamma --prime 7 --mmax 2 --precision 30": (
+        "716b3c34d57edcac36384befbc7d88ee71a13ab3bd322a95d94bd230c9aaf58e",
+        EMPTY, 0),
+    "verify --only THM6_EQ16 --nmax 30 --format json": (
+        "d8ccb2347a9b99f02c6ef96949ead4b243b26a05c508ac0c2b86b631c93708a9",
+        EMPTY, 0),
     "loggamma --prime 3 --mmax 7 --q=7 --x=1/3 --precision 12 --format json": (
         "1a84224a8a9cf7a672622d99caf79e1180c887bc6128043db60739f0c04419e2",
         EMPTY, 0),
