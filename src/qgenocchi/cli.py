@@ -170,9 +170,11 @@ def _check_padic_config(args) -> PadicContext:
 # Largest index n of a Genocchi number G~_n that a command may need:
 # `table --nmax`, `padic-converge --n` (G~_{n+1}) and `loggamma` (a few
 # indices past --precision at v(x) = -1: 204 for --precision 200 at p = 3).
-# The symbolic `table` is the slowest of them: --nmax 200 took 1.5 s,
-# --nmax 250 2.4 s and the values to 300 5.6 s (CPython 3.11, 2-vCPU
-# Xeon), while `table --q` at the cap takes under 3 s.
+# The symbolic `table` is the slowest of them: --nmax 200 took 0.14 s,
+# --nmax 250 0.25 s and the values to 300 0.41 s (CPython 3.11, 2-vCPU
+# Xeon), while `table --q` at the cap takes under 0.5 s.  With
+# --polynomials the output grows as n^3: --nmax 250 prints 667 MB in
+# about 20 s, nearly all of it spent turning integers into text.
 MAX_GENOCCHI_INDEX = 250
 
 

@@ -34,11 +34,17 @@ PadicNumber in `padic.qrational_at_padic`), and `weighted_sum` adds a
 linear combination of QRationals over one common denominator and
 canonicalises once.  Every weighted sum of the identity checks and of the
 moment oracle goes through `weighted_sum`, and so do each coefficient of
-an `XPolynomial` product, each row of the symbolic Stirling moments
-(`genocchi._stirling_moments`) and the Taylor shift behind
+an `XPolynomial` product and the Taylor shift behind
 `XPolynomial.compose_linear` and `XPolynomial.evaluate`.  A rational
 constant becomes a QRational with no gcd, and a product with one scales
-the constant factor c alone, with no gcd either.
+the constant factor c alone, with no gcd either.  `over_one_plus_q` puts
+an integer polynomial over (1+q)^k into canonical form with no gcd: the
+content, then `_divide_out_one_plus_q`, the one synthetic division by
+1 + q (which also counts the (1+q) factors behind `_int_gcd`).  The
+symbolic moments (`genocchi._moment_rows`) are built that way, from
+integer rows, with no QRational arithmetic.  `to_text` renders the
+integer triplet c * N / D directly (`_render_poly`), one integer gcd per
+coefficient at most and none when the scale c / lead(D) is an integer.
 `parse_qrational` checks the whole text before any arithmetic; it caps
 the product of nested `^` exponents at `MAX_EXPONENT`, the degree that
 the operators can build at `MAX_DEGREE` and the size of the coefficients
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import ceil, comb, lcm, log2
+from math import ceil, comb, gcd, lcm, log2
 from typing import NamedTuple
 
 from . import _kernel as K
@@ -117,8 +123,9 @@ def _q_one_plus_q_exponents(a):
     return i, j
 
 
-def _one_plus_q_valuation(a, cap):
-    """Largest k <= cap with (1+q)^k dividing the nonzero int list a.
+def _divide_out_one_plus_q(a, cap):
+    """(k, a / (1+q)^k) for the largest k <= cap with (1+q)^k dividing the
+    nonzero int list a.
 
     Each pass is one synthetic division by q + 1; its remainder is a(-1).
     """
@@ -133,7 +140,7 @@ def _one_plus_q_valuation(a, cap):
             break
         a = quo
         k += 1
-    return k
+    return k, a
 
 
 def _structured_gcd(i, j, other):
@@ -146,7 +153,7 @@ def _structured_gcd(i, j, other):
     vq = 0
     while vq < i and other[vq] == 0:
         vq += 1
-    return _q_one_plus_q(vq, _one_plus_q_valuation(other[vq:], j))
+    return _q_one_plus_q(vq, _divide_out_one_plus_q(other[vq:], j)[0])
 
 
 def _int_gcd(a, b):
@@ -308,7 +315,8 @@ class QPolynomial(_DensePolynomial):
         return f"QPolynomial({list(self.coeffs)!r})"
 
     def __str__(self):
-        return _render_poly(self.coeffs, "q")
+        ints, den = _clear_denominators(self.coeffs)
+        return _render_poly(ints, "q", 1, den)
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point (Horner)."""
@@ -559,11 +567,16 @@ class QRational:
     def to_text(self) -> str:
         """Plain-text rendering, e.g. ``(-2*q)/(1+q)``; exact round-trip
         through `parse_qrational`."""
-        num_txt = _render_poly(self.num.coeffs, "q")
-        if self.den.degree == 0:
+        if self._c == 0:
+            return "0"
+        # c * N / D with lead(D) = 1 in the monic form: the numerator's
+        # coefficients are (c / lead(D)) * N_i and the denominator's D_i / lead(D)
+        lead = self._den[-1]
+        scale = self._c / lead
+        num_txt = _render_poly(self._num, "q", scale.numerator, scale.denominator)
+        if len(self._den) == 1:
             return num_txt
-        den_txt = _render_poly(self.den.coeffs, "q")
-        return f"({num_txt})/({den_txt})"
+        return f"({num_txt})/({_render_poly(self._den, 'q', 1, lead)})"
 
     def __str__(self):
         return self.to_text()
@@ -619,6 +632,19 @@ def weighted_sum(terms) -> QRational:
     cont, num = K.poly_primitive(num)
     _, num, den = _cancel(num, list(common))
     return QRational._raw(Fraction(cont, den_lcm), num, den)
+
+
+def over_one_plus_q(ints, k: int) -> QRational:
+    """The integer polynomial `ints` (coefficient of q^i at i) over
+    (1+q)^k, in canonical form with no gcd: the content comes out first,
+    then `_divide_out_one_plus_q` cancels (1+q) while the numerator
+    vanishes at q = -1.  1+q is irreducible and the denominator's only
+    factor, so nothing else can cancel."""
+    cont, num = K.poly_primitive(K.poly_trim(list(ints)))
+    if not cont:
+        return QRational.zero()
+    j, num = _divide_out_one_plus_q(num, k)
+    return QRational._raw(Fraction(cont), num, _q_one_plus_q(0, k - j))
 
 
 def _powers(x, count):
@@ -754,13 +780,10 @@ def xpoly_text(coeff_texts) -> str:
         parts.append(term)
     if not parts:
         return "0"
-    out = parts[0]
+    out = [parts[0]]
     for term in parts[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out
+        out += (" - ", term[1:]) if term.startswith("-") else (" + ", term)
+    return "".join(out)
 
 
 def _is_simple_term(txt: str) -> bool:
@@ -784,34 +807,22 @@ def _has_toplevel_sum(txt: str) -> bool:
 # -- text rendering and parsing ---------------------------------------------
 
 
-def _render_frac(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
-def _render_poly(coeffs, var: str) -> str:
-    if not coeffs:
-        return "0"
+def _render_poly(ints, var: str, num: int = 1, den: int = 1) -> str:
+    """sum_i (num * ints[i] / den) * var^i as text, constant term first, for
+    an int list `ints` and coprime num, den > 0.  Each coefficient is
+    reduced by one integer gcd with den, and by none when den = 1."""
     terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
+    for i, x in enumerate(ints):
+        if x == 0:
             continue
-        vs = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-        if not vs:
-            terms.append(_render_frac(c))
-        elif c == 1:
-            terms.append(vs)
-        elif c == -1:
-            terms.append(f"-{vs}")
-        else:
-            terms.append(f"{_render_frac(c)}*{vs}")
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += t if t.startswith("-") else f"+{t}"
-    return out
+        g = gcd(x, den) if den != 1 else 1
+        c, d = num * x // g, den // g
+        term = str(c) if d == 1 else f"{c}/{d}"
+        if i:
+            vs = var if i == 1 else f"{var}^{i}"
+            term = vs if term == "1" else f"-{vs}" if term == "-1" else f"{term}*{vs}"
+        terms.append(term if c < 0 or not terms else "+" + term)
+    return "".join(terms) or "0"
 
 
 # Largest product of the `^` exponents that `parse_qrational` applies to one

@@ -39,6 +39,24 @@ def genocchi_recurrence_at(q0, n):
     return values
 
 
+def stirling_moments_at(q, n):
+    """[m_0, ..., m_n] at q from the Stirling closed form
+    m_k = sum_j j!*S(k, j) * r^j with r = -q/(1+q), summed as
+    sum_j T(k,j) (-q)^j (1+q)^(k-j) / (1+q)^k in q's own arithmetic, where
+    T(k,j) = j!*S(k,j) = j*(T(k-1,j) + T(k-1,j-1))."""
+    q = Fraction(q) if isinstance(q, int) else q
+    a, b = -q, 1 + q
+    row, a_pow, b_pow, out = [1], [q ** 0], [q ** 0], []
+    for k in range(n + 1):
+        if k:
+            prev = row + [0]
+            row = [0] + [j * (prev[j] + prev[j - 1]) for j in range(1, k + 1)]
+            a_pow.append(a_pow[-1] * a)
+            b_pow.append(b_pow[-1] * b)
+        out.append(sum(t * (a_pow[j] * b_pow[k - j]) for j, t in enumerate(row) if t) / b_pow[k])
+    return out
+
+
 def naive_alt_weighted_sum(anum, bden, count, g):
     """sum_{xi<count} (-1)^xi anum^xi bden^(count-1-xi) g(xi), one Horner
     step in -anum per point from xi = count-1 down."""

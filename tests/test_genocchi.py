@@ -1,14 +1,15 @@
 """Number/polynomial sequences: frozen values, dual-pipeline agreement,
-the closed form at a numeric q, moment oracle."""
+the closed form at a numeric q, the integer moment engine against the
+Stirling reference, moment oracle."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from naive_reference import genocchi_recurrence_at
+from naive_reference import genocchi_recurrence_at, stirling_moments_at
 
-from qgenocchi import genocchi
+from qgenocchi import exactq, genocchi
 from qgenocchi.errors import PoleError
 from qgenocchi.exactq import QPolynomial, QRational, XPolynomial, parse_qrational
 from qgenocchi.genocchi import (
@@ -21,6 +22,7 @@ from qgenocchi.genocchi import (
     moment,
     moments_at,
 )
+from qgenocchi.padic import PadicContext, PadicNumber
 
 ONE_PLUS_Q = QPolynomial((1, 1))
 # the umbral recurrence in Q(q): a pipeline independent of the closed form
@@ -150,22 +152,22 @@ class TestMomentsAndOracle:
         # an exception inside a row ends the memo's generator; later calls
         # must still grow the memo, with the same values
         monkeypatch.setattr(genocchi, "_MOMENTS", [])
-        monkeypatch.setattr(genocchi, "_MOMENT_ROWS", genocchi._stirling_moments(QRational.q()))
-        divide, calls = QRational.__truediv__, []
+        monkeypatch.setattr(genocchi, "_MOMENT_ROWS", genocchi._moment_rows(QRational.q()))
+        canonical, calls = genocchi.over_one_plus_q, []
 
         class Interrupt(Exception):
             pass
 
-        def interrupted(self, other):
-            calls.append(other)
+        def interrupted(ints, k):
+            calls.append(k)
             if len(calls) == 6:
                 raise Interrupt
-            return divide(self, other)
+            return canonical(ints, k)
 
-        monkeypatch.setattr(QRational, "__truediv__", interrupted)
+        monkeypatch.setattr(genocchi, "over_one_plus_q", interrupted)
         with pytest.raises(Interrupt):
             moment(12)
-        monkeypatch.setattr(QRational, "__truediv__", divide)
+        monkeypatch.setattr(genocchi, "over_one_plus_q", canonical)
         assert [moment(k) for k in range(13)] == [RECURRENCE[k + 1] / (k + 1) for k in range(13)]
 
     def test_second_moment_is_third_number_over_three(self):
@@ -213,6 +215,79 @@ class TestMomentsAt:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             moments_at(4, -1)
+
+
+def _padic_key(x):
+    return x.valuation, x.unit, x.abs_precision, x.exact_value
+
+
+def _inexact_padic(p, precision, value, digits):
+    """value as an element of Q_p known to `digits` absolute digits, with no
+    exact shadow."""
+    return PadicNumber.from_rational(value, PadicContext(p, precision)).truncated(digits)
+
+
+def _residue_points(residue, primes=(3, 5, 7)):
+    """Inexact p-adic q = residue + p*u at several p, u and precisions."""
+    for p in primes:
+        for u in (1, -2, F(1, 2)):
+            for digits in (3, 8):
+                yield _inexact_padic(p, 12, residue + p * u, digits)
+
+
+class TestEngineAgainstStirlingReference:
+    """The integer recurrence equals the Stirling closed form it replaces."""
+
+    def test_at_the_indeterminate(self):
+        assert moments_at(QRational.q(), 60) == stirling_moments_at(QRational.q(), 60)
+
+    @pytest.mark.parametrize("q0", MOMENT_POINTS + (F(-7, 3), F(123456789, 1000)))
+    def test_at_a_rational_q(self, q0):
+        assert moments_at(q0, 40) == stirling_moments_at(q0, 40)
+
+    @pytest.mark.parametrize("q0", (F(4), F(7, 2), F(1, 3), F(-2)))
+    def test_at_an_exact_padic_q(self, q0):
+        q = PadicNumber.from_rational(q0, PadicContext(3, 10))
+        assert ([_padic_key(m) for m in moments_at(q, 40)]
+                == [_padic_key(m) for m in stirling_moments_at(q, 40)])
+
+    @pytest.mark.parametrize("residue,primes", [(1, (3, 5, 7)), (0, (3, 5, 7)), (2, (5, 7))])
+    def test_at_an_inexact_padic_q(self, residue, primes):
+        # digit for digit and in reported precision, for q = 1 mod p (the
+        # domain of the p-adic integral), q = 0 and q = 2 mod p
+        for q in _residue_points(residue, primes):
+            assert ([_padic_key(m) for m in moments_at(q, 40)]
+                    == [_padic_key(m) for m in stirling_moments_at(q, 40)]), q
+
+    def test_near_the_pole_agrees_to_the_common_precision(self):
+        # at q = -1 mod p the integer form can report fewer digits than the
+        # Stirling form; the digits both report agree
+        for q in _residue_points(-1):
+            for got, want in zip(moments_at(q, 40), stirling_moments_at(q, 40)):
+                digits = min(got.abs_precision, want.abs_precision)
+                diff = got - want
+                assert diff.is_zero or diff.valuation >= digits, (q, got, want)
+
+
+class TestMomentsAtAQRational:
+    def test_a_constant_is_the_rational_value(self):
+        q0 = F(2, 3)
+        assert moments_at(QRational(q0), 20) == [QRational(m) for m in moments_at(q0, 20)]
+
+    def test_the_inverse_indeterminate_is_the_substitution(self):
+        q = QRational.q()
+        assert moments_at(1 / q, 20) == [moment(k).invert_q() for k in range(21)]
+
+    def test_the_indeterminate_runs_no_qrational_arithmetic(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("Q(q) arithmetic in the symbolic moments")
+
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__"):
+            monkeypatch.setattr(QRational, name, refuse)
+        monkeypatch.setattr(exactq, "weighted_sum", refuse)
+        monkeypatch.setattr(genocchi, "weighted_sum", refuse)
+        assert [m.to_text() for m in moments_at(QRational.q(), 3)] == [
+            "1", "(-q)/(1+q)", "(-q+q^2)/(1+2*q+q^2)", "(-q+4*q^2-q^3)/(1+3*q+3*q^2+q^3)"]
 
 
 class TestClassicalSpecialization:

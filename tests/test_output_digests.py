@@ -61,6 +61,12 @@ DIGESTS = {
     "table --nmax 2 --q -1": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "f7b223667c46a93796ff8cbc3bf773027f2f9d5154c4e8ae7327083cf1fa1b68", 3),
+    "table --nmax 250": (
+        "5afe644706c5b6c6515f2bd6902411141cc82613b1d1b476ae5bcafd4510c169",
+        EMPTY, 0),
+    "table --nmax 120 --q 2/3 --polynomials --format csv": (
+        "11b28597c1715f498c305565c2630ee119b70eb238e2d0be3130a93b7599491a",
+        EMPTY, 0),
     "table --nmax 251": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "73ce946e127feeda7eef32e890203721aa0168c3205f76b4856e215ee1b02f85", 2),
