@@ -807,7 +807,7 @@ def _has_toplevel_sum(txt: str) -> bool:
 # -- text rendering and parsing ---------------------------------------------
 
 
-def _render_poly(ints, var: str, num: int = 1, den: int = 1) -> str:
+def _render_poly(ints, var: str, num: int, den: int) -> str:
     """sum_i (num * ints[i] / den) * var^i as text, constant term first, for
     an int list `ints` and coprime num, den > 0.  Each coefficient is
     reduced by one integer gcd with den, and by none when den = 1."""

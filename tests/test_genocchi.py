@@ -221,18 +221,13 @@ def _padic_key(x):
     return x.valuation, x.unit, x.abs_precision, x.exact_value
 
 
-def _inexact_padic(p, precision, value, digits):
-    """value as an element of Q_p known to `digits` absolute digits, with no
-    exact shadow."""
-    return PadicNumber.from_rational(value, PadicContext(p, precision)).truncated(digits)
-
-
 def _residue_points(residue, primes=(3, 5, 7)):
-    """Inexact p-adic q = residue + p*u at several p, u and precisions."""
+    """q = residue + p*u in Q_p, known to a few absolute digits with no exact
+    shadow, at several p, u and precisions."""
     for p in primes:
         for u in (1, -2, F(1, 2)):
             for digits in (3, 8):
-                yield _inexact_padic(p, 12, residue + p * u, digits)
+                yield PadicNumber.from_rational(residue + p * u, PadicContext(p, 12)).truncated(digits)
 
 
 class TestEngineAgainstStirlingReference:
