@@ -7,7 +7,10 @@ identity checking reduces to structural equality.  `XPolynomial` is a
 polynomial in a second indeterminate x whose coefficients are QRational.
 The two polynomial classes share one dense base, `_DensePolynomial`
 (construction, `+`, `-`, `**`, equality, hashing); each adds its own
-coefficient ring, coercion and multiplication.
+coefficient ring, coercion and multiplication.  Equal values hash equal
+along the coercion chain int, Fraction < QPolynomial < QRational <
+XPolynomial: a constant hashes as its coefficient, a QRational over 1 as
+its numerator.
 
 Values are immutable; all operations are pure functions, safe to share
 across threads.
@@ -19,10 +22,10 @@ arithmetic.  The public `num`/`den` views present the equivalent canonical
 pair with monic denominator.
 
 Every denominator the paper's generating function produces is
-q^i * (1+q)^j.  Both factors are irreducible, so a gcd with such a
-polynomial is exact by counting factors (`_int_gcd`); only the other pairs,
-e.g. parsed input, take the mod-p coprimality certificate and then the
-heuristic gcd `K.poly_gcd`.
+q^i * (1+q)^j.  `_cancel` reduces every pair of integer polynomials by two
+rules: with such a side, counting the other side's irreducible factors q
+and 1+q gives the gcd and both quotients; any other pair, e.g. from parsed
+input, takes the heuristic gcd `K.poly_gcd` and two exact divisions.
 
 Each arithmetic rule is written once: `_cancel` divides a gcd out of a
 pair, `K.poly_primitive` splits off the content, `_clear_denominators`
@@ -40,7 +43,7 @@ constant becomes a QRational with no gcd, and a product with one scales
 the constant factor c alone, with no gcd either.  `over_one_plus_q` puts
 an integer polynomial over (1+q)^k into canonical form with no gcd: the
 content, then `_divide_out_one_plus_q`, the one synthetic division by
-1 + q (which also counts the (1+q) factors behind `_int_gcd`).  The
+1 + q (which also counts the (1+q) factors in `_cancel`).  The
 symbolic moments (`genocchi._moment_rows`) are built that way, from
 integer rows, with no QRational arithmetic.  `to_text` renders the
 integer triplet c * N / D directly (`_render_poly`), one integer gcd per
@@ -85,6 +88,8 @@ def _gf_gcd_degree(a, b, p):
     return len(a) - 1
 
 
+# No caller (`_cancel` takes the heuristic gcd directly); it stays, with
+# what it uses, while the benchmark's tracer still wraps it by name.
 def _coprime_certificate(a, b) -> bool:
     """True guarantees gcd(a, b) is constant in Q[q] (mod-p certificate).
 
@@ -143,42 +148,26 @@ def _divide_out_one_plus_q(a, cap):
     return k, a
 
 
-def _structured_gcd(i, j, other):
-    """gcd(q^i * (1+q)^j, other) by counting factors; other is nonzero.
-
-    q and 1+q are irreducible, so the gcd is q^min(i, v_q(other)) *
-    (1+q)^min(j, v_{1+q}(other)), primitive with positive leading
-    coefficient like `K.poly_gcd`'s result.
-    """
-    vq = 0
-    while vq < i and other[vq] == 0:
-        vq += 1
-    return _q_one_plus_q(vq, _divide_out_one_plus_q(other[vq:], j)[0])
-
-
-def _int_gcd(a, b):
-    """Primitive gcd of two primitive integer polynomials.
-
-    When either argument is q^i * (1+q)^j (every denominator the paper's
-    generating function produces), the gcd is exact by factor counting.
-    Other pairs take the mod-p certificate, which settles coprime pairs,
-    and then the heuristic `K.poly_gcd`.
-    """
-    if a and b:
-        for s, other in ((b, a), (a, b)):
-            e = _q_one_plus_q_exponents(s)
-            if e is not None:
-                return _structured_gcd(*e, other)
-    if _coprime_certificate(a, b):
-        return [1]
-    return K.poly_gcd(a, b)
-
-
 def _cancel(a, b):
     """(g, a/g, b/g) for g = gcd(a, b) of two nonzero primitive integer
-    polynomials; a and b come back unchanged when g = [1]."""
-    g = _int_gcd(a, b)
-    if len(g) == 1:
+    polynomials; a and b come back unchanged when g = [1].
+
+    When either side is q^i * (1+q)^j, g = q^vq * (1+q)^k counts the other
+    side's irreducible factors q and 1+q, up to i and j, and so gives both
+    quotients.  Any other pair takes the heuristic gcd `K.poly_gcd` and two
+    exact divisions."""
+    for s, other in ((b, a), (a, b)):
+        if (e := _q_one_plus_q_exponents(s)) is not None:
+            i, j = e
+            vq = 0
+            while vq < i and other[vq] == 0:
+                vq += 1
+            k, rest = _divide_out_one_plus_q(other[vq:], j)
+            if vq == k == 0:
+                return [1], a, b
+            g, quo = _q_one_plus_q(vq, k), _q_one_plus_q(i - vq, j - k)
+            return (g, rest, quo) if other is a else (g, quo, rest)
+    if len(g := K.poly_gcd(a, b)) == 1:
         return g, a, b
     return g, K.poly_divexact(a, g), K.poly_divexact(b, g)
 
@@ -273,6 +262,8 @@ class _DensePolynomial:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        if self.degree <= 0:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((type(self).__name__, self.coeffs))
 
 
@@ -344,8 +335,8 @@ class QRational:
     """Rational function in q over Q, in canonical form.
 
     Canonical form: numerator and denominator coprime in Q[q], denominator
-    monic, zero represented as 0/1.  Equality and hashing are structural,
-    so two QRational values are equal iff they are the same function.
+    monic, zero represented as 0/1.  Equality is structural, so two
+    QRational values are equal iff they are the same function.
     """
 
     __slots__ = ("_c", "_num", "_den")
@@ -523,6 +514,8 @@ class QRational:
         return self._c == o._c and self._num == o._num and self._den == o._den
 
     def __hash__(self):
+        if self._den == (1,):
+            return hash(self.num)
         return hash(("QRational", self._c, self._num, self._den))
 
     # -- the q -> 1/q involution and evaluation -----------------------------

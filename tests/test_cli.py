@@ -574,12 +574,20 @@ class TestPlumbing:
         _, second, _ = run("verify", "--only", "THM7", "--nmax", "3")
         assert first == second
 
-    def test_out_file(self, run, tmp_path):
+    def test_out_file(self, run, capsys, tmp_path):
         path = tmp_path / "table.txt"
         status, lines, _ = run("table", "--nmax", "1", "--out", str(path))
         assert status == 0
         assert lines == []
         assert path.read_text(encoding="utf-8") == "G~_0 = 0\nG~_1 = 1\n"
+        # the lines go out one at a time, to --out as to stdout
+        for argv in (["table", "--nmax", "30", "--polynomials"],
+                     ["verify", "--nmax", "3", "--format", "text"]):
+            assert main(argv) == 0
+            stdout = capsys.readouterr().out
+            assert main([*argv, "--out", str(path)]) == 0
+            assert capsys.readouterr().out == ""
+            assert path.read_bytes() == stdout.encode() != b""
 
     def test_unwritable_out_exit_2(self, run, tmp_path):
         path = tmp_path / "missing" / "table.txt"

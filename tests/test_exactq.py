@@ -191,6 +191,23 @@ class TestQRational:
         assert Q ** -2 == ONE / Q ** 2
 
 
+@pytest.mark.parametrize("chain", [
+    [3, F(3), qp(3), QRational(3), XPolynomial((3,))],
+    [F(-5, 2), qp(F(-5, 2)), QRational(F(-5, 2)), XPolynomial((F(-5, 2),))],
+    [0, F(0), QPolynomial(), QRational.zero(), XPolynomial(), XPolynomial((0,))],
+    [qp(0, 1), Q, QRational(qp(0, 1)), XPolynomial((Q,))],
+    [qp(1, 2, 3), QRational(qp(2, 4, 6), qp(2)), XPolynomial((qp(1, 2, 3),))],
+    [Q / (ONE + Q), XPolynomial((Q / (ONE + Q),))],
+])
+def test_equal_values_hash_equal(chain):
+    # the coercion chain int, Fraction < QPolynomial < QRational < XPolynomial
+    for a in chain:
+        for b in chain:
+            assert a == b and hash(a) == hash(b)
+    assert len(set(chain)) == 1
+    assert {chain[0]: "v"}[chain[-1]] == "v"
+
+
 # -- rendering and parsing --------------------------------------------------------
 
 
@@ -491,7 +508,7 @@ class TestWeightedSum:
             raise AssertionError("structured sum reached the general gcd")
 
         monkeypatch.setattr(exactq, "_cancel", counted)
-        monkeypatch.setattr(exactq, "_coprime_certificate", refuse)
+        monkeypatch.setattr(K, "poly_gcd", refuse)
         terms = [(k + 1, QRational(qp(k, 1, -k), q_one_plus_q_poly(k % 3, k))) for k in range(8)]
         expected = naive_weighted_sum(terms)
         calls.clear()
@@ -546,7 +563,7 @@ def test_constant_product_takes_no_gcd(monkeypatch):
     def refuse(*_):
         raise AssertionError("a product by a constant took a gcd")
 
-    monkeypatch.setattr(exactq, "_int_gcd", refuse)
+    monkeypatch.setattr(exactq, "_cancel", refuse)
     assert r * 3 == 3 * r == r * QRational(3) == QRational(3) * r == expected[0]
     assert r * F(2, 3) == F(2, 3) * r == r * QRational(F(2, 3)) == r / F(3, 2) == expected[1]
     assert (r * 0).is_zero and (QRational.zero() * r).is_zero
@@ -570,59 +587,94 @@ def primitive_int_polys(draw):
     return f or [1]
 
 
+def check_cancel(a, b):
+    """`_cancel` gives Euclid's gcd g and the quotients, g*a' = a and
+    g*b' = b, in both argument orders."""
+    expected = naive_gcd(a, b)
+    for x, y in ((a, b), (b, a)):
+        g, x1, y1 = exactq._cancel(x, y)
+        assert g == expected
+        assert K.poly_mul(g, x1) == x and K.poly_mul(g, y1) == y
+
+
+def refuse_general_path(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("structured pair reached the general gcd or a division")
+
+    monkeypatch.setattr(K, "poly_gcd", refuse)
+    monkeypatch.setattr(K, "poly_divexact", refuse)
+
+
 class TestStructuredGcd:
     @pytest.fixture
     def no_general_path(self, monkeypatch):
-        def refuse(*_):
-            raise AssertionError("structured pair reached the general gcd")
-
-        monkeypatch.setattr(exactq, "_coprime_certificate", refuse)
-        monkeypatch.setattr(K, "poly_gcd", refuse)
+        refuse_general_path(monkeypatch)
 
     @given(primitive_int_polys(), st.integers(0, 4), st.integers(0, 6),
            st.integers(0, 4), st.integers(0, 6))
     def test_matches_euclid(self, f, a, b, i, j):
-        num = K.poly_mul(f, q_one_plus_q(a, b))
-        den = q_one_plus_q(i, j)
-        expected = naive_gcd(num, den)
-        assert exactq._int_gcd(num, den) == expected
-        assert exactq._int_gcd(den, num) == expected
+        check_cancel(K.poly_mul(f, q_one_plus_q(a, b)), q_one_plus_q(i, j))
+
+    @given(primitive_int_polys(), primitive_int_polys(), primitive_int_polys())
+    def test_general_pairs_match_euclid(self, f, g, h):
+        check_cancel(K.poly_mul(f, h), K.poly_mul(g, h))
+
+    @given(primitive_int_polys(), st.integers(0, 4), st.integers(0, 6),
+           st.integers(0, 4), st.integers(0, 6))
+    def test_structured_pair_takes_no_gcd_and_no_division(self, f, a, b, i, j):
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_general_path(mp)
+            check_cancel(K.poly_mul(f, q_one_plus_q(a, b)), q_one_plus_q(i, j))
 
     def test_constant_one(self, no_general_path):
-        assert exactq._int_gcd([1], [3, -2, 7]) == [1]
-        assert exactq._int_gcd([3, -2, 7], [1]) == [1]
+        assert exactq._cancel([1], [3, -2, 7]) == ([1], [1], [3, -2, 7])
+        assert exactq._cancel([3, -2, 7], [1]) == ([1], [3, -2, 7], [1])
 
     def test_pure_powers(self, no_general_path):
         # i = 0: only (1+q) factors; j = 0: only q factors
-        assert exactq._int_gcd([0, 0, 1, 1], q_one_plus_q(0, 3)) == [1, 1]
-        assert exactq._int_gcd([0, 0, 1, 1], q_one_plus_q(4, 0)) == [0, 0, 1]
-        assert exactq._int_gcd(q_one_plus_q(2, 0), q_one_plus_q(0, 5)) == [1]
+        assert exactq._cancel([0, 0, 1, 1], q_one_plus_q(0, 3)) == ([1, 1], [0, 0, 1], [1, 2, 1])
+        assert exactq._cancel([0, 0, 1, 1], q_one_plus_q(4, 0)) == ([0, 0, 1], [1, 1], [0, 0, 1])
+        assert exactq._cancel(q_one_plus_q(2, 0), q_one_plus_q(0, 5))[0] == [1]
 
     def test_numerator_with_more_one_plus_q_factors(self, no_general_path):
         num = K.poly_mul([2, 0, 3], q_one_plus_q(1, 6))
-        assert exactq._int_gcd(num, q_one_plus_q(3, 2)) == q_one_plus_q(1, 2)
+        assert exactq._cancel(num, q_one_plus_q(3, 2)) == (
+            q_one_plus_q(1, 2), K.poly_mul([2, 0, 3], q_one_plus_q(0, 4)), q_one_plus_q(2, 0))
 
     def test_both_structured(self, no_general_path):
-        assert exactq._int_gcd(q_one_plus_q(3, 1), q_one_plus_q(1, 4)) == q_one_plus_q(1, 1)
+        assert exactq._cancel(q_one_plus_q(3, 1), q_one_plus_q(1, 4)) == (
+            q_one_plus_q(1, 1), q_one_plus_q(2, 0), q_one_plus_q(0, 3))
 
     def test_near_miss_takes_general_path(self, monkeypatch):
         calls = []
-        certificate = exactq._coprime_certificate
+        poly_gcd = K.poly_gcd
 
         def spy(a, b):
             calls.append((a, b))
-            return certificate(a, b)
+            return poly_gcd(a, b)
 
-        monkeypatch.setattr(exactq, "_coprime_certificate", spy)
+        monkeypatch.setattr(K, "poly_gcd", spy)
         near = q_one_plus_q(0, 4)
         near[2] += 1  # 1 + 4q + 7q^2 + 4q^3 + q^4
         num = K.poly_mul([1, 2], near)
-        assert exactq._int_gcd(num, near) == near
+        assert exactq._cancel(num, near) == (near, [1, 2], [1])
         assert calls
 
-    def test_zero_keeps_euclid_result(self):
-        assert exactq._int_gcd([], [0, 1, 1]) == naive_gcd([], [0, 1, 1])
-        assert exactq._int_gcd([1, 1], []) == [1, 1]
+
+@given(parsed_qrationals(), parsed_qrationals(), parsed_qrationals())
+def test_parsed_operations_never_run_the_certificate(a, b, c):
+    def refuse(*_):
+        raise AssertionError("the mod-p certificate ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactq, "_coprime_certificate", refuse)
+        results = [a + b + c, a * b / c, a * b.invert_q() + c.invert_q(), (a + b).invert_q()]
+    # no factor of a parsed text has a rational root above 9 in height
+    for r in (F(101, 103), F(-107, 109)):
+        va, vb, vc = a.evaluate(r), b.evaluate(r), c.evaluate(r)
+        ia, ib, ic = a.evaluate(1 / r), b.evaluate(1 / r), c.evaluate(1 / r)
+        assert [x.evaluate(r) for x in results] == [
+            va + vb + vc, va * vb / vc, va * ib + ic, ia + ib]
 
 
 _REFUSE_CERTIFICATE = """

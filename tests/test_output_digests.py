@@ -9,15 +9,21 @@ purpose re-records the lines it names, printed by
     PYTHONPATH=src python tests/test_output_digests.py
 
 and says why in CHANGES.md.  The whole list runs in a few seconds.
+
+`FIELD_DIGESTS` does the same for the library on parsed rational functions
+whose denominators have no factor q or 1+q (`field_results`), the inputs
+that reach the general gcd.
 """
 
 import hashlib
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from qgenocchi.cli import main
+from qgenocchi.exactq import parse_qrational
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -166,6 +172,48 @@ DIGESTS = {
 }
 
 
+FIELD_DIGESTS = {
+    "sum": "eabe9f892743082c626ac4bc588aac9f9ae74615f1e549c9ef82ab351a5ce55b",
+    "chain": "efe8d0b526e13d7fed7143d81e49fe66eba9dfab871e4fca3f37d6cf83a2bb3e",
+    "cross": "1aa917f7386ab97d96adc5e42aaab99b99e0086b17378c39792a1b3a7ba525da",
+    "sum_inverted": "77f3976c6590c82b5275fd77cd1d77abdd8f7a5ed27ddded64e5f1c23e681783",
+}
+
+
+def field_texts(seed=20, count=40):
+    """`count` seeded texts f*g/(h*k[*l]), each factor of degree 1-3 with no
+    root at 0 or -1, drawn from a pool of `count` factors."""
+    rng = random.Random(seed)
+
+    def factor():
+        while True:
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 4))]
+            if coeffs[0] and coeffs[-1] and sum(c * (-1) ** i for i, c in enumerate(coeffs)):
+                return "(" + "+".join(f"({c})*q^{i}" for i, c in enumerate(coeffs)) + ")"
+
+    pool = [factor() for _ in range(count)]
+    return [f"{'*'.join(rng.sample(pool, 2))}/({'*'.join(rng.sample(pool, rng.randint(2, 3)))})"
+            for _ in range(count)]
+
+
+def field_results():
+    """to_text of the sum of `field_texts`, the chain a_0 * a_1 / a_2 * a_2
+    / a_3 ..., the cross sum sum_i a_i * invert_q(a_(i+1)) (cyclic) and the
+    inverted sum."""
+    values = [parse_qrational(t) for t in field_texts()]
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    chain = values[0]
+    for a, b in zip(values[1:], values[2:]):
+        chain = chain * a / b
+    cross = values[0] * values[-1].invert_q()
+    for a, b in zip(values, values[1:]):
+        cross = cross + a * b.invert_q()
+    results = {"sum": total, "chain": chain, "cross": cross, "sum_inverted": total.invert_q()}
+    return {k: hashlib.sha256(v.to_text().encode()).hexdigest() for k, v in results.items()}
+
+
 def digests(command: str):
     """(sha256 of stdout, sha256 of stderr, exit status) of one CLI run."""
     out, err = io.StringIO(), io.StringIO()
@@ -180,8 +228,14 @@ def test_output_is_byte_identical(command):
     assert digests(command) == DIGESTS[command]
 
 
+def test_field_results_are_byte_identical():
+    assert field_results() == FIELD_DIGESTS
+
+
 if __name__ == "__main__":
     for command in DIGESTS:
         out, err, status = digests(command)
         err = "EMPTY" if err == EMPTY else f'"{err}"'
         print(f'    "{command}": (\n        "{out}",\n        {err}, {status}),')
+    for key, digest in field_results().items():
+        print(f'    "{key}": "{digest}",')
