@@ -5,7 +5,7 @@ Layers:
   genocchi   -- the number/polynomial sequences from one closed form for
                 the moments, at the indeterminate q or a numeric one; the
                 recurrence and series inversion that cross-check it;
-                Frobenius-Euler polynomials, the fermionic moment oracle
+                Frobenius-Euler polynomials, the integral oracle
   bernstein  -- Bernstein basis polynomials and products
   identities -- mechanical verification of the identity suite
   padic      -- precision-tracked Q_p arithmetic, fermionic Riemann sums,

@@ -1,8 +1,11 @@
 """Bernstein basis polynomials and the sampled Bernstein operator.
 
-Everything is expanded to the monomial basis immediately, since the
-consumer is the moment oracle (`genocchi.integrate_polynomial`), which
-wants monomial coefficients.
+Everything is expanded to the monomial basis, with rational constant
+coefficients.  `genocchi.integrate_polynomial` integrates such a polynomial
+by Mahler's expansion of its values at 0..n, the oracle of the integral
+identities (K. Mahler, J. reine angew. Math. 199 (1958); A. M. Robert, A
+Course in p-adic Analysis, GTM 198, ch. 4).  The THM7/THM8 verifiers take
+the values of x^k (1-x)^(n-k) directly and use no polynomial from here.
 """
 
 from __future__ import annotations

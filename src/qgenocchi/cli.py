@@ -321,9 +321,10 @@ def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
 
 
 # Largest --nmax that `verify` accepts, with or without --only; it must admit
-# 30, the largest default range.  The whole suite took 1.5 s at --nmax 25,
-# 7.9 s at 40 and 19 s at 50, printing 0.69, 3.6 and 8.6 MB (CPython 3.11,
-# 2-vCPU Xeon); time grows about as nmax^3.7 and output as nmax^3.6.
+# 30, the largest default range.  The whole suite took 0.6 s at --nmax 25,
+# 2.3 s at 40 and 5.1 s at 50 (whole process), printing 0.69, 3.6 and
+# 8.6 MB (CPython 3.11, 2-vCPU Xeon); time grows about as nmax^3.1 and
+# output as nmax^3.6.
 MAX_VERIFY_NMAX = 50
 
 
@@ -449,8 +450,8 @@ def run_loggamma(args, out: list) -> int:
 
 
 # Largest --n that `bernstein` accepts.  All n+1 basis polynomials of degree
-# 100 and their integrals take about 6 s (CPython 3.11, 2-vCPU Xeon), and the
-# cost grows about as n^3.3: n = 200 took 71.5 s.
+# 100 and their integrals take about 0.4 s (whole process, CPython 3.11,
+# 2-vCPU Xeon), and the cost grows about as n^2.6: n = 200 took 2.5 s.
 MAX_BERNSTEIN_DEGREE = 100
 
 

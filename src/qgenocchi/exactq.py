@@ -35,8 +35,8 @@ square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too),
 number (a Fraction in `QPolynomial.evaluate` and `QRational.evaluate`, a
 PadicNumber in `padic.qrational_at_padic`), and `weighted_sum` adds a
 linear combination of QRationals over one common denominator and
-canonicalises once.  Every weighted sum of the identity checks and of the
-moment oracle goes through `weighted_sum`, and so do each coefficient of
+canonicalises once.  Every weighted sum in Q(q) of the identity checks
+goes through `weighted_sum`, and so do each coefficient of
 an `XPolynomial` product and the Taylor shift behind
 `XPolynomial.compose_linear` and `XPolynomial.evaluate`.  A rational
 constant becomes a QRational with no gcd, and a product with one scales

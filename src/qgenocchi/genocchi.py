@@ -24,10 +24,11 @@ inversion of the exponential generating function [2]_q * t / (q*e^t + 1).
 `tests` require all three to agree for every index in use.
 
 Also here: Frobenius-Euler polynomials at parameter -1/q and
-`integrate_polynomial` -- the moment oracle that integrates an arbitrary
-polynomial against the alternating q-measure by linearity.  Every
-integral identity elsewhere in the package is adjudicated against that
-oracle.
+`integrate_polynomial`, which integrates a polynomial against the
+alternating q-measure.  For rational constant coefficients it is the
+oracle of every integral identity elsewhere in the package: Mahler's
+expansion, the integral of C(xi, j) being r^j (`_mahler_numerator`), an
+integer polynomial over a power of 1+q that reads no moment.
 """
 
 from __future__ import annotations
@@ -38,8 +39,16 @@ from fractions import Fraction
 from itertools import count, islice
 from math import comb, factorial
 
+from . import _kernel as K
 from .errors import PoleError
-from .exactq import QRational, XPolynomial, over_one_plus_q, q_bracket, weighted_sum
+from .exactq import (
+    QRational,
+    XPolynomial,
+    _clear_denominators,
+    over_one_plus_q,
+    q_bracket,
+    weighted_sum,
+)
 
 _TWO_Q = QRational(q_bracket(2))  # [2]_q = 1 + q
 
@@ -170,9 +179,28 @@ def _moment_numerators():
     row = [1]
     for k in count(1):
         yield row
-        # coefficient i of (1+q) N' - k N is (i+1) N_{i+1} + i N_i - k N_i
-        ext = row + [0]
-        row = [0] + [(i + 1) * ext[i + 1] + (i - k) * ext[i] for i in range(k)]
+        row = _next_numerator(row, k)
+
+
+def _next_numerator(row, k: int) -> list:
+    """N_k from N_{k-1} = `row`: coefficient i of (1+q) N' - k N is
+    (i+1) N_{i+1} + i N_i - k N_i, and the factor q shifts it up by one."""
+    ext = list(row) + [0]
+    return [0] + [(i + 1) * ext[i + 1] + (i - k) * ext[i] for i in range(k)]
+
+
+_NUMERATORS = [(1,)]
+_NUMERATOR_LOCK = threading.Lock()
+
+
+def _moment_numerator(k: int) -> tuple:
+    """N_k of `_moment_numerators` as an int tuple, memoised, for the
+    integer Bernstein sums of `identities` (`moment` keeps only m_k)."""
+    if k >= len(_NUMERATORS):
+        with _NUMERATOR_LOCK:
+            while len(_NUMERATORS) <= k:
+                _NUMERATORS.append(tuple(_next_numerator(_NUMERATORS[-1], len(_NUMERATORS))))
+    return _NUMERATORS[k]
 
 
 def _moment_rows(q):
@@ -254,11 +282,52 @@ def moments_at(q, n: int) -> list:
     return list(islice(_moment_rows(q), n + 1))
 
 
-def integrate_polynomial(poly: XPolynomial) -> QRational:
-    """Integrate a polynomial against the alternating q-measure by linearity.
+def _mahler_numerator(values) -> list:
+    """The integral of f over (1+q)^D from its values f(0), ..., f(D), D =
+    len(values) - 1, deg f <= D: an int list, trailing zeros dropped.
 
-    This is the independent oracle for every integral identity: it knows
-    nothing beyond the moments of Eq-4 type and linearity.
+    Mahler's expansion f = sum_j d_j C(x, j), d_j = (Delta^j f)(0), and
+    the integral of C(xi, j), r^j with r = -q/(1+q), give the integral
+    sum_j d_j (-q)^j (1+q)^(D-j) / (1+q)^D (K. Mahler, J. reine angew.
+    Math. 199 (1958); A. M. Robert, A Course in p-adic Analysis, GTM 198,
+    ch. 4).  The numerator is one Horner loop in 1+q, a shift and an add
+    per step; no moment enters it.
     """
-    return weighted_sum((1, c * moment(k)) for k, c in enumerate(poly.coeffs) if not c.is_zero)
+    acc, diffs = [0], list(values)
+    for j in range(len(diffs)):
+        acc = list(map(operator.add, acc, [0] + acc))  # acc ends in a spare 0: times 1+q
+        acc[j] += diffs[0] if j % 2 == 0 else -diffs[0]
+        diffs = list(map(operator.sub, diffs[1:], diffs))
+        acc.append(0)
+    acc.pop()
+    return K.poly_trim(acc)
 
+
+def _rational_constants(coeffs):
+    """The coefficients as Fractions when each is a rational constant, else None."""
+    out = []
+    for c in coeffs:
+        num, den = c.num, c.den
+        if num.degree > 0 or den.degree > 0:
+            return None
+        out.append(num.coeffs[0] if num.coeffs else Fraction(0))
+    return out
+
+
+def integrate_polynomial(poly: XPolynomial) -> QRational:
+    """Integrate a polynomial against the alternating q-measure.
+
+    With rational constant coefficients (every Bernstein polynomial) this is
+    the oracle of the integral identities: the denominators are cleared and
+    the integer polynomial's values at 0..D go through Mahler's expansion
+    (`_mahler_numerator`), which uses no moment.  Coefficients in Q(q) are
+    integrated against the moments by linearity.
+    """
+    consts = _rational_constants(poly.coeffs)
+    if consts is None:
+        return weighted_sum((1, c * moment(k)) for k, c in enumerate(poly.coeffs) if not c.is_zero)
+    if not consts:
+        return QRational.zero()
+    ints, den = _clear_denominators(consts)
+    values = [K.poly_eval_int(ints, x) for x in range(len(ints))]
+    return over_one_plus_q(_mahler_numerator(values), len(ints) - 1) / den

@@ -1,34 +1,47 @@
 """Mechanical verification of the integral-shift and q-Genocchi identities.
 
 Every verifier reduces both sides of an identity to canonical QRational /
-XPolynomial form, or to the moment oracle, and emits a structured
-IdentityReport.  Equality is canonical-form structural equality; there is
+XPolynomial form, or to an integer numerator over a power of 1+q, and
+emits a structured IdentityReport.  Equality is canonical-form structural
+equality, or equality of integer lists at a common power of 1+q; there is
 no numerical tolerance anywhere in this module.
 
 Two of the printed identities need adjudication rather than plain checking
 (the single-Bernstein and product-Bernstein ones): their printed forms
 contain defects (a free summation index, a subscript that conflicts with
 the derivation), so the verifiers compute every candidate reading exactly
-and let the moment oracle decide, reporting CORRECTED_PASS or FAIL with a
+and let the oracle decide, reporting CORRECTED_PASS or FAIL with a
 witness instead of guessing silently.
 
-Both rest on one integral, that of (1-xi)^j, whose right side `_eq16_rhs(j)`
-is memoised.  THM7 is the one-factor case of THM8: their left sides and
-their printed and derived right sides are each one private sum over
-(total degree, m*k), used with (n, k) by THM7 and (n1+...+nm, m*k) by THM8.
+Both rest on one integral, that of (1-xi)^j.  Every quantity of THM6, THM7
+and THM8 is an integer polynomial over a power of 1+q: the moment m_j is
+N_j/(1+q)^j (the rows of `genocchi._moment_numerators`), the moment at 1/q
+is N_j reversed over (1+q)^j, and so `_eq16_rhs(j)` is R_j/(1+q)^j with
+R_j = (1+q)^(j+1) + q^2 rev(N_j) (memoised).  THM7 is the one-factor case
+of THM8: the left sides and the printed and derived right sides are each
+one integer Horner loop in 1+q over (total degree, m*k), used with (n, k)
+by THM7 and (n1+...+nm, m*k) by THM8; multiplying by 1+q is a shift and an
+add, and no Q(q) arithmetic runs.  The oracle is Mahler's expansion of
+xi^(mk) (1-xi)^(total-mk) (`genocchi._mahler_numerator`), which reads no
+moment.  A QRational (`over_one_plus_q`) is built only for a witness or a
+public return value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import zip_longest
 from math import comb
 from typing import Sequence
 
-from .bernstein import BernsteinIndex, bernstein_basis, bernstein_product
-from .exactq import QRational, XPolynomial, weighted_sum
+from . import _kernel as K
+from .bernstein import BernsteinIndex, bernstein_basis
+from .exactq import QRational, XPolynomial, over_one_plus_q, weighted_sum
 from .genocchi import (
     _TWO_Q,
+    _mahler_numerator,
+    _moment_numerator,
     frobenius_euler_polynomial,
     genocchi_number,
     genocchi_polynomial,
@@ -131,7 +144,7 @@ def shift_equation_sides(n: int, d: int):
 
 
 def verify_shift_equation(n: int, f_degree: int) -> IdentityReport:
-    """Check the shift equation against the moment oracle for all monomials
+    """Check the shift equation against the integral oracle for all monomials
     x^d, d <= f_degree.  Reports as EQ7 when n = 1, EQ6 otherwise."""
     if n < 1:
         raise ValueError("shift equation needs n >= 1")
@@ -272,17 +285,20 @@ def verify_shift_two(n_max: int) -> IdentityReport:
 
 
 @cache
-def _inverted_moment(j: int) -> QRational:
-    """G~_{j+1,1/q}/(j+1): the j-th moment with q -> 1/q."""
-    return moment(j).invert_q()
+def _eq16_numerator(j: int) -> tuple:
+    """R_j = (1+q)^(j+1) + q^2 rev(N_j), the numerator of `_eq16_rhs(j)` over
+    (1+q)^j: the moment with q -> 1/q is q^j N_j(1/q) / (1+q)^j, and
+    q^j N_j(1/q) is N_j's coefficient list reversed."""
+    out = [comb(j + 1, i) for i in range(j + 2)] + [0]
+    for i, x in enumerate(reversed(_moment_numerator(j))):
+        out[i + 2] += x
+    return tuple(out)
 
 
-@cache
 def _eq16_rhs(j: int) -> QRational:
     """[2]_q + q^2 G~_{j+1,1/q}/(j+1) -- the right side of the (1-xi)^j
     integral identity, valid for j >= 1."""
-    q = QRational.q()
-    return _TWO_Q + q ** 2 * _inverted_moment(j)
+    return over_one_plus_q(_eq16_numerator(j), j)
 
 
 def one_minus_xi_sides(n: int):
@@ -299,41 +315,71 @@ def verify_one_minus_xi(n_max: int) -> IdentityReport:
     return aggregate_report("THM6_EQ16", {"n_min": 1, "n_max": n_max}, pairs, probes=(probe,))
 
 
-# -- sums shared by THM7 (total = n, mk = k) and THM8 (total = sum n_s) ------
+# -- numerators shared by THM7 (total = n, mk = k) and THM8 (total = sum n_s) --
+#
+# Each is an int list (coefficient of q^i at i, trailing zeros dropped) over
+# the power of 1+q its docstring names.
 
 
-def _bernstein_lhs(total: int, mk: int, invert: bool) -> QRational:
-    """sum_l C(total-mk, l) (-1)^l G~_{l+mk+1}/(l+mk+1); subscript 1/q if `invert`."""
-    m = _inverted_moment if invert else moment
-    return weighted_sum((comb(total - mk, ell) * (-1) ** ell, m(ell + mk))
-                        for ell in range(total - mk + 1))
+def _horner(terms) -> list:
+    """sum_l w_l * t_l * (1+q)^(M-l) over the pairs (w_l, t_l), l = 0..M, t_l
+    an int sequence: per term one multiplication by 1+q (a shift and an add)."""
+    acc = []
+    for w, t in terms:
+        acc = [a + b + w * x for a, b, x in zip_longest(acc + [0], [0] + acc, t, fillvalue=0)]
+    return K.poly_trim(acc)
 
 
-def _printed_rhs(total: int, mk: int) -> QRational:
-    """The printed right side; at mk = 0 the k=0 branch read with s = 0."""
-    return weighted_sum((comb(mk, ell) * (-1) ** (mk + ell), _eq16_rhs(total + ell))
-                        for ell in range(mk + 1))
+def _same(u, du: int, v, dv: int) -> bool:
+    """u/(1+q)^du == v/(1+q)^dv, compared as int lists at the larger power
+    (u * (1+q)^e is `_horner` of u and e zero terms) once the values at
+    q = 1 agree; those settle most unequal pairs."""
+    eu, ev = max(dv - du, 0), max(du - dv, 0)
+    if sum(u) << eu != sum(v) << ev:
+        return False
+    return _horner([(1, u)] + [(0, ())] * eu) == _horner([(1, v)] + [(0, ())] * ev)
 
 
-def _derived_rhs(total: int, mk: int) -> QRational:
-    """The derived right side, with the exponent-0 term read as the integral of 1."""
-    return weighted_sum((comb(mk, ell) * (-1) ** ell,
-                         QRational.one() if j == 0 else _eq16_rhs(j))
-                        for ell, j in enumerate(range(total - mk, total + 1)))
+def _lhs_numerator(total: int, mk: int, invert: bool) -> list:
+    """sum_l C(total-mk, l) (-1)^l G~_{l+mk+1}/(l+mk+1) over (1+q)^total;
+    subscript 1/q (each row N_(l+mk) reversed) if `invert`."""
+    rows = (_moment_numerator(ell + mk) for ell in range(total - mk + 1))
+    return _horner((comb(total - mk, ell) * (-1) ** ell, row[::-1] if invert else row)
+                   for ell, row in enumerate(rows))
+
+
+def _printed_numerator(total: int, mk: int) -> list:
+    """The printed right side over (1+q)^(total+mk); at mk = 0 the k=0
+    branch read with s = 0."""
+    return _horner((comb(mk, ell) * (-1) ** (mk + ell), _eq16_numerator(total + ell))
+                   for ell in range(mk + 1))
+
+
+def _derived_numerator(total: int, mk: int) -> list:
+    """The derived right side over (1+q)^total, with the exponent-0 term read
+    as the integral of 1."""
+    return _horner((comb(mk, ell) * (-1) ** ell, (1,) if j == 0 else _eq16_numerator(j))
+                   for ell, j in enumerate(range(total - mk, total + 1)))
+
+
+def _oracle_numerator(total: int, mk: int) -> list:
+    """The integral of xi^mk (1-xi)^(total-mk) over (1+q)^total, by Mahler's
+    expansion of its values at 0..total (no moment enters it)."""
+    return _mahler_numerator([x ** mk * (1 - x) ** (total - mk) for x in range(total + 1)])
 
 
 # -- single Bernstein integral (adjudicated) ----------------------------------
 
 
 def bernstein_single_lhs(n: int, k: int) -> QRational:
-    return _bernstein_lhs(n, k, invert=False)
+    return over_one_plus_q(_lhs_numerator(n, k, invert=False), n)
 
 
 def verify_bernstein_single(n: int, k: int) -> IdentityReport:
     """Adjudicate the single-Bernstein-integral identity at (n, k).
 
     Three quantities are computed exactly: (a) the printed left side,
-    (c) the moment-oracle value of the same integral, and (b) the printed
+    (c) the oracle value of the same integral, and (b) the printed
     right side -- whose k = 0 branch contains a free index s and is read
     with s = 0.  The oracle decides the verdict.
     """
@@ -341,43 +387,46 @@ def verify_bernstein_single(n: int, k: int) -> IdentityReport:
         raise ValueError("verify_bernstein_single needs n >= 1")
     BernsteinIndex(k, n)
     params = {"n": n, "k": k}
-    a = bernstein_single_lhs(n, k)
-    c = integrate_polynomial(bernstein_basis(k, n)) / comb(n, k)
+    a = _lhs_numerator(n, k, invert=False)
+    c = _oracle_numerator(n, k)
     if a != c:
         return IdentityReport(
             "THM7", params, FAIL,
             corrected_form="left side disagrees with the moment oracle",
-            witness=(str(a), str(c)),
+            witness=(str(over_one_plus_q(a, n)), str(over_one_plus_q(c, n))),
         )
-    b = _printed_rhs(n, k)
+    b = _printed_numerator(n, k)
+    a_is_b = _same(a, n, b, n + k)
+    if k != 0 and a_is_b:
+        return IdentityReport("THM7", params, PASS)
+    witness = (str(over_one_plus_q(a, n)), str(over_one_plus_q(b, n + k)))
     if k == 0:
-        if a == b:
+        if a_is_b:
             return IdentityReport(
                 "THM7", params, CORRECTED_PASS,
                 corrected_form="k=0 branch has a free index s; verified under the s=0 reading",
-                witness=(str(a), str(b)),
+                witness=witness,
             )
         return IdentityReport(
             "THM7", params, FAIL,
             corrected_form="left side equals the moment oracle, but the k=0 branch fails even under the s=0 reading",
-            witness=(str(a), str(b)),
+            witness=witness,
         )
-    if a == b:
-        return IdentityReport("THM7", params, PASS)
     note = "left side equals the moment oracle; the printed k!=0 right side does not"
-    if a == _derived_rhs(n, k):
+    if a == _derived_numerator(n, k):
         note += (
             "; it matches after replacing the sign (-1)^(k+s) by (-1)^s and the index n+s by n-k+s, "
             "reading the exponent-0 term as 1"
         )
-    return IdentityReport("THM7", params, FAIL, corrected_form=note, witness=(str(a), str(b)))
+    return IdentityReport("THM7", params, FAIL, corrected_form=note, witness=witness)
 
 
 # -- product of Bernstein integrals (adjudicated) -----------------------------
 
 
 def bernstein_product_lhs(degrees: Sequence[int], k: int, invert: bool) -> QRational:
-    return _bernstein_lhs(sum(degrees), len(degrees) * k, invert)
+    total = sum(degrees)
+    return over_one_plus_q(_lhs_numerator(total, len(degrees) * k, invert), total)
 
 
 def verify_bernstein_product(degrees: Sequence[int], k: int) -> IdentityReport:
@@ -386,8 +435,9 @@ def verify_bernstein_product(degrees: Sequence[int], k: int) -> IdentityReport:
 
     The printed left side carries subscript 1/q, but the underlying
     integral produces subscript q; both readings are computed exactly and
-    the moment oracle decides.  The printed right-side branches are also
-    evaluated and noted.
+    the oracle decides.  The printed right-side branches are also
+    evaluated and noted.  The product of the bases is prod C(n_s, k) times
+    xi^(mk) (1-xi)^(total-mk), so the oracle is THM7's at (total, mk).
     """
     degrees = list(degrees)
     m = len(degrees)
@@ -400,20 +450,18 @@ def verify_bernstein_product(degrees: Sequence[int], k: int) -> IdentityReport:
         params[f"n{i}"] = n_s
     total = sum(degrees)
     mk = m * k
-    binom_prod = 1
-    for n_s in degrees:
-        binom_prod *= comb(n_s, k)
-    oracle = integrate_polynomial(bernstein_product(k, degrees)) / binom_prod
-    a_printed = bernstein_product_lhs(degrees, k, invert=True)
-    a_q = bernstein_product_lhs(degrees, k, invert=False)
+    oracle = _oracle_numerator(total, mk)
+    a_printed = _lhs_numerator(total, mk, invert=True)
+    a_q = _lhs_numerator(total, mk, invert=False)
+    witness = (str(over_one_plus_q(a_printed, total)), str(over_one_plus_q(oracle, total)))
 
     # printed right side, both branches; recorded as annotations
     branch = "k=0" if k == 0 else "k!=0"
-    if _printed_rhs(total, mk) == oracle:
+    if _same(_printed_numerator(total, mk), total + mk, oracle, total):
         rhs_note = f"printed {branch} right side equals the oracle"
     else:
         rhs_note = f"printed {branch} right side differs from the oracle"
-        if k != 0 and _derived_rhs(total, mk) == oracle:
+        if k != 0 and _derived_numerator(total, mk) == oracle:
             rhs_note += (
                 "; it matches after replacing the sign (-1)^(mk+l) by (-1)^l and the index "
                 "n1+...+nm+l by n1+...+nm-mk+l, reading the exponent-0 term as 1"
@@ -423,7 +471,7 @@ def verify_bernstein_product(degrees: Sequence[int], k: int) -> IdentityReport:
         return IdentityReport(
             "THM8", params, PASS,
             corrected_form=f"both subscript readings coincide here; {rhs_note}",
-            witness=(str(a_printed), str(oracle)),
+            witness=witness,
         )
     if a_printed == oracle:
         return IdentityReport("THM8", params, PASS, corrected_form=rhs_note)
@@ -431,10 +479,10 @@ def verify_bernstein_product(degrees: Sequence[int], k: int) -> IdentityReport:
         return IdentityReport(
             "THM8", params, CORRECTED_PASS,
             corrected_form=f"left-side subscript 1/q read as q (the integral of xi^(l+mk) carries subscript q); {rhs_note}",
-            witness=(str(a_printed), str(oracle)),
+            witness=witness,
         )
     return IdentityReport(
         "THM8", params, FAIL,
         corrected_form=f"neither subscript reading matches the moment oracle; {rhs_note}",
-        witness=(str(a_printed), str(oracle)),
+        witness=witness,
     )

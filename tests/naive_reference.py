@@ -1,10 +1,11 @@
 """Slow, obviously correct references shared by the kernel, exactq,
-genocchi and padic tests."""
+genocchi, identities and padic tests."""
 
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from qgenocchi.exactq import QRational, XPolynomial
+from qgenocchi.exactq import QRational, XPolynomial, q_bracket, weighted_sum
+from qgenocchi.genocchi import moment
 
 
 def naive_gcd(a, b):
@@ -107,3 +108,40 @@ def naive_split_p(n, p):
         n //= p
         v += 1
     return v, n
+
+
+# -- the Bernstein identities as sums in Q(q) ---------------------------------
+
+
+def moment_integral(poly):
+    """The integral of an XPolynomial by linearity, sum_k c_k * moment(k)."""
+    return weighted_sum((1, c * moment(k)) for k, c in enumerate(poly.coeffs) if not c.is_zero)
+
+
+def inverted_moment(j):
+    """G~_{j+1,1/q}/(j+1): the j-th moment with q -> 1/q."""
+    return moment(j).invert_q()
+
+
+def eq16_rhs(j):
+    """[2]_q + q^2 G~_{j+1,1/q}/(j+1)."""
+    return QRational(q_bracket(2)) + QRational.q() ** 2 * inverted_moment(j)
+
+
+def bernstein_lhs(total, mk, invert):
+    """sum_l C(total-mk, l) (-1)^l G~_{l+mk+1}/(l+mk+1); subscript 1/q if `invert`."""
+    m = inverted_moment if invert else moment
+    return weighted_sum((comb(total - mk, ell) * (-1) ** ell, m(ell + mk))
+                        for ell in range(total - mk + 1))
+
+
+def printed_rhs(total, mk):
+    """The printed right side; at mk = 0 the k=0 branch read with s = 0."""
+    return weighted_sum((comb(mk, ell) * (-1) ** (mk + ell), eq16_rhs(total + ell))
+                        for ell in range(mk + 1))
+
+
+def derived_rhs(total, mk):
+    """The derived right side, with the exponent-0 term read as the integral of 1."""
+    return weighted_sum((comb(mk, ell) * (-1) ** ell, QRational.one() if j == 0 else eq16_rhs(j))
+                        for ell, j in enumerate(range(total - mk, total + 1)))

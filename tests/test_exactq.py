@@ -458,8 +458,9 @@ def parsed_qrationals(draw):
     """Parsed text whose denominator is a product of factors free of q and
     1+q, so a sum with one of them takes the term-by-term fold."""
     def factor():
+        # no root at 0 (c[0]) and none at -1 (the alternating sum)
         coeffs = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=3)
-                      .filter(lambda c: c[0] and c[-1]))
+                      .filter(lambda c: c[0] and c[-1] and sum(x * (-1) ** i for i, x in enumerate(c))))
         return "(" + "+".join(f"({c})*q^{i}" for i, c in enumerate(coeffs)) + ")"
 
     num = "*".join(factor() for _ in range(draw(st.integers(1, 2))))

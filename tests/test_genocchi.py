@@ -7,9 +7,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from naive_reference import genocchi_recurrence_at, stirling_moments_at
+from naive_reference import genocchi_recurrence_at, moment_integral, stirling_moments_at
 
 from qgenocchi import exactq, genocchi
+from qgenocchi.bernstein import bernstein_basis
 from qgenocchi.errors import PoleError
 from qgenocchi.exactq import QPolynomial, QRational, XPolynomial, parse_qrational
 from qgenocchi.genocchi import (
@@ -185,6 +186,44 @@ class TestMomentsAndOracle:
         lhs = integrate_polynomial(p * QRational(a) + r * QRational(b))
         rhs = QRational(a) * integrate_polynomial(p) + QRational(b) * integrate_polynomial(r)
         assert lhs == rhs
+
+
+
+small_fractions = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+
+
+class TestMahlerOracle:
+    """`integrate_polynomial` on rational constants takes Mahler's expansion;
+    it must equal the sum of the moments, which it never reads."""
+
+    def test_bernstein_bases_through_40(self):
+        for n in range(41):
+            for k in range(n + 1):
+                basis = bernstein_basis(k, n)
+                assert integrate_polynomial(basis) == moment_integral(basis), (n, k)
+
+    @given(st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6), small_fractions), max_size=12))
+    def test_integer_and_fraction_polynomials(self, coeffs):
+        poly = XPolynomial(coeffs)
+        assert integrate_polynomial(poly) == moment_integral(poly)
+
+    def test_reads_no_moment(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the oracle read a moment")
+
+        monkeypatch.setattr(genocchi, "moment", refuse)
+        assert integrate_polynomial(XPolynomial((F(1, 2), -3, 0, 5))) == parse_qrational(
+            "1/2 + 3*q/(1+q) - 5*q*(1-4*q+q^2)/(1+q)^3")
+        assert integrate_polynomial(XPolynomial(())) == QRational.zero()
+
+    def test_coefficients_in_q_use_the_moments(self):
+        poly = XPolynomial((parse_qrational("q"), parse_qrational("1/(1+q)"), 2))
+        assert integrate_polynomial(poly) == moment_integral(poly)
+
+    def test_mahler_vector_of_a_binomial_is_a_power_of_r(self):
+        # C(x, 3) has d = (0, 0, 0, 1): its integral is r^3 = (-q)^3 / (1+q)^3
+        assert genocchi._mahler_numerator([0, 0, 0, 1]) == [0, 0, 0, -1]
+        assert genocchi._mahler_numerator([0, 0, 0, 1, 4]) == [0, 0, 0, -1, -1]
 
 
 MOMENT_POINTS = (F(4), F(7), F(11), F(2, 3), F(-5, 2), F(0), F(1))

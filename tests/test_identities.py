@@ -5,10 +5,13 @@ import json
 from math import comb
 
 import pytest
+from naive_reference import bernstein_lhs, derived_rhs, eq16_rhs, moment_integral, printed_rhs
 
+from qgenocchi import _kernel as K
+from qgenocchi import exactq
 from qgenocchi import identities as ident
 from qgenocchi.bernstein import bernstein_basis, bernstein_product
-from qgenocchi.exactq import QRational, parse_qrational
+from qgenocchi.exactq import QRational, over_one_plus_q, parse_qrational
 from qgenocchi.genocchi import integrate_polynomial
 
 
@@ -221,3 +224,59 @@ class TestBernsteinProduct:
             ident.verify_bernstein_product(degrees, k)
         with pytest.raises(IndexError, match="Bernstein ind"):
             bernstein_product(k, degrees)
+
+
+class TestIntegerNumerators:
+    """The integer numerators over powers of 1+q against the Q(q) sums of
+    `naive_reference`, and the oracle against the moments."""
+
+    @staticmethod
+    def check(total, mk):
+        assert over_one_plus_q(ident._lhs_numerator(total, mk, False), total) \
+            == bernstein_lhs(total, mk, False)
+        assert over_one_plus_q(ident._printed_numerator(total, mk), total + mk) \
+            == printed_rhs(total, mk)
+        assert over_one_plus_q(ident._derived_numerator(total, mk), total) == derived_rhs(total, mk)
+        poly = bernstein_product(mk, [total]) / comb(total, mk)
+        assert over_one_plus_q(ident._oracle_numerator(total, mk), total) == moment_integral(poly)
+
+    def test_every_thm7_case_through_25(self):
+        for n in range(1, 26):
+            for k in range(n + 1):
+                self.check(n, k)
+
+    def test_every_thm8_case_under_both_readings(self):
+        for degrees, k in _thm8_suite():
+            self.check(sum(degrees), len(degrees) * k)
+            for invert in (False, True):
+                assert ident.bernstein_product_lhs(degrees, k, invert) \
+                    == bernstein_lhs(sum(degrees), len(degrees) * k, invert)
+
+    def test_eq16_rhs_is_the_reversed_row(self):
+        for j in range(61):
+            assert ident._eq16_rhs(j) == eq16_rhs(j)
+
+    def test_numerators_are_trimmed(self):
+        # equal values must be equal lists: no numerator ends in a zero
+        for total in range(9):
+            for mk in range(total + 1):
+                for v in (ident._lhs_numerator(total, mk, False), ident._lhs_numerator(total, mk, True),
+                          ident._printed_numerator(total, mk), ident._derived_numerator(total, mk),
+                          ident._oracle_numerator(total, mk)):
+                    assert v and v[-1] != 0
+        assert ident._lhs_numerator(2, 3, False) == []
+
+    def test_verifiers_run_no_qq_arithmetic(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("Q(q) arithmetic in an integer verifier")
+
+        monkeypatch.setattr(ident, "weighted_sum", refuse)
+        for name in ("poly_mul", "poly_gcd", "poly_divexact"):
+            monkeypatch.setattr(K, name, refuse)
+        monkeypatch.setattr(exactq.QRational, "__add__", refuse)
+        monkeypatch.setattr(exactq.QRational, "__mul__", refuse)
+        for n in range(1, 8):
+            for k in range(n + 1):
+                ident.verify_bernstein_single(n, k)
+        for degrees, k in _thm8_suite():
+            ident.verify_bernstein_product(degrees, k)

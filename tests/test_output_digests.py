@@ -6,9 +6,12 @@ refactor.  A change that means to keep every output (a simplification, a
 speed-up) leaves them all as they are.  A change that alters an output on
 purpose re-records the lines it names, printed by
 
-    PYTHONPATH=src python tests/test_output_digests.py
+    PYTHONPATH=src python tests/test_output_digests.py ["<command>" ...]
 
-and says why in CHANGES.md.  The whole list runs in a few seconds.
+and says why in CHANGES.md.  Each argument is one command, such as
+"bernstein --n 4", and only its DIGESTS line is printed; without arguments
+every line of both lists is.  A new pin is recorded the same way, on the
+code before the change.  The whole list runs in a few seconds.
 
 `FIELD_DIGESTS` does the same for the library on parsed rational functions
 whose denominators have no factor q or 1+q (`field_results`), the inputs
@@ -18,6 +21,7 @@ that reach the general gcd.
 import hashlib
 import io
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -169,6 +173,12 @@ DIGESTS = {
     "padic-converge --n 1 --prime 1000000000000000003 --mmax 0": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "c8055db0a27bc2ecfa04159b1b8379bf3403f31d264f474f6f26973cff62fa92", 2),
+    "verify --only THM7,THM8 --nmax 40 --format json": (
+        "88453fe3e6338065deb824b63daada0beaefb6891a02cd76b24037f028f01f09",
+        "f325775868da758e23a4f7a18e3b2f67ee6db9da71daa7dd787046e46bef89fd", 0),
+    "bernstein --n 40 --format csv": (
+        "570254e9d609cb4b51b350807be5a417244596f1b8b973dd199301464241a2bd",
+        EMPTY, 0),
 }
 
 
@@ -233,9 +243,11 @@ def test_field_results_are_byte_identical():
 
 
 if __name__ == "__main__":
-    for command in DIGESTS:
+    commands = sys.argv[1:] or list(DIGESTS)
+    for command in commands:
         out, err, status = digests(command)
         err = "EMPTY" if err == EMPTY else f'"{err}"'
         print(f'    "{command}": (\n        "{out}",\n        {err}, {status}),')
-    for key, digest in field_results().items():
-        print(f'    "{key}": "{digest}",')
+    if not sys.argv[1:]:
+        for key, digest in field_results().items():
+            print(f'    "{key}": "{digest}",')
