@@ -321,9 +321,9 @@ def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
 
 
 # Largest --nmax that `verify` accepts, with or without --only; it must admit
-# 30, the largest default range.  The whole suite took 0.6 s at --nmax 25,
-# 2.3 s at 40 and 5.1 s at 50 (whole process), printing 0.69, 3.6 and
-# 8.6 MB (CPython 3.11, 2-vCPU Xeon); time grows about as nmax^3.1 and
+# 30, the largest default range.  The whole suite took 0.4 s at --nmax 25,
+# 1.4 s at 40 and 2.7 s at 50 (whole process), printing 0.69, 3.6 and
+# 8.6 MB (CPython 3.11, 2-vCPU Xeon); time grows about as nmax^2.7 and
 # output as nmax^3.6.
 MAX_VERIFY_NMAX = 50
 

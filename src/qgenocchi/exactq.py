@@ -35,10 +35,12 @@ square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too),
 number (a Fraction in `QPolynomial.evaluate` and `QRational.evaluate`, a
 PadicNumber in `padic.qrational_at_padic`), and `weighted_sum` adds a
 linear combination of QRationals over one common denominator and
-canonicalises once.  Every weighted sum in Q(q) of the identity checks
-goes through `weighted_sum`, and so do each coefficient of
-an `XPolynomial` product and the Taylor shift behind
-`XPolynomial.compose_linear` and `XPolynomial.evaluate`.  A rational
+canonicalises once.  Every weighted sum in Q(q) goes through
+`weighted_sum`: each coefficient of an `XPolynomial` product, the Taylor
+shift behind `XPolynomial.compose_linear` and `XPolynomial.evaluate`, the
+moment sum of `genocchi.integrate_polynomial` and the umbral sum of
+PROP_EQ14 (the other identity checks compare integer numerators over
+powers of 1+q).  A rational
 constant becomes a QRational with no gcd, and a product with one scales
 the constant factor c alone, with no gcd either.  `over_one_plus_q` puts
 an integer polynomial over (1+q)^k into canonical form with no gcd: the
@@ -735,9 +737,6 @@ class XPolynomial(_DensePolynomial):
         return XPolynomial([
             weighted_sum((comb(k, j), a[k] * p0[k - j]) for k in range(j, len(a))) * p1[j]
             for j in range(len(a))])
-
-    def map_coeffs(self, fn) -> "XPolynomial":
-        return XPolynomial([fn(c) for c in self.coeffs])
 
     def to_text(self) -> str:
         return xpoly_text([c.to_text() for c in self.coeffs])

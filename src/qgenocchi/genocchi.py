@@ -23,7 +23,9 @@ recurrence solved for the top index, and `genocchi_series_oracle`, exact
 inversion of the exponential generating function [2]_q * t / (q*e^t + 1).
 `tests` require all three to agree for every index in use.
 
-Also here: Frobenius-Euler polynomials at parameter -1/q and
+Also here: Frobenius-Euler polynomials at parameter -1/q, by series
+division on integer numerators over (1+q)^n that read no moment; the
+numerators of G~_n(x) over (1+q)^(n-1), for the identity checks; and
 `integrate_polynomial`, which integrates a polynomial against the
 alternating q-measure.  For rational constant coefficients it is the
 oracle of every integral identity elsewhere in the package: Mahler's
@@ -36,7 +38,8 @@ from __future__ import annotations
 import operator
 import threading
 from fractions import Fraction
-from itertools import count, islice
+from functools import cache
+from itertools import count, islice, zip_longest
 from math import comb, factorial
 
 from . import _kernel as K
@@ -139,32 +142,60 @@ def genocchi_polynomial(n: int) -> XPolynomial:
     return XPolynomial([comb(n, k) * genocchi_number(k) for k in range(n, -1, -1)])
 
 
-_FE_CACHE: list[XPolynomial] = []
+@cache
+def _genocchi_numerator(n: int) -> tuple:
+    """G~_n(x) times (1+q)^(n-1), memoised: int tuples, the coefficient of
+    x^j at j, C(n,k) k N_(k-1) (1+q)^j with k = n - j."""
+    return tuple(tuple(_horner([(comb(n, j) * (n - j), _moment_numerator(n - j - 1))] + [(0, ())] * j))
+                 for j in range(n))
+
+
+_FE_NUMERATORS: list = []
 _FE_LOCK = threading.Lock()
+
+
+def _frobenius_euler_numerator(n: int) -> tuple:
+    """h_n = (1+q)^n H_n(-1/q, x), memoised: int tuples, the coefficient of
+    x^i at i.  The series division of `frobenius_euler_polynomial` times
+    (1+q)^m is h_m = (1+q)^m x^m - q sum_{k>=1} C(m,k) (1+q)^(k-1) h_(m-k),
+    one Horner loop in 1+q per coefficient; it reads no moment."""
+    if n >= len(_FE_NUMERATORS):
+        with _FE_LOCK:
+            h = _FE_NUMERATORS
+            while len(h) <= n:
+                m = len(h)
+                # h_(m-k) has degree m-k in x, so its coefficient i is there for k <= m-i
+                h.append(tuple(tuple(K.poly_trim([0] + _horner((-comb(m, k), h[m - k][i])
+                                                                for k in range(m - i, 0, -1))))
+                               for i in range(m)) + (tuple(comb(m, i) for i in range(m + 1)),))
+    return _FE_NUMERATORS[n]
+
+
+def _xpolynomial(rows, k: int) -> XPolynomial:
+    """The XPolynomial with coefficients `over_one_plus_q(row, k)`."""
+    return XPolynomial([over_one_plus_q(row, k) for row in rows])
 
 
 def frobenius_euler_polynomial(n: int) -> XPolynomial:
     """H_n(-1/q, x): degree n, monic, QRational coefficients.
 
-    Computed by exact series division of (1-u)e^{xt} by (e^t - u) at
-    u = -1/q, i.e. a second pipeline independent of `genocchi_polynomial`.
+    Exact series division of (1-u)e^{xt} by (e^t - u) at u = -1/q gives
+    H_m = x^m - q/(1+q) sum_{k>=1} C(m,k) H_(m-k), run on the integer
+    numerators of `_frobenius_euler_numerator`: a second pipeline,
+    independent of `genocchi_polynomial` and of the moments.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    with _FE_LOCK:
-        if n < len(_FE_CACHE):
-            return _FE_CACHE[n]
-        q = QRational.q()
-        one_minus_u = QRational.one() + 1 / q  # 1 - (-1/q)
-        while len(_FE_CACHE) <= n:
-            m = len(_FE_CACHE)
-            # series division, n! rescaled: H_m = x^m - (1/(1-u)) sum_{k>=1} C(m,k) H_{m-k};
-            # H_{m-k} has degree m-k, so its coefficient i is there for k <= m-i
-            acc = XPolynomial([
-                weighted_sum((comb(m, k), _FE_CACHE[m - k].coeffs[i]) for k in range(1, m - i + 1))
-                for i in range(m)])
-            _FE_CACHE.append(XPolynomial.x_power(m) - acc / one_minus_u)
-        return _FE_CACHE[n]
+    return _xpolynomial(_frobenius_euler_numerator(n), n)
+
+
+def _horner(terms) -> list:
+    """sum_l w_l * t_l * (1+q)^(M-l) over the pairs (w_l, t_l), l = 0..M, t_l
+    an int sequence: per term one multiplication by 1+q (a shift and an add)."""
+    acc = []
+    for w, t in terms:
+        acc = [a + b + w * x for a, b, x in zip_longest(acc + [0], [0] + acc, t, fillvalue=0)]
+    return K.poly_trim(acc)
 
 
 def _moment_numerators():

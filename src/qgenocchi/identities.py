@@ -1,10 +1,19 @@
 """Mechanical verification of the integral-shift and q-Genocchi identities.
 
-Every verifier reduces both sides of an identity to canonical QRational /
-XPolynomial form, or to an integer numerator over a power of 1+q, and
-emits a structured IdentityReport.  Equality is canonical-form structural
-equality, or equality of integer lists at a common power of 1+q; there is
-no numerical tolerance anywhere in this module.
+Every verifier emits a structured IdentityReport.  Each quantity it
+compares is an integer polynomial over a power of 1+q (for a polynomial in
+x, one per power of x), and both sides are compared as integer lists at a
+common power: there is no numerical tolerance anywhere in this module.
+The moment m_j is N_j/(1+q)^j (the rows of `genocchi._moment_numerators`),
+G~_n(x) is `genocchi._genocchi_numerator(n)` over (1+q)^(n-1), and
+H_n(-1/q, x) is `genocchi._frobenius_euler_numerator(n)` over (1+q)^n, a
+series division that reads no moment.  q -> 1/q reverses a numerator at
+the common power; P(x+1), P(1-x), P(1) and P(2) are integer binomial sums;
+an integral is Mahler's expansion (`genocchi._mahler_numerator`), which
+reads no moment either.  Multiplying by 1+q is a shift and an add
+(`genocchi._horner`).  A QRational or XPolynomial (`over_one_plus_q`) is
+built only for a witness or a public return value, such as the `*_sides`
+pairs; THM5_EQ12 and PROP_EQ14 compare those in canonical form.
 
 Two of the printed identities need adjudication rather than plain checking
 (the single-Bernstein and product-Bernstein ones): their printed forms
@@ -13,23 +22,21 @@ the derivation), so the verifiers compute every candidate reading exactly
 and let the oracle decide, reporting CORRECTED_PASS or FAIL with a
 witness instead of guessing silently.
 
-Both rest on one integral, that of (1-xi)^j.  Every quantity of THM6, THM7
-and THM8 is an integer polynomial over a power of 1+q: the moment m_j is
-N_j/(1+q)^j (the rows of `genocchi._moment_numerators`), the moment at 1/q
-is N_j reversed over (1+q)^j, and so `_eq16_rhs(j)` is R_j/(1+q)^j with
+Both rest on one integral, that of (1-xi)^j: the moment at 1/q is N_j
+reversed over (1+q)^j, so `_eq16_rhs(j)` is R_j/(1+q)^j with
 R_j = (1+q)^(j+1) + q^2 rev(N_j) (memoised).  THM7 is the one-factor case
 of THM8: the left sides and the printed and derived right sides are each
-one integer Horner loop in 1+q over (total degree, m*k), used with (n, k)
-by THM7 and (n1+...+nm, m*k) by THM8; multiplying by 1+q is a shift and an
-add, and no Q(q) arithmetic runs.  The oracle is Mahler's expansion of
-xi^(mk) (1-xi)^(total-mk) (`genocchi._mahler_numerator`), which reads no
-moment.  A QRational (`over_one_plus_q`) is built only for a witness or a
-public return value.
+one Horner loop in 1+q over (total degree, m*k), used with (n, k) by THM7
+and (n1+...+nm, m*k) by THM8, whose report depends on the degrees only
+through that pair and is memoised on it.  The oracle is Mahler's
+expansion of xi^(mk) (1-xi)^(total-mk).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
 from math import comb
@@ -37,11 +44,15 @@ from typing import Sequence
 
 from . import _kernel as K
 from .bernstein import BernsteinIndex, bernstein_basis
-from .exactq import QRational, XPolynomial, over_one_plus_q, weighted_sum
+from .exactq import QPolynomial, QRational, XPolynomial, _q_one_plus_q, over_one_plus_q, weighted_sum
 from .genocchi import (
     _TWO_Q,
+    _frobenius_euler_numerator,
+    _genocchi_numerator,
+    _horner,
     _mahler_numerator,
     _moment_numerator,
+    _xpolynomial,
     frobenius_euler_polynomial,
     genocchi_number,
     genocchi_polynomial,
@@ -129,18 +140,52 @@ def probe_report(identity_id, params, sides, note) -> IdentityReport:
     )
 
 
+def _integer_report(identity_id, params, indices, numerators, sides, probes=()):
+    """aggregate_report over sides(n), n in `indices`, comparing first
+    `numerators(n)`, both sides' integer numerators over one power of 1+q:
+    only an instance whose numerators differ is built, for the witness."""
+    pairs = (sides(n) for n in indices if operator.ne(*numerators(n)))
+    return aggregate_report(identity_id, params, pairs, probes=probes)
+
+
+def _combine(terms) -> list:
+    """sum w * t over the (w, t) pairs, t an int sequence: a trimmed int list."""
+    acc = []
+    for w, t in terms:
+        acc = [a + w * x for a, x in zip_longest(acc, t, fillvalue=0)]
+    return K.poly_trim(acc)
+
+
+def _at(rows, x: int) -> list:
+    """P(x) for P = sum_j rows[j] x^j, rows int lists, at an int x."""
+    return _combine((x ** j, row) for j, row in enumerate(rows))
+
+
+def _shift_by_one(rows) -> list:
+    """P(x + 1) for P as in `_at`: the Taylor shift by Horner's rule, one row
+    addition per step."""
+    a = [list(row) for row in rows]
+    for i in range(len(a) - 1):
+        for k in range(len(a) - 2, i - 1, -1):
+            a[k] = [x + y for x, y in zip_longest(a[k], a[k + 1], fillvalue=0)]
+    return [K.poly_trim(row) for row in a]
+
+
 # -- integral shift equation (and its n = 1 specialization) ------------------
+
+
+def _shift_equation_numerators(n: int, d: int):
+    """Both sides for x^d times (1+q)^d: on the left the Mahler numerators of
+    (x+n)^d and x^d, on the right (1+q)^(d+1) sum_l (-1)^(n-1-l) l^d q^l."""
+    lhs = _combine([(1, [0] * n + _mahler_numerator([(x + n) ** d for x in range(d + 1)])),
+                    ((-1) ** (n - 1), _mahler_numerator([x ** d for x in range(d + 1)]))])
+    rhs = [(-1) ** (n - 1 - ell) * ell ** d for ell in range(n)]
+    return lhs, _horner([(1, rhs)] + [(0, ())] * (d + 1))
 
 
 def shift_equation_sides(n: int, d: int):
     """Both sides of the shift equation for the monomial x^d."""
-    q = QRational.q()
-    mono = XPolynomial.x_power(d)
-    shifted = mono.compose_shift(QRational(n))
-    lhs = q ** n * integrate_polynomial(shifted) + (-1) ** (n - 1) * integrate_polynomial(mono)
-    acc = weighted_sum(((-1) ** (n - 1 - ell) * ell ** d, q ** ell) for ell in range(n))
-    rhs = _TWO_Q * acc
-    return lhs, rhs
+    return tuple(over_one_plus_q(side, d) for side in _shift_equation_numerators(n, d))
 
 
 def verify_shift_equation(n: int, f_degree: int) -> IdentityReport:
@@ -148,12 +193,18 @@ def verify_shift_equation(n: int, f_degree: int) -> IdentityReport:
     x^d, d <= f_degree.  Reports as EQ7 when n = 1, EQ6 otherwise."""
     if n < 1:
         raise ValueError("shift equation needs n >= 1")
-    pairs = [shift_equation_sides(n, d) for d in range(f_degree + 1)]
-    ident = "EQ7" if n == 1 else "EQ6"
-    return aggregate_report(ident, {"n": n, "f_degree": f_degree}, pairs)
+    return _integer_report("EQ7" if n == 1 else "EQ6", {"n": n, "f_degree": f_degree},
+                           range(f_degree + 1), lambda d: _shift_equation_numerators(n, d),
+                           lambda d: shift_equation_sides(n, d))
 
 
 # -- Frobenius-Euler link -----------------------------------------------------
+
+
+def _frobenius_link_numerators(n: int):
+    """Both sides times (n+1) (1+q)^n: G~_(n+1)(x) and (n+1) h_n."""
+    h = _frobenius_euler_numerator(n)
+    return _genocchi_numerator(n + 1), tuple(tuple((n + 1) * c for c in row) for row in h)
 
 
 def frobenius_link_sides(n: int):
@@ -161,53 +212,63 @@ def frobenius_link_sides(n: int):
 
 
 def verify_frobenius_link(n_max: int) -> IdentityReport:
-    pairs = [frobenius_link_sides(n) for n in range(n_max + 1)]
-    return aggregate_report("THM1", {"n_max": n_max}, pairs)
+    return _integer_report("THM1", {"n_max": n_max}, range(n_max + 1),
+                           _frobenius_link_numerators, frobenius_link_sides)
 
 
 # -- complement identity ------------------------------------------------------
 
 
+def _complement_numerators(n: int):
+    """Both sides times (1+q)^n: q h_n(x+1) + h_n(x), and (1+q)^(n+1) x^n."""
+    h = _frobenius_euler_numerator(n)
+    lhs = [_combine([(1, [0] + s), (1, r)]) for s, r in zip(_shift_by_one(h), h)]
+    return lhs, [[]] * n + [[comb(n + 1, i) for i in range(n + 2)]]
+
+
 def complement_sides(n: int):
-    q = QRational.q()
-    h = frobenius_euler_polynomial(n)
-    lhs = h.compose_shift(QRational.one()) * q + h
-    rhs = XPolynomial.x_power(n) * _TWO_Q
-    return lhs, rhs
+    return tuple(_xpolynomial(side, n) for side in _complement_numerators(n))
 
 
-def _classical_poly(p: XPolynomial) -> XPolynomial:
-    """Specialize every coefficient at q = 1 (kept as constant QRationals)."""
-    return p.map_coeffs(lambda c: QRational(c.evaluate(1)))
+def _classical_numerators(n: int):
+    """Both sides at q = 1 times 2^(n-1), n >= 1: G_n(x+1) + G_n(x), the
+    rows of G~_n(x) taken at q = 1, and n 2^n x^(n-1)."""
+    g = [K.poly_trim([sum(row)]) for row in _genocchi_numerator(n)]
+    return [_combine([(1, s), (1, r)]) for s, r in zip(_shift_by_one(g), g)], [[]] * (n - 1) + [[n << n]]
 
 
 def complement_classical_sides(n: int):
     """q = 1 specialization: G_n(x+1) + G_n(x) = 2n x^(n-1), n >= 1."""
-    g = _classical_poly(genocchi_polynomial(n))
-    lhs = g.compose_shift(QRational.one()) + g
-    rhs = XPolynomial.x_power(n - 1) * QRational(2 * n)
-    return lhs, rhs
+    return tuple(XPolynomial([Fraction(sum(row), 1 << (n - 1)) for row in side])
+                 for side in _classical_numerators(n))
 
 
 def verify_complement(n_max: int) -> IdentityReport:
-    pairs = [complement_sides(n) for n in range(n_max + 1)]
-    pairs += [complement_classical_sides(n) for n in range(1, n_max + 1)]
-    return aggregate_report("THM2_EQ10", {"n_max": n_max}, pairs)
+    params = {"n_max": n_max}
+    report = _integer_report("THM2_EQ10", params, range(n_max + 1), _complement_numerators, complement_sides)
+    if report.verdict == FAIL:
+        return report
+    return _integer_report("THM2_EQ10", params, range(1, n_max + 1),
+                           _classical_numerators, complement_classical_sides)
 
 
 # -- boundary values and the umbral recurrence -------------------------------
 
 
+def _boundary_numerators(n: int):
+    """Both sides times (1+q)^(n-1): q G~_n(1) + G~_n (row 0 of G~_n(x)),
+    and [2]_q at n = 1, else 0."""
+    g = _genocchi_numerator(n)
+    return _combine([(1, [0] + _at(g, 1))] + [(1, row) for row in g[:1]]), [1, 1] if n == 1 else []
+
+
 def boundary_sides(n: int):
-    q = QRational.q()
-    lhs = q * genocchi_polynomial(n).evaluate(QRational.one()) + genocchi_number(n)
-    rhs = _TWO_Q if n == 1 else QRational.zero()
-    return lhs, rhs
+    return tuple(over_one_plus_q(side, n - 1) for side in _boundary_numerators(n))
 
 
 def verify_boundary(n_max: int) -> IdentityReport:
-    pairs = [boundary_sides(n) for n in range(1, n_max + 1)]
-    return aggregate_report("THM3_EQ13", {"n_max": n_max}, pairs)
+    return _integer_report("THM3_EQ13", {"n_max": n_max}, range(1, n_max + 1),
+                           _boundary_numerators, boundary_sides)
 
 
 def umbral_recurrence_sides(n: int):
@@ -229,16 +290,24 @@ def verify_umbral_recurrence(n_max: int) -> IdentityReport:
 # -- reflection symmetry ------------------------------------------------------
 
 
+def _reflection_numerators(n: int):
+    """Both sides times (1+q)^(n-1): G~_n(1-x) with q -> 1/q, each row
+    reversed at degree n-1, and (-1)^(n+1) G~_n(x)."""
+    g = _genocchi_numerator(n)
+    inverted = _shift_by_one([K.poly_trim([*row, *[0] * (n - len(row))][::-1]) for row in g])
+    sign = (-1) ** (n + 1)
+    return [[-c for c in row] if j % 2 else row for j, row in enumerate(inverted)], \
+        [[sign * c for c in row] for row in g]
+
+
 def reflection_sides(n: int):
-    g = genocchi_polynomial(n)
-    lhs = g.map_coeffs(lambda c: c.invert_q()).compose_linear(QRational.one(), QRational(-1))
-    rhs = g * QRational((-1) ** (n + 1))
-    return lhs, rhs
+    lhs = _xpolynomial(_reflection_numerators(n)[0], n - 1)
+    return lhs, genocchi_polynomial(n) * QRational((-1) ** (n + 1))
 
 
 def verify_reflection(n_max: int) -> IdentityReport:
-    pairs = [reflection_sides(n) for n in range(1, n_max + 1)]
-    return aggregate_report("THM4_EQ11", {"n_max": n_max}, pairs)
+    return _integer_report("THM4_EQ11", {"n_max": n_max}, range(1, n_max + 1),
+                           _reflection_numerators, reflection_sides)
 
 
 # -- binomial expansion / integral representation ----------------------------
@@ -260,11 +329,16 @@ def verify_binomial_expansion(n_max: int) -> IdentityReport:
 # -- value at x = 2 -----------------------------------------------------------
 
 
+def _shift_two_numerators(n: int):
+    """Both sides times q^2 (1+q)^n: q^2 G~_(n+1)(2), and (n+1) (q (1+q)^(n+1)
+    + N_n) for (n+1) [2]_q/q + G~_(n+1)/q^2."""
+    rhs = _combine([(n + 1, _q_one_plus_q(1, n + 1)), (n + 1, _moment_numerator(n))])
+    return K.poly_trim([0, 0] + _at(_genocchi_numerator(n + 1), 2)), rhs
+
+
 def shift_two_sides(n: int):
-    q = QRational.q()
-    lhs = genocchi_polynomial(n + 1).evaluate(QRational(2))
-    rhs = (n + 1) * _TWO_Q / q + genocchi_number(n + 1) / q ** 2
-    return lhs, rhs
+    den = QPolynomial(_q_one_plus_q(2, n))
+    return tuple(QRational(QPolynomial(side), den) for side in _shift_two_numerators(n))
 
 
 def verify_shift_two(n_max: int) -> IdentityReport:
@@ -277,8 +351,8 @@ def verify_shift_two(n_max: int) -> IdentityReport:
                      "probe outside the stated range n > 1; not counted toward the verdict")
         for n in (0, 1)
     ]
-    pairs = [shift_two_sides(n) for n in range(2, n_max + 1)]
-    return aggregate_report("PROP_EQ15", {"n_min": 2, "n_max": n_max}, pairs, probes=probes)
+    return _integer_report("PROP_EQ15", {"n_min": 2, "n_max": n_max}, range(2, n_max + 1),
+                           _shift_two_numerators, shift_two_sides, probes)
 
 
 # -- integral of (1-xi)^n -----------------------------------------------------
@@ -319,15 +393,6 @@ def verify_one_minus_xi(n_max: int) -> IdentityReport:
 #
 # Each is an int list (coefficient of q^i at i, trailing zeros dropped) over
 # the power of 1+q its docstring names.
-
-
-def _horner(terms) -> list:
-    """sum_l w_l * t_l * (1+q)^(M-l) over the pairs (w_l, t_l), l = 0..M, t_l
-    an int sequence: per term one multiplication by 1+q (a shift and an add)."""
-    acc = []
-    for w, t in terms:
-        acc = [a + b + w * x for a, b, x in zip_longest(acc + [0], [0] + acc, t, fillvalue=0)]
-    return K.poly_trim(acc)
 
 
 def _same(u, du: int, v, dv: int) -> bool:
@@ -448,41 +513,37 @@ def verify_bernstein_product(degrees: Sequence[int], k: int) -> IdentityReport:
     params = {"m": m, "k": k}
     for i, n_s in enumerate(degrees, 1):
         params[f"n{i}"] = n_s
-    total = sum(degrees)
-    mk = m * k
+    verdict, note, witness = _bernstein_product_verdict(sum(degrees), m * k)
+    return IdentityReport("THM8", params, verdict, corrected_form=note, witness=witness)
+
+
+@cache
+def _bernstein_product_verdict(total: int, mk: int):
+    """(verdict, note, witness) of THM8: they depend on the degrees and k
+    only through (total, mk), and k = 0 exactly when mk = 0."""
     oracle = _oracle_numerator(total, mk)
     a_printed = _lhs_numerator(total, mk, invert=True)
     a_q = _lhs_numerator(total, mk, invert=False)
     witness = (str(over_one_plus_q(a_printed, total)), str(over_one_plus_q(oracle, total)))
 
     # printed right side, both branches; recorded as annotations
-    branch = "k=0" if k == 0 else "k!=0"
+    branch = "k=0" if mk == 0 else "k!=0"
     if _same(_printed_numerator(total, mk), total + mk, oracle, total):
         rhs_note = f"printed {branch} right side equals the oracle"
     else:
         rhs_note = f"printed {branch} right side differs from the oracle"
-        if k != 0 and _derived_numerator(total, mk) == oracle:
+        if mk != 0 and _derived_numerator(total, mk) == oracle:
             rhs_note += (
                 "; it matches after replacing the sign (-1)^(mk+l) by (-1)^l and the index "
                 "n1+...+nm+l by n1+...+nm-mk+l, reading the exponent-0 term as 1"
             )
 
     if a_printed == oracle and a_q == oracle:
-        return IdentityReport(
-            "THM8", params, PASS,
-            corrected_form=f"both subscript readings coincide here; {rhs_note}",
-            witness=witness,
-        )
+        return PASS, f"both subscript readings coincide here; {rhs_note}", witness
     if a_printed == oracle:
-        return IdentityReport("THM8", params, PASS, corrected_form=rhs_note)
+        return PASS, rhs_note, None
     if a_q == oracle:
-        return IdentityReport(
-            "THM8", params, CORRECTED_PASS,
-            corrected_form=f"left-side subscript 1/q read as q (the integral of xi^(l+mk) carries subscript q); {rhs_note}",
-            witness=witness,
-        )
-    return IdentityReport(
-        "THM8", params, FAIL,
-        corrected_form=f"neither subscript reading matches the moment oracle; {rhs_note}",
-        witness=witness,
-    )
+        return (CORRECTED_PASS,
+                f"left-side subscript 1/q read as q (the integral of xi^(l+mk) carries subscript q); {rhs_note}",
+                witness)
+    return FAIL, f"neither subscript reading matches the moment oracle; {rhs_note}", witness

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from qgenocchi.exactq import QRational, XPolynomial, q_bracket, weighted_sum
-from qgenocchi.genocchi import moment
+from qgenocchi.genocchi import GenocchiTable, moment
 
 
 def naive_gcd(a, b):
@@ -145,3 +145,81 @@ def derived_rhs(total, mk):
     """The derived right side, with the exponent-0 term read as the integral of 1."""
     return weighted_sum((comb(mk, ell) * (-1) ** ell, QRational.one() if j == 0 else eq16_rhs(j))
                         for ell, j in enumerate(range(total - mk, total + 1)))
+
+
+# -- the polynomial identities in Q(q) -----------------------------------------
+
+_FE = []
+
+
+def frobenius_euler_polynomial(n):
+    """H_n(-1/q, x) by series division of (1-u)e^{xt} by (e^t - u) at
+    u = -1/q in Q(q): H_m = x^m - (1/(1-u)) sum_{k>=1} C(m,k) H_{m-k}."""
+    one_minus_u = QRational.one() + 1 / QRational.q()
+    while len(_FE) <= n:
+        m = len(_FE)
+        # H_{m-k} has degree m-k, so its coefficient i is there for k <= m-i
+        acc = XPolynomial([
+            weighted_sum((comb(m, k), _FE[m - k].coeffs[i]) for k in range(1, m - i + 1))
+            for i in range(m)])
+        _FE.append(XPolynomial.x_power(m) - acc / one_minus_u)
+    return _FE[n]
+
+
+_TABLE = GenocchiTable()
+
+
+def genocchi_polynomial(n):
+    """G~_n(x) = sum_k C(n,k) G~_k x^(n-k) from the umbral recurrence."""
+    return XPolynomial([comb(n, k) * _TABLE[k] for k in range(n, -1, -1)])
+
+
+def shift_equation_sides(n, d):
+    """q^n I((x+n)^d) + (-1)^(n-1) I(x^d) and [2]_q sum_l (-1)^(n-1-l) l^d q^l,
+    I the moment sum."""
+    q = QRational.q()
+    mono = XPolynomial.x_power(d)
+    lhs = q ** n * moment_integral(mono.compose_shift(QRational(n))) \
+        + (-1) ** (n - 1) * moment_integral(mono)
+    return lhs, QRational(q_bracket(2)) * weighted_sum(
+        ((-1) ** (n - 1 - ell) * ell ** d, q ** ell) for ell in range(n))
+
+
+def frobenius_link_sides(n):
+    """G~_(n+1)(x)/(n+1) and H_n(-1/q, x)."""
+    return genocchi_polynomial(n + 1) / (n + 1), frobenius_euler_polynomial(n)
+
+
+def complement_sides(n):
+    """q H_n(x+1) + H_n(x) and [2]_q x^n."""
+    h = frobenius_euler_polynomial(n)
+    return h.compose_shift(QRational.one()) * QRational.q() + h, \
+        XPolynomial.x_power(n) * QRational(q_bracket(2))
+
+
+def complement_classical_sides(n):
+    """G_n(x+1) + G_n(x) and 2n x^(n-1), every coefficient taken at q = 1."""
+    g = XPolynomial([QRational(c.evaluate(1)) for c in genocchi_polynomial(n).coeffs])
+    return g.compose_shift(QRational.one()) + g, XPolynomial.x_power(n - 1) * QRational(2 * n)
+
+
+def boundary_sides(n):
+    """q G~_n(1) + G~_n and [2]_q delta(n,1)."""
+    g = genocchi_polynomial(n)
+    lhs = QRational.q() * g.evaluate(QRational.one()) + g.evaluate(QRational.zero())
+    return lhs, QRational(q_bracket(2)) if n == 1 else QRational.zero()
+
+
+def reflection_sides(n):
+    """G~_n(1-x) with q -> 1/q and (-1)^(n+1) G~_n(x)."""
+    g = genocchi_polynomial(n)
+    inverted = XPolynomial([c.invert_q() for c in g.coeffs])
+    return inverted.compose_linear(QRational.one(), QRational(-1)), g * QRational((-1) ** (n + 1))
+
+
+def shift_two_sides(n):
+    """G~_(n+1)(2) and (n+1) [2]_q/q + G~_(n+1)/q^2."""
+    q = QRational.q()
+    g = genocchi_polynomial(n + 1)
+    return g.evaluate(QRational(2)), \
+        (n + 1) * QRational(q_bracket(2)) / q + g.evaluate(QRational.zero()) / q ** 2

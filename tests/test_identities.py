@@ -4,6 +4,7 @@ import itertools
 import json
 from math import comb
 
+import naive_reference as ref
 import pytest
 from naive_reference import bernstein_lhs, derived_rhs, eq16_rhs, moment_integral, printed_rhs
 
@@ -11,7 +12,8 @@ from qgenocchi import _kernel as K
 from qgenocchi import exactq
 from qgenocchi import identities as ident
 from qgenocchi.bernstein import bernstein_basis, bernstein_product
-from qgenocchi.exactq import QRational, over_one_plus_q, parse_qrational
+from qgenocchi import genocchi
+from qgenocchi.exactq import QRational, XPolynomial, over_one_plus_q, parse_qrational
 from qgenocchi.genocchi import integrate_polynomial
 
 
@@ -280,3 +282,73 @@ class TestIntegerNumerators:
                 ident.verify_bernstein_single(n, k)
         for degrees, k in _thm8_suite():
             ident.verify_bernstein_product(degrees, k)
+
+
+class TestIntegerPolynomialSides:
+    """The sides and polynomials built from integer numerators over powers
+    of 1+q against their Q(q) references in `naive_reference`."""
+
+    N = range(31)
+
+    def test_genocchi_and_frobenius_euler_polynomials(self):
+        for n in self.N:
+            assert genocchi.genocchi_polynomial(n) == ref.genocchi_polynomial(n)
+            assert genocchi.frobenius_euler_polynomial(n) == ref.frobenius_euler_polynomial(n)
+            assert genocchi._xpolynomial(genocchi._genocchi_numerator(n), n - 1) \
+                == ref.genocchi_polynomial(n)
+
+    def test_shift_equation_sides(self):
+        for n in range(1, 21):
+            for d in range(7):
+                assert ident.shift_equation_sides(n, d) == ref.shift_equation_sides(n, d), (n, d)
+
+    @pytest.mark.parametrize("name,first", [
+        ("frobenius_link_sides", 0), ("complement_sides", 0), ("complement_classical_sides", 1),
+        ("boundary_sides", 0), ("reflection_sides", 0), ("shift_two_sides", 0)])
+    def test_sides(self, name, first):
+        for n in range(first, self.N.stop):
+            assert getattr(ident, name)(n) == getattr(ref, name)(n), n
+
+    def test_rows_are_trimmed(self):
+        # equal sides must be equal lists: no row of a numerator ends in a zero
+        for n in range(1, 12):
+            for nums in (ident._frobenius_link_numerators(n), ident._complement_numerators(n),
+                         ident._classical_numerators(n), ident._reflection_numerators(n)):
+                for rows in nums:
+                    assert all(not row or row[-1] for row in rows)
+            for nums in (ident._boundary_numerators(n), ident._shift_two_numerators(n),
+                         ident._shift_equation_numerators(n, 3)):
+                assert all(not side or side[-1] for side in nums)
+
+    def test_unequal_numerators_report_the_first_witness(self, monkeypatch):
+        # a left side off in its x^1 row from n = 3 on fails first at n = 3,
+        # with the sides of n = 3 (left side perturbed) as the witness
+        numerators = ident._reflection_numerators
+
+        def off_from_three(n):
+            lhs, rhs = numerators(n)
+            return (lhs[:1] + [[1]] + lhs[2:], rhs) if n >= 3 else (lhs, rhs)
+
+        monkeypatch.setattr(ident, "_reflection_numerators", off_from_three)
+        report = ident.verify_reflection(6)
+        assert report.verdict == ident.FAIL
+        lhs, rhs = ref.reflection_sides(3)
+        assert report.witness[1] == str(rhs) and report.witness[0] != str(lhs)
+        assert report.witness[0] == str(XPolynomial([*lhs.coeffs[:1], over_one_plus_q([1], 2),
+                                                     *lhs.coeffs[2:]]))
+
+    def test_verifiers_run_no_qq_arithmetic(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("Q(q) arithmetic in an integer verifier")
+
+        monkeypatch.setattr(ident, "weighted_sum", refuse)
+        monkeypatch.setattr(XPolynomial, "compose_linear", refuse)
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "invert_q"):
+            monkeypatch.setattr(QRational, name, refuse)
+        monkeypatch.setattr(genocchi, "_FE_NUMERATORS", [])
+        monkeypatch.setattr(ident, "_genocchi_numerator", genocchi._genocchi_numerator.__wrapped__)
+        for n in range(1, 8):
+            assert ident.verify_shift_equation(n, 6).verdict == ident.PASS
+        for verify in (ident.verify_frobenius_link, ident.verify_complement, ident.verify_boundary,
+                       ident.verify_reflection, ident.verify_shift_two):
+            assert verify(12).verdict == ident.PASS

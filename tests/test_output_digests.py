@@ -179,6 +179,12 @@ DIGESTS = {
     "bernstein --n 40 --format csv": (
         "570254e9d609cb4b51b350807be5a417244596f1b8b973dd199301464241a2bd",
         EMPTY, 0),
+    "verify --only EQ6,EQ7,THM3_EQ13,PROP_EQ15 --nmax 50 --format json": (
+        "af8237d715b776fdc5c77294b7f0ef8fd332ef8e7bad0e7b28d1f1ffd819ee1a",
+        EMPTY, 0),
+    "verify --only THM1,THM2_EQ10,THM4_EQ11,THM5_EQ12,PROP_EQ14 --nmax 50 --format text": (
+        "e8f2aac6352a36505498c179d2cef07ad1c9b813744c5f0d1081e08622cc3feb",
+        EMPTY, 0),
 }
 
 
