@@ -37,10 +37,9 @@ PadicNumber in `padic.qrational_at_padic`), and `weighted_sum` adds a
 linear combination of QRationals over one common denominator and
 canonicalises once.  Every weighted sum in Q(q) goes through
 `weighted_sum`: each coefficient of an `XPolynomial` product, the Taylor
-shift behind `XPolynomial.compose_linear` and `XPolynomial.evaluate`, the
-moment sum of `genocchi.integrate_polynomial` and the umbral sum of
-PROP_EQ14 (the other identity checks compare integer numerators over
-powers of 1+q).  A rational
+shift behind `XPolynomial.compose_linear` and `XPolynomial.evaluate` and
+the moment sum of `genocchi.integrate_polynomial` (the identity checks
+compare integer numerators over powers of 1+q).  A rational
 constant becomes a QRational with no gcd, and a product with one scales
 the constant factor c alone, with no gcd either.  `over_one_plus_q` puts
 an integer polynomial over (1+q)^k into canonical form with no gcd: the

@@ -10,7 +10,8 @@ m_k = q m'_{k-1} + r m_{k-1} and
 
     N_0 = 1,  N_k = q * ((1+q) * N'_{k-1} - k * N_{k-1}).
 
-At the indeterminate q (`moment`, memoised) each N_k/(1+q)^k goes straight
+`_moment_numerator` is the one store of these rows, memoised.  At the
+indeterminate q (`moment`, memoised too) each N_k/(1+q)^k goes straight
 into canonical form, with no Q(q) arithmetic; at a rational q = x/y,
 m_k = sum_i N_{k,i} x^i y^(k-i) / (x+y)^k is an integer sum, and at a
 p-adic q (y = 1) the same sum runs in p-adic arithmetic (`moments_at`).
@@ -198,21 +199,6 @@ def _horner(terms) -> list:
     return K.poly_trim(acc)
 
 
-def _moment_numerators():
-    """Yield N_0, N_1, ... with N_k = (1+q)^k * m_k, as int lists (the
-    coefficient of q^i at i), by N_0 = 1 and
-
-        N_k = q * ((1+q) * N'_{k-1} - k * N_{k-1}),
-
-    where ' is d/dq: O(k) small-integer steps per row, and no Q(q)
-    arithmetic.  N_k has degree k; N_k(0) = 0 for k >= 1 and N_k(-1) = k!.
-    """
-    row = [1]
-    for k in count(1):
-        yield row
-        row = _next_numerator(row, k)
-
-
 def _next_numerator(row, k: int) -> list:
     """N_k from N_{k-1} = `row`: coefficient i of (1+q) N' - k N is
     (i+1) N_{i+1} + i N_i - k N_i, and the factor q shifts it up by one."""
@@ -225,8 +211,17 @@ _NUMERATOR_LOCK = threading.Lock()
 
 
 def _moment_numerator(k: int) -> tuple:
-    """N_k of `_moment_numerators` as an int tuple, memoised, for the
-    integer Bernstein sums of `identities` (`moment` keeps only m_k)."""
+    """N_k = (1+q)^k * m_k as an int tuple (the coefficient of q^i at i),
+    memoised: the one store of the moment rows, which `moment`,
+    `_moment_rows` and the integer sums of `identities` all read.  Rows
+    grow under a lock by N_0 = 1 and
+
+        N_k = q * ((1+q) * N'_{k-1} - k * N_{k-1}),
+
+    where ' is d/dq: O(k) small-integer steps per row, and no Q(q)
+    arithmetic.  N_k has degree k; N_k(0) = 0 for k >= 1 and N_k(-1) = k!.
+    A row is stored only once it is complete, so an interrupt leaves the
+    store as it was."""
     if k >= len(_NUMERATORS):
         with _NUMERATOR_LOCK:
             while len(_NUMERATORS) <= k:
@@ -246,20 +241,20 @@ def _moment_rows(q):
     polynomial P_k(r) = sum_j T(k,j) r^j satisfy
     P_k = r(1+r) P'_{k-1} + r P_{k-1}; at r = -q/(1+q) the operator
     r(1+r) d/dr is q d/dq, so m_k = q m'_{k-1} + r m_{k-1}, and
-    N_k = (1+q)^k m_k follows the integer recurrence of `_moment_numerators`.
+    N_k = (1+q)^k m_k follows the integer recurrence of `_moment_numerator`.
 
-    At the indeterminate q (exactly `QRational.q()`) each row is
-    `over_one_plus_q(N_k, k)`, canonicalised with no gcd.  At q = x/y (y = 1
-    for a p-adic q or any other q, a QRational constant or 1/q included,
-    which runs through its own arithmetic) m_k = sum_i N_{k,i} x^i y^(k-i) /
-    (x+y)^k, an integer sum at a rational q.  At an inexact p-adic q with
-    |1+q|_p < 1, outside the domain |q-1|_p < 1 of the p-adic integral, this
-    sum can report fewer digits than the Stirling sum did; the digits agree.
+    At the indeterminate q (exactly `QRational.q()`) the rows are
+    `moment(k)`.  At q = x/y (y = 1 for a p-adic q or any other q, a
+    QRational constant or 1/q included, which runs through its own
+    arithmetic) m_k = sum_i N_{k,i} x^i y^(k-i) / (x+y)^k, an integer sum
+    at a rational q, with N_k read from `_moment_numerator`.  At an inexact
+    p-adic q with |1+q|_p < 1, outside the domain |q-1|_p < 1 of the p-adic
+    integral, this sum can report fewer digits than the Stirling sum did;
+    the digits agree.
     m_0 = 1 at every q; any m_k with k >= 1 at q = -1 raises PoleError.
     """
     if isinstance(q, QRational) and q == QRational.q():
-        for k, row in enumerate(_moment_numerators()):
-            yield over_one_plus_q(row, k)
+        yield from map(moment, count())
         return
     if isinstance(q, (int, Fraction)):
         q = Fraction(q)
@@ -268,7 +263,8 @@ def _moment_rows(q):
         x, y, div = q, 1, operator.truediv
     s = x + y
     x_pow, y_pow, s_pow = [x ** 0], [1], [x ** 0]
-    for k, row in enumerate(_moment_numerators()):
+    for k in count():
+        row = _moment_numerator(k)
         if k:
             x_pow.append(x_pow[-1] * x)
             y_pow.append(y_pow[-1] * y)
@@ -280,28 +276,13 @@ def _moment_rows(q):
             raise PoleError(f"pole at q = {q}") from None
 
 
-_MOMENTS: list[QRational] = []
-_MOMENT_ROWS = _moment_rows(QRational.q())
-_MOMENT_LOCK = threading.Lock()
-
-
+@cache
 def moment(n: int) -> QRational:
-    """The n-th fermionic moment G~_{n+1,q}/(n+1) in Q(q): the rows of
-    `_moment_rows` at the indeterminate q, memoised; a call past the
-    end grows the list by the missing rows, under a lock."""
-    global _MOMENT_ROWS
+    """The n-th fermionic moment G~_{n+1,q}/(n+1) in Q(q), memoised:
+    `_moment_numerator(n)` over (1+q)^n, canonicalised with no gcd."""
     if n < 0:
         raise ValueError("moment index must be non-negative")
-    if n >= len(_MOMENTS):
-        with _MOMENT_LOCK:
-            try:
-                _MOMENTS.extend(islice(_MOMENT_ROWS, n + 1 - len(_MOMENTS)))
-            except BaseException:
-                # an exception in a row (an interrupt) ends the generator for
-                # good; a new one yields from the first row not stored
-                _MOMENT_ROWS = islice(_moment_rows(QRational.q()), len(_MOMENTS), None)
-                raise
-    return _MOMENTS[n]
+    return over_one_plus_q(_moment_numerator(n), n)
 
 
 def moments_at(q, n: int) -> list:

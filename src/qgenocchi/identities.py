@@ -4,16 +4,16 @@ Every verifier emits a structured IdentityReport.  Each quantity it
 compares is an integer polynomial over a power of 1+q (for a polynomial in
 x, one per power of x), and both sides are compared as integer lists at a
 common power: there is no numerical tolerance anywhere in this module.
-The moment m_j is N_j/(1+q)^j (the rows of `genocchi._moment_numerators`),
-G~_n(x) is `genocchi._genocchi_numerator(n)` over (1+q)^(n-1), and
-H_n(-1/q, x) is `genocchi._frobenius_euler_numerator(n)` over (1+q)^n, a
-series division that reads no moment.  q -> 1/q reverses a numerator at
-the common power; P(x+1), P(1-x), P(1) and P(2) are integer binomial sums;
-an integral is Mahler's expansion (`genocchi._mahler_numerator`), which
-reads no moment either.  Multiplying by 1+q is a shift and an add
+The moment m_j is N_j/(1+q)^j (`genocchi._moment_numerator(j)`), G~_n(x)
+is `genocchi._genocchi_numerator(n)` over (1+q)^(n-1), and H_n(-1/q, x)
+is `genocchi._frobenius_euler_numerator(n)` over (1+q)^n, a series
+division that reads no moment.  q -> 1/q reverses a numerator at the
+common power; P(x+1), P(1-x), P(1) and P(2) are integer binomial sums; an
+integral is Mahler's expansion (`genocchi._mahler_numerator`), which reads
+no moment either.  Multiplying by 1+q is a shift and an add
 (`genocchi._horner`).  A QRational or XPolynomial (`over_one_plus_q`) is
 built only for a witness or a public return value, such as the `*_sides`
-pairs; THM5_EQ12 and PROP_EQ14 compare those in canonical form.
+pairs.
 
 Two of the printed identities need adjudication rather than plain checking
 (the single-Bernstein and product-Bernstein ones): their printed forms
@@ -44,9 +44,8 @@ from typing import Sequence
 
 from . import _kernel as K
 from .bernstein import BernsteinIndex, bernstein_basis
-from .exactq import QPolynomial, QRational, XPolynomial, _q_one_plus_q, over_one_plus_q, weighted_sum
+from .exactq import QPolynomial, QRational, XPolynomial, _q_one_plus_q, over_one_plus_q
 from .genocchi import (
-    _TWO_Q,
     _frobenius_euler_numerator,
     _genocchi_numerator,
     _horner,
@@ -54,10 +53,8 @@ from .genocchi import (
     _moment_numerator,
     _xpolynomial,
     frobenius_euler_polynomial,
-    genocchi_number,
     genocchi_polynomial,
     integrate_polynomial,
-    moment,
 )
 
 PASS = "PASS"
@@ -223,7 +220,7 @@ def _complement_numerators(n: int):
     """Both sides times (1+q)^n: q h_n(x+1) + h_n(x), and (1+q)^(n+1) x^n."""
     h = _frobenius_euler_numerator(n)
     lhs = [_combine([(1, [0] + s), (1, r)]) for s, r in zip(_shift_by_one(h), h)]
-    return lhs, [[]] * n + [[comb(n + 1, i) for i in range(n + 2)]]
+    return lhs, [[]] * n + [_q_one_plus_q(0, n + 1)]
 
 
 def complement_sides(n: int):
@@ -273,18 +270,14 @@ def verify_boundary(n_max: int) -> IdentityReport:
 
 def umbral_recurrence_sides(n: int):
     """q * (G~+1)^n + G~_n with the umbral convention (G~)^k -> G~_k
-    (including the zeroth power -> G~_0)."""
-    q = QRational.q()
-    acc = weighted_sum((comb(n, k), genocchi_number(k)) for k in range(n + 1))
-    lhs = q * acc + genocchi_number(n)
-    rhs = _TWO_Q if n == 1 else QRational.zero()
-    return lhs, rhs
+    (including the zeroth power -> G~_0).  (G~+1)^n is sum_k C(n,k) G~_k =
+    G~_n(1), so the numerators are THM3_EQ13's; at n = 0 both are 0."""
+    return tuple(over_one_plus_q(side, n - 1) for side in _boundary_numerators(n))
 
 
 def verify_umbral_recurrence(n_max: int) -> IdentityReport:
-    pairs = [(genocchi_number(0), QRational.zero())]
-    pairs += [umbral_recurrence_sides(n) for n in range(n_max + 1)]
-    return aggregate_report("PROP_EQ14", {"n_max": n_max}, pairs)
+    return _integer_report("PROP_EQ14", {"n_max": n_max}, range(n_max + 1),
+                           _boundary_numerators, umbral_recurrence_sides)
 
 
 # -- reflection symmetry ------------------------------------------------------
@@ -313,17 +306,32 @@ def verify_reflection(n_max: int) -> IdentityReport:
 # -- binomial expansion / integral representation ----------------------------
 
 
+@cache
+def _power_integral(k: int) -> tuple:
+    """The integral of xi^k over (1+q)^k by Mahler's expansion, memoised:
+    N_k computed without reading it."""
+    return tuple(_oracle_numerator(k, k))
+
+
+def _binomial_expansion_numerators(n: int):
+    """Both sides times (n+1) (1+q)^n: the integral of (x+xi)^n, whose x^j
+    coefficient is (n+1) C(n,j) (1+q)^j times `_power_integral(n-j)`, and
+    G~_(n+1)(x)."""
+    lhs = tuple(tuple(_horner([((n + 1) * comb(n, j), _power_integral(n - j))] + [(0, ())] * j))
+                for j in range(n + 1))
+    return lhs, _genocchi_numerator(n + 1)
+
+
 def binomial_expansion_sides(n: int):
-    """Integrate (x+xi)^n over xi coefficientwise vs G~_{n+1}(x)/(n+1)."""
-    coeffs = [comb(n, j) * moment(n - j) for j in range(n + 1)]
-    lhs = XPolynomial(coeffs)
-    rhs = genocchi_polynomial(n + 1) / (n + 1)
-    return lhs, rhs
+    """Integrate (x+xi)^n over xi coefficientwise, by Mahler's expansion,
+    vs G~_{n+1}(x)/(n+1)."""
+    lhs = XPolynomial([comb(n, j) * over_one_plus_q(_power_integral(n - j), n - j) for j in range(n + 1)])
+    return lhs, genocchi_polynomial(n + 1) / (n + 1)
 
 
 def verify_binomial_expansion(n_max: int) -> IdentityReport:
-    pairs = [binomial_expansion_sides(n) for n in range(n_max + 1)]
-    return aggregate_report("THM5_EQ12", {"n_max": n_max}, pairs)
+    return _integer_report("THM5_EQ12", {"n_max": n_max}, range(n_max + 1),
+                           _binomial_expansion_numerators, binomial_expansion_sides)
 
 
 # -- value at x = 2 -----------------------------------------------------------
@@ -363,10 +371,10 @@ def _eq16_numerator(j: int) -> tuple:
     """R_j = (1+q)^(j+1) + q^2 rev(N_j), the numerator of `_eq16_rhs(j)` over
     (1+q)^j: the moment with q -> 1/q is q^j N_j(1/q) / (1+q)^j, and
     q^j N_j(1/q) is N_j's coefficient list reversed."""
-    out = [comb(j + 1, i) for i in range(j + 2)] + [0]
+    out = _q_one_plus_q(0, j + 1) + [0]
     for i, x in enumerate(reversed(_moment_numerator(j))):
         out[i + 2] += x
-    return tuple(out)
+    return tuple(K.poly_trim(out))
 
 
 def _eq16_rhs(j: int) -> QRational:
@@ -385,8 +393,9 @@ def verify_one_minus_xi(n_max: int) -> IdentityReport:
     (both sides are computed; they genuinely differ there)."""
     probe = probe_report("THM6_EQ16", {"n": 0}, one_minus_xi_sides(0),
                          "probe outside the stated range n >= 1; not counted toward the verdict")
-    pairs = [one_minus_xi_sides(n) for n in range(1, n_max + 1)]
-    return aggregate_report("THM6_EQ16", {"n_min": 1, "n_max": n_max}, pairs, probes=(probe,))
+    return _integer_report("THM6_EQ16", {"n_min": 1, "n_max": n_max}, range(1, n_max + 1),
+                           lambda n: (tuple(_oracle_numerator(n, 0)), _eq16_numerator(n)),
+                           one_minus_xi_sides, (probe,))
 
 
 # -- numerators shared by THM7 (total = n, mk = k) and THM8 (total = sum n_s) --

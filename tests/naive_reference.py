@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from qgenocchi.exactq import QRational, XPolynomial, q_bracket, weighted_sum
-from qgenocchi.genocchi import GenocchiTable, moment
+from qgenocchi.genocchi import GenocchiTable, genocchi_number, moment
 
 
 def naive_gcd(a, b):
@@ -208,6 +208,19 @@ def boundary_sides(n):
     g = genocchi_polynomial(n)
     lhs = QRational.q() * g.evaluate(QRational.one()) + g.evaluate(QRational.zero())
     return lhs, QRational(q_bracket(2)) if n == 1 else QRational.zero()
+
+
+def umbral_recurrence_sides(n):
+    """q sum_k C(n,k) G~_k + G~_n and [2]_q delta(n,1): the umbral sum in Q(q)."""
+    acc = weighted_sum((comb(n, k), genocchi_number(k)) for k in range(n + 1))
+    lhs = QRational.q() * acc + genocchi_number(n)
+    return lhs, QRational(q_bracket(2)) if n == 1 else QRational.zero()
+
+
+def binomial_expansion_sides(n):
+    """sum_j C(n,j) m_(n-j) x^j, m_k the moments, and G~_(n+1)(x)/(n+1)."""
+    return XPolynomial([comb(n, j) * moment(n - j) for j in range(n + 1)]), \
+        genocchi_polynomial(n + 1) / (n + 1)
 
 
 def reflection_sides(n):

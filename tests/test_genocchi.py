@@ -150,25 +150,26 @@ class TestMomentsAndOracle:
         assert moment(9) is moment(9)
 
     def test_moments_grow_after_an_interrupted_row(self, monkeypatch):
-        # an exception inside a row ends the memo's generator; later calls
-        # must still grow the memo, with the same values
-        monkeypatch.setattr(genocchi, "_MOMENTS", [])
-        monkeypatch.setattr(genocchi, "_MOMENT_ROWS", genocchi._moment_rows(QRational.q()))
-        canonical, calls = genocchi.over_one_plus_q, []
+        # an exception inside a row leaves the store of rows as it was;
+        # later calls must still grow it, with the same values
+        monkeypatch.setattr(genocchi, "_NUMERATORS", [(1,)])
+        moment.cache_clear()
+        step, calls = genocchi._next_numerator, []
 
         class Interrupt(Exception):
             pass
 
-        def interrupted(ints, k):
+        def interrupted(row, k):
             calls.append(k)
             if len(calls) == 6:
                 raise Interrupt
-            return canonical(ints, k)
+            return step(row, k)
 
-        monkeypatch.setattr(genocchi, "over_one_plus_q", interrupted)
+        monkeypatch.setattr(genocchi, "_next_numerator", interrupted)
         with pytest.raises(Interrupt):
             moment(12)
-        monkeypatch.setattr(genocchi, "over_one_plus_q", canonical)
+        assert len(genocchi._NUMERATORS) == 6
+        monkeypatch.setattr(genocchi, "_next_numerator", step)
         assert [moment(k) for k in range(13)] == [RECURRENCE[k + 1] / (k + 1) for k in range(13)]
 
     def test_second_moment_is_third_number_over_three(self):

@@ -139,6 +139,12 @@ class TestOneMinusXi:
         assert probe.verdict == ident.FAIL and probe.params["n"] == 0
         assert probe.witness == ("1", "1+q+q^2")
 
+    def test_range_builds_only_the_probe_sides(self, monkeypatch):
+        sides, calls = ident.one_minus_xi_sides, []
+        monkeypatch.setattr(ident, "one_minus_xi_sides", lambda n: calls.append(n) or sides(n))
+        assert ident.verify_one_minus_xi(20).verdict == ident.PASS
+        assert calls == [0]
+
 
 class TestBernsteinSingle:
     def test_lhs_equals_oracle_everywhere(self):
@@ -267,12 +273,16 @@ class TestIntegerNumerators:
                           ident._oracle_numerator(total, mk)):
                     assert v and v[-1] != 0
         assert ident._lhs_numerator(2, 3, False) == []
+        for j in range(61):
+            v = ident._eq16_numerator(j)
+            assert v and v[-1] != 0
 
     def test_verifiers_run_no_qq_arithmetic(self, monkeypatch):
         def refuse(*_):
             raise AssertionError("Q(q) arithmetic in an integer verifier")
 
-        monkeypatch.setattr(ident, "weighted_sum", refuse)
+        monkeypatch.setattr(exactq, "weighted_sum", refuse)
+        monkeypatch.setattr(genocchi, "weighted_sum", refuse)
         for name in ("poly_mul", "poly_gcd", "poly_divexact"):
             monkeypatch.setattr(K, name, refuse)
         monkeypatch.setattr(exactq.QRational, "__add__", refuse)
@@ -304,10 +314,35 @@ class TestIntegerPolynomialSides:
 
     @pytest.mark.parametrize("name,first", [
         ("frobenius_link_sides", 0), ("complement_sides", 0), ("complement_classical_sides", 1),
-        ("boundary_sides", 0), ("reflection_sides", 0), ("shift_two_sides", 0)])
+        ("boundary_sides", 0), ("umbral_recurrence_sides", 0), ("reflection_sides", 0),
+        ("binomial_expansion_sides", 0), ("shift_two_sides", 0)])
     def test_sides(self, name, first):
         for n in range(first, self.N.stop):
             assert getattr(ident, name)(n) == getattr(ref, name)(n), n
+
+    def test_binomial_expansion_numerators(self):
+        for n in self.N:
+            sides = tuple(genocchi._xpolynomial(side, n) / (n + 1)
+                          for side in ident._binomial_expansion_numerators(n))
+            assert sides == ref.binomial_expansion_sides(n), n
+
+    def test_a_wrong_moment_row_fails_the_binomial_expansion(self, monkeypatch):
+        # the left side of THM5_EQ12 is Mahler's expansion, which reads no
+        # moment: a wrong row N_5 fails first at n = 5, the first instance
+        # whose right side reads it
+        want = ref.binomial_expansion_sides(5)
+        rows = [genocchi._moment_numerator(k) for k in range(13)]
+        rows[5] = rows[5][:-1] + (rows[5][-1] + 1,)
+        monkeypatch.setattr(genocchi, "_NUMERATORS", rows)
+        monkeypatch.setattr(ident, "_genocchi_numerator", genocchi._genocchi_numerator.__wrapped__)
+        genocchi.moment.cache_clear()
+        try:
+            assert ident.verify_binomial_expansion(4).verdict == ident.PASS
+            report = ident.verify_binomial_expansion(12)
+        finally:
+            genocchi.moment.cache_clear()
+        assert report.verdict == ident.FAIL
+        assert report.witness[0] == str(want[0]) and report.witness[1] != str(want[1])
 
     def test_rows_are_trimmed(self):
         # equal sides must be equal lists: no row of a numerator ends in a zero
@@ -341,7 +376,8 @@ class TestIntegerPolynomialSides:
         def refuse(*_):
             raise AssertionError("Q(q) arithmetic in an integer verifier")
 
-        monkeypatch.setattr(ident, "weighted_sum", refuse)
+        monkeypatch.setattr(exactq, "weighted_sum", refuse)
+        monkeypatch.setattr(genocchi, "weighted_sum", refuse)
         monkeypatch.setattr(XPolynomial, "compose_linear", refuse)
         for name in ("__add__", "__radd__", "__mul__", "__rmul__", "invert_q"):
             monkeypatch.setattr(QRational, name, refuse)
@@ -350,5 +386,6 @@ class TestIntegerPolynomialSides:
         for n in range(1, 8):
             assert ident.verify_shift_equation(n, 6).verdict == ident.PASS
         for verify in (ident.verify_frobenius_link, ident.verify_complement, ident.verify_boundary,
-                       ident.verify_reflection, ident.verify_shift_two):
+                       ident.verify_reflection, ident.verify_binomial_expansion,
+                       ident.verify_umbral_recurrence, ident.verify_shift_two):
             assert verify(12).verdict == ident.PASS

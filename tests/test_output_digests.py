@@ -185,6 +185,9 @@ DIGESTS = {
     "verify --only THM1,THM2_EQ10,THM4_EQ11,THM5_EQ12,PROP_EQ14 --nmax 50 --format text": (
         "e8f2aac6352a36505498c179d2cef07ad1c9b813744c5f0d1081e08622cc3feb",
         EMPTY, 0),
+    "verify --nmax 50 --format json": (
+        "8b154d82177c1e2fb73122ea776445ac9e224b6c03f52d94dd649253d493e17b",
+        "8281a66218e4c61939c423366ac4bd7be0b53613dd30d9d11555864f087230cb", 0),
 }
 
 
