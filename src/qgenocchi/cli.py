@@ -5,11 +5,21 @@ suite as newline-delimited JSON reports), `padic-converge` (Riemann-sum
 error valuations), `loggamma` (series vs direct values), `bernstein`
 (basis polynomials and their fermionic integrals).
 
-Each subparser names its runner, `run(args, out)`, which reads the argparse
-namespace and appends output lines to `out`; argparse's defaults are the
-only ones.  Each record goes through `_emit`, the one place that picks
-among the text, json and csv forms, and `main` writes the lines to stdout
-or `--out` once the runner returns.  `--q` takes a rational, `symbolic`
+`COMMANDS` declares every command once: its runner, `run(args, out)`, which
+reads an argparse namespace and appends output lines to `out`, and its
+options, each a flag, a dest, a type and a default (or required), with
+the `--format` choices; the table's defaults are the only ones.  `main`
+reads a well-formed command line (a known command, exact flags as `--flag
+value` or `--flag=value`, valid ints and formats, every required option)
+straight from the table, into the namespace argparse would give, without
+building a parser.  Any other line (help, an abbreviation, `--`, a value
+that looks like an option, a bad value) goes to the argparse parser that
+`_build_parser` makes from the same table, so argparse writes all help,
+usage and error text.  `--out` is opened for appending before the runner
+runs, so an unwritable path exits 2 before any work.  Each record goes
+through `_emit`, the one place that picks among the text, json and csv
+forms, and `main` writes the lines to stdout or `--out` once the runner
+returns.  `--q` takes a rational, `symbolic`
 (`table` only) or `1+p`, which needs a command with `--prime`; `verify`
 runs symbolically and has no `--q`.  `symbolic` stands for the
 indeterminate `QRational.q()`, so `table` reads every value, at any q,
@@ -47,7 +57,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import identities as ident
 from .bernstein import bernstein_basis
@@ -478,55 +488,157 @@ def run_bernstein(args, out: list) -> int:
 # -- argument plumbing -------------------------------------------------------------
 
 
+class _Option(NamedTuple):
+    """One command-line option: `kind` is int, str or bool (a store_true
+    flag), and `default` is _REQUIRED for a required option."""
+
+    flag: str
+    dest: str
+    kind: type
+    default: object = None
+    help: str | None = None
+    metavar: str | None = None
+    choices: tuple | None = None
+
+
+class _Command(NamedTuple):
+    run: Callable
+    help: str
+    options: tuple
+    formats: tuple  # the --format choices; the first is the default
+
+
+_REQUIRED = object()
+_OUT = _Option("--out", "output_path", str, metavar="PATH")
+
+# Every option of every command, declared once: `_build_parser` builds the
+# argparse parser from it and `_read_args` reads a well-formed command line
+# from it.  Each command also takes --format (its `formats`) and --out.
+COMMANDS = {
+    "table": _Command(run_table, "emit q-Genocchi numbers or polynomial coefficients", (
+        _Option("--nmax", "n_max", int, _REQUIRED),
+        _Option("--q", "q_spec", str, "symbolic"),
+        _Option("--polynomials", "polynomials", bool, False),
+    ), ("text", "json", "csv")),
+    "verify": _Command(run_verify, "run identity verifiers, one JSON report per line", (
+        _Option("--only", "only", str, help="comma-separated identity ids"),
+        _Option("--nmax", "n_max", int, 0),
+    ), ("json", "text")),
+    "padic-converge": _Command(run_padic_converge, "Riemann-sum error valuations toward a moment", (
+        _Option("--n", "n", int, _REQUIRED),
+        _Option("--prime", "prime", int, _REQUIRED),
+        _Option("--q", "q_spec", str, "1+p"),
+        _Option("--mmax", "m_max", int, 5),
+        _Option("--precision", "precision", int, 12),
+    ), ("json", "csv", "text")),
+    "loggamma": _Command(run_loggamma, "log-gamma series vs direct Riemann sums", (
+        _Option("--prime", "prime", int, _REQUIRED),
+        _Option("--q", "q_spec", str, "1+p"),
+        _Option("--x", "x_spec", str, "1/p"),
+        _Option("--mmax", "m_max", int, 4),
+        _Option("--precision", "precision", int, 12),
+    ), ("json", "text")),
+    "bernstein": _Command(run_bernstein, "Bernstein basis polynomials and their integrals", (
+        _Option("--n", "n", int, _REQUIRED),
+        _Option("--k", "k", int),
+    ), ("text", "json", "csv")),
+}
+
+
+def _options(command: _Command) -> tuple:
+    """The command's own options, then --format and --out."""
+    fmt = _Option("--format", "format", str, command.formats[0], choices=command.formats)
+    return (*command.options, fmt, _OUT)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of COMMANDS: the one author of help, usage and
+    error text."""
     parser = argparse.ArgumentParser(
         prog="qgenocchi",
         description="Exact q-Genocchi data, identity verification, and p-adic experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, run, fmt_choices):
-        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
-        p.add_argument("--out", dest="output_path", default=None, metavar="PATH")
-        p.set_defaults(run=run)
-
-    p = sub.add_parser("table", help="emit q-Genocchi numbers or polynomial coefficients")
-    p.add_argument("--nmax", dest="n_max", type=int, required=True)
-    p.add_argument("--q", dest="q_spec", default="symbolic")
-    p.add_argument("--polynomials", action="store_true")
-    add_common(p, run_table, ("text", "json", "csv"))
-
-    p = sub.add_parser("verify", help="run identity verifiers, one JSON report per line")
-    p.add_argument("--only", default=None, help="comma-separated identity ids")
-    p.add_argument("--nmax", dest="n_max", type=int, default=0)
-    add_common(p, run_verify, ("json", "text"))
-
-    p = sub.add_parser("padic-converge", help="Riemann-sum error valuations toward a moment")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--q", dest="q_spec", default="1+p")
-    p.add_argument("--mmax", dest="m_max", type=int, default=5)
-    p.add_argument("--precision", type=int, default=12)
-    add_common(p, run_padic_converge, ("json", "csv", "text"))
-
-    p = sub.add_parser("loggamma", help="log-gamma series vs direct Riemann sums")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--q", dest="q_spec", default="1+p")
-    p.add_argument("--x", dest="x_spec", default="1/p")
-    p.add_argument("--mmax", dest="m_max", type=int, default=4)
-    p.add_argument("--precision", type=int, default=12)
-    add_common(p, run_loggamma, ("json", "text"))
-
-    p = sub.add_parser("bernstein", help="Bernstein basis polynomials and their integrals")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    add_common(p, run_bernstein, ("text", "json", "csv"))
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for o in _options(command):
+            if o.kind is bool:
+                p.add_argument(o.flag, dest=o.dest, action="store_true")
+            else:
+                required = o.default is _REQUIRED
+                p.add_argument(o.flag, dest=o.dest, type=o.kind, required=required,
+                               default=None if required else o.default, help=o.help,
+                               metavar=o.metavar, choices=o.choices)
+        p.set_defaults(run=command.run)
     return parser
 
 
+def _read_args(argv: list) -> argparse.Namespace | None:
+    """The namespace argparse gives for a well-formed command line, read from
+    COMMANDS without building a parser; None for any other line: help, a
+    missing or unknown command, an abbreviated or unknown flag, `--`, a
+    separate value that starts with `-`, a bad int or --format, a missing
+    required option, `--polynomials=...`.
+
+    A value joined by `=` may start with `-` (argparse reads `--q=-5` as
+    -5), but may not be `--`, which argparse drops."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {o.flag: o for o in _options(command)}
+    values = {o.dest: o.default for o in options.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, joined, value = token.partition("=")
+        option = options.get(flag)
+        if option is None:
+            return None
+        if option.kind is bool:
+            if joined:
+                return None
+            value = True
+        elif joined:
+            if value == "--":
+                return None
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        if option.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif option.choices and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if _REQUIRED in values.values():
+        return None
+    return argparse.Namespace(command=argv[0], **values, run=command.run)
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """`_read_args`, or argparse where it declines the line: argparse reads
+    an abbreviation or a negative number, and exits with help or an error
+    on anything else."""
+    args = _read_args(argv)
+    return _build_parser().parse_args(argv) if args is None else args
+
+
+def _cannot_write(path: str, e: OSError) -> int:
+    print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    if args.output_path:
+        # fail before any work; append mode leaves an existing file as it is
+        try:
+            with open(args.output_path, "a", encoding="utf-8"):
+                pass
+        except OSError as e:
+            return _cannot_write(args.output_path, e)
     out = []
     try:
         status = args.run(args, out)
@@ -542,8 +654,7 @@ def main(argv=None) -> int:
             with open(args.output_path, "w", encoding="utf-8") as fh:
                 fh.writelines(lines)
         except OSError as e:
-            print(f"error: cannot write {args.output_path}: {e.strerror or e}", file=sys.stderr)
-            return 2
+            return _cannot_write(args.output_path, e)
     else:
         sys.stdout.writelines(lines)
     return status

@@ -313,11 +313,21 @@ def _power_integral(k: int) -> tuple:
     return tuple(_oracle_numerator(k, k))
 
 
+@cache
+def _raised_power_integral(k: int, j: int) -> tuple:
+    """(1+q)^j times `_power_integral(k)`, memoised: one multiplication by
+    1+q (a shift and an add) of the row for j-1."""
+    if j == 0:
+        return _power_integral(k)
+    row = _raised_power_integral(k, j - 1)
+    return tuple(map(operator.add, row + (0,), (0,) + row))
+
+
 def _binomial_expansion_numerators(n: int):
     """Both sides times (n+1) (1+q)^n: the integral of (x+xi)^n, whose x^j
     coefficient is (n+1) C(n,j) (1+q)^j times `_power_integral(n-j)`, and
     G~_(n+1)(x)."""
-    lhs = tuple(tuple(_horner([((n + 1) * comb(n, j), _power_integral(n - j))] + [(0, ())] * j))
+    lhs = tuple(tuple((n + 1) * comb(n, j) * c for c in _raised_power_integral(n - j, j))
                 for j in range(n + 1))
     return lhs, _genocchi_numerator(n + 1)
 

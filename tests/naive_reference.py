@@ -236,3 +236,56 @@ def shift_two_sides(n):
     g = genocchi_polynomial(n + 1)
     return g.evaluate(QRational(2)), \
         (n + 1) * QRational(q_bracket(2)) / q + g.evaluate(QRational.zero()) / q ** 2
+
+
+def reference_parser():
+    """The command line as a hand-written argparse parser, one sub-parser per
+    command, for the CLI tests to hold the option table to."""
+    import argparse
+
+    from qgenocchi.cli import run_bernstein, run_loggamma, run_padic_converge, run_table, run_verify
+
+    parser = argparse.ArgumentParser(
+        prog="qgenocchi",
+        description="Exact q-Genocchi data, identity verification, and p-adic experiments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, run, fmt_choices):
+        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
+        p.add_argument("--out", dest="output_path", default=None, metavar="PATH")
+        p.set_defaults(run=run)
+
+    p = sub.add_parser("table", help="emit q-Genocchi numbers or polynomial coefficients")
+    p.add_argument("--nmax", dest="n_max", type=int, required=True)
+    p.add_argument("--q", dest="q_spec", default="symbolic")
+    p.add_argument("--polynomials", action="store_true")
+    add_common(p, run_table, ("text", "json", "csv"))
+
+    p = sub.add_parser("verify", help="run identity verifiers, one JSON report per line")
+    p.add_argument("--only", default=None, help="comma-separated identity ids")
+    p.add_argument("--nmax", dest="n_max", type=int, default=0)
+    add_common(p, run_verify, ("json", "text"))
+
+    p = sub.add_parser("padic-converge", help="Riemann-sum error valuations toward a moment")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--q", dest="q_spec", default="1+p")
+    p.add_argument("--mmax", dest="m_max", type=int, default=5)
+    p.add_argument("--precision", type=int, default=12)
+    add_common(p, run_padic_converge, ("json", "csv", "text"))
+
+    p = sub.add_parser("loggamma", help="log-gamma series vs direct Riemann sums")
+    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--q", dest="q_spec", default="1+p")
+    p.add_argument("--x", dest="x_spec", default="1/p")
+    p.add_argument("--mmax", dest="m_max", type=int, default=4)
+    p.add_argument("--precision", type=int, default=12)
+    add_common(p, run_loggamma, ("json", "text"))
+
+    p = sub.add_parser("bernstein", help="Bernstein basis polynomials and their integrals")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, default=None)
+    add_common(p, run_bernstein, ("text", "json", "csv"))
+
+    return parser

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import qgenocchi
+from qgenocchi import cli
 from qgenocchi.cli import (
     IDENTITY_REGISTRY,
     MAX_BERNSTEIN_DEGREE,
@@ -589,12 +590,29 @@ class TestPlumbing:
             assert capsys.readouterr().out == ""
             assert path.read_bytes() == stdout.encode() != b""
 
-    def test_unwritable_out_exit_2(self, run, tmp_path):
+    def test_unwritable_out_exit_2(self, run, tmp_path, monkeypatch):
+        def refuse(args, out):
+            raise AssertionError("the runner ran before --out was opened")
+
+        monkeypatch.setitem(cli.COMMANDS, "table", cli.COMMANDS["table"]._replace(run=refuse))
         path = tmp_path / "missing" / "table.txt"
-        status, lines, err = run("table", "--nmax", "2", "--out", str(path))
-        assert status == 2 and lines == []
-        assert err.startswith(f"error: cannot write {path}: ")
-        assert "Traceback" not in err
+        # the --out error wins over a bad --nmax: the path is opened first
+        for nmax in ("2", "-1"):
+            status, lines, err = run("table", "--nmax", nmax, "--out", str(path))
+            assert status == 2 and lines == []
+            assert err.startswith(f"error: cannot write {path}: ")
+            assert "Traceback" not in err
+
+    def test_out_file_on_a_failed_run(self, run, tmp_path):
+        # --out is opened for appending before the run: a missing file is
+        # left empty and an existing one untouched when the run fails
+        missing, existing = tmp_path / "missing.txt", tmp_path / "existing.txt"
+        existing.write_text("kept\n", encoding="utf-8")
+        for path in (missing, existing):
+            assert run("table", "--nmax", "-1", "--out", str(path))[0] == 2
+            assert run("table", "--nmax", "3", "--q=-1", "--out", str(path))[0] == 3
+        assert missing.read_text(encoding="utf-8") == ""
+        assert existing.read_text(encoding="utf-8") == "kept\n"
 
     def test_console_entry_point(self):
         # the child imports the same qgenocchi as this test, installed or not
@@ -621,8 +639,13 @@ def _readme_cli_commands():
 
 
 @pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
-def test_readme_cli_commands_run(run, argv):
-    # keeps the documented commands in step with the options
+def test_readme_cli_commands_run(run, argv, monkeypatch):
+    # keeps the documented commands in step with the options, each read
+    # from the option table without building the argparse parser
+    def refuse():
+        raise AssertionError("a well-formed command line built the argparse parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
     status, lines, _ = run(*argv)
     assert status == 0 and lines
 
