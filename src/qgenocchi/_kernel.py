@@ -6,8 +6,9 @@ index i = coefficient of the i-th power, trailing coefficient nonzero
 loops behind rational-function canonicalization; the one polynomial gcd,
 `poly_gcd`, is the heuristic gcd: it works on the integers the
 polynomials take at one large point, so its cost rests on Python's
-integer gcd.  The fermionic Riemann sums have one algorithm,
-`alt_weighted_int_sum`: the sum at a rational q in closed form, with
+integer gcd, and it returns the two cofactors from the same exact
+divisions that prove its candidate.  The fermionic Riemann sums have one
+algorithm, `alt_weighted_int_sum`: the sum at a rational q in closed form, with
 O(deg^2) multiplications by small integers and two large powers whatever
 the number of points, exact or modulo a prime power; `alt_weighted_mod_sum`
 is its modular form at an integer q.  `BACKEND` names the implementation;
@@ -67,20 +68,27 @@ def poly_primitive(a):
 
 
 def poly_gcd(a, b):
-    """Primitive gcd in Z[q] by the heuristic gcd (Char, Geddes and Gonnet,
-    J. Symbolic Comput. 7 (1989)).  Result is primitive with positive
-    leading coefficient; gcd with the zero polynomial is the other
-    argument's primitive part.
+    """(g, a1, b1): the primitive gcd g of a and b in Z[q] by the heuristic
+    gcd (Char, Geddes and Gonnet, J. Symbolic Comput. 7 (1989)), with the
+    cofactors of the primitive parts, g * a1 == pp(a) and g * b1 == pp(b).
+
+    g is primitive with positive leading coefficient, and so are nonzero
+    cofactors; the contents of a and b are dropped.  With one zero argument
+    g is the other's primitive part, its cofactor is [1] and the zero side's
+    is []; with two, all three are [].  When g = [1] the cofactors are the
+    primitive parts themselves (a and b when they are primitive), with no
+    division.
 
     Both primitive inputs are evaluated at one integer x, the integer gcd
     of the two values is read back in balanced base-x digits, and the
     primitive part of that candidate is the gcd once it divides both
-    inputs, so no intermediate polynomial grows.  x starts at the larger
-    of 2*min(|a|, |b|) + 2 (max-norms) and 2^64.  Above the first bound
-    every root of a common factor is smaller than x/2 in absolute value,
-    so a common factor of positive degree makes the integer gcd exceed
-    x/2, and a constant candidate proves the inputs coprime without a
-    division check.  The 2^64 floor makes a spurious candidate rare, so
+    inputs; those two exact divisions give the cofactors, so no
+    intermediate polynomial grows and no division is repeated.  x starts at
+    the larger of 2*min(|a|, |b|) + 2 (max-norms) and 2^64.  Above the
+    first bound every root of a common factor is smaller than x/2 in
+    absolute value, so a common factor of positive degree makes the integer
+    gcd exceed x/2, and a constant candidate proves the inputs coprime
+    without a division.  The 2^64 floor makes a spurious candidate rare, so
     one point usually settles a pair.  A candidate that does not divide
     both inputs carries a spurious integer factor; that factor divides the
     resultant of the two cofactors, which does not depend on x, so
@@ -89,9 +97,9 @@ def poly_gcd(a, b):
     _, a = poly_primitive(a)
     _, b = poly_primitive(b)
     if not a:
-        return b
+        return b, [], [1] if b else []
     if not b:
-        return a
+        return a, [1], []
     x = max(2 * min(max(map(abs, a)), max(map(abs, b))) + 2, 1 << 64)
     while True:
         h = gcd(poly_eval_int(a, x), poly_eval_int(b, x))
@@ -103,18 +111,12 @@ def poly_gcd(a, b):
                 h += 1
             digits.append(d)
         _, g = poly_primitive(digits)
-        if g == [1] or (_divides(g, a) and _divides(g, b)):
-            return g
-        x *= x
-
-
-def _divides(b, a):
-    """True when b divides a exactly in Z[q]."""
-    try:
-        poly_divexact(a, b)
-    except ArithmeticError:
-        return False
-    return True
+        if g == [1]:
+            return g, a, b
+        try:
+            return g, poly_divexact(a, g), poly_divexact(b, g)
+        except ArithmeticError:
+            x *= x
 
 
 def poly_divexact(a, b):

@@ -25,7 +25,8 @@ Every denominator the paper's generating function produces is
 q^i * (1+q)^j.  `_cancel` reduces every pair of integer polynomials by two
 rules: with such a side, counting the other side's irreducible factors q
 and 1+q gives the gcd and both quotients; any other pair, e.g. from parsed
-input, takes the heuristic gcd `K.poly_gcd` and two exact divisions.
+input, takes the heuristic gcd `K.poly_gcd`, which returns the gcd with
+both quotients from the two exact divisions that prove it.
 
 Each arithmetic rule is written once: `_cancel` divides a gcd out of a
 pair, `K.poly_primitive` splits off the content, `_clear_denominators`
@@ -155,8 +156,8 @@ def _cancel(a, b):
 
     When either side is q^i * (1+q)^j, g = q^vq * (1+q)^k counts the other
     side's irreducible factors q and 1+q, up to i and j, and so gives both
-    quotients.  Any other pair takes the heuristic gcd `K.poly_gcd` and two
-    exact divisions."""
+    quotients.  Any other pair takes the heuristic gcd `K.poly_gcd`, whose
+    proof of the gcd divides each side once and returns those quotients."""
     for s, other in ((b, a), (a, b)):
         if (e := _q_one_plus_q_exponents(s)) is not None:
             i, j = e
@@ -168,9 +169,7 @@ def _cancel(a, b):
                 return [1], a, b
             g, quo = _q_one_plus_q(vq, k), _q_one_plus_q(i - vq, j - k)
             return (g, rest, quo) if other is a else (g, quo, rest)
-    if len(g := K.poly_gcd(a, b)) == 1:
-        return g, a, b
-    return g, K.poly_divexact(a, g), K.poly_divexact(b, g)
+    return K.poly_gcd(a, b)
 
 
 def _clear_denominators(coeffs):
@@ -426,14 +425,16 @@ class QRational:
         if o._c == 0:
             return self
         n1, d1, n2, d2 = list(self._num), list(self._den), list(o._num), list(o._den)
-        if d1 == d2:
-            common, m1, m2, rest = d1, n1, n2, [1]
+        same = d1 == d2
+        if same:
+            g, m1, m2, den = d1, n1, n2, d1
         else:
-            common, d1, d2 = _cancel(d1, d2)
-            m1 = K.poly_mul(n1, d2)
-            m2 = K.poly_mul(n2, d1)
-            rest = K.poly_mul(d1, d2)
-        # combined numerator c1*m1 + c2*m2 over common*rest
+            # lcm(d1, d2) = d1 * (d2/g), one product
+            g, e1, e2 = _cancel(d1, d2)
+            m1 = K.poly_mul(n1, e2)
+            m2 = K.poly_mul(n2, e1)
+            den = K.poly_mul(d1, e2)
+        # combined numerator c1*m1 + c2*m2 over den
         c1, c2 = self._c, o._c
         den_lcm = lcm(c1.denominator, c2.denominator)
         i1 = c1.numerator * (den_lcm // c1.denominator)
@@ -449,10 +450,12 @@ class QRational:
             return QRational.zero()
         cont, num = K.poly_primitive(num)
         c3 = Fraction(cont, den_lcm)
-        # any common factor of num and the denominator divides `common`
-        if common != [1]:
-            _, num, common = _cancel(num, common)
-        den = K.poly_mul(common, rest) if common != [1] else rest
+        # any common factor h of num and den divides g; when there is one
+        # (rarely), den/h is g/h for equal denominators and one division else
+        if g != [1]:
+            h, num, g_h = _cancel(num, g)
+            if h != [1]:
+                den = g_h if same else K.poly_divexact(den, h)
         return QRational._raw(c3, num, den)
 
     __radd__ = __add__

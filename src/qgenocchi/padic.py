@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import inf
 
 from . import _kernel as K
-from .errors import DomainError, PrecisionExhausted
+from .errors import DomainError, PoleError, PrecisionExhausted
 from .exactq import QRational, _clear_denominators, _power
 from .genocchi import moments_at
 
@@ -432,13 +432,14 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
 def _admit_q(q, ctx: PadicContext) -> PadicNumber:
     """q as an element of ctx, refused unless |q-1|_p < 1.
 
+    That is: q is a unit whose first digit is 1, read from q's own
+    valuation and unit with no arithmetic (so nothing else is embedded).
     q = 1, the classical limit point, has |q-1|_p = 0 and is admitted.
     """
     q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
     if q.ctx != ctx:
         raise DomainError("q belongs to a different context")
-    diff = q - 1
-    if (diff.abs_precision if diff.is_order_term else diff.valuation) < 1:
+    if q.valuation != 0 or q.unit % ctx.p != 1:
         raise DomainError("need |q-1|_p < 1 (valuation(q-1) >= 1)")
     return q
 
@@ -506,8 +507,11 @@ def qrational_at_padic(r: QRational, q: PadicNumber) -> PadicNumber:
 def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
     """Measure v_p(S_m - L) for m = 1..m_max, where S_m is the level-m
     Riemann sum of xi^n and L = m_n = G~_{n+1,q}/(n+1) the moment at q,
-    from `genocchi.moments_at` for exact and inexact q alike (PoleError at
-    q = -1 for n >= 1, before any sum).
+    from `genocchi.moments_at` for exact and inexact q alike.
+
+    q is checked before any work: an exact q = -1 with n >= 1 raises
+    PoleError (the moment's pole), then `_admit_q` refuses any q outside
+    |q-1|_p < 1 with DomainError, and only then is the moment built.
 
     Returns a list of (level, error_valuation) pairs; the valuation is
     +inf when the level value is exactly the moment (the constant
@@ -517,6 +521,9 @@ def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
     if n < 0:
         raise DomainError("moment index must be non-negative")
     q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
+    if n >= 1 and q.exact_value == -1:
+        raise PoleError("pole at q = -1")
+    q = _admit_q(q, ctx)
     limit = _moments(q, n, first=n)[0]
     monomial = (0,) * n + (1,)
     out = []

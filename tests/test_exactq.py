@@ -662,6 +662,51 @@ class TestStructuredGcd:
         assert calls
 
 
+def count_calls(monkeypatch, name):
+    """Record the arguments of every call of `K.<name>`."""
+    calls = []
+    fn = getattr(K, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(K, name, counted)
+    return calls
+
+
+class TestGeneralPathWorksOnce:
+    """A pair that is not q^i * (1+q)^j, and a sum of parsed values, take
+    each quotient and each product once."""
+
+    def test_cancel_divides_each_side_once(self, monkeypatch):
+        g = [3, 1, 2]  # no root at 0 or -1
+        a, b = K.poly_mul(g, [5, 0, 1]), K.poly_mul(g, [-2, 7])
+        points = count_calls(monkeypatch, "poly_eval_int")
+        divisions = count_calls(monkeypatch, "poly_divexact")
+        assert exactq._cancel(a, b) == (g, [5, 0, 1], [-2, 7])
+        assert len(points) == 2  # one evaluation point: the first candidate
+        assert len(divisions) == 2
+
+    def test_sum_with_a_shared_factor_makes_three_products(self, monkeypatch):
+        x = parse_qrational("1/((q^2+3)*(2*q-5))")
+        y = parse_qrational("(q+2)/((q^2+3)*(q^2-q+7))")
+        expected = QRational(qp(-3, -2, 3), qp(-105, 57, -56, 25, -7, 2))
+        products = count_calls(monkeypatch, "poly_mul")
+        assert x + y == expected
+        assert len(products) == 3
+
+    def test_sum_that_cancels_the_shared_factor(self):
+        # 1/(g*(q-4)) + 1/(g*(q^2-q+7)) = 1/((q-4)*(q^2-q+7)), g = q^2+3
+        x = parse_qrational("1/((q^2+3)*(q-4))")
+        y = parse_qrational("1/((q^2+3)*(q^2-q+7))")
+        assert x + y == y + x == QRational(1, qp(-28, 11, -5, 1))
+        # equal denominators: the numerators sum to g
+        a = parse_qrational("q/((q^2+3)*(q-4))")
+        b = parse_qrational("(q^2-q+3)/((q^2+3)*(q-4))")
+        assert a + b == QRational(1, qp(-4, 1))
+
+
 @given(parsed_qrationals(), parsed_qrationals(), parsed_qrationals())
 def test_parsed_operations_never_run_the_certificate(a, b, c):
     def refuse(*_):

@@ -24,6 +24,11 @@ def rand_poly(rng, max_deg, lo=-20, hi=20, nonzero=False):
     return coeffs
 
 
+def _integrands(max_degree=20, bound=10 ** 40):
+    return st.lists(st.integers(-bound, bound), max_size=max_degree + 1).map(
+        lambda g: g[:max(i + 1 for i, c in enumerate(g) if c)] if any(g) else [])
+
+
 def naive_mul(a, b):
     if not a or not b:
         return []
@@ -62,16 +67,16 @@ class TestPolyOps:
     def test_gcd_known(self, backend):
         one_plus_q = [1, 1]
         cube = naive_mul(naive_mul(one_plus_q, one_plus_q), one_plus_q)
-        got = backend.poly_gcd(naive_mul(cube, [2, 3]), naive_mul(one_plus_q, [5, 0, 7]))
+        got, _, _ = backend.poly_gcd(naive_mul(cube, [2, 3]), naive_mul(one_plus_q, [5, 0, 7]))
         assert got == one_plus_q
 
     def test_gcd_of_coprime(self, backend):
-        assert backend.poly_gcd([1, 1], [1, -1]) == [1]
-        assert backend.poly_gcd([3], [0, 5]) == [1]
+        assert backend.poly_gcd([1, 1], [1, -1])[0] == [1]
+        assert backend.poly_gcd([3], [0, 5])[0] == [1]
 
     def test_gcd_with_zero(self, backend):
-        assert backend.poly_gcd([], [-2, 4]) == [-1, 2]
-        assert backend.poly_gcd([6, 2], []) == [3, 1]
+        assert backend.poly_gcd([], [-2, 4])[0] == [-1, 2]
+        assert backend.poly_gcd([6, 2], [])[0] == [3, 1]
 
     def test_gcd_common_factor_property(self, backend):
         rng = random.Random(11)
@@ -79,12 +84,12 @@ class TestPolyOps:
             a = rand_poly(rng, 4, nonzero=True)
             b = rand_poly(rng, 4, nonzero=True)
             c = rand_poly(rng, 3, nonzero=True)
-            g = backend.poly_gcd(naive_mul(a, c), naive_mul(b, c))
+            g, _, _ = backend.poly_gcd(naive_mul(a, c), naive_mul(b, c))
             _, cp = backend.poly_primitive(c)
             # the gcd divides both products and is divisible by the common factor
             assert backend.poly_divexact(naive_mul(a, c), g) is not None
             assert backend.poly_divexact(naive_mul(b, c), g) is not None
-            assert backend.poly_divexact(g, backend.poly_gcd(g, cp)) is not None
+            assert backend.poly_divexact(g, backend.poly_gcd(g, cp)[0]) is not None
 
     def test_gcd_matches_naive_euclid(self, backend):
         rng = random.Random(13)
@@ -97,7 +102,7 @@ class TestPolyOps:
             c = rand_poly(rng, 3, -big, big, nonzero=True)
             cases.append((naive_mul(a, c), naive_mul(b, c)))
         for a, b in cases:
-            assert backend.poly_gcd(a, b) == naive_gcd(a, b)
+            assert backend.poly_gcd(a, b)[0] == naive_gcd(a, b)
 
     def test_gcd_grows_the_evaluation_point(self, backend, monkeypatch):
         # at x0 = 2^64 the candidate is q*(1+q), which does not divide
@@ -111,8 +116,43 @@ class TestPolyOps:
             return evaluate(a, x)
 
         monkeypatch.setattr(backend, "poly_eval_int", spy)
-        assert backend.poly_gcd([0, 1, 1], naive_mul([1, 1], [x0, 1])) == [1, 1]
+        g, a1, b1 = backend.poly_gcd([0, 1, 1], naive_mul([1, 1], [x0, 1]))
+        assert g == [1, 1]
         assert sorted(set(points)) == [x0, x0 * x0]
+        # the quotients come from the divisions at the second point
+        assert (a1, b1) == ([0, 1], [x0, 1])
+
+    @given(a=_integrands(4, 30), b=_integrands(4, 30), c=_integrands(4, 30))
+    @example(a=[2, 0, 4], b=[-6, 3], c=[0, 5, 5])
+    @example(a=[], b=[-3, 0, 9], c=[1])
+    @example(a=[7], b=[0, 14], c=[2, -2])
+    def test_gcd_cofactors_match_naive_euclid(self, backend, a, b, c):
+        a, b = naive_mul(a, c), naive_mul(b, c)
+        g, a1, b1 = backend.poly_gcd(a, b)
+        assert g == naive_gcd(a, b)
+        if g:
+            assert naive_mul(g, a1) == backend.poly_primitive(a)[1]
+            assert naive_mul(g, b1) == backend.poly_primitive(b)[1]
+        else:
+            assert a1 == b1 == []
+
+    def test_gcd_zero_and_non_primitive_contract(self, backend):
+        # contents are dropped: the cofactors are those of the primitive parts
+        assert backend.poly_gcd([-4, -4], [6, 0, -6]) == ([1, 1], [1], [-1, 1])
+        assert backend.poly_gcd([-6, 9], [10, 0, 5]) == ([1], [-2, 3], [2, 0, 1])
+        # a zero side: g is the other primitive part, its cofactor [1]
+        assert backend.poly_gcd([], [-2, 4]) == ([-1, 2], [], [1])
+        assert backend.poly_gcd([6, 2], []) == ([3, 1], [1], [])
+        assert backend.poly_gcd([], []) == ([], [], [])
+
+    def test_coprime_pair_takes_no_division(self, backend, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a constant candidate was divided")
+
+        monkeypatch.setattr(backend, "poly_divexact", refuse)
+        a, b = [1, 2, 3], [5, 0, 7]
+        g, a1, b1 = backend.poly_gcd(a, b)
+        assert g == [1] and a1 is a and b1 is b
 
 
 class TestWeightedSums:
@@ -149,11 +189,6 @@ def _refused(anum, bden):
 
 
 _WIDE = [(-1) ** i * (i * i + 3) for i in range(17)]  # 17 coefficients, none zero
-
-
-def _integrands(max_degree=20, bound=10 ** 40):
-    return st.lists(st.integers(-bound, bound), max_size=max_degree + 1).map(
-        lambda g: g[:max(i + 1 for i, c in enumerate(g) if c)] if any(g) else [])
 
 
 class TestClosedFormSum:

@@ -303,6 +303,21 @@ class TestEq18Decomposition:
             assert diff.is_zero or diff.valuation >= tol, (xi, str(diff))
 
 
+@given(p=st.sampled_from([3, 5]), r=st.fractions(-100, 100, max_denominator=100),
+       mantissa=st.integers(0, 5 ** 6), shift=st.integers(-2, 2), known=st.integers(1, 6))
+def test_admission_is_valuation_of_q_minus_one(p, r, mantissa, shift, known):
+    # |q-1|_p < 1 by the p-adic difference, for an exact q and an inexact one
+    ctx = PadicContext(p, 6)
+    for q in (PadicNumber.from_rational(r, ctx),
+              PadicNumber._from_mantissa(ctx, mantissa, shift, known)):
+        diff = q - 1
+        admitted = (diff.abs_precision if diff.is_order_term else diff.valuation) >= 1
+        try:
+            assert padic._admit_q(q, ctx) is q and admitted
+        except DomainError:
+            assert not admitted
+
+
 class TestLogGamma:
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -469,6 +484,14 @@ class TestMomentsAtPadic:
         monkeypatch.setattr(padic, "fermionic_riemann_sum", refuse)
         with pytest.raises(PoleError, match="pole at q = -1"):
             moment_convergence(4, F(-1), 2, CTX3)
+
+    def test_domain_is_refused_before_the_moment(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the moment row was built before q was admitted")
+
+        monkeypatch.setattr(padic, "moments_at", refuse)
+        with pytest.raises(DomainError):
+            moment_convergence(3, F(2), 2, CTX3)
 
     def test_only_the_limit_moment_is_embedded(self, monkeypatch):
         embedded = []
