@@ -95,8 +95,8 @@ def _emit(args, out: list, record: dict, text: str, *csv: str) -> None:
 # and denominator of 32 bits `padic-converge --n 5 --prime 3 --mmax 11` took
 # 63.5 s, and a 1000-bit --x made `loggamma --prime 3 --mmax 9 --precision
 # 200` take 30.6 s.  At the cap `padic-converge --n 249 --prime 3 --mmax 11
-# --q 1048570/1048573` takes about 30 s (CPython 3.11, 2-vCPU Xeon), most
-# of it in reducing the level-11 sum, a fraction of 3.5 million bits.
+# --q 1048570/1048573` takes 17–24 s (CPython 3.11, shared 2-vCPU Xeon),
+# most of it in reducing the level-11 sum, a fraction of 3.5 million bits.
 MAX_INPUT_BITS = 20
 
 # `Fraction`'s text form: a sign, digits (single underscores may separate
@@ -183,9 +183,9 @@ def _check_padic_config(args) -> PadicContext:
 # The symbolic `table` is the slowest of them: --nmax 200 took 0.14 s,
 # --nmax 250 0.25 s and the values to 300 0.41 s (CPython 3.11, 2-vCPU
 # Xeon), while `table --q` at the cap takes under 0.5 s.  With
-# --polynomials the output grows as n^3: --nmax 250 prints 667 MB in
-# 12.5 s, nearly all of it spent turning integers into text, and peaks at
-# 692 MB resident: `main` holds the lines and writes them one at a time.
+# --polynomials the output grows as n^3: --nmax 250 prints 667 MB in about
+# 11 s, nearly all of it spent turning integers into text, and peaks at
+# 695 MB resident: `main` holds the lines and writes them one at a time.
 MAX_GENOCCHI_INDEX = 250
 
 
@@ -331,10 +331,10 @@ def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
 
 
 # Largest --nmax that `verify` accepts, with or without --only; it must admit
-# 30, the largest default range.  The whole suite took 0.4 s at --nmax 25,
-# 1.4 s at 40 and 2.7 s at 50 (whole process), printing 0.69, 3.6 and
-# 8.6 MB (CPython 3.11, 2-vCPU Xeon); time grows about as nmax^2.7 and
-# output as nmax^3.6.
+# 30, the largest default range.  The whole suite took 0.35 s at --nmax 25,
+# 1.1 s at 40 and 2.4 s at 50 (whole process, medians), printing 0.69, 3.6
+# and 8.6 MB (CPython 3.11, shared 2-vCPU Xeon); time grows about as
+# nmax^2.8 and output as nmax^3.6.
 MAX_VERIFY_NMAX = 50
 
 

@@ -34,15 +34,16 @@ turns rational coefficients into integers, `_power` is the
 square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too),
 `K.poly_eval_int` is Horner's rule for evaluating a polynomial in q at a
 number (a Fraction in `QPolynomial.evaluate` and `QRational.evaluate`, a
-PadicNumber in `padic.qrational_at_padic`), and `weighted_sum` adds a
-linear combination of QRationals over one common denominator and
-canonicalises once.  Every weighted sum in Q(q) goes through
-`weighted_sum`: each coefficient of an `XPolynomial` product, the Taylor
-shift behind `XPolynomial.compose_linear` and `XPolynomial.evaluate` and
-the moment sum of `genocchi.integrate_polynomial` (the identity checks
-compare integer numerators over powers of 1+q).  A rational
-constant becomes a QRational with no gcd, and a product with one scales
-the constant factor c alone, with no gcd either.  `over_one_plus_q` puts
+PadicNumber in `padic.qrational_at_padic`), and `QRational.__add__` is
+the one addition of two QRationals.  `weighted_sum` folds a linear
+combination through it term by term; it serves each coefficient of an
+`XPolynomial` product, the Taylor shift behind
+`XPolynomial.compose_linear` and `XPolynomial.evaluate` and the moment
+sum of `genocchi.integrate_polynomial` on Q(q) coefficients, library
+paths that no command reaches (the commands compare and print integer
+numerators over powers of 1+q).  A rational constant becomes a QRational
+with no gcd, and a product with one scales the constant factor c alone,
+with no gcd either.  `over_one_plus_q` puts
 an integer polynomial over (1+q)^k into canonical form with no gcd: the
 content, then `_divide_out_one_plus_q`, the one synthetic division by
 1 + q (which also counts the (1+q) factors in `_cancel`).  The
@@ -584,51 +585,15 @@ class QRational:
 
 def weighted_sum(terms) -> QRational:
     """sum w * v over the (w, v) pairs of `terms`, w an int or Fraction and v
-    a QRational, canonicalised once.
+    a QRational, as the fold acc = acc + w * v through `QRational.__add__`.
 
-    Terms are grouped by denominator.  When every denominator is
-    q^i * (1+q)^j the common denominator is q^max(i) * (1+q)^max(j) and each
-    group's cofactor follows from the exponents, with no gcd and no
-    division.  The integer numerators are added over that denominator, and
-    one `K.poly_primitive` and one `_cancel` put the total in canonical
-    form.  Any other denominator, e.g. from parsed input, sends the whole
-    sum through the term-by-term fold of `QRational.__add__`.
+    With denominators q^i * (1+q)^j each step reduces by `_cancel`'s
+    factor-counting rule and never reaches the heuristic gcd.
     """
-    groups = {}
+    acc = QRational.zero()
     for w, v in terms:
-        if w and v._c:
-            groups.setdefault(v._den, []).append((w, v))
-    if not groups:
-        return QRational.zero()
-    exps = {d: _q_one_plus_q_exponents(d) for d in groups}
-    if None in exps.values():
-        acc = QRational.zero()
-        for part in groups.values():
-            for w, v in part:
-                acc = acc + w * v
-        return acc
-    top_i = max(i for i, _ in exps.values())
-    top_j = max(j for _, j in exps.values())
-    common = _q_one_plus_q(top_i, top_j)
-    cofactors = {d: _q_one_plus_q(top_i - i, top_j - j) for d, (i, j) in exps.items()}
-    groups = {d: [(w * v._c, v._num) for w, v in part] for d, part in groups.items()}
-    den_lcm = lcm(*(c.denominator for part in groups.values() for c, _ in part))
-    num = [0] * (len(common) + max(len(n) for part in groups.values() for _, n in part))
-    for d, part in groups.items():
-        acc = [0] * max(len(n) for _, n in part)
-        for c, n in part:
-            scale = c.numerator * (den_lcm // c.denominator)
-            for i, x in enumerate(n):
-                acc[i] += scale * x
-        cofactor = cofactors[d]
-        for i, x in enumerate(acc if cofactor == [1] else K.poly_mul(cofactor, acc)):
-            num[i] += x
-    K.poly_trim(num)
-    if not num:
-        return QRational.zero()
-    cont, num = K.poly_primitive(num)
-    _, num, den = _cancel(num, list(common))
-    return QRational._raw(Fraction(cont, den_lcm), num, den)
+        acc = acc + w * v
+    return acc
 
 
 def over_one_plus_q(ints, k: int) -> QRational:
@@ -707,7 +672,8 @@ class XPolynomial(_DensePolynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return XPolynomial()
-        # coefficient k is sum_i a_i * b_(k-i), one `weighted_sum`
+        # coefficient k is sum_i a_i * b_(k-i), folded by `weighted_sum`;
+        # library only, no command multiplies two XPolynomials
         a, b = self.coeffs, other.coeffs
         return XPolynomial([
             weighted_sum((1, a[i] * b[k - i])
@@ -723,7 +689,8 @@ class XPolynomial(_DensePolynomial):
         return NotImplemented
 
     def evaluate(self, x0) -> QRational:
-        """sum_k a_k * x0^k, one `weighted_sum`."""
+        """sum_k a_k * x0^k, folded by `weighted_sum` (library only: no
+        command evaluates an XPolynomial)."""
         return weighted_sum((1, a * p) for a, p in zip(self.coeffs, _powers(x0, len(self.coeffs))))
 
     def compose_shift(self, c) -> "XPolynomial":
@@ -733,7 +700,8 @@ class XPolynomial(_DensePolynomial):
 
     def compose_linear(self, c0, c1) -> "XPolynomial":
         """P(c0 + c1*x) by the Taylor shift: the coefficient of x^j is
-        c1^j * sum_{k>=j} C(k, j) * c0^(k-j) * a_k, one `weighted_sum` each."""
+        c1^j * sum_{k>=j} C(k, j) * c0^(k-j) * a_k, each folded by
+        `weighted_sum` (library only: no command reaches it)."""
         a = self.coeffs
         p0, p1 = _powers(c0, len(a)), _powers(c1, len(a))
         return XPolynomial([

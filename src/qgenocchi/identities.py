@@ -12,8 +12,8 @@ common power; P(x+1), P(1-x), P(1) and P(2) are integer binomial sums; an
 integral is Mahler's expansion (`genocchi._mahler_numerator`), which reads
 no moment either.  Multiplying by 1+q is a shift and an add
 (`genocchi._horner`).  A QRational or XPolynomial (`over_one_plus_q`) is
-built only for a witness or a public return value, such as the `*_sides`
-pairs.
+built only for a witness, a public return value such as the `*_sides`
+pairs, or where THM7 and THM8 compare values over different powers of 1+q.
 
 Two of the printed identities need adjudication rather than plain checking
 (the single-Bernstein and product-Bernstein ones): their printed forms
@@ -414,16 +414,6 @@ def verify_one_minus_xi(n_max: int) -> IdentityReport:
 # the power of 1+q its docstring names.
 
 
-def _same(u, du: int, v, dv: int) -> bool:
-    """u/(1+q)^du == v/(1+q)^dv, compared as int lists at the larger power
-    (u * (1+q)^e is `_horner` of u and e zero terms) once the values at
-    q = 1 agree; those settle most unequal pairs."""
-    eu, ev = max(dv - du, 0), max(du - dv, 0)
-    if sum(u) << eu != sum(v) << ev:
-        return False
-    return _horner([(1, u)] + [(0, ())] * eu) == _horner([(1, v)] + [(0, ())] * ev)
-
-
 def _lhs_numerator(total: int, mk: int, invert: bool) -> list:
     """sum_l C(total-mk, l) (-1)^l G~_{l+mk+1}/(l+mk+1) over (1+q)^total;
     subscript 1/q (each row N_(l+mk) reversed) if `invert`."""
@@ -479,13 +469,12 @@ def verify_bernstein_single(n: int, k: int) -> IdentityReport:
             corrected_form="left side disagrees with the moment oracle",
             witness=(str(over_one_plus_q(a, n)), str(over_one_plus_q(c, n))),
         )
-    b = _printed_numerator(n, k)
-    a_is_b = _same(a, n, b, n + k)
-    if k != 0 and a_is_b:
+    lhs, rhs = over_one_plus_q(a, n), over_one_plus_q(_printed_numerator(n, k), n + k)
+    if k != 0 and lhs == rhs:
         return IdentityReport("THM7", params, PASS)
-    witness = (str(over_one_plus_q(a, n)), str(over_one_plus_q(b, n + k)))
+    witness = (str(lhs), str(rhs))
     if k == 0:
-        if a_is_b:
+        if lhs == rhs:
             return IdentityReport(
                 "THM7", params, CORRECTED_PASS,
                 corrected_form="k=0 branch has a free index s; verified under the s=0 reading",
@@ -543,11 +532,12 @@ def _bernstein_product_verdict(total: int, mk: int):
     oracle = _oracle_numerator(total, mk)
     a_printed = _lhs_numerator(total, mk, invert=True)
     a_q = _lhs_numerator(total, mk, invert=False)
-    witness = (str(over_one_plus_q(a_printed, total)), str(over_one_plus_q(oracle, total)))
+    oracle_value = over_one_plus_q(oracle, total)
+    witness = (str(over_one_plus_q(a_printed, total)), str(oracle_value))
 
     # printed right side, both branches; recorded as annotations
     branch = "k=0" if mk == 0 else "k!=0"
-    if _same(_printed_numerator(total, mk), total + mk, oracle, total):
+    if over_one_plus_q(_printed_numerator(total, mk), total + mk) == oracle_value:
         rhs_note = f"printed {branch} right side equals the oracle"
     else:
         rhs_note = f"printed {branch} right side differs from the oracle"

@@ -745,3 +745,36 @@ def test_symbolic_moment_engine_does_no_qrational_arithmetic():
     status, adds = map(int, proc.stdout.split())
     assert status == 0, proc.stderr
     assert adds == 0
+
+
+_REFUSE_WEIGHTED_SUM = """
+import sys
+from qgenocchi import cli, exactq, genocchi
+
+def refuse(*_):
+    raise AssertionError("a command took a Q(q) weighted sum")
+
+exactq.weighted_sum = genocchi.weighted_sum = refuse
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--nmax", "72"),
+    ("verify", "--nmax", "10"),
+    ("verify", "--only", "THM7", "--nmax", "14", "--format", "json"),
+    ("verify", "--only", "THM1,THM2_EQ10,THM3_EQ13,THM4_EQ11,THM5_EQ12,PROP_EQ14,PROP_EQ15,THM6_EQ16",
+     "--nmax", "19", "--format", "json"),
+    ("table", "--nmax", "30", "--polynomials"),
+    ("table", "--nmax", "12", "--q", "2/3", "--polynomials"),
+    ("bernstein", "--n", "30"),
+    ("loggamma", "--prime", "5", "--mmax", "5", "--q=11", "--x=1/5", "--precision", "12"),
+    ("padic-converge", "--n", "5", "--prime", "5", "--mmax", "6", "--q=16"),
+], ids=" ".join)
+def test_commands_never_take_a_weighted_sum(argv):
+    # `weighted_sum` serves only library paths (XPolynomial products,
+    # evaluate, compose_linear, integrate_polynomial on Q(q) coefficients):
+    # no command, the benchmark's shapes included, sums in Q(q)
+    proc = _run_fresh(_REFUSE_WEIGHTED_SUM, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
