@@ -5,10 +5,11 @@ suite as newline-delimited JSON reports), `padic-converge` (Riemann-sum
 error valuations), `loggamma` (series vs direct values), `bernstein`
 (basis polynomials and their fermionic integrals).
 
-`COMMANDS` declares every command once: its runner, `run(args, out)`, which
-reads an argparse namespace and appends output lines to `out`, and its
-options, each a flag, a dest, a type and a default (or required), with
-the `--format` choices; the table's defaults are the only ones.  `main`
+`COMMANDS` declares every command once: its runner, `run(args, write)`,
+which reads an argparse namespace and passes each output line to `write`
+as soon as it is made, and its options, each a flag, a dest, a type and a
+default (or required), with the `--format` choices; the table's defaults
+are the only ones.  `main`
 reads a well-formed command line (a known command, exact flags as `--flag
 value` or `--flag=value`, valid ints and formats, every required option)
 straight from the table, into the namespace argparse would give, without
@@ -18,8 +19,9 @@ that looks like an option, a bad value) goes to the argparse parser that
 usage and error text.  `--out` is opened for appending before the runner
 runs, so an unwritable path exits 2 before any work.  Each record goes
 through `_emit`, the one place that picks among the text, json and csv
-forms, and `main` writes the lines to stdout or `--out` once the runner
-returns.  `--q` takes a rational, `symbolic`
+forms, and `main` sends each line on to stdout or `--out` at once, so no
+output is held in memory; `--out` is opened for writing at the first
+line.  `--q` takes a rational, `symbolic`
 (`table` only) or `1+p`, which needs a command with `--prime`; `verify`
 runs symbolically and has no `--q`.  `symbolic` stands for the
 indeterminate `QRational.q()`, so `table` reads every value, at any q,
@@ -78,15 +80,16 @@ class _ConfigError(Exception):
     pass
 
 
-def _emit(args, out: list, record: dict, text: str, *csv: str) -> None:
-    """Append one record to `out` in `args.format`: `record` as one JSON
+def _emit(args, write, record: dict, text: str, *csv: str) -> None:
+    """Pass one record to `write` in `args.format`: `record` as one JSON
     line, `text` as one line, or the csv lines (a record may have none)."""
     if args.format == "json":
-        out.append(json.dumps(record))
+        write(json.dumps(record))
     elif args.format == "text":
-        out.append(text)
+        write(text)
     else:
-        out.extend(csv)
+        for line in csv:
+            write(line)
 
 
 # Largest numerator or denominator, in bits, of a rational --q or --x as
@@ -183,9 +186,10 @@ def _check_padic_config(args) -> PadicContext:
 # The symbolic `table` is the slowest of them: --nmax 200 took 0.14 s,
 # --nmax 250 0.25 s and the values to 300 0.41 s (CPython 3.11, 2-vCPU
 # Xeon), while `table --q` at the cap takes under 0.5 s.  With
-# --polynomials the output grows as n^3: --nmax 250 prints 667 MB in about
-# 11 s, nearly all of it spent turning integers into text, and peaks at
-# 695 MB resident: `main` holds the lines and writes them one at a time.
+# --polynomials the output grows as n^3: --nmax 250 prints 667 MB in 13-14 s,
+# nearly all of it spent turning integers into text.  Each line is written
+# as it is made, so the whole process peaks at 77 MB resident (97 MB with
+# --format json; CPython 3.11, shared 2-vCPU Xeon).
 MAX_GENOCCHI_INDEX = 250
 
 
@@ -205,23 +209,23 @@ def _genocchi_values_at(q0, n_max: int) -> list:
     return [Fraction(0)] + [(k + 1) * m for k, m in enumerate(moments)]
 
 
-def run_table(args, out: list) -> int:
+def run_table(args, write) -> int:
     if args.n_max < 0:
         raise _ConfigError("--nmax must be non-negative")
     _check_genocchi_index(args.n_max, f"--nmax {args.n_max}")
     values = _genocchi_values_at(_parse_q(args, allow_symbolic=True), args.n_max)
     if args.format == "csv" and not args.polynomials:
-        out.append("n,value")
+        write("n,value")
     for n in range(args.n_max + 1):
         if args.polynomials:
             # coefficient of x^(n-k) is C(n,k) G~_k; the x^n one, G~_0, is 0
             texts = [str(comb(n, k) * values[k]) for k in range(n, 0, -1)]
-            _emit(args, out, {"n": n, "coefficients": texts},
+            _emit(args, write, {"n": n, "coefficients": texts},
                   f"G~_{n}(x) = {xpoly_text(texts)}",
                   *(f"{n},{k},{t}" for k, t in enumerate(texts)))
         else:
             value = str(values[n])
-            _emit(args, out, {"n": n, "value": value}, f"G~_{n} = {value}", f"{n},{value}")
+            _emit(args, write, {"n": n, "value": value}, f"G~_{n} = {value}", f"{n},{value}")
     return 0
 
 
@@ -338,7 +342,7 @@ def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
 MAX_VERIFY_NMAX = 50
 
 
-def run_verify(args, out: list) -> int:
+def run_verify(args, write) -> int:
     if args.n_max < 0:
         raise _ConfigError("--nmax must be non-negative (0 means each identity's default)")
     if args.n_max > MAX_VERIFY_NMAX:
@@ -360,7 +364,7 @@ def run_verify(args, out: list) -> int:
         for r in reports:
             for line_report in (r, *r.probes):
                 extra = f"  [{line_report.corrected_form}]" if line_report.corrected_form else ""
-                _emit(args, out, line_report.to_json_obj(),
+                _emit(args, write, line_report.to_json_obj(),
                       f"{line_report.identity_id} {line_report.params}: "
                       f"{line_report.verdict}{extra}")
             if r.verdict == ident.FAIL and spec.expect_pass and not r.is_probe:
@@ -403,7 +407,7 @@ def _strictly_increasing(vals):
     return None
 
 
-def run_padic_converge(args, out: list) -> int:
+def run_padic_converge(args, write) -> int:
     if args.n < 0 or args.m_max < 1:
         raise _ConfigError("need --n >= 0 and --mmax >= 1")
     _check_riemann_points(args)
@@ -412,10 +416,10 @@ def run_padic_converge(args, out: list) -> int:
     _check_genocchi_index(args.n + 1, f"--n {args.n}")
     seq = moment_convergence(args.n, q0, args.m_max, ctx)
     if args.format == "csv":
-        out.append("level,error_valuation")
+        write("level,error_valuation")
     for m, v in seq:
         v = "exact" if v == inf else v
-        _emit(args, out, {"level": m, "error_valuation": v},
+        _emit(args, write, {"level": m, "error_valuation": v},
               f"level {m}: error valuation {v}", f"{m},{v}")
     offender = _strictly_increasing(seq)
     if offender is not None:
@@ -424,7 +428,7 @@ def run_padic_converge(args, out: list) -> int:
     return 0
 
 
-def run_loggamma(args, out: list) -> int:
+def run_loggamma(args, write) -> int:
     if args.m_max < 1:
         raise _ConfigError("need --mmax >= 1")
     _check_riemann_points(args)
@@ -435,8 +439,8 @@ def run_loggamma(args, out: list) -> int:
                           f"--precision {args.precision} --x {args.x_spec}")
     series = loggamma_series(x, q0, ctx)
     value = str(series)
-    _emit(args, out, {"kind": "series", "value": value,
-                      "abs_precision": series.abs_precision}, f"series: {value}")
+    _emit(args, write, {"kind": "series", "value": value,
+                        "abs_precision": series.abs_precision}, f"series: {value}")
     levels = []
     for m in range(1, args.m_max + 1):
         direct = loggamma_direct(x, q0, m, ctx)
@@ -445,8 +449,8 @@ def run_loggamma(args, out: list) -> int:
         saturated = diff.is_zero
         v = diff.abs_precision if saturated else diff.valuation
         value = str(direct)
-        _emit(args, out, {"kind": "direct", "level": m, "value": value,
-                          "agreement_valuation": v, "saturated": saturated},
+        _emit(args, write, {"kind": "direct", "level": m, "value": value,
+                            "agreement_valuation": v, "saturated": saturated},
               f"level {m}: direct {value}; agreement valuation {v}")
         levels.append((m, inf if saturated else v))
     offender = _strictly_increasing(levels)
@@ -465,21 +469,20 @@ def run_loggamma(args, out: list) -> int:
 MAX_BERNSTEIN_DEGREE = 100
 
 
-def run_bernstein(args, out: list) -> int:
+def run_bernstein(args, write) -> int:
     if args.n < 0:
         raise _ConfigError("--n must be non-negative")
     if args.n > MAX_BERNSTEIN_DEGREE:
         raise _ConfigError(f"--n {args.n} exceeds the cap of {MAX_BERNSTEIN_DEGREE} "
                            "on the Bernstein degree")
-    ks = list(range(args.n + 1)) if args.k is None else [args.k]
+    if args.k is not None and not 0 <= args.k <= args.n:
+        raise _ConfigError(f"need 0 <= k <= n, got k={args.k}, n={args.n}")
     if args.format == "csv":
-        out.append("k,n,polynomial,integral")
-    for k in ks:
-        if not 0 <= k <= args.n:
-            raise _ConfigError(f"need 0 <= k <= n, got k={k}, n={args.n}")
+        write("k,n,polynomial,integral")
+    for k in range(args.n + 1) if args.k is None else [args.k]:
         basis = bernstein_basis(k, args.n)
         poly, integral = basis.to_text(), integrate_polynomial(basis).to_text()
-        _emit(args, out, {"k": k, "n": args.n, "polynomial": poly, "integral": integral},
+        _emit(args, write, {"k": k, "n": args.n, "polynomial": poly, "integral": integral},
               f"B_{k},{args.n}(x) = {poly}; integral = {integral}",
               f'{k},{args.n},"{poly}","{integral}"')
     return 0
@@ -625,38 +628,38 @@ def _parse_args(argv: list) -> argparse.Namespace:
     return _build_parser().parse_args(argv) if args is None else args
 
 
-def _cannot_write(path: str, e: OSError) -> int:
-    print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
-    return 2
-
-
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-    if args.output_path:
-        # fail before any work; append mode leaves an existing file as it is
-        try:
-            with open(args.output_path, "a", encoding="utf-8"):
-                pass
-        except OSError as e:
-            return _cannot_write(args.output_path, e)
-    out = []
+    path = args.output_path
+    sink = [] if path else [sys.stdout]
+
+    def write(line: str) -> None:
+        # --out is opened for writing, and so emptied, at the first line: a
+        # run that fails before it leaves an existing file as it was
+        if not sink:
+            sink.append(open(path, "w", encoding="utf-8"))
+        sink[0].write(f"{line}\n")
+
     try:
-        status = args.run(args, out)
+        if path:
+            # fail before any work; append mode leaves an existing file as it is
+            open(path, "a", encoding="utf-8").close()
+        try:
+            status = args.run(args, write)
+        finally:
+            if path and sink:
+                sink[0].close()
     except (_ConfigError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (PoleError, PrecisionExhausted) as e:
         print(f"evaluation error: {e}", file=sys.stderr)
         return 3
-    lines = (f"{line}\n" for line in out)
-    if args.output_path:
-        try:
-            with open(args.output_path, "w", encoding="utf-8") as fh:
-                fh.writelines(lines)
-        except OSError as e:
-            return _cannot_write(args.output_path, e)
-    else:
-        sys.stdout.writelines(lines)
+    except OSError as e:
+        if not path:
+            raise
+        print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -721,14 +721,21 @@ class XPolynomial(_DensePolynomial):
 def xpoly_text(coeff_texts) -> str:
     """Render a polynomial in x from its coefficients' `to_text` forms,
     constant term first; `XPolynomial.to_text` is this on its own
-    coefficients."""
+    coefficients.
+
+    A constant term is parenthesised when it is a sum, which follows from
+    how values render: a `to_text` with a denominator, `(N)/(D)`, starts
+    with `(` and never needs parentheses, and every other rendering
+    (`_render_poly` output or a Fraction's `str`) has none, so it is a sum
+    exactly when `+` or `-` appears after its first character."""
     parts = []
     for k in range(len(coeff_texts) - 1, -1, -1):
         txt = coeff_texts[k]
         if txt == "0":
             continue
         if k == 0:
-            term = f"({txt})" if _has_toplevel_sum(txt) else txt
+            is_sum = txt[0] != "(" and (txt.find("+", 1) > 0 or txt.find("-", 1) > 0)
+            term = f"({txt})" if is_sum else txt
         else:
             xs = "x" if k == 1 else f"x^{k}"
             if txt == "1":
@@ -752,18 +759,6 @@ def _is_simple_term(txt: str) -> bool:
     """A rendering that can take a '*x^k' suffix without parentheses."""
     body = txt[1:] if txt.startswith("-") else txt
     return body.isdigit() or (body.count("/") == 1 and all(p.isdigit() for p in body.split("/")))
-
-
-def _has_toplevel_sum(txt: str) -> bool:
-    depth = 0
-    for i, ch in enumerate(txt):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > 0:
-            return True
-    return False
 
 
 # -- text rendering and parsing ---------------------------------------------

@@ -14,7 +14,8 @@ m_k = q m'_{k-1} + r m_{k-1} and
 indeterminate q (`moment`, memoised too) each N_k/(1+q)^k goes straight
 into canonical form, with no Q(q) arithmetic; at a rational q = x/y,
 m_k = sum_i N_{k,i} x^i y^(k-i) / (x+y)^k is an integer sum, and at a
-p-adic q (y = 1) the same sum runs in p-adic arithmetic (`moments_at`).
+p-adic q (y = 1) the same sum runs in p-adic arithmetic (`moments_at`);
+a numeric q steps the rows past the store without keeping them.
 `genocchi_number`, `genocchi_polynomial`, `integrate_polynomial`, `table` at
 any `--q`, the p-adic moment limit and the log-gamma series all read it.
 
@@ -212,9 +213,10 @@ _NUMERATOR_LOCK = threading.Lock()
 
 def _moment_numerator(k: int) -> tuple:
     """N_k = (1+q)^k * m_k as an int tuple (the coefficient of q^i at i),
-    memoised: the one store of the moment rows, which `moment`,
-    `_moment_rows` and the integer sums of `identities` all read.  Rows
-    grow under a lock by N_0 = 1 and
+    memoised: the one store of the moment rows, which `moment` and the
+    integer sums of `identities` grow and read (a numeric q in
+    `_moment_rows` reads it and never grows it).  Rows grow under a lock
+    by N_0 = 1 and
 
         N_k = q * ((1+q) * N'_{k-1} - k * N_{k-1}),
 
@@ -247,10 +249,11 @@ def _moment_rows(q):
     `moment(k)`.  At q = x/y (y = 1 for a p-adic q or any other q, a
     QRational constant or 1/q included, which runs through its own
     arithmetic) m_k = sum_i N_{k,i} x^i y^(k-i) / (x+y)^k, an integer sum
-    at a rational q, with N_k read from `_moment_numerator`.  At an inexact
-    p-adic q with |1+q|_p < 1, outside the domain |q-1|_p < 1 of the p-adic
-    integral, this sum can report fewer digits than the Stirling sum did;
-    the digits agree.
+    at a rational q.  N_k is read from `_NUMERATORS` while it is stored;
+    past the store the rows are stepped here and not kept, since a numeric
+    q reads each one once.  At an inexact p-adic q with |1+q|_p < 1,
+    outside the domain |q-1|_p < 1 of the p-adic integral, this sum can
+    report fewer digits than the Stirling sum did; the digits agree.
     m_0 = 1 at every q; any m_k with k >= 1 at q = -1 raises PoleError.
     """
     if isinstance(q, QRational) and q == QRational.q():
@@ -264,7 +267,7 @@ def _moment_rows(q):
     s = x + y
     x_pow, y_pow, s_pow = [x ** 0], [1], [x ** 0]
     for k in count():
-        row = _moment_numerator(k)
+        row = _NUMERATORS[k] if k < len(_NUMERATORS) else _next_numerator(row, k)
         if k:
             x_pow.append(x_pow[-1] * x)
             y_pow.append(y_pow[-1] * y)

@@ -72,6 +72,21 @@ def naive_alt_weighted_sum(anum, bden, count, g):
     return total
 
 
+def naive_has_toplevel_sum(txt):
+    """Whether a coefficient rendering has a `+` or `-` after its first
+    character outside every parenthesis: the character-by-character scan
+    that once decided a constant term's parentheses in `xpoly_text`."""
+    depth = 0
+    for i, ch in enumerate(txt):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0 and i > 0:
+            return True
+    return False
+
+
 def naive_weighted_sum(terms):
     """sum w * v over (w, v) pairs as the fold acc = acc + w * v, each step
     canonicalised."""

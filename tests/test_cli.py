@@ -1,9 +1,11 @@
 """CLI contract: output formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 from math import comb
@@ -23,6 +25,7 @@ from qgenocchi.cli import (
     MAX_VERIFY_NMAX,
     main,
 )
+from qgenocchi.errors import PoleError
 from qgenocchi.exactq import XPolynomial, xpoly_text
 from qgenocchi.genocchi import GenocchiTable
 from qgenocchi.identities import IDENTITY_IDS
@@ -549,6 +552,8 @@ class TestBernsteinCommand:
     def test_bad_k(self, run):
         status, _, err = run("bernstein", "--n", "2", "--k", "5")
         assert status == 2
+        # refused before the csv header is written
+        assert run("bernstein", "--n", "2", "--k", "5", "--format", "csv")[:2] == (2, [])
 
     @pytest.mark.parametrize("n", [MAX_BERNSTEIN_DEGREE + 1, 10 ** 9])
     def test_degree_over_cap_exit_2(self, run, monkeypatch, n):
@@ -614,6 +619,40 @@ class TestPlumbing:
         assert missing.read_text(encoding="utf-8") == ""
         assert existing.read_text(encoding="utf-8") == "kept\n"
 
+    def test_a_line_reaches_stdout_before_the_runner_returns(self, monkeypatch):
+        buf, seen = io.StringIO(), []
+
+        def runner(args, write):
+            write("first")
+            seen.append(buf.getvalue())
+            return 0
+
+        monkeypatch.setitem(cli.COMMANDS, "table", cli.COMMANDS["table"]._replace(run=runner))
+        with redirect_stdout(buf):
+            assert main(["table", "--nmax", "1"]) == 0
+        assert seen == ["first\n"] and buf.getvalue() == "first\n"
+
+    @pytest.mark.parametrize("error, status, message", [
+        (cli._ConfigError("bad"), 2, "error: bad\n"),
+        (PoleError("pole at q = -1"), 3, "evaluation error: pole at q = -1\n"),
+    ])
+    def test_lines_before_an_error_stay_written(self, run, tmp_path, monkeypatch,
+                                                error, status, message):
+        def runner(args, write):
+            write("first")
+            raise error
+
+        monkeypatch.setitem(cli.COMMANDS, "table", cli.COMMANDS["table"]._replace(run=runner))
+        assert run("table", "--nmax", "1") == (status, ["first"], message)
+        path = tmp_path / "table.txt"
+        path.write_text("old\n", encoding="utf-8")
+        assert run("table", "--nmax", "1", "--out", str(path)) == (status, [], message)
+        assert path.read_text(encoding="utf-8") == "first\n"
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+    def test_out_dev_null(self, run):
+        assert run("table", "--nmax", "3", "--out", "/dev/null") == (0, [], "")
+
     def test_console_entry_point(self):
         # the child imports the same qgenocchi as this test, installed or not
         src = str(Path(qgenocchi.__file__).parents[1])
@@ -658,6 +697,27 @@ def _run_fresh(script, argv):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=env)
+
+
+_PEAK_RSS = """
+import sys
+from qgenocchi import cli
+
+status = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(status, *(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not (Path("/proc/self/status").exists() and Path("/dev/null").exists()),
+                    reason="needs /proc/self/status and /dev/null")
+def test_polynomial_table_streams_its_lines():
+    # G~_0(x)..G~_150(x) print about 80 MB; written a line at a time, the
+    # whole process peaks near 30 MB
+    proc = _run_fresh(_PEAK_RSS, ["table", "--nmax", "150", "--polynomials", "--out", "/dev/null"])
+    status, peak_kb = map(int, proc.stdout.split())
+    assert status == 0, proc.stderr
+    assert peak_kb < 60 * 1024
 
 
 _REFUSE_SYMBOLIC_TABLE = """

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: ring laws, canonical forms, rendering."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,7 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qgenocchi
-from naive_reference import naive_compose_linear, naive_gcd, naive_weighted_sum, naive_xpoly_mul
+from naive_reference import (
+    naive_compose_linear,
+    naive_gcd,
+    naive_has_toplevel_sum,
+    naive_weighted_sum,
+    naive_xpoly_mul,
+)
 from qgenocchi import _kernel as K
 from qgenocchi import exactq
 from qgenocchi.errors import PoleError
@@ -22,7 +29,9 @@ from qgenocchi.exactq import (
     parse_qrational,
     q_bracket,
     weighted_sum,
+    xpoly_text,
 )
+from qgenocchi.genocchi import moments_at
 from qgenocchi.padic import PadicContext, PadicNumber
 
 Q = QRational.q()
@@ -399,6 +408,42 @@ def test_power_takes_log2_plus_popcount_minus_one_products(n):
 
 
 # -- polynomials in x ---------------------------------------------------------------
+
+
+class TestConstantTermParentheses:
+    """`xpoly_text` parenthesises a constant term by the shape of its
+    rendering; `naive_has_toplevel_sum` is the scan that rule replaced."""
+
+    @staticmethod
+    def assert_as_scanned(texts):
+        for txt in texts:
+            assert xpoly_text([txt]) == (f"({txt})" if naive_has_toplevel_sum(txt) else txt)
+
+    def test_symbolic_genocchi_numbers(self):
+        from qgenocchi.cli import MAX_GENOCCHI_INDEX
+
+        # G~_0 = 0 and G~_(k+1) = (k+1) m_k, the constant terms of G~_n(x)
+        moments = moments_at(Q, MAX_GENOCCHI_INDEX - 1)
+        self.assert_as_scanned(["0"] + [((k + 1) * m).to_text() for k, m in enumerate(moments)])
+
+    def test_random_renderings(self):
+        # QRationals over 1, q^a*(1+q)^b and general denominators, scaled by
+        # a Fraction, and the Fractions' own str forms
+        rng = random.Random(27)
+
+        def ints(most):
+            return [rng.randint(-5, 5) for _ in range(rng.randint(1, most))]
+
+        texts = []
+        for _ in range(3000):
+            c = F(rng.randint(-99, 99), rng.randint(1, 20))
+            den = (qp(1), qp(0, 1) ** rng.randint(0, 3) * qp(1, 1) ** rng.randint(0, 3),
+                   qp(*ints(3)))[rng.randrange(3)]
+            texts.append(str(c))
+            if not den.is_zero:
+                texts.append((QRational(qp(*ints(4)), den) * c).to_text())
+        assert any(t.startswith("(") for t in texts) and any(t.startswith("-") for t in texts)
+        self.assert_as_scanned(texts)
 
 
 class TestXPolynomial:

@@ -256,6 +256,17 @@ class TestMomentsAt:
         with pytest.raises(ValueError):
             moments_at(4, -1)
 
+    def test_numeric_q_reads_the_rows_without_storing_them(self, monkeypatch):
+        # a numeric q steps the rows past the store and keeps none of them
+        rows = [(1,), (0, -1)]
+        monkeypatch.setattr(genocchi, "_NUMERATORS", rows)
+        q0 = F(2, 3)
+        assert moments_at(q0, 30) == stirling_moments_at(q0, 30)
+        x = PadicNumber.from_rational(F(4), PadicContext(3, 12))
+        assert [_padic_key(m) for m in moments_at(x, 12)] == \
+            [_padic_key(m) for m in stirling_moments_at(x, 12)]
+        assert genocchi._NUMERATORS is rows and rows == [(1,), (0, -1)]
+
 
 def _padic_key(x):
     return x.valuation, x.unit, x.abs_precision, x.exact_value

@@ -188,6 +188,15 @@ DIGESTS = {
     "verify --nmax 50 --format json": (
         "8b154d82177c1e2fb73122ea776445ac9e224b6c03f52d94dd649253d493e17b",
         "8281a66218e4c61939c423366ac4bd7be0b53613dd30d9d11555864f087230cb", 0),
+    "table --nmax 60 --polynomials": (
+        "07f7ada4e080915ed1ec1a25fef26cfeaf488fd578450a707f7336f27b306aed",
+        EMPTY, 0),
+    "table --nmax 30 --polynomials --format json": (
+        "d63c8d9d19f82acb5dd332445eb396a060a993d875dcae464340dbb6d82292a4",
+        EMPTY, 0),
+    "bernstein --n 6 --format json": (
+        "3c21a98b14d9a4b378285e5cf88127d09cdd70d85e1a54bb7f66d2ea2a37b046",
+        EMPTY, 0),
 }
 
 
