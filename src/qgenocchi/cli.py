@@ -47,13 +47,16 @@ Exit codes: 0 success, 1 `verify` found a FAIL (outside the probes) in an
 identity expected to pass, 2 invalid configuration, 3 evaluation error
 (pole), 4 convergence/agreement criterion violated (a `loggamma` level
 whose agreement has saturated, i.e. reached the available precision,
-counts like an exact level).
+counts like an exact level), 141 (128 + SIGPIPE) stdout was closed
+before the output ended, as by `| head`: the command stops at the first
+line it cannot write, with no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -335,10 +338,11 @@ def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
 
 
 # Largest --nmax that `verify` accepts, with or without --only; it must admit
-# 30, the largest default range.  The whole suite took 0.35 s at --nmax 25,
-# 1.1 s at 40 and 2.4 s at 50 (whole process, medians), printing 0.69, 3.6
-# and 8.6 MB (CPython 3.11, shared 2-vCPU Xeon); time grows about as
-# nmax^2.8 and output as nmax^3.6.
+# 30, the largest default range.  The whole suite took 0.41 s at --nmax 25,
+# 0.95 s at 40 and 1.7 s at 50 (whole process, medians; 1.4-2.0 s at 50),
+# printing 0.69, 3.6 and 8.6 MB and peaking at 20, 31 and 49 MB resident
+# (CPython 3.11, shared 2-vCPU Xeon); time grows about as nmax^2.4 and
+# output as nmax^3.6.  Most of the peak at 50 is THM7's difference tables.
 MAX_VERIFY_NMAX = 50
 
 
@@ -646,6 +650,9 @@ def main(argv=None) -> int:
             open(path, "a", encoding="utf-8").close()
         try:
             status = args.run(args, write)
+            if not path:
+                # a reader that closed stdout early shows here, not at exit
+                sink[0].flush()
         finally:
             if path and sink:
                 sink[0].close()
@@ -656,10 +663,16 @@ def main(argv=None) -> int:
         print(f"evaluation error: {e}", file=sys.stderr)
         return 3
     except OSError as e:
-        if not path:
+        if path:
+            print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+            return 2
+        if not isinstance(e, BrokenPipeError):
             raise
-        print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
-        return 2
+        # stdout's reader is gone (`| head`): stop quietly, with the status
+        # of a process killed by SIGPIPE; stdout goes to the null device so
+        # that the interpreter's last flush has nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sink[0].fileno())
+        return 141
     return status
 
 

@@ -11,7 +11,7 @@ division that reads no moment.  q -> 1/q reverses a numerator at the
 common power; P(x+1), P(1-x), P(1) and P(2) are integer binomial sums; an
 integral is Mahler's expansion (`genocchi._mahler_numerator`), which reads
 no moment either.  Multiplying by 1+q is a shift and an add
-(`genocchi._horner`).  A QRational or XPolynomial (`over_one_plus_q`) is
+(`_one_plus_q_times`).  A QRational or XPolynomial (`over_one_plus_q`) is
 built only for a witness, a public return value such as the `*_sides`
 pairs, or where THM7 and THM8 compare values over different powers of 1+q.
 
@@ -25,16 +25,23 @@ witness instead of guessing silently.
 Both rest on one integral, that of (1-xi)^j: the moment at 1/q is N_j
 reversed over (1+q)^j, so `_eq16_rhs(j)` is R_j/(1+q)^j with
 R_j = (1+q)^(j+1) + q^2 rev(N_j) (memoised).  THM7 is the one-factor case
-of THM8: the left sides and the printed and derived right sides are each
-one Horner loop in 1+q over (total degree, m*k), used with (n, k) by THM7
-and (n1+...+nm, m*k) by THM8, whose report depends on the degrees only
-through that pair and is memoised on it.  The oracle is Mahler's
-expansion of xi^(mk) (1-xi)^(total-mk).
+of THM8: every side is an entry of a memoised difference table
+E_t(j, d) = sum_l C(d,l) (-1)^l t_(j+l) (1+q)^(d-l) (`_DifferenceTable`),
+read at (total degree, m*k): (n, k) for THM7 and (n1+...+nm, m*k) for
+THM8, whose report depends on the degrees only through that pair and is
+memoised on it.  The left side is E_N(mk, total-mk), over N_j reversed
+for the subscript 1/q; with R'_0 = 1 and R'_j = R_j, the derived right
+side is E_R'(total-mk, mk) and the printed one (-1)^mk E_R'(total, mk).
+A table grows only as far as a read needs, one row operation per entry,
+so a range of instances costs O(n_max^3) coefficient steps, not a Horner
+loop per side.  The oracle is Mahler's expansion of
+xi^(mk) (1-xi)^(total-mk) per instance; it reads no table and no moment.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -48,7 +55,6 @@ from .exactq import QPolynomial, QRational, XPolynomial, _q_one_plus_q, over_one
 from .genocchi import (
     _frobenius_euler_numerator,
     _genocchi_numerator,
-    _horner,
     _mahler_numerator,
     _moment_numerator,
     _xpolynomial,
@@ -153,6 +159,11 @@ def _combine(terms) -> list:
     return K.poly_trim(acc)
 
 
+def _one_plus_q_times(row) -> list:
+    """(1+q) times the int sequence `row`: a shift and an add."""
+    return list(map(operator.add, [*row, 0], [0, *row]))
+
+
 def _at(rows, x: int) -> list:
     """P(x) for P = sum_j rows[j] x^j, rows int lists, at an int x."""
     return _combine((x ** j, row) for j, row in enumerate(rows))
@@ -177,7 +188,9 @@ def _shift_equation_numerators(n: int, d: int):
     lhs = _combine([(1, [0] * n + _mahler_numerator([(x + n) ** d for x in range(d + 1)])),
                     ((-1) ** (n - 1), _mahler_numerator([x ** d for x in range(d + 1)]))])
     rhs = [(-1) ** (n - 1 - ell) * ell ** d for ell in range(n)]
-    return lhs, _horner([(1, rhs)] + [(0, ())] * (d + 1))
+    for _ in range(d + 1):
+        rhs = _one_plus_q_times(rhs)
+    return lhs, K.poly_trim(rhs)
 
 
 def shift_equation_sides(n: int, d: int):
@@ -310,7 +323,7 @@ def verify_reflection(n_max: int) -> IdentityReport:
 def _power_integral(k: int) -> tuple:
     """The integral of xi^k over (1+q)^k by Mahler's expansion, memoised:
     N_k computed without reading it."""
-    return tuple(_oracle_numerator(k, k))
+    return _oracle_numerator(k, k)
 
 
 @cache
@@ -319,8 +332,7 @@ def _raised_power_integral(k: int, j: int) -> tuple:
     1+q (a shift and an add) of the row for j-1."""
     if j == 0:
         return _power_integral(k)
-    row = _raised_power_integral(k, j - 1)
-    return tuple(map(operator.add, row + (0,), (0,) + row))
+    return tuple(_one_plus_q_times(_raised_power_integral(k, j - 1)))
 
 
 def _binomial_expansion_numerators(n: int):
@@ -404,42 +416,86 @@ def verify_one_minus_xi(n_max: int) -> IdentityReport:
     probe = probe_report("THM6_EQ16", {"n": 0}, one_minus_xi_sides(0),
                          "probe outside the stated range n >= 1; not counted toward the verdict")
     return _integer_report("THM6_EQ16", {"n_min": 1, "n_max": n_max}, range(1, n_max + 1),
-                           lambda n: (tuple(_oracle_numerator(n, 0)), _eq16_numerator(n)),
+                           lambda n: (_oracle_numerator(n, 0), _eq16_numerator(n)),
                            one_minus_xi_sides, (probe,))
 
 
 # -- numerators shared by THM7 (total = n, mk = k) and THM8 (total = sum n_s) --
 #
-# Each is an int list (coefficient of q^i at i, trailing zeros dropped) over
+# Each is an int tuple (coefficient of q^i at i, trailing zeros dropped) over
 # the power of 1+q its docstring names.
 
 
-def _lhs_numerator(total: int, mk: int, invert: bool) -> list:
-    """sum_l C(total-mk, l) (-1)^l G~_{l+mk+1}/(l+mk+1) over (1+q)^total;
-    subscript 1/q (each row N_(l+mk) reversed) if `invert`."""
-    rows = (_moment_numerator(ell + mk) for ell in range(total - mk + 1))
-    return _horner((comb(total - mk, ell) * (-1) ** ell, row[::-1] if invert else row)
-                   for ell, row in enumerate(rows))
+class _DifferenceTable:
+    """E(j, d) = sum_l C(d,l) (-1)^l t_(j+l) (1+q)^(d-l) for the int rows
+    t_j = `row(j)`, memoised; 0 for d < 0, the empty sum.
+
+    E(j, 0) = t_j and E(j, d) = (1+q) E(j, d-1) - E(j+1, d-1): each entry
+    is one shift, one add and one subtract of int lists, where a Horner
+    loop would take d of them.  The entries are kept by anti-diagonal
+    s = j + d, each diagonal a list in d, and a read of E(j, d) extends
+    diagonals j+1..s only as far as E(j, d) needs, so no entry that no
+    read reaches is kept.  Growth is under a lock, and an entry is stored
+    only once it is complete, so an interrupt leaves the table usable."""
+
+    def __init__(self, row):
+        self._row = row
+        self._diagonals = []
+        self._lock = threading.Lock()
+
+    def __call__(self, j: int, d: int) -> tuple:
+        if d < 0:
+            return ()
+        diagonals = self._diagonals
+        if j + d >= len(diagonals) or d >= len(diagonals[j + d]):
+            with self._lock:
+                while len(diagonals) <= j + d:
+                    diagonals.append([tuple(K.poly_trim(list(self._row(len(diagonals)))))])
+                for s in range(j + 1, j + d + 1):
+                    prev, diagonal = diagonals[s - 1], diagonals[s]
+                    while len(diagonal) <= s - j:
+                        # E(s-i, i) from E(s-i, i-1) on diagonal s-1 and E(s-i+1, i-1) on s
+                        i = len(diagonal)
+                        diagonal.append(tuple(K.poly_trim([a - b for a, b in zip_longest(
+                            _one_plus_q_times(prev[i - 1]), diagonal[i - 1], fillvalue=0)])))
+        return diagonals[j + d][d]
 
 
-def _printed_numerator(total: int, mk: int) -> list:
-    """The printed right side over (1+q)^(total+mk); at mk = 0 the k=0
-    branch read with s = 0."""
-    return _horner((comb(mk, ell) * (-1) ** (mk + ell), _eq16_numerator(total + ell))
-                   for ell in range(mk + 1))
+# t_j = N_j, N_j reversed (the moment at 1/q over (1+q)^j, times q^j), and
+# R'_j: R'_0 = 1, the integral of 1, and R'_j = R_j (`_eq16_numerator`).
+_MOMENT_TABLE = _DifferenceTable(_moment_numerator)
+_INVERTED_MOMENT_TABLE = _DifferenceTable(lambda j: _moment_numerator(j)[::-1])
+_EQ16_TABLE = _DifferenceTable(lambda j: (1,) if j == 0 else _eq16_numerator(j))
 
 
-def _derived_numerator(total: int, mk: int) -> list:
-    """The derived right side over (1+q)^total, with the exponent-0 term read
-    as the integral of 1."""
-    return _horner((comb(mk, ell) * (-1) ** ell, (1,) if j == 0 else _eq16_numerator(j))
-                   for ell, j in enumerate(range(total - mk, total + 1)))
+def _lhs_numerator(total: int, mk: int, invert: bool) -> tuple:
+    """sum_l C(total-mk, l) (-1)^l G~_{l+mk+1}/(l+mk+1) over (1+q)^total,
+    E_N(mk, total-mk); subscript 1/q (each N_(l+mk) reversed) if `invert`."""
+    return (_INVERTED_MOMENT_TABLE if invert else _MOMENT_TABLE)(mk, total - mk)
 
 
-def _oracle_numerator(total: int, mk: int) -> list:
+def _printed_numerator(total: int, mk: int) -> tuple:
+    """The printed right side over (1+q)^(total+mk), sum_l C(mk, l)
+    (-1)^(mk+l) R_(total+l) (1+q)^(mk-l) = (-1)^mk E_R'(total, mk); at
+    mk = 0 the k=0 branch read with s = 0, which at total = 0 is R_0, not
+    R'_0."""
+    if total == 0:
+        return _eq16_numerator(0)
+    e = _EQ16_TABLE(total, mk)
+    return tuple(-c for c in e) if mk % 2 else e
+
+
+def _derived_numerator(total: int, mk: int) -> tuple:
+    """The derived right side over (1+q)^total, sum_l C(mk, l) (-1)^l
+    R'_(total-mk+l) (1+q)^(mk-l) = E_R'(total-mk, mk), with the exponent-0
+    term read as the integral of 1."""
+    return _EQ16_TABLE(total - mk, mk)
+
+
+def _oracle_numerator(total: int, mk: int) -> tuple:
     """The integral of xi^mk (1-xi)^(total-mk) over (1+q)^total, by Mahler's
-    expansion of its values at 0..total (no moment enters it)."""
-    return _mahler_numerator([x ** mk * (1 - x) ** (total - mk) for x in range(total + 1)])
+    expansion of its values at 0..total (no moment and no table enters it)."""
+    return tuple(_mahler_numerator([x ** mk * (1 - x) ** (total - mk) for x in range(total + 1)]))
 
 
 # -- single Bernstein integral (adjudicated) ----------------------------------

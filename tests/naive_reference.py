@@ -5,7 +5,8 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from qgenocchi.exactq import QRational, XPolynomial, q_bracket, weighted_sum
-from qgenocchi.genocchi import GenocchiTable, genocchi_number, moment
+from qgenocchi.genocchi import GenocchiTable, _horner, _moment_numerator, genocchi_number, moment
+from qgenocchi.identities import _eq16_numerator
 
 
 def naive_gcd(a, b):
@@ -160,6 +161,35 @@ def derived_rhs(total, mk):
     """The derived right side, with the exponent-0 term read as the integral of 1."""
     return weighted_sum((comb(mk, ell) * (-1) ** ell, QRational.one() if j == 0 else eq16_rhs(j))
                         for ell, j in enumerate(range(total - mk, total + 1)))
+
+
+# -- the same sums as integer numerators, one Horner loop per instance ---------
+#
+# Each is an int list (coefficient of q^i at i, trailing zeros dropped) over
+# the power of 1+q its docstring names; `identities` reads them from its
+# difference tables.
+
+
+def lhs_numerator(total, mk, invert):
+    """sum_l C(total-mk, l) (-1)^l G~_{l+mk+1}/(l+mk+1) over (1+q)^total;
+    subscript 1/q (each row N_(l+mk) reversed) if `invert`."""
+    rows = (_moment_numerator(ell + mk) for ell in range(total - mk + 1))
+    return _horner((comb(total - mk, ell) * (-1) ** ell, row[::-1] if invert else row)
+                   for ell, row in enumerate(rows))
+
+
+def printed_numerator(total, mk):
+    """The printed right side over (1+q)^(total+mk); at mk = 0 the k=0
+    branch read with s = 0."""
+    return _horner((comb(mk, ell) * (-1) ** (mk + ell), _eq16_numerator(total + ell))
+                   for ell in range(mk + 1))
+
+
+def derived_numerator(total, mk):
+    """The derived right side over (1+q)^total, with the exponent-0 term read
+    as the integral of 1."""
+    return _horner((comb(mk, ell) * (-1) ** ell, (1,) if j == 0 else _eq16_numerator(j))
+                   for ell, j in enumerate(range(total - mk, total + 1)))
 
 
 # -- the polynomial identities in Q(q) -----------------------------------------

@@ -689,14 +689,18 @@ def test_readme_cli_commands_run(run, argv, monkeypatch):
     assert status == 0 and lines
 
 
+def _fresh_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(qgenocchi.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def _run_fresh(script, argv):
     """`script` with `argv` in a fresh interpreter, so no memoised value
     hides the work it refuses."""
-    src = str(Path(qgenocchi.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-c", script, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_fresh_env())
 
 
 _PEAK_RSS = """
@@ -838,3 +842,55 @@ def test_commands_never_take_a_weighted_sum(argv):
     proc = _run_fresh(_REFUSE_WEIGHTED_SUM, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+_REFUSE_HORNER = """
+import sys
+from qgenocchi import cli, genocchi, identities
+
+horner = genocchi._horner
+
+def refuse(*_):
+    raise AssertionError("an identity ran a Horner loop")
+
+def genocchi_only(terms):
+    if sys._getframe(1).f_globals["__name__"] != "qgenocchi.genocchi":
+        refuse()
+    return horner(terms)
+
+identities._horner, genocchi._horner = refuse, genocchi_only
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--only", "THM7,THM8", "--nmax", "14"),
+    ("verify", "--nmax", "10"),
+], ids=" ".join)
+def test_identities_never_run_a_horner_loop(argv):
+    # THM7 and THM8 read every side from the difference tables, and no
+    # other identity multiplies by a power of 1+q through `_horner`
+    proc = _run_fresh(_REFUSE_HORNER, argv)
+    plain = _run_fresh("import sys\nfrom qgenocchi import cli\nsys.exit(cli.main(sys.argv[1:]))", argv)
+    assert proc.returncode == plain.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (plain.stdout, plain.stderr)
+    assert proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--nmax", "60", "--polynomials"),
+    ("verify", "--nmax", "3"),
+], ids=" ".join)
+def test_closed_stdout_ends_quietly_with_141(argv):
+    # stdout is a pipe whose read end is closed before the command starts:
+    # it stops at its first failed write, exits 128 + SIGPIPE and prints
+    # nothing, not even the interpreter's "Exception ignored" at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qgenocchi.cli", *argv], env=_fresh_env(),
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

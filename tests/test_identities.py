@@ -6,7 +6,8 @@ from math import comb
 
 import naive_reference as ref
 import pytest
-from naive_reference import bernstein_lhs, derived_rhs, eq16_rhs, moment_integral, printed_rhs
+from naive_reference import (bernstein_lhs, derived_numerator, derived_rhs, eq16_rhs, lhs_numerator,
+                             moment_integral, printed_numerator, printed_rhs)
 
 from qgenocchi import _kernel as K
 from qgenocchi import exactq
@@ -240,11 +241,11 @@ class TestIntegerNumerators:
 
     @staticmethod
     def check(total, mk):
-        assert over_one_plus_q(ident._lhs_numerator(total, mk, False), total) \
+        assert over_one_plus_q(lhs_numerator(total, mk, False), total) \
             == bernstein_lhs(total, mk, False)
-        assert over_one_plus_q(ident._printed_numerator(total, mk), total + mk) \
+        assert over_one_plus_q(printed_numerator(total, mk), total + mk) \
             == printed_rhs(total, mk)
-        assert over_one_plus_q(ident._derived_numerator(total, mk), total) == derived_rhs(total, mk)
+        assert over_one_plus_q(derived_numerator(total, mk), total) == derived_rhs(total, mk)
         poly = bernstein_product(mk, [total]) / comb(total, mk)
         assert over_one_plus_q(ident._oracle_numerator(total, mk), total) == moment_integral(poly)
 
@@ -268,11 +269,11 @@ class TestIntegerNumerators:
         # equal values must be equal lists: no numerator ends in a zero
         for total in range(9):
             for mk in range(total + 1):
-                for v in (ident._lhs_numerator(total, mk, False), ident._lhs_numerator(total, mk, True),
-                          ident._printed_numerator(total, mk), ident._derived_numerator(total, mk),
+                for v in (lhs_numerator(total, mk, False), lhs_numerator(total, mk, True),
+                          printed_numerator(total, mk), derived_numerator(total, mk),
                           ident._oracle_numerator(total, mk)):
                     assert v and v[-1] != 0
-        assert ident._lhs_numerator(2, 3, False) == []
+        assert lhs_numerator(2, 3, False) == []
         for j in range(61):
             v = ident._eq16_numerator(j)
             assert v and v[-1] != 0
@@ -292,6 +293,78 @@ class TestIntegerNumerators:
                 ident.verify_bernstein_single(n, k)
         for degrees, k in _thm8_suite():
             ident.verify_bernstein_product(degrees, k)
+
+
+class TestDifferenceTables:
+    """The memoised difference tables of THM7 and THM8 against the
+    per-instance Horner builders of `naive_reference`."""
+
+    def test_every_entry_matches_the_horner_builders_through_30(self):
+        for total in range(31):
+            for mk in range(total + 1):
+                for invert in (False, True):
+                    assert ident._lhs_numerator(total, mk, invert) \
+                        == tuple(lhs_numerator(total, mk, invert)), (total, mk, invert)
+                assert ident._printed_numerator(total, mk) == tuple(printed_numerator(total, mk))
+                assert ident._derived_numerator(total, mk) == tuple(derived_numerator(total, mk))
+
+    def test_public_left_sides_read_the_tables(self):
+        for n in range(1, 13):
+            for k in range(n + 1):
+                assert ident.bernstein_single_lhs(n, k) == over_one_plus_q(lhs_numerator(n, k, False), n)
+                for invert in (False, True):
+                    assert ident.bernstein_product_lhs((n,), k, invert) \
+                        == over_one_plus_q(lhs_numerator(n, k, invert), n)
+        assert ident.bernstein_product_lhs((2, 3), 3, False) == QRational.zero()
+
+    def test_printed_side_is_the_derived_side_further_down(self):
+        # B(n, k) = (-1)^k D(n+k, k): one table serves both right sides
+        for n in range(1, 31):
+            for k in range(n + 1):
+                assert ident._printed_numerator(n, k) \
+                    == tuple((-1) ** k * c for c in ident._derived_numerator(n + k, k))
+
+    def test_table_grows_after_an_interrupted_diagonal(self, monkeypatch):
+        # an exception inside a diagonal keeps only complete entries, each
+        # right; later reads must still grow the table, with the same values
+        table = ident._DifferenceTable(genocchi._moment_numerator)
+        trim, calls = K.poly_trim, []
+
+        class Interrupt(Exception):
+            pass
+
+        def interrupted(a):
+            calls.append(1)
+            if len(calls) == 24:  # after the 13 rows and 10 further entries
+                raise Interrupt
+            return trim(a)
+
+        monkeypatch.setattr(K, "poly_trim", interrupted)
+        with pytest.raises(Interrupt):
+            table(3, 9)
+        monkeypatch.setattr(K, "poly_trim", trim)
+        stored = [(s - d, d, e) for s, diagonal in enumerate(table._diagonals) for d, e in enumerate(diagonal)]
+        assert len(stored) == 23
+        for j, d, e in stored:
+            assert e == tuple(lhs_numerator(j + d, j, False))
+        for total in range(13):
+            for mk in range(total + 1):
+                assert table(mk, total - mk) == tuple(lhs_numerator(total, mk, False))
+
+    def test_oracle_reads_no_table_and_no_moment(self, monkeypatch):
+        expected = {(n, k): ident._oracle_numerator(n, k) for n in range(1, 9) for k in range(n + 1)}
+        for (n, k), value in expected.items():
+            assert over_one_plus_q(value, n) == bernstein_lhs(n, k, False)
+
+        def refuse(*_):
+            raise AssertionError("the oracle read a moment or a table")
+
+        monkeypatch.setattr(ident._DifferenceTable, "__call__", refuse)
+        monkeypatch.setattr(ident, "_moment_numerator", refuse)
+        monkeypatch.setattr(genocchi, "_moment_numerator", refuse)
+        monkeypatch.setattr(genocchi, "moment", refuse)
+        for (n, k), value in expected.items():
+            assert ident._oracle_numerator(n, k) == value
 
 
 class TestIntegerPolynomialSides:

@@ -197,6 +197,15 @@ DIGESTS = {
     "bernstein --n 6 --format json": (
         "3c21a98b14d9a4b378285e5cf88127d09cdd70d85e1a54bb7f66d2ea2a37b046",
         EMPTY, 0),
+    "verify --only THM7 --nmax 50 --format text": (
+        "6d6f4ac9da894f5506af27ee07131ac0e397008324f92bce10cc550bd6e13e70",
+        EMPTY, 0),
+    "verify --nmax 10 --format text": (
+        "b0bf8a30525fc17327182a629c1904c5ff55dc803a175a2b7c020876e345f714",
+        "ad424d07d22f453e120aea7c886ca7df0fb782b6b6c6e06a5da9606b82eda145", 0),
+    "verify --only THM8 --nmax 4 --format json": (
+        "5e04961065791e25cca5fa9a8650dc97befa9275135d1d4ed2767b8821b600da",
+        EMPTY, 0),
 }
 
 
