@@ -338,10 +338,10 @@ def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
 
 
 # Largest --nmax that `verify` accepts, with or without --only; it must admit
-# 30, the largest default range.  The whole suite took 0.41 s at --nmax 25,
-# 0.95 s at 40 and 1.7 s at 50 (whole process, medians; 1.4-2.0 s at 50),
-# printing 0.69, 3.6 and 8.6 MB and peaking at 20, 31 and 49 MB resident
-# (CPython 3.11, shared 2-vCPU Xeon); time grows about as nmax^2.4 and
+# 30, the largest default range.  The whole suite took 0.40 s at --nmax 25,
+# 0.93 s at 40 and 1.5 s at 50 (whole process, medians; 1.4-1.8 s at 50),
+# printing 0.69, 3.6 and 8.6 MB and peaking at 20, 30 and 47 MB resident
+# (CPython 3.11, shared 2-vCPU Xeon); time grows about as nmax^2 and
 # output as nmax^3.6.  Most of the peak at 50 is THM7's difference tables.
 MAX_VERIFY_NMAX = 50
 

@@ -34,28 +34,30 @@ turns rational coefficients into integers, `_power` is the
 square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too),
 `K.poly_eval_int` is Horner's rule for evaluating a polynomial in q at a
 number (a Fraction in `QPolynomial.evaluate` and `QRational.evaluate`, a
-PadicNumber in `padic.qrational_at_padic`), and `QRational.__add__` is
-the one addition of two QRationals.  `weighted_sum` folds a linear
-combination through it term by term; it serves each coefficient of an
-`XPolynomial` product, the Taylor shift behind
+PadicNumber in `padic.qrational_at_padic`), `QRational.__add__` is the
+one addition of two QRationals, and an integer row times 1+q is
+`_one_plus_q_times` (a shift and an add), times (1+q)^j
+`K.poly_mul(row, _q_one_plus_q(0, j))`.  `weighted_sum` folds a linear
+combination through `QRational.__add__` term by term; it serves each
+coefficient of an `XPolynomial` product, the Taylor shift behind
 `XPolynomial.compose_linear` and `XPolynomial.evaluate` and the moment
 sum of `genocchi.integrate_polynomial` on Q(q) coefficients, library
 paths that no command reaches (the commands compare and print integer
 numerators over powers of 1+q).  A rational constant becomes a QRational
 with no gcd, and a product with one scales the constant factor c alone,
-with no gcd either.  `over_one_plus_q` puts
-an integer polynomial over (1+q)^k into canonical form with no gcd: the
-content, then `_divide_out_one_plus_q`, the one synthetic division by
-1 + q (which also counts the (1+q) factors in `_cancel`).  The
-symbolic moments (`genocchi._moment_rows`) are built that way, from
-integer rows, with no QRational arithmetic.  `to_text` renders the
-integer triplet c * N / D directly (`_render_poly`), one integer gcd per
-coefficient at most and none when the scale c / lead(D) is an integer.
-`parse_qrational` checks the whole text before any arithmetic; it caps
-the product of nested `^` exponents at `MAX_EXPONENT`, the degree that
-the operators can build at `MAX_DEGREE` and the size of the coefficients
-they can build at `MAX_COEFFICIENT_BITS` (both bounded per subexpression
-from the text alone) and the nesting of parentheses at `MAX_NESTING`.
+with no gcd either.  `over_one_plus_q` puts an integer polynomial over
+(1+q)^k into canonical form with no gcd: the content, then
+`_divide_out_one_plus_q`, the one synthetic division by 1 + q (which
+also counts the (1+q) factors in `_cancel`).  The symbolic moments
+(`genocchi._moment_rows`) are built that way, from integer rows, with no
+QRational arithmetic.  `to_text` renders the integer triplet c * N / D
+directly (`_render_poly`), one integer gcd per coefficient at most and
+none when the scale c / lead(D) is an integer.  `parse_qrational`
+checks the whole text before any arithmetic; it caps the product of
+nested `^` exponents at `MAX_EXPONENT`, the degree that the operators can
+build at `MAX_DEGREE` and the size of the coefficients they can build at
+`MAX_COEFFICIENT_BITS` (both bounded per subexpression from the text
+alone) and the nesting of parentheses at `MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -111,6 +113,11 @@ def _coprime_certificate(a, b) -> bool:
 def _q_one_plus_q(i, j):
     """q^i * (1+q)^j as an int list."""
     return [0] * i + [comb(j, k) for k in range(j + 1)]
+
+
+def _one_plus_q_times(row) -> list:
+    """(1+q) times the int sequence `row`: a shift and an add."""
+    return list(map(operator.add, [*row, 0], [0, *row]))
 
 
 def _q_one_plus_q_exponents(a):

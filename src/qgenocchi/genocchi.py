@@ -50,6 +50,8 @@ from .exactq import (
     QRational,
     XPolynomial,
     _clear_denominators,
+    _one_plus_q_times,
+    _q_one_plus_q,
     over_one_plus_q,
     q_bracket,
     weighted_sum,
@@ -147,8 +149,9 @@ def genocchi_polynomial(n: int) -> XPolynomial:
 @cache
 def _genocchi_numerator(n: int) -> tuple:
     """G~_n(x) times (1+q)^(n-1), memoised: int tuples, the coefficient of
-    x^j at j, C(n,k) k N_(k-1) (1+q)^j with k = n - j."""
-    return tuple(tuple(_horner([(comb(n, j) * (n - j), _moment_numerator(n - j - 1))] + [(0, ())] * j))
+    x^j at j, C(n,k) k N_(k-1) times the binomial row of (1+q)^j, k = n - j."""
+    return tuple(tuple(comb(n, j) * (n - j) * c
+                       for c in K.poly_mul(_moment_numerator(n - j - 1), _q_one_plus_q(0, j)))
                  for j in range(n))
 
 
@@ -305,16 +308,14 @@ def _mahler_numerator(values) -> list:
     the integral of C(xi, j), r^j with r = -q/(1+q), give the integral
     sum_j d_j (-q)^j (1+q)^(D-j) / (1+q)^D (K. Mahler, J. reine angew.
     Math. 199 (1958); A. M. Robert, A Course in p-adic Analysis, GTM 198,
-    ch. 4).  The numerator is one Horner loop in 1+q, a shift and an add
-    per step; no moment enters it.
+    ch. 4).  The numerator is one Horner loop in 1+q, a `_one_plus_q_times`
+    per step, which makes room for the top term; no moment enters it.
     """
-    acc, diffs = [0], list(values)
+    acc, diffs = [], list(values)
     for j in range(len(diffs)):
-        acc = list(map(operator.add, acc, [0] + acc))  # acc ends in a spare 0: times 1+q
+        acc = _one_plus_q_times(acc)
         acc[j] += diffs[0] if j % 2 == 0 else -diffs[0]
         diffs = list(map(operator.sub, diffs[1:], diffs))
-        acc.append(0)
-    acc.pop()
     return K.poly_trim(acc)
 
 

@@ -10,10 +10,12 @@ is `genocchi._frobenius_euler_numerator(n)` over (1+q)^n, a series
 division that reads no moment.  q -> 1/q reverses a numerator at the
 common power; P(x+1), P(1-x), P(1) and P(2) are integer binomial sums; an
 integral is Mahler's expansion (`genocchi._mahler_numerator`), which reads
-no moment either.  Multiplying by 1+q is a shift and an add
-(`_one_plus_q_times`).  A QRational or XPolynomial (`over_one_plus_q`) is
-built only for a witness, a public return value such as the `*_sides`
-pairs, or where THM7 and THM8 compare values over different powers of 1+q.
+no moment either.  A row times 1+q is `exactq._one_plus_q_times`, a
+shift and an add, and a row times (1+q)^j is `K.poly_mul` by the binomial
+row `exactq._q_one_plus_q(0, j)`.  A QRational or XPolynomial
+(`over_one_plus_q`) is built only for a witness, a public return value
+such as the `*_sides` pairs, or where THM7 and THM8 compare values over
+different powers of 1+q.
 
 Two of the printed identities need adjudication rather than plain checking
 (the single-Bernstein and product-Bernstein ones): their printed forms
@@ -24,8 +26,9 @@ witness instead of guessing silently.
 
 Both rest on one integral, that of (1-xi)^j: the moment at 1/q is N_j
 reversed over (1+q)^j, so `_eq16_rhs(j)` is R_j/(1+q)^j with
-R_j = (1+q)^(j+1) + q^2 rev(N_j) (memoised).  THM7 is the one-factor case
-of THM8: every side is an entry of a memoised difference table
+R_j = (1+q)^(j+1) + q^2 rev(N_j), memoised as `_eq16_numerator(j)`.
+THM7 is the one-factor case of THM8: every side is an entry of a
+memoised difference table
 E_t(j, d) = sum_l C(d,l) (-1)^l t_(j+l) (1+q)^(d-l) (`_DifferenceTable`),
 read at (total degree, m*k): (n, k) for THM7 and (n1+...+nm, m*k) for
 THM8, whose report depends on the degrees only through that pair and is
@@ -51,7 +54,7 @@ from typing import Sequence
 
 from . import _kernel as K
 from .bernstein import BernsteinIndex, bernstein_basis
-from .exactq import QPolynomial, QRational, XPolynomial, _q_one_plus_q, over_one_plus_q
+from .exactq import QPolynomial, QRational, XPolynomial, _one_plus_q_times, _q_one_plus_q, over_one_plus_q
 from .genocchi import (
     _frobenius_euler_numerator,
     _genocchi_numerator,
@@ -159,11 +162,6 @@ def _combine(terms) -> list:
     return K.poly_trim(acc)
 
 
-def _one_plus_q_times(row) -> list:
-    """(1+q) times the int sequence `row`: a shift and an add."""
-    return list(map(operator.add, [*row, 0], [0, *row]))
-
-
 def _at(rows, x: int) -> list:
     """P(x) for P = sum_j rows[j] x^j, rows int lists, at an int x."""
     return _combine((x ** j, row) for j, row in enumerate(rows))
@@ -188,9 +186,7 @@ def _shift_equation_numerators(n: int, d: int):
     lhs = _combine([(1, [0] * n + _mahler_numerator([(x + n) ** d for x in range(d + 1)])),
                     ((-1) ** (n - 1), _mahler_numerator([x ** d for x in range(d + 1)]))])
     rhs = [(-1) ** (n - 1 - ell) * ell ** d for ell in range(n)]
-    for _ in range(d + 1):
-        rhs = _one_plus_q_times(rhs)
-    return lhs, K.poly_trim(rhs)
+    return lhs, K.poly_mul(rhs, _q_one_plus_q(0, d + 1))
 
 
 def shift_equation_sides(n: int, d: int):
@@ -326,20 +322,12 @@ def _power_integral(k: int) -> tuple:
     return _oracle_numerator(k, k)
 
 
-@cache
-def _raised_power_integral(k: int, j: int) -> tuple:
-    """(1+q)^j times `_power_integral(k)`, memoised: one multiplication by
-    1+q (a shift and an add) of the row for j-1."""
-    if j == 0:
-        return _power_integral(k)
-    return tuple(_one_plus_q_times(_raised_power_integral(k, j - 1)))
-
-
 def _binomial_expansion_numerators(n: int):
     """Both sides times (n+1) (1+q)^n: the integral of (x+xi)^n, whose x^j
-    coefficient is (n+1) C(n,j) (1+q)^j times `_power_integral(n-j)`, and
-    G~_(n+1)(x)."""
-    lhs = tuple(tuple((n + 1) * comb(n, j) * c for c in _raised_power_integral(n - j, j))
+    coefficient is (n+1) C(n,j) times `_power_integral(n-j)` times the
+    binomial row of (1+q)^j, and G~_(n+1)(x)."""
+    lhs = tuple(tuple((n + 1) * comb(n, j) * c
+                      for c in K.poly_mul(_power_integral(n - j), _q_one_plus_q(0, j)))
                 for j in range(n + 1))
     return lhs, _genocchi_numerator(n + 1)
 

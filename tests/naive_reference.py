@@ -2,11 +2,12 @@
 genocchi, identities and padic tests."""
 
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, lcm
 
 from qgenocchi.exactq import QRational, XPolynomial, q_bracket, weighted_sum
 from qgenocchi.genocchi import GenocchiTable, _horner, _moment_numerator, genocchi_number, moment
-from qgenocchi.identities import _eq16_numerator
+from qgenocchi.identities import _eq16_numerator, _power_integral
 
 
 def naive_gcd(a, b):
@@ -190,6 +191,35 @@ def derived_numerator(total, mk):
     as the integral of 1."""
     return _horner((comb(mk, ell) * (-1) ** ell, (1,) if j == 0 else _eq16_numerator(j))
                    for ell, j in enumerate(range(total - mk, total + 1)))
+
+
+# -- rows raised by (1+q)^j one factor at a time -------------------------------
+#
+# `genocchi` and `identities` multiply by the binomial row of (1+q)^j instead.
+
+
+def genocchi_numerator(n):
+    """G~_n(x) times (1+q)^(n-1), the coefficient of x^j at j: C(n,k) k
+    N_(k-1) with k = n - j, raised by `_horner` over j zero-weight terms."""
+    return tuple(tuple(_horner([(comb(n, j) * (n - j), _moment_numerator(n - j - 1))] + [(0, ())] * j))
+                 for j in range(n))
+
+
+@cache
+def raised_power_integral(k, j):
+    """(1+q)^j times the integral numerator of xi^k: a shift and an add of
+    the row for j-1."""
+    if j == 0:
+        return _power_integral(k)
+    row = raised_power_integral(k, j - 1)
+    return tuple(a + b for a, b in zip([*row, 0], [0, *row]))
+
+
+def binomial_expansion_numerators(n):
+    """Both sides of THM5_EQ12 times (n+1) (1+q)^n, from the raised rows."""
+    lhs = tuple(tuple((n + 1) * comb(n, j) * c for c in raised_power_integral(n - j, j))
+                for j in range(n + 1))
+    return lhs, genocchi_numerator(n + 1)
 
 
 # -- the polynomial identities in Q(q) -----------------------------------------

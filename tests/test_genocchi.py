@@ -225,6 +225,9 @@ class TestMahlerOracle:
         # C(x, 3) has d = (0, 0, 0, 1): its integral is r^3 = (-q)^3 / (1+q)^3
         assert genocchi._mahler_numerator([0, 0, 0, 1]) == [0, 0, 0, -1]
         assert genocchi._mahler_numerator([0, 0, 0, 1, 4]) == [0, 0, 0, -1, -1]
+        # no values integrate to 0, and a constant to itself over (1+q)^0
+        assert genocchi._mahler_numerator([]) == []
+        assert genocchi._mahler_numerator([5]) == [5]
 
 
 MOMENT_POINTS = (F(4), F(7), F(11), F(2, 3), F(-5, 2), F(0), F(1))

@@ -393,6 +393,13 @@ class TestIntegerPolynomialSides:
         for n in range(first, self.N.stop):
             assert getattr(ident, name)(n) == getattr(ref, name)(n), n
 
+    def test_raised_rows_match_the_one_factor_references_through_51(self):
+        # `verify --nmax 50` reads G~ rows through index 51.  A wrong raise
+        # would spoil both sides of THM5_EQ12 alike and still pass there.
+        for n in range(52):
+            assert genocchi._genocchi_numerator(n) == ref.genocchi_numerator(n), n
+            assert ident._binomial_expansion_numerators(n) == ref.binomial_expansion_numerators(n), n
+
     def test_binomial_expansion_numerators(self):
         for n in self.N:
             sides = tuple(genocchi._xpolynomial(side, n) / (n + 1)

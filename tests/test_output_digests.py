@@ -206,6 +206,9 @@ DIGESTS = {
     "verify --only THM8 --nmax 4 --format json": (
         "5e04961065791e25cca5fa9a8650dc97befa9275135d1d4ed2767b8821b600da",
         EMPTY, 0),
+    "bernstein --n 100 --format csv": (
+        "b5d09b039a188b227410f275bc7bb24c4eba79873b5ea272113d484a0c8a6652",
+        EMPTY, 0),
 }
 
 
