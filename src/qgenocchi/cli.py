@@ -9,19 +9,18 @@ error valuations), `loggamma` (series vs direct values), `bernstein`
 which reads an argparse namespace and passes each output line to `write`
 as soon as it is made, and its options, each a flag, a dest, a type and a
 default (or required), with the `--format` choices; the table's defaults
-are the only ones.  `main`
-reads a well-formed command line (a known command, exact flags as `--flag
-value` or `--flag=value`, valid ints and formats, every required option)
-straight from the table, into the namespace argparse would give, without
-building a parser.  Any other line (help, an abbreviation, `--`, a value
-that looks like an option, a bad value) goes to the argparse parser that
-`_build_parser` makes from the same table, so argparse writes all help,
-usage and error text.  `--out` is opened for appending before the runner
-runs, so an unwritable path exits 2 before any work.  Each record goes
-through `_emit`, the one place that picks among the text, json and csv
-forms, and `main` sends each line on to stdout or `--out` at once, so no
-output is held in memory; `--out` is opened for writing at the first
-line.  `--q` takes a rational, `symbolic`
+are the only ones.  `main` reads a well-formed command line (a known
+command, exact flags as `--flag value` or `--flag=value`, valid ints and
+formats, every required option) straight from the table, into the
+namespace argparse would give, without building a parser.  Any other line
+(help, an abbreviation, `--`, a value that looks like an option, a bad
+value) goes to the argparse parser that `_build_parser` makes from the
+same table, so argparse writes all help, usage and error text.  `--out` is
+opened for appending before the runner runs, so an unwritable path exits 2
+before any work.  Each record goes through `_emit`, the one place that
+picks among the text, json and csv forms, and `main` sends each line on to
+stdout or `--out` at once, so no output is held in memory; `--out` is
+opened for writing at the first line.  `--q` takes a rational, `symbolic`
 (`table` only) or `1+p`, which needs a command with `--prime`; `verify`
 runs symbolically and has no `--q`.  `symbolic` stands for the
 indeterminate `QRational.q()`, so `table` reads every value, at any q,
@@ -44,12 +43,13 @@ exits 2 with an error naming it, before any work.
 `exactq.MAX_NESTING`.)
 
 Exit codes: 0 success, 1 `verify` found a FAIL (outside the probes) in an
-identity expected to pass, 2 invalid configuration, 3 evaluation error
-(pole), 4 convergence/agreement criterion violated (a `loggamma` level
-whose agreement has saturated, i.e. reached the available precision,
-counts like an exact level), 141 (128 + SIGPIPE) stdout was closed
-before the output ended, as by `| head`: the command stops at the first
-line it cannot write, with no message.
+identity expected to pass, 2 invalid configuration or an output that
+cannot be written (`--out`, or stdout full as on /dev/full), 3 evaluation
+error (pole), 4 convergence/agreement criterion violated (a `loggamma`
+level whose agreement has saturated, i.e. reached the available
+precision, counts like an exact level), 141 (128 + SIGPIPE) stdout was
+closed before the output ended, as by `| head`: the command stops at the
+first line it cannot write, with no message.
 """
 
 from __future__ import annotations
@@ -239,22 +239,22 @@ def run_table(args, write) -> int:
 class IdentitySpec:
     """How `verify` runs one identity.
 
-    `report(n_max)` returns the whole-range report(s); `n_max` is first
-    clamped to [nmax_min, nmax_max], with a notice on stderr.  Identities
-    with a `sides(n) -> (lhs, rhs)` function get a per-instance view under
-    `--only`: the probe indices (outside the stated range, never counted
-    toward the exit status) and then n = first..n_max.  A non-probe FAIL
-    of an identity with `expect_pass` makes the exit status 1.
+    `--nmax` is clamped to [nmax_min, nmax_max], with a notice on stderr,
+    before either view runs.  `report(n_max)` returns the whole-range
+    report(s), with the probes (instances outside the stated range, never
+    counted toward the exit status) that the identity's verifier attaches.
+    Identities with a `sides(n) -> (lhs, rhs)` function get a per-instance
+    view under `--only`: the probes of `report(nmax_min)`, then one report
+    per n = nmax_min..n_max.  A non-probe FAIL of an identity with
+    `expect_pass` makes the exit status 1.
     """
 
     id: str
     default_nmax: int
     report: Callable
     nmax_min: int = 0
-    nmax_max: int | None = None
+    nmax_max: float = inf
     sides: Callable | None = None
-    first: int = 0
-    probes: tuple = ()
     expect_pass: bool = True
 
 
@@ -289,16 +289,16 @@ IDENTITY_REGISTRY = (
     IdentitySpec("EQ7", 5, _shift_equation_n1),
     IdentitySpec("THM1", 20, ident.verify_frobenius_link, sides=ident.frobenius_link_sides),
     IdentitySpec("THM2_EQ10", 20, ident.verify_complement, sides=ident.complement_sides),
-    IdentitySpec("THM3_EQ13", 30, ident.verify_boundary, sides=ident.boundary_sides, first=1),
-    IdentitySpec("THM4_EQ11", 25, ident.verify_reflection, sides=ident.reflection_sides, first=1),
+    IdentitySpec("THM3_EQ13", 30, ident.verify_boundary, nmax_min=1, sides=ident.boundary_sides),
+    IdentitySpec("THM4_EQ11", 25, ident.verify_reflection, nmax_min=1,
+                 sides=ident.reflection_sides),
     IdentitySpec("THM5_EQ12", 20, ident.verify_binomial_expansion,
                  sides=ident.binomial_expansion_sides),
     IdentitySpec("PROP_EQ14", 30, ident.verify_umbral_recurrence,
                  sides=ident.umbral_recurrence_sides),
-    IdentitySpec("PROP_EQ15", 20, ident.verify_shift_two, nmax_min=2,
-                 sides=ident.shift_two_sides, first=2, probes=(0, 1)),
+    IdentitySpec("PROP_EQ15", 20, ident.verify_shift_two, nmax_min=2, sides=ident.shift_two_sides),
     IdentitySpec("THM6_EQ16", 20, ident.verify_one_minus_xi, nmax_min=1,
-                 sides=ident.one_minus_xi_sides, first=1, probes=(0,)),
+                 sides=ident.one_minus_xi_sides),
     IdentitySpec("THM7", 8, _thm7_instances, expect_pass=False),
     IdentitySpec("THM8", 4, _thm8_instances, nmax_max=4, expect_pass=False),
 )
@@ -317,24 +317,17 @@ def _resolve_identity_id(name: str) -> str:
 
 
 def _range_reports(spec: IdentitySpec, n_max: int) -> list:
-    """The whole-range reports for n_max clamped to the identity's bounds."""
-    used = max(n_max, spec.nmax_min)
-    if spec.nmax_max is not None:
-        used = min(used, spec.nmax_max)
-    if used != n_max:
-        print(f"notice: {spec.id}: --nmax {n_max} is outside its range; using {used}",
-              file=sys.stderr)
-    out = spec.report(used)
+    """The whole-range report(s) at n_max."""
+    out = spec.report(n_max)
     return [out] if isinstance(out, ident.IdentityReport) else list(out)
 
 
 def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
-    """One report per index: the probes, then n = first..n_max."""
-    probes = [ident.probe_report(spec.id, {"n": n}, spec.sides(n),
-                                 "probe outside the stated range; expected")
-              for n in spec.probes]
-    return probes + [ident.aggregate_report(spec.id, {"n": n}, [spec.sides(n)])
-                     for n in range(spec.first, n_max + 1)]
+    """One report per index: the probes that the identity's verifier
+    attaches, then n = nmax_min..n_max."""
+    return [*spec.report(spec.nmax_min).probes,
+            *(ident.aggregate_report(spec.id, {"n": n}, [spec.sides(n)])
+              for n in range(spec.nmax_min, n_max + 1))]
 
 
 # Largest --nmax that `verify` accepts, with or without --only; it must admit
@@ -361,11 +354,12 @@ def run_verify(args, write) -> int:
         if only and spec.id not in only:
             continue
         n_max = args.n_max if args.n_max > 0 else spec.default_nmax
-        if only and spec.sides is not None:
-            reports = _instance_reports(spec, n_max)
-        else:
-            reports = _range_reports(spec, n_max)
-        for r in reports:
+        used = min(max(n_max, spec.nmax_min), spec.nmax_max)
+        if used != n_max:
+            print(f"notice: {spec.id}: --nmax {n_max} is outside its range; using {used}",
+                  file=sys.stderr)
+        view = _instance_reports if only and spec.sides is not None else _range_reports
+        for r in view(spec, used):
             for line_report in (r, *r.probes):
                 extra = f"  [{line_report.corrected_form}]" if line_report.corrected_form else ""
                 _emit(args, write, line_report.to_json_obj(),
@@ -382,8 +376,9 @@ def run_verify(args, write) -> int:
 # Largest p^mmax that `padic-converge` and `loggamma` accept: the number of
 # points in the finest Riemann sum.  The exact sum is in closed form, so its
 # cost follows the size of q^(p^mmax), not one step per point: at 3^11 =
-# 177147 points `loggamma` takes 0.12 s and `padic-converge --n 5 --q 5/2`
-# 0.29 s (CPython 3.11, 2-vCPU Xeon).
+# 177147 points `loggamma` takes 0.16-0.18 s, `padic-converge --n 5 --q 5/2`
+# 0.35-0.38 s and `padic-converge --n 249` 0.29-0.33 s (whole process,
+# alternating runs; CPython 3.11, shared 2-vCPU Xeon).
 MAX_RIEMANN_POINTS = 200_000
 
 
@@ -666,13 +661,15 @@ def main(argv=None) -> int:
         if path:
             print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
             return 2
-        if not isinstance(e, BrokenPipeError):
-            raise
-        # stdout's reader is gone (`| head`): stop quietly, with the status
-        # of a process killed by SIGPIPE; stdout goes to the null device so
-        # that the interpreter's last flush has nothing to fail on
+        # stdout goes to the null device so that the interpreter's last
+        # flush has nothing to fail on
         os.dup2(os.open(os.devnull, os.O_WRONLY), sink[0].fileno())
-        return 141
+        if isinstance(e, BrokenPipeError):
+            # stdout's reader is gone (`| head`): stop quietly, with the
+            # status of a process killed by SIGPIPE
+            return 141
+        print(f"error: cannot write stdout: {e.strerror or e}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from functools import cache
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 from math import comb
@@ -28,7 +30,7 @@ from qgenocchi.cli import (
 from qgenocchi.errors import PoleError
 from qgenocchi.exactq import XPolynomial, xpoly_text
 from qgenocchi.genocchi import GenocchiTable
-from qgenocchi.identities import IDENTITY_IDS
+from qgenocchi.identities import IDENTITY_IDS, aggregate_report, frobenius_link_sides
 from qgenocchi.padic import PadicContext, PadicNumber, loggamma_genocchi_index
 
 
@@ -139,6 +141,15 @@ class TestTable:
         assert lines == rows
 
 
+@cache
+def _full_verify(n_max: int, fmt: str):
+    """stdout and stderr lines of `verify --nmax n_max --format fmt`."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["verify", "--nmax", str(n_max), "--format", fmt]) == 0
+    return out.getvalue().splitlines(), err.getvalue().splitlines()
+
+
 class TestVerify:
     def test_only_reflection_emits_per_instance(self, run):
         status, lines, _ = run("verify", "--only", "THM4_EQ11", "--nmax", "25")
@@ -151,7 +162,7 @@ class TestVerify:
         assert status == 0
         rows = [json.loads(line) for line in lines]
         assert rows[0]["params"] == {"n": 0} and rows[0]["verdict"] == "FAIL"
-        assert "expected" in rows[0]["corrected_form"]
+        assert "not counted toward the verdict" in rows[0]["corrected_form"]
         assert rows[1]["verdict"] == "PASS"
 
     def test_prefix_ids_resolve(self, run):
@@ -247,6 +258,54 @@ class TestVerify:
         probes = [index(r["params"]) for r in rows if "probe" in (r["corrected_form"] or "")]
         covered = [index(r["params"]) for r in rows if "probe" not in (r["corrected_form"] or "")]
         assert (probes, covered) == self.ONLY_NMAX_3[ident]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
+    @pytest.mark.parametrize("spec", [s for s in IDENTITY_REGISTRY if s.sides is not None],
+                             ids=lambda s: s.id)
+    def test_only_view_takes_range_probes_and_notice_from_the_full_run(self, run, spec, n, fmt):
+        def of_spec(line):
+            return (json.loads(line)["id"] if fmt == "json" else line.split(" ")[0]) == spec.id
+
+        full_lines, full_err = _full_verify(n, fmt)
+        status, lines, err = run("verify", "--only", spec.id, "--nmax", str(n), "--format", fmt)
+        assert status == 0
+        assert err.splitlines() == [e for e in full_err if e.startswith(f"notice: {spec.id}: ")]
+        probes = [line for line in full_lines if of_spec(line) and "probe outside" in line]
+        assert lines[:len(probes)] == probes
+        indices = range(spec.nmax_min, max(n, spec.nmax_min) + 1)
+        assert len(lines) == len(probes) + len(indices)
+        for k, line in zip(indices, lines[len(probes):]):
+            if fmt == "json":
+                assert json.loads(line)["params"] == {"n": k}
+            else:
+                assert line.startswith(f"{spec.id} {{'n': {k}}}: ")
+
+    @pytest.mark.parametrize("only", [(), ("--only", "THM1"), ("--only", "THM1,THM7")],
+                             ids=["all", "only-THM1", "only-THM1,THM7"])
+    def test_a_fail_in_an_identity_expected_to_pass_is_exit_1(self, run, monkeypatch, only):
+        # THM1's left side read one index too far, in both views
+        def sides(n):
+            return frobenius_link_sides(n + 1)[0], frobenius_link_sides(n)[1]
+
+        def report(n_max):
+            return aggregate_report("THM1", {"n_max": n_max}, map(sides, range(n_max + 1)))
+
+        monkeypatch.setattr(cli, "IDENTITY_REGISTRY", tuple(
+            replace(s, report=report, sides=sides) if s.id == "THM1" else s
+            for s in IDENTITY_REGISTRY))
+        status, lines, _ = run("verify", *only, "--nmax", "3")
+        assert status == 1
+        assert any(r["id"] == "THM1" and r["verdict"] == "FAIL" for r in map(json.loads, lines))
+
+    @pytest.mark.parametrize("only", [(), ("--only", "PROP_EQ15,THM6_EQ16,THM7")],
+                             ids=["all", "only-PROP_EQ15,THM6_EQ16,THM7"])
+    def test_fails_only_in_probes_and_thm7_are_exit_0(self, run, only):
+        status, lines, _ = run("verify", *only, "--nmax", "3")
+        fails = {(r["id"], "probe" in (r["corrected_form"] or ""))
+                 for r in map(json.loads, lines) if r["verdict"] == "FAIL"}
+        assert fails == {("PROP_EQ15", True), ("THM6_EQ16", True), ("THM7", False)}
+        assert status == 0
 
     def test_thm8_cap_gives_notice(self, run):
         status, lines, err = run("verify", "--only", "THM8", "--nmax", "6")
@@ -901,3 +960,19 @@ def test_closed_stdout_ends_quietly_with_141(argv):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("verify", "--nmax", "3", "--format", "text"),
+    ("table", "--nmax", "100"),
+    ("bernstein", "--n", "40"),
+], ids=" ".join)
+def test_full_stdout_is_exit_2_with_one_error_line(argv):
+    # a write error on stdout other than a closed pipe is reported like one
+    # on --out: one line, no traceback, and not the status of a FAIL
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qgenocchi.cli", *argv], env=_fresh_env(),
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"

@@ -87,7 +87,7 @@ DIGESTS = {
         "fbb739d937b860faace298f7225a778a5b61180ef9171cf2f9fa85a8094dfb7e",
         EMPTY, 0),
     "verify --only PROP_EQ15,THM6 --nmax 5 --format text": (
-        "22bcf9adfcdf46a96b0966676004223100da6efe32cde9dc513af134ad179207",
+        "a0fe04e24213eaf3ec3434679ee2487b375b9c57a557394887ac50b589ebfb97",
         EMPTY, 0),
     "verify --only THM8 --nmax 6": (
         "5e04961065791e25cca5fa9a8650dc97befa9275135d1d4ed2767b8821b600da",
@@ -138,7 +138,7 @@ DIGESTS = {
         "716b3c34d57edcac36384befbc7d88ee71a13ab3bd322a95d94bd230c9aaf58e",
         EMPTY, 0),
     "verify --only THM6_EQ16 --nmax 30 --format json": (
-        "d8ccb2347a9b99f02c6ef96949ead4b243b26a05c508ac0c2b86b631c93708a9",
+        "afefa1121010794dc7d1c134662d30e61ad9232147f2a63ab7c13a77ba519ba8",
         EMPTY, 0),
     "loggamma --prime 3 --mmax 7 --q=7 --x=1/3 --precision 12 --format json": (
         "1a84224a8a9cf7a672622d99caf79e1180c887bc6128043db60739f0c04419e2",
@@ -180,7 +180,7 @@ DIGESTS = {
         "570254e9d609cb4b51b350807be5a417244596f1b8b973dd199301464241a2bd",
         EMPTY, 0),
     "verify --only EQ6,EQ7,THM3_EQ13,PROP_EQ15 --nmax 50 --format json": (
-        "af8237d715b776fdc5c77294b7f0ef8fd332ef8e7bad0e7b28d1f1ffd819ee1a",
+        "780741e3aac75de0b24169e1a3e2d5bd537dc5268e91bcdfd7e4904383e05589",
         EMPTY, 0),
     "verify --only THM1,THM2_EQ10,THM4_EQ11,THM5_EQ12,PROP_EQ14 --nmax 50 --format text": (
         "e8f2aac6352a36505498c179d2cef07ad1c9b813744c5f0d1081e08622cc3feb",
@@ -206,6 +206,9 @@ DIGESTS = {
     "verify --only THM8 --nmax 4 --format json": (
         "5e04961065791e25cca5fa9a8650dc97befa9275135d1d4ed2767b8821b600da",
         EMPTY, 0),
+    "verify --only PROP_EQ15,THM6_EQ16 --nmax 1 --format text": (
+        "38865b1edae97eed1026b5e82e60827480bf922229e1e67c55c480f2d8d45681",
+        "0e5702021ea7e15fb92e3083b5937e9fc40b57bd6655a51c5b30d25ac4eceb0b", 0),
     "bernstein --n 100 --format csv": (
         "b5d09b039a188b227410f275bc7bb24c4eba79873b5ea272113d484a0c8a6652",
         EMPTY, 0),
