@@ -10,27 +10,30 @@ the values of x^k (1-x)^(n-k) directly and use no polynomial from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 from .errors import LengthError
 from .exactq import QRational, XPolynomial
 
 
-@dataclass(frozen=True)
-class BernsteinIndex:
+class BernsteinIndex(namedtuple("BernsteinIndex", "k n")):
     """Index pair (k, n) of a Bernstein basis polynomial, 0 <= k <= n."""
 
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 0 or self.n < 0:
             raise IndexError("Bernstein indices must be non-negative")
         if self.k > self.n:
             raise IndexError(f"Bernstein index k={self.k} exceeds degree n={self.n}")
+        return self
+
+    # `_replace` builds through `_make`, which would skip the checks
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def bernstein_basis(k: int, n: int) -> XPolynomial:

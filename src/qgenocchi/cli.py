@@ -6,21 +6,24 @@ error valuations), `loggamma` (series vs direct values), `bernstein`
 (basis polynomials and their fermionic integrals).
 
 `COMMANDS` declares every command once: its runner, `run(args, write)`,
-which reads an argparse namespace and passes each output line to `write`
-as soon as it is made, and its options, each a flag, a dest, a type and a
-default (or required), with the `--format` choices; the table's defaults
-are the only ones.  `main` reads a well-formed command line (a known
-command, exact flags as `--flag value` or `--flag=value`, valid ints and
-formats, every required option) straight from the table, into the
-namespace argparse would give, without building a parser.  Any other line
-(help, an abbreviation, `--`, a value that looks like an option, a bad
-value) goes to the argparse parser that `_build_parser` makes from the
-same table, so argparse writes all help, usage and error text.  `--out` is
-opened for appending before the runner runs, so an unwritable path exits 2
-before any work.  Each record goes through `_emit`, the one place that
-picks among the text, json and csv forms, and `main` sends each line on to
-stdout or `--out` at once, so no output is held in memory; `--out` is
-opened for writing at the first line.  `--q` takes a rational, `symbolic`
+which reads the options as attributes of `args` and passes each output
+line to `write` as soon as it is made, and its options, each a flag, a
+dest, a type and a default (or required), with the `--format` choices; the
+table's defaults are the only ones.  `main` reads a well-formed command
+line (a known command, exact flags as `--flag value` or `--flag=value`,
+valid ints and formats, every required option) straight from the table,
+into a `types.SimpleNamespace` with the attributes argparse would give,
+without importing argparse.  Any other line (help, an abbreviation, `--`, a
+value that looks like an option, a bad value) goes to the argparse parser
+that `_build_parser` imports argparse for and makes from the same table,
+so argparse writes all help, usage and error text.  `--out` is opened for
+appending before the runner runs, so an unwritable path exits 2 before any
+work.  Each record goes through `_emit`, the one place that picks among the
+text, json and csv forms, and `main` sends each line on to stdout or
+`--out` at once, so no output is held in memory; `--out` is opened for
+writing at the first line.  Every line for stderr (a notice, the exit-4
+message, an error) goes through `_note`, which drops a line that stderr
+cannot take.  `--q` takes a rational, `symbolic`
 (`table` only) or `1+p`, which needs a command with `--prime`; `verify`
 runs symbolically and has no `--q`.  `symbolic` stands for the
 indeterminate `QRational.q()`, so `table` reads every value, at any q,
@@ -44,25 +47,26 @@ exits 2 with an error naming it, before any work.
 
 Exit codes: 0 success, 1 `verify` found a FAIL (outside the probes) in an
 identity expected to pass, 2 invalid configuration or an output that
-cannot be written (`--out`, or stdout full as on /dev/full), 3 evaluation
-error (pole), 4 convergence/agreement criterion violated (a `loggamma`
-level whose agreement has saturated, i.e. reached the available
-precision, counts like an exact level), 141 (128 + SIGPIPE) stdout was
-closed before the output ended, as by `| head`: the command stops at the
-first line it cannot write, with no message.
+cannot be written (`--out`, stdout full as on /dev/full, or stdout closed
+before the start as by `>&-`), 3 evaluation error (pole), 4
+convergence/agreement criterion violated (a `loggamma` level whose
+agreement has saturated, i.e. reached the available precision, counts like
+an exact level), 141 (128 + SIGPIPE) stdout was closed before the output
+ended, as by `| head`: the command stops at the first line it cannot write,
+with no message.  A closed or unwritable stderr (`2>&-`, `2>/dev/full`)
+changes no status.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, inf
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
 
 from . import identities as ident
 from .bernstein import bernstein_basis
@@ -93,6 +97,27 @@ def _emit(args, write, record: dict, text: str, *csv: str) -> None:
     else:
         for line in csv:
             write(line)
+
+
+def _to_null(stream) -> None:
+    """Point `stream`'s file descriptor at the null device, so that what
+    it still holds, and the interpreter's last flush, have nothing to fail
+    on."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
+def _note(line: str) -> None:
+    """Write one line to stderr: a notice or an error message.  A stderr
+    that is closed (None, as after `2>&-`) or fails the write (`2>/dev/full`)
+    drops the line, so stderr never changes the status of a run."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_null(sys.stderr)
 
 
 # Largest numerator or denominator, in bits, of a rational --q or --x as
@@ -146,7 +171,7 @@ def _parse_q(args, allow_symbolic: bool):
             raise _ConfigError("this command needs a numeric q (a rational or 1+p)")
         return QRational.q()
     if spec == "1+p":
-        if "prime" not in args:
+        if not hasattr(args, "prime"):
             raise _ConfigError(f"--q 1+p needs a prime, and {args.command} has no --prime")
         return Fraction(1 + args.prime)
     return _parse_rational(spec, "q")
@@ -235,8 +260,9 @@ def run_table(args, write) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(namedtuple("IdentitySpec", (
+        "id", "default_nmax", "report", "nmax_min", "nmax_max", "sides", "expect_pass"),
+        defaults=(0, inf, None, True))):
     """How `verify` runs one identity.
 
     `--nmax` is clamped to [nmax_min, nmax_max], with a notice on stderr,
@@ -249,13 +275,7 @@ class IdentitySpec:
     `expect_pass` makes the exit status 1.
     """
 
-    id: str
-    default_nmax: int
-    report: Callable
-    nmax_min: int = 0
-    nmax_max: float = inf
-    sides: Callable | None = None
-    expect_pass: bool = True
+    __slots__ = ()
 
 
 def _shift_equation_reports(n_max: int):
@@ -356,8 +376,7 @@ def run_verify(args, write) -> int:
         n_max = args.n_max if args.n_max > 0 else spec.default_nmax
         used = min(max(n_max, spec.nmax_min), spec.nmax_max)
         if used != n_max:
-            print(f"notice: {spec.id}: --nmax {n_max} is outside its range; using {used}",
-                  file=sys.stderr)
+            _note(f"notice: {spec.id}: --nmax {n_max} is outside its range; using {used}")
         view = _instance_reports if only and spec.sides is not None else _range_reports
         for r in view(spec, used):
             for line_report in (r, *r.probes):
@@ -422,7 +441,7 @@ def run_padic_converge(args, write) -> int:
               f"level {m}: error valuation {v}", f"{m},{v}")
     offender = _strictly_increasing(seq)
     if offender is not None:
-        print(f"convergence criterion violated at level {offender}", file=sys.stderr)
+        _note(f"convergence criterion violated at level {offender}")
         return 4
     return 0
 
@@ -454,7 +473,7 @@ def run_loggamma(args, write) -> int:
         levels.append((m, inf if saturated else v))
     offender = _strictly_increasing(levels)
     if offender is not None:
-        print(f"agreement criterion violated at level {offender}", file=sys.stderr)
+        _note(f"agreement criterion violated at level {offender}")
         return 4
     return 0
 
@@ -490,24 +509,20 @@ def run_bernstein(args, write) -> int:
 # -- argument plumbing -------------------------------------------------------------
 
 
-class _Option(NamedTuple):
+class _Option(namedtuple("_Option", "flag dest kind default help metavar choices",
+                         defaults=(None, None, None, None))):
     """One command-line option: `kind` is int, str or bool (a store_true
-    flag), and `default` is _REQUIRED for a required option."""
+    flag), and `default` is _REQUIRED for a required option; `help`,
+    `metavar` and `choices` (a tuple) serve the argparse parser."""
 
-    flag: str
-    dest: str
-    kind: type
-    default: object = None
-    help: str | None = None
-    metavar: str | None = None
-    choices: tuple | None = None
+    __slots__ = ()
 
 
-class _Command(NamedTuple):
-    run: Callable
-    help: str
-    options: tuple
-    formats: tuple  # the --format choices; the first is the default
+class _Command(namedtuple("_Command", "run help options formats")):
+    """One command: its runner, help line, `_Option`s and --format choices
+    (the first is the default)."""
+
+    __slots__ = ()
 
 
 _REQUIRED = object()
@@ -555,7 +570,10 @@ def _options(command: _Command) -> tuple:
 
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse parser of COMMANDS: the one author of help, usage and
-    error text."""
+    error text.  argparse is imported here, so only a command line that
+    needs it loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qgenocchi",
         description="Exact q-Genocchi data, identity verification, and p-adic experiments.",
@@ -575,12 +593,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_args(argv: list) -> argparse.Namespace | None:
-    """The namespace argparse gives for a well-formed command line, read from
-    COMMANDS without building a parser; None for any other line: help, a
-    missing or unknown command, an abbreviated or unknown flag, `--`, a
-    separate value that starts with `-`, a bad int or --format, a missing
-    required option, `--polynomials=...`.
+def _read_args(argv: list) -> SimpleNamespace | None:
+    """A namespace with the attributes argparse gives for a well-formed
+    command line, read from COMMANDS without building a parser; None for
+    any other line: help, a missing or unknown command, an abbreviated or
+    unknown flag, `--`, a separate value that starts with `-`, a bad int or
+    --format, a missing required option, `--polynomials=...`.
 
     A value joined by `=` may start with `-` (argparse reads `--q=-5` as
     -5), but may not be `--`, which argparse drops."""
@@ -616,10 +634,10 @@ def _read_args(argv: list) -> argparse.Namespace | None:
         values[option.dest] = value
     if _REQUIRED in values.values():
         return None
-    return argparse.Namespace(command=argv[0], **values, run=command.run)
+    return SimpleNamespace(command=argv[0], **values, run=command.run)
 
 
-def _parse_args(argv: list) -> argparse.Namespace:
+def _parse_args(argv: list):
     """`_read_args`, or argparse where it declines the line: argparse reads
     an abbreviation or a negative number, and exits with help or an error
     on anything else."""
@@ -630,6 +648,10 @@ def _parse_args(argv: list) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     path = args.output_path
+    if not path and sys.stdout is None:
+        # file descriptor 1 was closed at start-up (`>&-`)
+        _note("error: cannot write stdout: it is closed")
+        return 2
     sink = [] if path else [sys.stdout]
 
     def write(line: str) -> None:
@@ -652,23 +674,21 @@ def main(argv=None) -> int:
             if path and sink:
                 sink[0].close()
     except (_ConfigError, DomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _note(f"error: {e}")
         return 2
     except (PoleError, PrecisionExhausted) as e:
-        print(f"evaluation error: {e}", file=sys.stderr)
+        _note(f"evaluation error: {e}")
         return 3
     except OSError as e:
         if path:
-            print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+            _note(f"error: cannot write {path}: {e.strerror or e}")
             return 2
-        # stdout goes to the null device so that the interpreter's last
-        # flush has nothing to fail on
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sink[0].fileno())
+        _to_null(sink[0])
         if isinstance(e, BrokenPipeError):
             # stdout's reader is gone (`| head`): stop quietly, with the
             # status of a process killed by SIGPIPE
             return 141
-        print(f"error: cannot write stdout: {e.strerror or e}", file=sys.stderr)
+        _note(f"error: cannot write stdout: {e.strerror or e}")
         return 2
     return status
 

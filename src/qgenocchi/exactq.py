@@ -63,9 +63,9 @@ alone) and the nesting of parentheses at `MAX_NESTING`.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil, comb, gcd, lcm, log2
-from typing import NamedTuple
 
 from . import _kernel as K
 from .errors import PoleError
@@ -823,7 +823,8 @@ MAX_NESTING = 100
 _BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-class _Bounds(NamedTuple):
+class _Bounds(namedtuple("_Bounds", "power num den num_bits den_bits num_const den_const",
+                         defaults=(None, None))):
     """What the parser knows of a subexpression before any arithmetic.
 
     `power` is the largest product of `^` exponents applied inside it (1
@@ -838,13 +839,7 @@ class _Bounds(NamedTuple):
     denominators add over their lcm, as in the rendering of a polynomial
     with rational coefficients."""
 
-    power: int
-    num: int
-    den: int
-    num_bits: float
-    den_bits: float
-    num_const: int | None = None
-    den_const: int | None = None
+    __slots__ = ()
 
     def plus(self, other):
         """N1/D1 + N2/D2 = (N1*D2 + N2*D1) / (D1*D2), or over lcm(D1, D2)."""

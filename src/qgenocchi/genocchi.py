@@ -38,7 +38,7 @@ integer polynomial over a power of 1+q that reads no moment.
 from __future__ import annotations
 
 import operator
-import threading
+from _thread import allocate_lock
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice, zip_longest
@@ -74,7 +74,7 @@ class GenocchiTable:
 
     def __init__(self):
         self._values = [QRational.zero()]
-        self._lock = threading.Lock()
+        self._lock = allocate_lock()
 
     def __len__(self) -> int:
         return len(self._values)
@@ -156,7 +156,7 @@ def _genocchi_numerator(n: int) -> tuple:
 
 
 _FE_NUMERATORS: list = []
-_FE_LOCK = threading.Lock()
+_FE_LOCK = allocate_lock()
 
 
 def _frobenius_euler_numerator(n: int) -> tuple:
@@ -211,7 +211,7 @@ def _next_numerator(row, k: int) -> list:
 
 
 _NUMERATORS = [(1,)]
-_NUMERATOR_LOCK = threading.Lock()
+_NUMERATOR_LOCK = allocate_lock()
 
 
 def _moment_numerator(k: int) -> tuple:

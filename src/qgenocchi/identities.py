@@ -44,13 +44,13 @@ xi^(mk) (1-xi)^(total-mk) per instance; it reads no table and no moment.
 from __future__ import annotations
 
 import operator
-import threading
-from dataclasses import dataclass
+from _thread import allocate_lock
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
 from math import comb
-from typing import Sequence
 
 from . import _kernel as K
 from .bernstein import BernsteinIndex, bernstein_basis
@@ -86,9 +86,13 @@ IDENTITY_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Structured verdict for one identity run.
+class IdentityReport(namedtuple("IdentityReport", (
+        "identity_id", "params", "verdict", "corrected_form", "witness", "probes", "is_probe"),
+        defaults=(None, None, (), False))):
+    """Structured verdict for one identity run: `identity_id`, `params` (a
+    dict), `verdict`, then `corrected_form` (str or None), `witness` (a
+    (lhs, rhs) pair of str, or None), `probes` (a tuple of reports) and
+    `is_probe`.
 
     A FAIL or CORRECTED_PASS always carries a witness (rendered lhs/rhs);
     CORRECTED_PASS always carries corrected_form.  Probe sub-reports are
@@ -96,15 +100,10 @@ class IdentityReport:
     not count toward the main verdict).
     """
 
-    identity_id: str
-    params: dict
-    verdict: str
-    corrected_form: str | None = None
-    witness: tuple[str, str] | None = None
-    probes: tuple = ()
-    is_probe: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.identity_id not in IDENTITY_IDS:
             raise ValueError(f"unknown identity id {self.identity_id}")
         if self.verdict not in (PASS, FAIL, CORRECTED_PASS):
@@ -113,6 +112,10 @@ class IdentityReport:
             raise ValueError(f"{self.verdict} requires a witness")
         if self.verdict == CORRECTED_PASS and not self.corrected_form:
             raise ValueError("CORRECTED_PASS requires corrected_form")
+        return self
+
+    # `_replace` builds through `_make`, which would skip the checks
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def to_json_obj(self) -> dict:
         return {
@@ -429,7 +432,7 @@ class _DifferenceTable:
     def __init__(self, row):
         self._row = row
         self._diagonals = []
-        self._lock = threading.Lock()
+        self._lock = allocate_lock()
 
     def __call__(self, j: int, d: int) -> tuple:
         if d < 0:

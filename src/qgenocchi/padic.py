@@ -29,7 +29,7 @@ rational function of q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import inf
 
@@ -91,18 +91,21 @@ def fraction_valuation(x: Fraction, p: int):
     return _split_p(x.numerator, p)[0] - _split_p(x.denominator, p)[0]
 
 
-@dataclass(frozen=True)
-class PadicContext:
+class PadicContext(namedtuple("PadicContext", "p precision")):
     """Working field Q_p with N base-p digits of relative precision."""
 
-    p: int
-    precision: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not _is_odd_prime(self.p):
             raise DomainError(f"p must be an odd prime, got {self.p}")
         if self.precision < 1:
             raise DomainError("precision must be at least 1")
+        return self
+
+    # `_replace` builds through `_make`, which would skip the checks
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def one(self) -> "PadicNumber":
         return PadicNumber.from_rational(1, self)

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from functools import cache
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
@@ -292,7 +291,7 @@ class TestVerify:
             return aggregate_report("THM1", {"n_max": n_max}, map(sides, range(n_max + 1)))
 
         monkeypatch.setattr(cli, "IDENTITY_REGISTRY", tuple(
-            replace(s, report=report, sides=sides) if s.id == "THM1" else s
+            s._replace(report=report, sides=sides) if s.id == "THM1" else s
             for s in IDENTITY_REGISTRY))
         status, lines, _ = run("verify", *only, "--nmax", "3")
         assert status == 1
@@ -976,3 +975,59 @@ def test_full_stdout_is_exit_2_with_one_error_line(argv):
                               stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+_CLOSE_AND_RUN = """
+import os, sys
+os.close(int(sys.argv[1]))
+os.execv(sys.executable, [sys.executable, "-m", "qgenocchi.cli", *sys.argv[2:]])
+"""
+
+
+def _run_with_closed(fd, argv, **streams):
+    """The CLI in a fresh interpreter that starts with file descriptor `fd`
+    closed, as after the shell's `>&-` (1) or `2>&-` (2)."""
+    return subprocess.run([sys.executable, "-c", _CLOSE_AND_RUN, str(fd), *argv],
+                          env=_fresh_env(), text=True, timeout=120, **streams)
+
+
+def test_closed_stdout_is_exit_2_with_one_error_line():
+    # `qgenocchi table --nmax 3 >&-`: sys.stdout is None, and the run stops
+    # before any work with one line, no traceback
+    proc = _run_with_closed(1, ["table", "--nmax", "3"], stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: it is closed\n"
+
+
+@pytest.mark.parametrize("stderr", [
+    "closed",
+    pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                  reason="no /dev/full")),
+    pytest.param("full-buffered", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                           reason="no /dev/full")),
+])
+@pytest.mark.parametrize("argv, status", [
+    (("verify", "--nmax", "5", "--format", "text"), 0),  # the THM8 clamp notice
+    (("table", "--nmax", "3", "--q=-1"), 3),  # evaluation error
+    (("table", "--nmax", "-1"), 2),  # configuration error
+    (("padic-converge", "--n", "3", "--prime", "3"), 4),  # convergence criterion
+], ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a))
+def test_unwritable_stderr_never_changes_the_status(argv, status, stderr):
+    # `2>&-` and `2>/dev/full`: the notice or error line is dropped, stdout
+    # keeps its bytes, and the run ends with the status it would have had,
+    # also when stderr is buffered and the interpreter flushes it at exit
+    plain = subprocess.run([sys.executable, "-m", "qgenocchi.cli", *argv], env=_fresh_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert plain.returncode == status and plain.stderr
+    if stderr == "closed":
+        proc = _run_with_closed(2, argv, stdout=subprocess.PIPE)
+    else:
+        env = _fresh_env()
+        if stderr == "full-buffered":
+            env.pop("PYTHONUNBUFFERED", None)
+        else:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "qgenocchi.cli", *argv], env=env,
+                                  stdout=subprocess.PIPE, stderr=full, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (status, plain.stdout)
