@@ -574,7 +574,16 @@ def _build_parser() -> argparse.ArgumentParser:
     needs it loads it."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class HelpParser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            # argparse would print help on stderr when stdout is closed
+            # (`>&-`); help follows the rule of every command instead
+            if file is None and sys.stdout is None:
+                _note("error: cannot write stdout: it is closed")
+                sys.exit(2)
+            super().print_help(file)
+
+    parser = HelpParser(
         prog="qgenocchi",
         description="Exact q-Genocchi data, identity verification, and p-adic experiments.",
     )

@@ -31,7 +31,9 @@ both quotients from the two exact divisions that prove it.
 Each arithmetic rule is written once: `_cancel` divides a gcd out of a
 pair, `K.poly_primitive` splits off the content, `_clear_denominators`
 turns rational coefficients into integers, `_power` is the
-square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too),
+square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too) and
+every power of an integer row (`QRational.__pow__` raises N and D apart,
+with no gcd, since coprime rows have coprime powers),
 `K.poly_eval_int` is Horner's rule for evaluating a polynomial in q at a
 number (a Fraction in `QPolynomial.evaluate` and `QRational.evaluate`, a
 PadicNumber in `padic.qrational_at_padic`), `QRational.__add__` is the
@@ -53,18 +55,21 @@ also counts the (1+q) factors in `_cancel`).  The symbolic moments
 QRational arithmetic.  `to_text` renders the integer triplet c * N / D
 directly (`_render_poly`), one integer gcd per coefficient at most and
 none when the scale c / lead(D) is an integer.  `parse_qrational`
-checks the whole text before any arithmetic; it caps the product of
-nested `^` exponents at `MAX_EXPONENT`, the degree that the operators can
-build at `MAX_DEGREE` and the size of the coefficients they can build at
-`MAX_COEFFICIENT_BITS` (both bounded per subexpression from the text
-alone) and the nesting of parentheses at `MAX_NESTING`.
+reads the text in one token pass and checks all of it before any
+arithmetic: the product of nested `^` exponents (`MAX_EXPONENT`), the
+degree and coefficient size the operators can build (`MAX_DEGREE`,
+`MAX_COEFFICIENT_BITS`, bounded from the text) and the nesting of
+parentheses (`MAX_NESTING`).  A subexpression without a quotient stays an
+integer row in Z[q]; only `/` or a negative exponent builds a QRational.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from collections import namedtuple
 from fractions import Fraction
+from itertools import zip_longest
 from math import ceil, comb, gcd, lcm, log2
 
 from . import _kernel as K
@@ -186,16 +191,16 @@ def _clear_denominators(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _power(base, n: int, one):
-    """base ** n for n >= 0 by square-and-multiply: floor(log2 n) squarings
-    and popcount(n) - 1 further products for n >= 1, and `one` for n = 0."""
+def _power(base, n: int, one, mul=operator.mul):
+    """base ** n for n >= 0 by square-and-multiply with `mul`: floor(log2 n)
+    squarings and popcount(n) - 1 further products, and `one` for n = 0."""
     out = None
     while n:
         if n & 1:
-            out = base if out is None else out * base
+            out = base if out is None else mul(out, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return one if out is None else out
 
 
@@ -236,13 +241,7 @@ class _DensePolynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return type(self)(out)
+        return type(self)([a + b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -447,13 +446,7 @@ class QRational:
         den_lcm = lcm(c1.denominator, c2.denominator)
         i1 = c1.numerator * (den_lcm // c1.denominator)
         i2 = c2.numerator * (den_lcm // c2.denominator)
-        ln, lm = len(m1), len(m2)
-        num = [0] * max(ln, lm)
-        for i, v in enumerate(m1):
-            num[i] += i1 * v
-        for i, v in enumerate(m2):
-            num[i] += i2 * v
-        K.poly_trim(num)
+        num = K.poly_trim([i1 * x + i2 * y for x, y in zip_longest(m1, m2, fillvalue=0)])
         if not num:
             return QRational.zero()
         cont, num = K.poly_primitive(num)
@@ -516,8 +509,13 @@ class QRational:
         return o / self
 
     def __pow__(self, n: int):
-        base = self if n >= 0 else QRational.one() / self
-        return _power(base, abs(n), QRational.one())
+        # no gcd: gcd(N, D) = 1 gives gcd(N^n, D^n) = 1, and by Gauss's lemma
+        # powers of primitive rows with positive leading coefficient stay so;
+        # 1/self swaps N and D and scales c, with no gcd either
+        if n < 0:
+            return (QRational.one() / self) ** -n
+        return QRational._raw(self._c ** n, _power(self._num, n, [1], K.poly_mul),
+                              _power(self._den, n, [1], K.poly_mul))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -790,29 +788,36 @@ def _render_poly(ints, var: str, num: int, den: int) -> str:
 
 
 # Largest product of the `^` exponents that `parse_qrational` applies to one
-# subexpression, in absolute value.  (2+q)^1000 parses in about 0.6 s and
-# (3+q)^-1000 in about 1 s (CPython 3.11, 2-vCPU Xeon); the cost grows faster
-# than the square of the exponent, and q^-30000000 had run 19 s and taken
-# 1.1 GB before the limit.  A bound on each exponent alone let nested powers
-# through: ((2+q)^40)^40 took 10.4 s, and (9^1000)^1000 built a 3.17-Mbit
-# constant.
+# subexpression, in absolute value.  (2+q)^1000 parses in about 0.18 s and
+# (3+q)^-1000 in about 0.27 s (CPython 3.11, shared 2-vCPU Xeon); the cost
+# grows faster than the square of the exponent, and q^-30000000 had run 19 s
+# and taken 1.1 GB before the limit.  A bound on each exponent alone let
+# nested powers through: ((2+q)^40)^40 took 10.4 s, and (9^1000)^1000 built
+# a 3.17-Mbit constant.
 MAX_EXPONENT = 1000
 
 # Largest degree bound that `parse_qrational` accepts for one subexpression:
 # the larger of its numerator and denominator bounds.  The exponent limit
 # alone let products through: "(" + "*".join(["(2+q)"] * k) + ")^100" took
 # 0.03 / 0.24 / 2.55 s at degree 500 / 1000 / 2000, about ten times for each
-# doubling.  At the limit (2+q)^1000 parses in 0.65 s, (3+q)^-1000 in 0.5 s
-# and (2+q)^1000/(3+q)^1000 in 1 s (CPython 3.11, 2-vCPU Xeon).
+# doubling.  At the limit (2+q)^1000 parses in 0.18 s and (3+q)^-1000 in
+# 0.27 s, but a quotient of two such powers takes the heuristic gcd of two
+# rows of degree 1000: (2+q)^1000/(3+q)^1000 takes 5.4 s and
+# (15+q)^1000/(16+q)^1000, within every limit, 29 s, of which 12.6 s is
+# Horner's rule on both rows at x near 2^4000 and 14.7 s `math.gcd` of the
+# two 4-Mbit values (CPython 3.11, shared 2-vCPU Xeon).  Until `_cancel`
+# stopped calling `_coprime_certificate` the two took 0.6 and 1.35 s: the
+# certificate proves the second pair coprime in 0.14 s.
 MAX_DEGREE = 1000
 
 # Largest bound, in bits, that `parse_qrational` accepts on the coefficients
 # of one subexpression's numerator or denominator (the bound is on their l1
 # norm, which no coefficient exceeds).  The degree limit alone let large
 # coefficients through: (123456789+987654321*q)^1000, about 30000 bits, took
-# 43.5 s.  Near the limit (16+q)^1000 (4087 bits) parses in about 0.9 s; at
-# 8000 and 16000 bits (255+q)^1000 and (65535+q)^1000 took 3.2 and 9.2 s
-# (CPython 3.11, 2-vCPU Xeon).
+# 43.5 s, and at 8000 and 16000 bits (255+q)^1000 and (65535+q)^1000 took
+# 3.2 and 9.2 s.  Near the limit (16+q)^1000 (4087 bits) parses in about
+# 0.7 s (CPython 3.11, shared 2-vCPU Xeon); see `MAX_DEGREE` for a quotient
+# of two such powers.
 MAX_COEFFICIENT_BITS = 4096
 
 # Deepest nesting of parentheses that `parse_qrational` accepts.  Each level
@@ -821,6 +826,16 @@ MAX_COEFFICIENT_BITS = 4096
 MAX_NESTING = 100
 
 _BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+# The parser's arithmetic on integer rows in Z[q] (int lists, trailing zeros
+# trimmed); a `/` or a negative exponent takes QRational arithmetic instead.
+_ROW_OPS = {"+": lambda a, b: K.poly_trim([x + y for x, y in zip_longest(a, b, fillvalue=0)]),
+            "-": lambda a, b: K.poly_trim([x - y for x, y in zip_longest(a, b, fillvalue=0)]),
+            "*": K.poly_mul}
+
+# The parser's token pattern, compiled by the first parse so that importing
+# the package compiles no pattern.
+_TOKEN = None
 
 
 class _Bounds(namedtuple("_Bounds", "power num den num_bits den_bits num_const den_const",
@@ -892,135 +907,139 @@ class _Parser:
         factor := '-'* atom ('^' integer)?
         atom   := integer | 'q' | '(' expr ')'
 
-    Reading the text does no arithmetic: it checks the syntax and the
-    limits and records the expression in postfix order in `program`, which
-    `evaluate` then runs on a stack.  Each grammar method returns the
-    `_Bounds` of what it read.
+    `tokens` is the text split by `_TOKEN`, then "" for its end, and `i`
+    the next token.  Reading does no arithmetic: it checks the syntax and
+    the limits and records the expression in postfix order in `program`,
+    which `evaluate` runs on a stack.  Each grammar method returns the
+    `_Bounds` of what it read; a column is found only for an error.
     """
 
     def __init__(self, text: str):
+        global _TOKEN
+        # a token after any spaces: `^` with its integer exponent, a run of
+        # digits, or any other single character
+        _TOKEN = _TOKEN or re.compile(r"\s*(\^\s*-?\d+|\d+|\S)")
         self.text = text
-        self.pos = 0
-        self.depth = 0
+        self.tokens = _TOKEN.findall(text) + [""]
+        self.i = self.depth = 0
         self.program = []
 
     def parse(self) -> QRational:
         self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ValueError(f"trailing input at column {self.pos}: {self.text[self.pos:]!r}")
+        if self.tokens[self.i]:
+            column = self.column(self.i)
+            raise ValueError(f"trailing input at column {column}: {self.text[column:]!r}")
         return self.evaluate()
 
     def evaluate(self) -> QRational:
-        """Run `program`: QRational operands, operator symbols, "neg" and
-        integer exponents."""
+        """Run `program`: integer rows, operator symbols, "neg" and integer
+        exponents.  A value stays a row, the numerator that `_Bounds`
+        bounds, until a `/` or a negative exponent needs a QRational."""
         stack = []
         for item in self.program:
-            if isinstance(item, QRational):
+            if type(item) is list:
                 stack.append(item)
+                continue
+            x = stack.pop()
+            if type(item) is int:
+                rows = type(x) is list and item >= 0
+                x = _power(x, item, [1], _ROW_OPS["*"]) if rows else _quotient(x) ** item
             elif item == "neg":
-                stack[-1] = -stack[-1]
-            elif isinstance(item, int):
-                stack[-1] = stack[-1] ** item
+                x = _ROW_OPS["-"]([], x) if type(x) is list else -x
             else:
-                right = stack.pop()
-                stack[-1] = _BINARY_OPS[item](stack[-1], right)
-        return stack[0]
+                y, x = x, stack.pop()
+                if type(x) is list and type(y) is list and item in _ROW_OPS:
+                    x = _ROW_OPS[item](x, y)
+                else:
+                    x = _BINARY_OPS[item](_quotient(x), _quotient(y))
+            stack.append(x)
+        return _quotient(stack[0])
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def column(self, i, end=False):
+        """Where token i starts (at the end, the text's length), or with `end` where i - 1 ends."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return starts[i - 1] + len(self.tokens[i - 1]) if end else starts[i]
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    @staticmethod
-    def bounded(bounds, column):
+    def bounded(self, bounds, end=True):
         """`bounds`, once they pass `MAX_DEGREE` and `MAX_COEFFICIENT_BITS`."""
-        degree = max(bounds.num, bounds.den)
-        if degree > MAX_DEGREE:
-            raise ValueError(f"subexpression ending at column {column} may have degree "
-                             f"{degree}, above the limit of {MAX_DEGREE}")
-        bits = max(bounds.num_bits, bounds.den_bits)
-        if bits > MAX_COEFFICIENT_BITS:
-            raise ValueError(f"subexpression ending at column {column} may have coefficients "
-                             f"of {ceil(bits)} bits, above the limit of {MAX_COEFFICIENT_BITS}")
+        degree, bits = max(bounds.num, bounds.den), max(bounds.num_bits, bounds.den_bits)
+        if degree > MAX_DEGREE or bits > MAX_COEFFICIENT_BITS:
+            what = (f"degree {degree}, above the limit of {MAX_DEGREE}" if degree > MAX_DEGREE else
+                    f"coefficients of {ceil(bits)} bits, above the limit of {MAX_COEFFICIENT_BITS}")
+            raise ValueError(f"subexpression ending at column {self.column(self.i, end)} "
+                             f"may have {what}")
         return bounds
 
     def expr(self):
         bounds = self.term()
-        while (op := self.peek()) in ("+", "-"):
-            self.pos += 1
-            bounds = self.bounded(bounds.plus(self.term()), self.pos)
+        while (op := self.tokens[self.i]) in ("+", "-"):
+            self.i += 1
+            bounds = self.bounded(bounds.plus(self.term()), end=False)
             self.program.append(op)
         return bounds
 
     def term(self):
         bounds = self.factor()
-        while (op := self.peek()) in ("*", "/"):
-            self.pos += 1
+        while (op := self.tokens[self.i]) in ("*", "/"):
+            self.i += 1
             right = self.factor()
             right = right if op == "*" else right.inverse()
-            bounds = self.bounded(bounds.times(right), self.pos)
+            # the column ends an exponent, or else starts the next token
+            bounds = self.bounded(bounds.times(right), self.tokens[self.i - 1][0] == "^")
             self.program.append(op)
         return bounds
 
     def factor(self):
         negate = False
-        while self.peek() == "-":
-            self.pos += 1
+        while self.tokens[self.i] == "-":
+            self.i += 1
             negate = not negate
         bounds = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            column = self.pos
-            exponent = self.integer()
+        tok = self.tokens[self.i]
+        if tok[:1] == "^":
+            if tok == "^":
+                raise ValueError(f"expected integer at column {self.column(self.i + 1)}")
+            exponent = int(tok[1:])
             power = bounds.power * max(abs(exponent), 1)
             if power > MAX_EXPONENT:
-                raise ValueError(f"exponent {exponent} at column {column} exceeds the limit of "
-                                 f"{MAX_EXPONENT} on the product of nested exponents ({power})")
-            bounds = self.bounded(bounds.raised(exponent, power), self.pos)
+                raise ValueError(f"exponent {exponent} at column {self.column(self.i) + 1} exceeds "
+                                 f"the limit of {MAX_EXPONENT} on the product of nested "
+                                 f"exponents ({power})")
+            self.i += 1
+            bounds = self.bounded(bounds.raised(exponent, power))
             self.program.append(exponent)
         if negate:
             self.program.append("neg")
         return bounds
 
     def atom(self):
-        ch = self.peek()
-        if ch == "(":
+        tok = self.tokens[self.i]
+        if tok == "(":
             if self.depth == MAX_NESTING:
-                raise ValueError(f"parentheses at column {self.pos} nested deeper than "
-                                 f"the limit of {MAX_NESTING}")
+                raise ValueError(f"parentheses at column {self.column(self.i)} nested deeper "
+                                 f"than the limit of {MAX_NESTING}")
             self.depth += 1
-            self.pos += 1
+            self.i += 1
             bounds = self.expr()
-            if self.peek() != ")":
-                raise ValueError(f"expected ')' at column {self.pos}")
-            self.pos += 1
+            if self.tokens[self.i] != ")":
+                raise ValueError(f"expected ')' at column {self.column(self.i)}")
+            self.i += 1
             self.depth -= 1
             return bounds
-        if ch == "q":
-            self.pos += 1
-            self.program.append(QRational.q())
+        self.i += 1
+        if tok == "q":
+            self.program.append([0, 1])
             return _Bounds(1, 1, 0, 0.0, 0.0, None, 1)
-        if ch.isdigit():
-            value = self.integer()
-            self.program.append(QRational(value))
-            return self.bounded(_Bounds(1, 0, 0, log2(max(value, 1)), 0.0, value or None, 1),
-                                self.pos)
-        raise ValueError(f"unexpected {ch!r} at column {self.pos}")
+        if tok.isdigit():
+            value = int(tok)
+            self.program.append([value] if value else [])
+            return self.bounded(_Bounds(1, 0, 0, log2(max(value, 1)), 0.0, value or None, 1))
+        raise ValueError(f"unexpected {tok[:1]!r} at column {self.column(self.i - 1)}")
 
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise ValueError(f"expected integer at column {start}")
-        return int(self.text[start:self.pos])
+
+def _quotient(value) -> QRational:
+    """A value of `_Parser.evaluate` as a QRational: a row is over 1."""
+    return over_one_plus_q(value, 0) if type(value) is list else value
 
 
 def parse_qrational(text: str) -> QRational:

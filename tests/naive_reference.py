@@ -89,6 +89,78 @@ def naive_has_toplevel_sum(txt):
     return False
 
 
+def naive_eval_q_text(text, q0):
+    """The value at q = q0 of a `parse_qrational` text, read character by
+    character and computed in Fraction arithmetic: `+ - * /` with the usual
+    precedence, `^` with an integer exponent, unary minus, parentheses and
+    spaces.  A division by zero, a pole at q0 included, raises
+    ZeroDivisionError."""
+    q0 = Fraction(q0)
+    pos = 0
+
+    def peek():
+        nonlocal pos
+        while pos < len(text) and text[pos] == " ":
+            pos += 1
+        return text[pos] if pos < len(text) else ""
+
+    def digits():
+        nonlocal pos
+        start = pos
+        while pos < len(text) and text[pos] in "0123456789":
+            pos += 1
+        assert pos > start, f"digits expected at {start} in {text!r}"
+        return int(text[start:pos])
+
+    def expr():
+        nonlocal pos
+        value = term()
+        while peek() in ("+", "-"):
+            pos += 1
+            value = value + term() if text[pos - 1] == "+" else value - term()
+        return value
+
+    def term():
+        nonlocal pos
+        value = factor()
+        while peek() in ("*", "/"):
+            pos += 1
+            value = value * factor() if text[pos - 1] == "*" else value / factor()
+        return value
+
+    def factor():
+        nonlocal pos
+        sign = 1
+        while peek() == "-":
+            pos += 1
+            sign = -sign
+        value = atom()
+        if peek() == "^":
+            pos += 1
+            negative = peek() == "-"
+            pos += negative
+            value = value ** (-digits() if negative else digits())
+        return sign * value
+
+    def atom():
+        nonlocal pos
+        ch = peek()
+        pos += 1
+        if ch == "q":
+            return q0
+        if ch == "(":
+            value = expr()
+            assert peek() == ")", f"')' expected at {pos} in {text!r}"
+            pos += 1
+            return value
+        pos -= 1
+        return Fraction(digits())
+
+    value = expr()
+    assert peek() == "", f"trailing input at {pos} in {text!r}"
+    return value
+
+
 def naive_weighted_sum(terms):
     """sum w * v over (w, v) pairs as the fold acc = acc + w * v, each step
     canonicalised."""

@@ -999,6 +999,16 @@ def test_closed_stdout_is_exit_2_with_one_error_line():
     assert proc.stderr == "error: cannot write stdout: it is closed\n"
 
 
+@pytest.mark.parametrize("argv", [("--help",), ("table", "--help"), ("verify", "-h"), ("--he",)],
+                         ids=" ".join)
+def test_help_with_closed_stdout_is_exit_2_with_one_error_line(argv):
+    # `qgenocchi --help >&-`: argparse would print help on stderr and exit
+    # 0; help follows the rule of every command line instead
+    proc = _run_with_closed(1, list(argv), stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: it is closed\n"
+
+
 @pytest.mark.parametrize("stderr", [
     "closed",
     pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),

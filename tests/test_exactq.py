@@ -8,12 +8,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgenocchi
 from naive_reference import (
     naive_compose_linear,
+    naive_eval_q_text,
     naive_gcd,
     naive_has_toplevel_sum,
     naive_weighted_sum,
@@ -220,6 +221,62 @@ def test_equal_values_hash_equal(chain):
 # -- rendering and parsing --------------------------------------------------------
 
 
+def stub_parser_arithmetic(monkeypatch, stub):
+    """Replace every arithmetic step that `parse_qrational` can take by
+    `stub`: the QRational operators and the integer-row operations with
+    their power loop."""
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__", "__neg__"):
+        monkeypatch.setattr(QRational, name, stub)
+    for op in exactq._ROW_OPS:
+        monkeypatch.setitem(exactq._ROW_OPS, op, stub)
+    monkeypatch.setattr(exactq, "_power", stub)
+
+
+def keep_first(value, *_):
+    return value
+
+
+# one text for each error and each way its column is found, with the exact
+# message; spaces move a column, and some columns end a token where others
+# start the next one
+_PARSE_ERRORS = [
+    ("q +", ValueError, "unexpected '' at column 3"),
+    ("x", ValueError, "unexpected 'x' at column 0"),
+    ("^3", ValueError, "unexpected '^' at column 0"),
+    ("1//2", ValueError, "unexpected '/' at column 2"),
+    (" ( q ", ValueError, "expected ')' at column 5"),
+    ("  q  ) ", ValueError, "trailing input at column 5: ') '"),
+    ("q^2^3", ValueError, "trailing input at column 3: '^3'"),
+    ("q  ^  ", ValueError, "expected integer at column 6"),
+    ("q ^ x", ValueError, "expected integer at column 4"),
+    ("q^- 3", ValueError, "expected integer at column 2"),
+    ("q ^ 3000", ValueError, "exponent 3000 at column 3 exceeds the limit of 1000 on the "
+                             "product of nested exponents (3000)"),
+    ("q ^-1001", ValueError, "exponent -1001 at column 3 exceeds the limit of 1000 on the "
+                             "product of nested exponents (1001)"),
+    ("((2+q)^40)^40", ValueError, "exponent 40 at column 11 exceeds the limit of 1000 on the "
+                                  "product of nested exponents (1600)"),
+    (" (  " * 101, ValueError, "parentheses at column 401 nested deeper than the limit of 100"),
+    # the end of an exponent, of a factor and of a term
+    ("(2+q)^600 * (3+q)^600 ", ValueError,
+     "subexpression ending at column 21 may have degree 1200, above the limit of 1000"),
+    ("(2+q)^600 * ((3+q)^600) ", ValueError,
+     "subexpression ending at column 24 may have degree 1200, above the limit of 1000"),
+    ("-(q ^ 600) * - q ^ 600 ", ValueError,
+     "subexpression ending at column 22 may have degree 1200, above the limit of 1000"),
+    ("(2+q)^1000  +  1/(3+q)^1000  ", ValueError,
+     "subexpression ending at column 29 may have degree 2000, above the limit of 1000"),
+    ("1/7^999 + 1/11^999  ", ValueError, "subexpression ending at column 20 may have "
+                                         "coefficients of 6261 bits, above the limit of 4096"),
+    ("(1024*q) ^ 500 ", ValueError, "subexpression ending at column 14 may have "
+                                    "coefficients of 5000 bits, above the limit of 4096"),
+    (f" {2 ** 4097} ", ValueError, "subexpression ending at column 1235 may have "
+                                   "coefficients of 4097 bits, above the limit of 4096"),
+    ("1/(q-q)", ZeroDivisionError, "division by the zero rational function"),
+    ("(q-q)^-2", ZeroDivisionError, "division by the zero rational function"),
+]
+
+
 class TestRendering:
     def test_plain_text(self):
         r = QRational(qp(0, -2), qp(1, 1))
@@ -256,7 +313,7 @@ class TestRendering:
         def refuse(*_):
             raise AssertionError("power computed for an exponent over the limit")
 
-        monkeypatch.setattr(QRational, "__pow__", refuse)
+        stub_parser_arithmetic(monkeypatch, refuse)
         for text in ("q^-30000000", f"(2+q)^{exactq.MAX_EXPONENT + 1}"):
             with pytest.raises(ValueError, match=f"limit of {exactq.MAX_EXPONENT}"):
                 parse_qrational(text)
@@ -267,9 +324,11 @@ class TestRendering:
     def test_parse_refuses_nested_exponents_over_the_limit(self, monkeypatch):
         # the bound is on the product of the exponents applied to one
         # subexpression, checked before any power: both the degree blow-up
-        # and the huge constant of (9^1000)^1000 are refused
+        # and the huge constant of (9^1000)^1000 are refused; `powers` records
+        # each power, of an integer row or of a QRational
         powers = []
         monkeypatch.setattr(QRational, "__pow__", lambda self, n: powers.append(n) or self)
+        monkeypatch.setattr(exactq, "_power", lambda base, n, *_: powers.append(n) or base)
         for text in ("(q^2)^600", "((2+q)^40)^40", "(9^1000)^1000", "(-(q^-40))^-40"):
             with pytest.raises(ValueError, match=f"limit of {exactq.MAX_EXPONENT}"):
                 parse_qrational(text)
@@ -286,8 +345,7 @@ class TestRendering:
         def refuse(*_):
             raise AssertionError("arithmetic done for a text over the degree limit")
 
-        monkeypatch.setattr(QRational, "__mul__", refuse)
-        monkeypatch.setattr(QRational, "__pow__", refuse)
+        stub_parser_arithmetic(monkeypatch, refuse)
         limit = exactq.MAX_DEGREE
         for text in ("(" + "*".join(["(2+q)"] * 20) + ")^100",
                      "(2+q)^600*(3+q)^600", "(2+q)^600/(3+q)^-600", "q^-600/q^600",
@@ -304,8 +362,7 @@ class TestRendering:
         widest = QRational(QPolynomial(range(1, n + 1)), q_bracket(2) ** (n - 1))
         assert parse_qrational(widest.to_text()) == widest
         # the rest only need to pass the checks, so the arithmetic is stubbed
-        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
-            monkeypatch.setattr(QRational, name, lambda self, other: self)
+        stub_parser_arithmetic(monkeypatch, keep_first)
         limit = exactq.MAX_DEGREE
         for text in (f"(2+q)^{limit}", f"(3+q)^-{limit}", f"(2+q)^{limit}/(3+q)^{limit}",
                      "(" + "*".join(["(2+q)"] * 10) + ")^100", "q*" * (limit - 1) + "q"):
@@ -317,8 +374,7 @@ class TestRendering:
         def refuse(*_):
             raise AssertionError("arithmetic done for a text over the coefficient limit")
 
-        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__", "__neg__"):
-            monkeypatch.setattr(QRational, name, refuse)
+        stub_parser_arithmetic(monkeypatch, refuse)
         limit = exactq.MAX_COEFFICIENT_BITS
         for text in ("(123456789+987654321*q)^1000", "(65535+q)^1000", "(99+q)^-900",
                      "1/7^999 + 1/11^999", "(1024*q)^500", f"1+{2 ** (limit + 1)}*q"):
@@ -331,8 +387,7 @@ class TestRendering:
         coefficients = [F(k, 3 ** (k % 7) * 5 ** (k % 5)) for k in range(1, 200)]
         poly = QRational(QPolynomial(coefficients))
         assert parse_qrational(poly.to_text()) == poly
-        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
-            monkeypatch.setattr(QRational, name, lambda self, other: self)
+        stub_parser_arithmetic(monkeypatch, keep_first)
         for text in ("(2+q)^1000", "(3+q)^-1000", "(16+q)^1000/(15+q)^1000",
                      "(123456789+987654321*q)^136", "1/2^600 - 1/2^601"):
             parse_qrational(text)
@@ -353,6 +408,54 @@ class TestRendering:
             parse_qrational("1/0 + )")
         with pytest.raises(ZeroDivisionError):
             parse_qrational("1/0 + q")
+
+    @pytest.mark.parametrize("text, error, message", _PARSE_ERRORS,
+                             ids=[repr(text[:30]) for text, _, _ in _PARSE_ERRORS])
+    def test_parse_error_names_the_column(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse_qrational(text)
+        assert str(info.value) == message
+
+
+@st.composite
+def grammar_texts(draw, depth=3):
+    """A text of `parse_qrational`'s grammar: integers, q, + - * /, ^ with
+    |e| <= 4, unary minus, parentheses and spaces."""
+    kind = draw(st.sampled_from(("leaf", "binary", "binary", "minus", "power", "parens")))
+    if depth == 0 or kind == "leaf":
+        return draw(st.one_of(st.just("q"), st.integers(0, 20).map(str)))
+    space = st.sampled_from(("", " "))
+    inner = draw(grammar_texts(depth - 1))
+    if kind == "binary":
+        op = draw(st.sampled_from("+-*/"))
+        return f"{inner}{draw(space)}{op}{draw(space)}{draw(grammar_texts(depth - 1))}"
+    if kind == "minus":
+        return f"-{draw(space)}{inner}"
+    if kind == "power":
+        base = inner if inner == "q" or inner.isdigit() else f"({inner})"
+        return f"{base}^{draw(space)}{draw(st.integers(-4, 4))}"
+    return f"({draw(space)}{inner}{draw(space)})"
+
+
+_rng = random.Random(32)
+_TEXT_POINTS = tuple(F(_rng.randint(-30, 30), _rng.randint(1, 30)) for _ in range(3))
+
+
+@settings(max_examples=300)
+@given(grammar_texts())
+def test_parse_agrees_with_a_fraction_evaluator(text):
+    # the value at each point where the text has no pole; a division by the
+    # zero function is a division by zero at every point
+    try:
+        value = parse_qrational(text)
+    except ZeroDivisionError:
+        value = None
+    for q0 in _TEXT_POINTS:
+        try:
+            expected = naive_eval_q_text(text, q0)
+        except ZeroDivisionError:
+            continue
+        assert value is not None and value.evaluate(q0) == expected
 
 
 # -- the shared power loop -----------------------------------------------------------
@@ -405,6 +508,33 @@ def test_power_takes_log2_plus_popcount_minus_one_products(n):
     got = exactq._power(_Counted(3, products), n, _Counted(1, products))
     assert got.value == 3 ** n
     assert len(products) == (0 if n == 0 else n.bit_length() - 1 + bin(n).count("1") - 1)
+
+
+def test_qrational_power_takes_no_gcd(monkeypatch):
+    # gcd(N, D) = 1 gives gcd(N^n, D^n) = 1, so no power reduces a pair
+    bases = [parse_qrational(t) for t in ("(15+q)/(16+q)", "-2/3*(2-q)*(3+q^2)/((1+q)^2*(5*q-7))",
+                                          "q^2/4", "-3", "0")]
+    expected = {}
+    for x in bases:
+        for n in range(-6, 7):
+            if x or n >= 0:
+                y = ONE
+                for _ in range(abs(n)):
+                    y = y * x if n > 0 else y / x
+                expected[x, n] = y
+
+    def refuse(*_):
+        raise AssertionError("a gcd taken for a power")
+
+    monkeypatch.setattr(K, "poly_gcd", refuse)
+    monkeypatch.setattr(exactq, "_cancel", refuse)
+    for (x, n), y in expected.items():
+        assert x ** n == y
+    with pytest.raises(ZeroDivisionError, match="zero rational function"):
+        QRational.zero() ** -1
+    big = bases[0] ** 1000
+    assert big.evaluate(F(1, 3)) == bases[0].evaluate(F(1, 3)) ** 1000
+    assert big.num.degree == big.den.degree == 1000
 
 
 # -- polynomials in x ---------------------------------------------------------------
