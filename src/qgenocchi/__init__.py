@@ -54,6 +54,7 @@ from .padic import (
     fermionic_riemann_sum,
     iwasawa_log,
     loggamma_direct,
+    loggamma_direct_levels,
     loggamma_series,
     moment_convergence,
     padic_log1p,
@@ -88,6 +89,7 @@ __all__ = [
     "iwasawa_log",
     "kernel_backend",
     "loggamma_direct",
+    "loggamma_direct_levels",
     "loggamma_series",
     "moment",
     "moment_convergence",

@@ -8,11 +8,14 @@ loops behind rational-function canonicalization; the one polynomial gcd,
 polynomials take at one large point, so its cost rests on Python's
 integer gcd, and it returns the two cofactors from the same exact
 divisions that prove its candidate.  The fermionic Riemann sums have one
-algorithm, `alt_weighted_int_sum`: the sum at a rational q in closed form, with
-O(deg^2) multiplications by small integers and two large powers whatever
-the number of points, exact or modulo a prime power; `alt_weighted_mod_sum`
-is its modular form at an integer q.  `BACKEND` names the implementation;
-the package exports it as `qgenocchi.kernel_backend`.
+algorithm: the sum at a rational q in closed form, exact or modulo a prime
+power, in two parts.  `alt_weighted_setup` does what does not depend on
+the number of points (O(deg^2) multiplications by small integers), once
+per integrand and q; `alt_weighted_finish` does the rest at one count,
+O(deg) large products and two large powers whatever the count, and hands
+the powers back.  `alt_weighted_int_sum` is the two at one count and
+`alt_weighted_mod_sum` its modular form at an integer q.  `BACKEND` names
+the implementation; the package exports it as `qgenocchi.kernel_backend`.
 """
 
 from math import gcd
@@ -154,13 +157,14 @@ def poly_eval_int(a, x):
     return acc
 
 
-def alt_weighted_int_sum(anum, bden, count, g, modulus=None):
-    """sum_{xi=0}^{count-1} (-1)^xi * anum^xi * bden^(count-1-xi) * g(xi),
-    reduced modulo `modulus` when one is given.
+def alt_weighted_setup(anum, bden, g):
+    """The part of `alt_weighted_int_sum` that does not depend on count,
+    for `alt_weighted_finish` at any number of counts.
 
-    This is the cleared-denominator numerator of the level-m fermionic
-    Riemann sum for a polynomial integrand g at q = anum/bden: bden^(count-1)
-    times sum_xi g(xi) * r^xi with r = -anum/bden.
+    sum_{xi=0}^{count-1} (-1)^xi * anum^xi * bden^(count-1-xi) * g(xi) is
+    the cleared-denominator numerator of the level-m fermionic Riemann sum
+    for a polynomial integrand g at q = anum/bden: bden^(count-1) times
+    sum_xi g(xi) * r^xi with r = -anum/bden.
 
     It is summed in closed form, by parts (Graham, Knuth and Patashnik,
     Concrete Mathematics, section 2.6): if r*F(xi+1) - F(xi) = g(xi) for a
@@ -176,42 +180,60 @@ def alt_weighted_int_sum(anum, bden, count, g, modulus=None):
         ((-anum)^count * sum_k h_k count^(k) s^k - bden^count * h_0)
             / (bden * s^(d+1)),
     one exact division, at every count (count^(k) = 0 for k > count).
-    This is d(d-1)/2 multiply-adds by small integers, O(d) large products
-    and two large powers, whatever the number of points.  With a modulus M
-    the two powers are taken modulo M * bden * s^(d+1): the numerator is
-    then known modulo M times the divisor, so the division is still exact
-    and its quotient is the sum modulo M; no inverse is taken, so s need
-    not be a unit mod M.
+    The set-up is the d(d-1)/2 multiply-adds by small integers of the
+    conversion, the h_k and the divisor bden * s^(d+1); it returns them as
+    (anum, bden, s, [h_d, ..., h_0], divisor).
 
     bden = 0 and s = 0 (r = 1, q = -1) make the divisor 0 and raise
-    ValueError.  No caller passes either: `padic.fermionic_riemann_sum`
-    passes the denominator of q, at least 1, and `padic._admit_q` refuses
-    q = -1 for every odd p; `alt_weighted_mod_sum` passes bden = 1 and a
-    residue unit >= 0.
+    ValueError.  No caller passes either: `padic` passes the denominator of
+    q, at least 1, and `padic._admit_q` refuses q = -1 for every odd p;
+    `alt_weighted_mod_sum` passes bden = 1 and a residue unit >= 0.
     """
     s = anum + bden
     if bden == 0 or s == 0:
         raise ValueError("alt_weighted_int_sum needs bden != 0 and anum + bden != 0")
-    if not g:
-        return 0
     d = len(g) - 1
     c = list(g)
     for k in range(1, d):
         for i in range(d - 1, k - 1, -1):
             c[i] += k * c[i + 1]
-    # descending in k: h_k, and sum_k h_k count^(k) s^k by Horner's rule
-    h = acc = 0
+    hs = []
+    h = 0
     spow = 1
     for k in range(d, -1, -1):
         h = -(bden * c[k] * spow + anum * (k + 1) * h)
-        acc = h + (count - k) * s * acc
+        hs.append(h)
         spow *= s
-    divisor = bden * spow
+    return anum, bden, s, hs, bden * spow
+
+
+def alt_weighted_finish(setup, count, modulus=None):
+    """(sum, anum^count, bden^count): `alt_weighted_int_sum` at one count
+    from an `alt_weighted_setup`, and the two powers it took, for a
+    caller's prefactor.  This is sum_k h_k count^(k) s^k by Horner's rule
+    (O(d) large products), the powers and the exact division.  With a
+    modulus M the powers are residues modulo M * |divisor|: the numerator
+    is then known modulo M times the divisor, so the division is still
+    exact and its quotient is the sum modulo M; no inverse is taken, so s
+    need not be a unit mod M.
+    """
+    anum, bden, s, hs, divisor = setup
+    acc = h = 0
+    for k, h in zip(range(len(hs) - 1, -1, -1), hs):
+        acc = h + (count - k) * s * acc
     big = None if modulus is None else abs(modulus * divisor)
-    total, rest = divmod(pow(-anum, count, big) * acc - pow(bden, count, big) * h, divisor)
+    apow, bpow = pow(anum, count, big), pow(bden, count, big)
+    total, rest = divmod((-apow if count & 1 else apow) * acc - bpow * h, divisor)
     if rest:
         raise ArithmeticError("alt_weighted_int_sum: closed form left a remainder")
-    return total if modulus is None else total % modulus
+    return (total if modulus is None else total % modulus), apow, bpow
+
+
+def alt_weighted_int_sum(anum, bden, count, g, modulus=None):
+    """sum_{xi=0}^{count-1} (-1)^xi * anum^xi * bden^(count-1-xi) * g(xi),
+    reduced modulo `modulus` when one is given: `alt_weighted_setup` and
+    `alt_weighted_finish` at one count."""
+    return alt_weighted_finish(alt_weighted_setup(anum, bden, g), count, modulus)[0]
 
 
 def alt_weighted_mod_sum(unit, count, g, modulus):

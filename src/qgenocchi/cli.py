@@ -76,7 +76,7 @@ from .genocchi import integrate_polynomial, moments_at
 from .padic import (
     PadicContext,
     PadicNumber,
-    loggamma_direct,
+    loggamma_direct_levels,
     loggamma_genocchi_index,
     loggamma_series,
     moment_convergence,
@@ -395,9 +395,10 @@ def run_verify(args, write) -> int:
 # Largest p^mmax that `padic-converge` and `loggamma` accept: the number of
 # points in the finest Riemann sum.  The exact sum is in closed form, so its
 # cost follows the size of q^(p^mmax), not one step per point: at 3^11 =
-# 177147 points `loggamma` takes 0.16-0.18 s, `padic-converge --n 5 --q 5/2`
-# 0.35-0.38 s and `padic-converge --n 249` 0.29-0.33 s (whole process,
-# alternating runs; CPython 3.11, shared 2-vCPU Xeon).
+# 177147 points `loggamma` takes 0.09-0.10 s, `padic-converge --n 5 --q 5/2`
+# 0.21-0.23 s and `padic-converge --n 249` 0.12-0.16 s (whole process, with
+# the package compiled from source; quartiles of 14 alternating runs;
+# CPython 3.11, shared 2-vCPU Xeon).
 MAX_RIEMANN_POINTS = 200_000
 
 
@@ -460,8 +461,7 @@ def run_loggamma(args, write) -> int:
     _emit(args, write, {"kind": "series", "value": value,
                         "abs_precision": series.abs_precision}, f"series: {value}")
     levels = []
-    for m in range(1, args.m_max + 1):
-        direct = loggamma_direct(x, q0, m, ctx)
+    for m, direct in loggamma_direct_levels(x, q0, range(1, args.m_max + 1), ctx):
         diff = series - direct
         # zero at the available precision: the agreement has saturated
         saturated = diff.is_zero
@@ -576,12 +576,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     class HelpParser(argparse.ArgumentParser):
         def print_help(self, file=None):
-            # argparse would print help on stderr when stdout is closed
-            # (`>&-`); help follows the rule of every command instead
-            if file is None and sys.stdout is None:
+            # help follows the rule of every command: argparse would print
+            # it on stderr when stdout is closed (`>&-`), and it drops a
+            # failed write (stdout full, as on /dev/full)
+            if file is not None:
+                return super().print_help(file)
+            if sys.stdout is None:
                 _note("error: cannot write stdout: it is closed")
                 sys.exit(2)
-            super().print_help(file)
+            try:
+                sys.stdout.write(self.format_help())
+                sys.stdout.flush()
+            except OSError as e:
+                sys.exit(_stdout_failed(e))
 
     parser = HelpParser(
         prog="qgenocchi",
@@ -692,14 +699,20 @@ def main(argv=None) -> int:
         if path:
             _note(f"error: cannot write {path}: {e.strerror or e}")
             return 2
-        _to_null(sink[0])
-        if isinstance(e, BrokenPipeError):
-            # stdout's reader is gone (`| head`): stop quietly, with the
-            # status of a process killed by SIGPIPE
-            return 141
-        _note(f"error: cannot write stdout: {e.strerror or e}")
-        return 2
+        return _stdout_failed(e)
     return status
+
+
+def _stdout_failed(e: OSError) -> int:
+    """The exit status of a run whose write to stdout raised `e`, with
+    stdout pointed at the null device so the exit cannot fail again."""
+    _to_null(sys.stdout)
+    if isinstance(e, BrokenPipeError):
+        # stdout's reader is gone (`| head`): stop quietly, with the
+        # status of a process killed by SIGPIPE
+        return 141
+    _note(f"error: cannot write stdout: {e.strerror or e}")
+    return 2
 
 
 def entry() -> None:

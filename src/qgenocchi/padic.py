@@ -13,7 +13,11 @@ Every Riemann sum has a polynomial integrand, passed to
 `fermionic_riemann_sum` as its coefficients, constant term first.  The
 direct log-gamma sum expands log(1 + xi/x) in powers of xi to the target
 precision, so it too is one polynomial sum, with no p-adic logarithm taken
-per point.
+per point.  Only the number of points, p^m, depends on the level m: the
+integrand, its cleared denominators, the admitted q and the kernel's
+set-up are built once and shared by every level that `moment_convergence`
+and `loggamma_direct_levels` run, and each level does only the closed
+form's count-dependent finish and its prefactor.
 
 The logarithm uses the Iwasawa branch (log p = 0), with evaluation points
 restricted to p-power times principal unit, where the branch term is
@@ -49,6 +53,7 @@ __all__ = [
     "loggamma_series",
     "loggamma_genocchi_index",
     "loggamma_direct",
+    "loggamma_direct_levels",
     "qrational_at_padic",
 ]
 
@@ -447,6 +452,40 @@ def _admit_q(q, ctx: PadicContext) -> PadicNumber:
     return q
 
 
+def _riemann_sums(coefficients, q, ctx: PadicContext, levels):
+    """Yield (m, level-m sum of `fermionic_riemann_sum`) for each m in
+    `levels`, with everything that does not depend on m done once: the
+    levels checked, q admitted, the integrand's denominators cleared and
+    the kernel set up (`K.alt_weighted_setup`).  Each level is then one
+    `K.alt_weighted_finish` at count = p^m and the prefactor, which takes
+    its powers of q's numerator and denominator from the finish."""
+    levels = tuple(levels)
+    if levels and min(levels) < 1:
+        raise DomainError("level m must be >= 1")
+    q = _admit_q(q, ctx)
+    p = ctx.p
+    g, den = _clear_denominators([Fraction(c) for c in coefficients])
+    if q.exact_value is not None:
+        a, b = q.exact_value.numerator, q.exact_value.denominator
+        setup = K.alt_weighted_setup(a, b, g)
+        for m in levels:
+            total, apow, bpow = K.alt_weighted_finish(setup, p ** m)
+            yield m, PadicNumber.from_rational(Fraction((a + b) * total, den * (apow + bpow)), ctx)
+        return
+    # modular path: q is a unit known mod p^rel, so the integer sum is known
+    # mod p^rel as well, and dividing out p^vden leaves rel - vden digits
+    rel = min(q.abs_precision, ctx.precision)
+    vden, den = _split_p(den, p)
+    mod = p ** rel
+    u = q.unit % mod
+    setup = K.alt_weighted_setup(u, 1, [c % mod for c in g])
+    scale = (1 + u) * pow(den, -1, mod)
+    for m in levels:
+        total, upow, _ = K.alt_weighted_finish(setup, p ** m, mod)
+        mantissa = total * scale * pow(1 + upow, -1, mod) % mod
+        yield m, PadicNumber._from_mantissa(ctx, mantissa, -vden, rel)
+
+
 def fermionic_riemann_sum(coefficients, m: int, q, ctx: PadicContext) -> PadicNumber:
     """Level-m weighted sum ((1+q)/(1+q^(p^m))) * sum_xi (-1)^xi q^xi f(xi)
     for the polynomial f(xi) = sum_j coefficients[j] * xi^j.
@@ -454,37 +493,19 @@ def fermionic_riemann_sum(coefficients, m: int, q, ctx: PadicContext) -> PadicNu
     The coefficients come constant term first, each anything `Fraction`
     takes (an int, a Fraction, a float or a string such as "3/2").
 
-    With an exactly-known rational q = a/b the sum is exact:
-    `K.alt_weighted_int_sum` returns b^(p^m-1) times the inner sum in
-    closed form, with O(deg^2) multiplications by small integers and the
-    two powers a^(p^m) and b^(p^m), whatever the number of points, and the
-    prefactor (a+b)/(a^(p^m)+b^(p^m)) is applied in one rational division
-    (its denominator is a unit, so no precision is lost).  Otherwise q is known
-    only to its precision, and `K.alt_weighted_mod_sum` takes the same closed
-    form modulo p^rel, the digits q is known to.
-    The constant integrand gives exactly 1 at every level.
+    With an exactly-known rational q = a/b the sum is exact: the kernel
+    returns b^(p^m-1) times the inner sum in closed form, with O(deg^2)
+    multiplications by small integers and the two powers a^(p^m) and
+    b^(p^m), whatever the number of points, and the prefactor
+    (a+b)/(a^(p^m)+b^(p^m)) is applied with those powers in one rational
+    division (its denominator is a unit, so no precision is lost).
+    Otherwise q is known only to its precision, and the same closed form
+    is taken modulo p^rel, the digits q is known to.  The constant
+    integrand gives exactly 1 at every level.  This is one level of the
+    prepared sum whose set-up `moment_convergence` and
+    `loggamma_direct_levels` share across their levels.
     """
-    if m < 1:
-        raise DomainError("level m must be >= 1")
-    q = _admit_q(q, ctx)
-    count = ctx.p ** m
-    g, den = _clear_denominators([Fraction(c) for c in coefficients])
-    if q.exact_value is not None:
-        qr = q.exact_value
-        a, b = qr.numerator, qr.denominator
-        total = K.alt_weighted_int_sum(a, b, count, g)
-        value = Fraction((a + b) * total, den * (a ** count + b ** count))
-        return PadicNumber.from_rational(value, ctx)
-    # modular path: q is a unit known mod p^rel, so the integer sum is known
-    # mod p^rel as well, and dividing out p^vden leaves rel - vden digits
-    rel = min(q.abs_precision, ctx.precision)
-    vden, den = _split_p(den, ctx.p)
-    mod = ctx.p ** rel
-    u = q.unit % mod
-    total = K.alt_weighted_mod_sum(u, count, [c % mod for c in g], mod)
-    pref = (1 + u) * pow(1 + pow(u, count, mod), -1, mod) % mod
-    mantissa = total * pref % mod * pow(den, -1, mod) % mod
-    return PadicNumber._from_mantissa(ctx, mantissa, -vden, rel)
+    return next(_riemann_sums(coefficients, q, ctx, (m,)))[1]
 
 
 def _moments(q: PadicNumber, n: int, first: int = 0) -> list:
@@ -528,10 +549,9 @@ def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
         raise PoleError("pole at q = -1")
     q = _admit_q(q, ctx)
     limit = _moments(q, n, first=n)[0]
-    monomial = (0,) * n + (1,)
     out = []
-    for m in range(1, m_max + 1):
-        diff = fermionic_riemann_sum(monomial, m, q, ctx) - limit
+    for m, value in _riemann_sums((0,) * n + (1,), q, ctx, range(1, m_max + 1)):
+        diff = value - limit
         out.append((m, None if diff.is_order_term else diff.valuation))
     return out
 
@@ -586,17 +606,10 @@ def loggamma_series(x: PadicNumber, q, ctx: PadicContext) -> PadicNumber:
     return acc.truncated(v + ctx.precision)
 
 
-def loggamma_direct(x: PadicNumber, q, m: int, ctx: PadicContext) -> PadicNumber:
-    """Level-m Riemann sum of (x+xi)(log_p(x+xi) - 1) against the
-    alternating q-weights, with log_p(x+xi) = log_p x + log1p(xi/x).
-
-    Since v(xi/x) >= 1, log1p(xi/x) = sum_j (-1)^(j+1) xi^j / (j x^j); the
-    terms up to J = `_log_series_terms`(-v(x), N) are kept (N the context
-    precision), so every omitted term of the integrand, (x + xi) times a
-    term of valuation > N + 2, has valuation > v(x) + N + 2.
-    The truncated integrand is one rational polynomial in xi, summed by the
-    polynomial path of `fermionic_riemann_sum`; the result carries the
-    precision of x on the scale of x, v(x) + N at most.
+def loggamma_direct_levels(x: PadicNumber, q, levels, ctx: PadicContext):
+    """Yield (m, `loggamma_direct`(x, q, m, ctx)) for each level m >= 1 in
+    `levels`, one at a time, with the integrand and the kernel set-up built
+    once for all of them.  Its checks run when the first value is asked for.
     """
     if x.ctx != ctx:
         raise DomainError("x belongs to a different context")
@@ -613,5 +626,22 @@ def loggamma_direct(x: PadicNumber, q, m: int, ctx: PadicContext) -> PadicNumber
     coeffs = [xr * c for c in log_part] + [Fraction(0)]
     for j, c in enumerate(log_part):
         coeffs[j + 1] += c
-    value = fermionic_riemann_sum(coeffs, m, q, ctx)
-    return value.truncated(min(v + N, x.abs_precision))
+    precision = min(v + N, x.abs_precision)
+    for m, value in _riemann_sums(coeffs, q, ctx, levels):
+        yield m, value.truncated(precision)
+
+
+def loggamma_direct(x: PadicNumber, q, m: int, ctx: PadicContext) -> PadicNumber:
+    """Level-m Riemann sum of (x+xi)(log_p(x+xi) - 1) against the
+    alternating q-weights, with log_p(x+xi) = log_p x + log1p(xi/x).
+
+    Since v(xi/x) >= 1, log1p(xi/x) = sum_j (-1)^(j+1) xi^j / (j x^j); the
+    terms up to J = `_log_series_terms`(-v(x), N) are kept (N the context
+    precision), so every omitted term of the integrand, (x + xi) times a
+    term of valuation > N + 2, has valuation > v(x) + N + 2.
+    The truncated integrand is one rational polynomial in xi, summed by the
+    prepared sum behind `fermionic_riemann_sum`; the result carries the
+    precision of x on the scale of x, v(x) + N at most.  This is
+    `loggamma_direct_levels` at one level.
+    """
+    return next(loggamma_direct_levels(x, q, (m,), ctx))[1]

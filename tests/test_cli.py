@@ -977,6 +977,25 @@ def test_full_stdout_is_exit_2_with_one_error_line(argv):
     assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [("--help",), ("table", "--help"), ("--he",)], ids=" ".join)
+def test_help_to_a_full_stdout_is_exit_2_with_one_error_line(argv, buffered):
+    # argparse drops a failed write of the help (exit 0, no message), and a
+    # buffered stdout failed only at the interpreter's last flush (exit 120
+    # with a traceback); help follows the rule of every command instead
+    env = _fresh_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qgenocchi.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == \
+        (2, "error: cannot write stdout: No space left on device\n")
+
+
 _CLOSE_AND_RUN = """
 import os, sys
 os.close(int(sys.argv[1]))

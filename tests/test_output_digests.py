@@ -143,6 +143,15 @@ DIGESTS = {
     "loggamma --prime 3 --mmax 7 --q=7 --x=1/3 --precision 12 --format json": (
         "1a84224a8a9cf7a672622d99caf79e1180c887bc6128043db60739f0c04419e2",
         EMPTY, 0),
+    "loggamma --prime 5 --mmax 5 --q=11 --x=1/5 --precision 12 --format text": (
+        "bdc03e6f3302a3aeef7af8bd58ae91121f2091c3d7a059c79076a0e1e55fbde4",
+        EMPTY, 0),
+    "loggamma --prime 7 --mmax 4 --q=15 --x=1/7 --precision 12 --format json": (
+        "cdde28785f2132f5a25e9ffba9b104563e1d565b6d641d78359010f256c15fc7",
+        EMPTY, 0),
+    "loggamma --prime 3 --mmax 5 --q 7/4 --x 4/9": (
+        "63e6a1e01ccdb54f8fe43d5e5090ff53482325374fb09e091bfe8532c33086bf",
+        EMPTY, 0),
     "padic-converge --n 8 --prime 3 --mmax 9 --q=4": (
         "87560cbac13e5beaf3d857febb894b41945d78266fdfd22d9a3bf1060760550f",
         EMPTY, 0),

@@ -25,6 +25,7 @@ from qgenocchi.padic import (
     fraction_valuation,
     iwasawa_log,
     loggamma_direct,
+    loggamma_direct_levels,
     loggamma_genocchi_index,
     loggamma_series,
     moment_convergence,
@@ -253,6 +254,29 @@ class TestRiemannSum:
         got = fermionic_riemann_sum([F(0), F(1, 9)], 1, q_approx, ctx)
         assert got.abs_precision == 5 - 2
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact q", "inexact q"])
+    def test_levels_of_one_set_up_match_one_level_sums(self, exact):
+        # `moment_convergence` and `loggamma_direct_levels` run the levels
+        # of one prepared sum; each must be the sum set up for that level
+        rng = random.Random(37)
+        for p in (3, 5, 7):
+            ctx = PadicContext(p, 10)
+            levels = range(1, 6 if p == 3 else 4)
+            for _ in range(6):
+                q = PadicNumber.from_rational(
+                    F(1 + p * rng.choice((-2, -1, 1, 2)), rng.choice((1, 1 + p, 1 - p))), ctx)
+                if not exact:
+                    q = q.truncated(rng.randint(1, 10))
+                coeffs = [F(rng.randint(-99, 99), rng.choice((1, 2, p, p * p)))
+                          for _ in range(rng.randint(1, 7))]
+                got = list(padic._riemann_sums(coeffs, q, ctx, levels))
+                assert [m for m, _ in got] == list(levels)
+                for m, value in got:
+                    want = fermionic_riemann_sum(coeffs, m, q, ctx)
+                    assert (value.exact_value is None) != exact
+                    assert (value.exact_value, str(value), value.abs_precision) == \
+                        (want.exact_value, str(want), want.abs_precision), (coeffs, str(q), m)
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             fermionic_riemann_sum(_monomial(0), 0, F(4), CTX3)
@@ -379,23 +403,39 @@ def _loggamma_direct_reference(x, q, m, ctx):
     return (one + q) / (one + q ** (ctx.p ** m)) * acc
 
 
-_COUNT_LOG1P = """
-import contextlib, io, sys
-from qgenocchi import cli, padic
+_COUNT_CALLS = """
+import contextlib, importlib, io, sys
+from qgenocchi import cli
 
+module_name, name = sys.argv[1].split(":")
+module = importlib.import_module(module_name)
 calls = 0
-log1p = padic.padic_log1p
+function = getattr(module, name)
 
-def counted(z):
+def counted(*args):
     global calls
     calls += 1
-    return log1p(z)
+    return function(*args)
 
-padic.padic_log1p = counted
+setattr(module, name, counted)
 with contextlib.redirect_stdout(io.StringIO()):
-    status = cli.main(sys.argv[1:])
+    status = cli.main(sys.argv[2:])
 print(status, calls)
 """
+
+
+def _count_calls(function, *argv):
+    """(exit status, number of calls) of `function`, named "module:name",
+    over one CLI run in a fresh interpreter, so the count covers the whole
+    command."""
+    src = str(Path(qgenocchi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _COUNT_CALLS, function, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    status, calls = proc.stdout.split()
+    return int(status), int(calls)
 
 
 class TestLogGammaDirect:
@@ -419,17 +459,33 @@ class TestLogGammaDirect:
                             assert (str(got), got.abs_precision) == \
                                 (str(want), want.abs_precision), case
 
-    def test_log1p_calls_do_not_grow_with_the_level(self):
-        # a fresh interpreter, so the count covers the whole command: one
-        # logarithm for the series and one per level, none per point
-        src = str(Path(qgenocchi.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-c", _COUNT_LOG1P,
-                               "loggamma", "--prime", "5", "--mmax", "5"],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", str(1 + 5)]
+    def test_levels_match_one_level_values(self):
+        for p, N in ((3, 8), (5, 12), (7, 4)):
+            ctx = PadicContext(p, N)
+            x = PadicNumber.from_rational(F(1 + p, p * p), ctx)
+            for q in (PadicNumber.from_rational(F(1 + 2 * p, 1 - p), ctx),
+                      PadicNumber.from_rational(F(1 + p), ctx).truncated(N - 2)):
+                got = [(m, str(v), v.abs_precision)
+                       for m, v in loggamma_direct_levels(x, q, range(1, 4), ctx)]
+                want = [(m, str(v), v.abs_precision)
+                        for m, v in [(m, loggamma_direct(x, q, m, ctx)) for m in range(1, 4)]]
+                assert got == want, (p, str(q))
+
+    @pytest.mark.parametrize("mmax", ["2", "5"])
+    def test_log1p_calls_do_not_grow_with_the_level(self, mmax):
+        # one logarithm for the series and one for the integrand that every
+        # level shares, none per level or per point
+        assert _count_calls("qgenocchi.padic:padic_log1p",
+                            "loggamma", "--prime", "5", "--mmax", mmax) == (0, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["loggamma", "--prime", "5", "--mmax", "5"],
+        ["loggamma", "--prime", "3", "--mmax", "5", "--q", "7/4", "--x", "4/9"],
+        ["padic-converge", "--n", "4", "--prime", "3", "--mmax", "4"],
+        ["padic-converge", "--n", "2", "--prime", "5", "--q", "7/2", "--mmax", "3"],
+    ], ids=" ".join)
+    def test_one_kernel_set_up_per_command(self, argv):
+        assert _count_calls("qgenocchi._kernel:alt_weighted_setup", *argv) == (0, 1)
 
 
 class TestQRationalAtPadic:
@@ -509,7 +565,7 @@ class TestMomentsAtPadic:
 
         q = PadicNumber.from_rational(F(4), CTX3)
         monkeypatch.setattr(PadicNumber, "from_rational", classmethod(counted))
-        monkeypatch.setattr(padic, "fermionic_riemann_sum", stop)
+        monkeypatch.setattr(padic, "_riemann_sums", stop)
         with pytest.raises(FirstSum):
             moment_convergence(30, q, 1, CTX3)
         assert embedded == [moments_at(F(4), 30)[30]]
