@@ -1,10 +1,18 @@
-"""Integer kernels, in pure Python.
+"""Integer kernels, in pure Python: the one layer of operations on the
+integer rows that every q-Genocchi quantity is built from (a numerator
+over a power of [2]_q = 1+q).
 
-Dense polynomials over the integers are plain lists of coefficients,
-index i = coefficient of the i-th power, trailing coefficient nonzero
-(the zero polynomial is the empty list).  These routines are the hot
-loops behind rational-function canonicalization; the one polynomial gcd,
-`poly_gcd`, is the heuristic gcd: it works on the integers the
+The contract.  A row is a sequence of ints, the coefficient of q^i at
+index i; the zero row is empty.  A function takes lists or tuples, with
+trailing zeros, except `poly_primitive`, `poly_divexact` and `poly_gcd`,
+which take trimmed rows.  It returns new trimmed lists and never mutates
+its input, except that `poly_trim` trims in place and `poly_primitive`
+and `poly_gcd` may return an input itself.  Each docstring names the
+power of q or 1+q multiplied in or divided out.  A list of rows, one per
+power of x, is a polynomial in x (`rows_at`, `shift_by_one`).
+
+`poly_gcd`, the one polynomial gcd behind rational-function
+canonicalization, is the heuristic gcd: it works on the integers the
 polynomials take at one large point, so its cost rests on Python's
 integer gcd, and it returns the two cofactors from the same exact
 divisions that prove its candidate.  The fermionic Riemann sums have one
@@ -18,7 +26,8 @@ the powers back.  `alt_weighted_int_sum` is the two at one count and
 the implementation; the package exports it as `qgenocchi.kernel_backend`.
 """
 
-from math import gcd
+import operator
+from math import comb, gcd, lcm
 
 BACKEND = "python"
 
@@ -31,6 +40,7 @@ def poly_trim(a):
 
 
 def poly_mul(a, b):
+    """The product a * b."""
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
@@ -155,6 +165,115 @@ def poly_eval_int(a, x):
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def q_one_plus_q(i, j):
+    """The row of q^i * (1+q)^j."""
+    return [0] * i + [comb(j, k) for k in range(j + 1)]
+
+
+def one_plus_q_times(row):
+    """(1+q) * row: one shift and one add, whose top coefficient is row's."""
+    out = list(map(operator.add, [*row, 0], [0, *row]))
+    return out if out[-1] else poly_trim(out)
+
+
+def one_plus_q_power_times(row, j):
+    """(1+q)^j * row: the product by the binomial row of (1+q)^j."""
+    return poly_mul(row, q_one_plus_q(0, j))
+
+
+def q_one_plus_q_exponents(a):
+    """(i, j) when the nonzero row a is exactly q^i * (1+q)^j, else None."""
+    i, n = 0, len(a)
+    while a[i] == 0:
+        i += 1
+    while a[n - 1] == 0:
+        n -= 1
+    j = n - 1 - i
+    c = 1
+    for k in range(j + 1):
+        if a[i + k] != c:
+            return None
+        c = c * (j - k) // (k + 1)
+    return i, j
+
+
+def divide_out_one_plus_q(a, cap):
+    """(k, a / (1+q)^k) for the largest k <= cap with (1+q)^k dividing the
+    nonzero row a, by synthetic divisions by q + 1 (remainder a(-1))."""
+    a = poly_trim(list(a))
+    k = 0
+    while k < cap:
+        quo = [0] * (len(a) - 1)
+        carry = 0
+        for idx in range(len(a) - 1, 0, -1):
+            carry = a[idx] - carry
+            quo[idx - 1] = carry
+        if a[0] != carry:
+            break
+        a = quo
+        k += 1
+    return k, a
+
+
+def _add_into(acc, w, t):
+    """acc += w * t in place on acc's first len(t) coefficients, acc the
+    caller's own list: the step of `combine`, `horner` and `shift_by_one`."""
+    n = len(t)
+    if len(acc) < n:
+        acc += [0] * (n - len(acc))
+    acc[:n] = (map(operator.add, acc, t) if w == 1 else map(operator.sub, acc, t) if w == -1
+               else [a + w * x for a, x in zip(acc, t)])
+
+
+def combine(terms):
+    """sum w * t over the pairs (w, t), w an int: the one linear combination
+    of rows, with no power of q or 1+q."""
+    acc = []
+    for w, t in terms:
+        if acc:
+            _add_into(acc, w, t)
+        else:
+            acc = list(t) if w == 1 else [w * x for x in t]
+    return poly_trim(acc)
+
+
+def horner(terms):
+    """sum_l w_l * t_l * (1+q)^(M-l) over the pairs (w_l, t_l), l = 0..M,
+    by Horner's rule in 1+q."""
+    acc = []
+    for w, t in terms:
+        acc = one_plus_q_times(acc)
+        _add_into(acc, w, t)
+    return poly_trim(acc)
+
+
+def reverse(row, d):
+    """q^d * row(1/q), the substitution q -> 1/q at a degree d >= deg row."""
+    return poly_trim([0] * (d + 1 - len(row)) + list(row[d::-1]))
+
+
+def clear_denominators(coeffs):
+    """(ints, L) with coeffs == ints / L, L the least common denominator of
+    the rational coefficients; no power of q or 1+q."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return poly_trim([c.numerator * (den // c.denominator) for c in coeffs]), den
+
+
+def rows_at(rows, x):
+    """P(x) = sum_j rows[j] * x^j at an int x; no power of q or 1+q."""
+    return combine((x ** j, row) for j, row in enumerate(rows))
+
+
+def shift_by_one(rows):
+    """The rows of P(x + 1): the Taylor shift by Horner's rule (J. von zur
+    Gathen and J. Gerhard, ISSAC 1997); no power of q or 1+q."""
+    a = [list(row) for row in rows]
+    for i in range(len(a) - 1):
+        for k in range(len(a) - 2, i - 1, -1):
+            _add_into(a[k], 1, a[k + 1])
+    return [poly_trim(row) for row in a]
 
 
 def alt_weighted_setup(anum, bden, g):

@@ -28,33 +28,15 @@ and 1+q gives the gcd and both quotients; any other pair, e.g. from parsed
 input, takes the heuristic gcd `K.poly_gcd`, which returns the gcd with
 both quotients from the two exact divisions that prove it.
 
-Each arithmetic rule is written once: `_cancel` divides a gcd out of a
-pair, `K.poly_primitive` splits off the content, `_clear_denominators`
-turns rational coefficients into integers, `_power` is the
-square-and-multiply loop behind every `__pow__` (`PadicNumber`'s too) and
-every power of an integer row (`QRational.__pow__` raises N and D apart,
-with no gcd, since coprime rows have coprime powers),
-`K.poly_eval_int` is Horner's rule for evaluating a polynomial in q at a
-number (a Fraction in `QPolynomial.evaluate` and `QRational.evaluate`, a
-PadicNumber in `padic.qrational_at_padic`), `QRational.__add__` is the
-one addition of two QRationals, and an integer row times 1+q is
-`_one_plus_q_times` (a shift and an add), times (1+q)^j
-`K.poly_mul(row, _q_one_plus_q(0, j))`.  `weighted_sum` folds a linear
-combination through `QRational.__add__` term by term; it serves each
-coefficient of an `XPolynomial` product, the Taylor shift behind
-`XPolynomial.compose_linear` and `XPolynomial.evaluate` and the moment
-sum of `genocchi.integrate_polynomial` on Q(q) coefficients, library
-paths that no command reaches (the commands compare and print integer
-numerators over powers of 1+q).  A rational constant becomes a QRational
-with no gcd, and a product with one scales the constant factor c alone,
-with no gcd either.  `over_one_plus_q` puts an integer polynomial over
-(1+q)^k into canonical form with no gcd: the content, then
-`_divide_out_one_plus_q`, the one synthetic division by 1 + q (which
-also counts the (1+q) factors in `_cancel`).  The symbolic moments
-(`genocchi._moment_rows`) are built that way, from integer rows, with no
-QRational arithmetic.  `to_text` renders the integer triplet c * N / D
-directly (`_render_poly`), one integer gcd per coefficient at most and
-none when the scale c / lead(D) is an integer.  `parse_qrational`
+Every operation on integer rows is a `_kernel` call, under the contract
+stated there; `_cancel` divides a gcd out of a pair, `_power` is the one
+square-and-multiply loop, `QRational.__add__` the one addition of two
+QRationals and `weighted_sum` a linear combination folded through it (on
+library paths only: the commands compare and print integer numerators over
+powers of 1+q).  `over_one_plus_q` puts an integer polynomial over (1+q)^k
+into canonical form with no gcd.  `to_text` renders the integer triplet
+c * N / D directly (`_render_poly`), one integer gcd per coefficient at
+most and none when the scale c / lead(D) is an integer.  `parse_qrational`
 reads the text in one token pass and checks all of it before any
 arithmetic: the product of nested `^` exponents (`MAX_EXPONENT`), the
 degree and coefficient size the operators can build (`MAX_DEGREE`,
@@ -115,54 +97,6 @@ def _coprime_certificate(a, b) -> bool:
     return False
 
 
-def _q_one_plus_q(i, j):
-    """q^i * (1+q)^j as an int list."""
-    return [0] * i + [comb(j, k) for k in range(j + 1)]
-
-
-def _one_plus_q_times(row) -> list:
-    """(1+q) times the int sequence `row`: a shift and an add."""
-    return list(map(operator.add, [*row, 0], [0, *row]))
-
-
-def _q_one_plus_q_exponents(a):
-    """(i, j) when the int list a is exactly q^i * (1+q)^j, else None.
-
-    That is: i zero coefficients followed by the binomial row C(j, 0..j).
-    a must be nonzero.
-    """
-    i = 0
-    while a[i] == 0:
-        i += 1
-    j = len(a) - 1 - i
-    c = 1
-    for k in range(j + 1):
-        if a[i + k] != c:
-            return None
-        c = c * (j - k) // (k + 1)
-    return i, j
-
-
-def _divide_out_one_plus_q(a, cap):
-    """(k, a / (1+q)^k) for the largest k <= cap with (1+q)^k dividing the
-    nonzero int list a.
-
-    Each pass is one synthetic division by q + 1; its remainder is a(-1).
-    """
-    k = 0
-    while k < cap:
-        quo = [0] * (len(a) - 1)
-        carry = 0
-        for idx in range(len(a) - 1, 0, -1):
-            carry = a[idx] - carry
-            quo[idx - 1] = carry
-        if a[0] != carry:
-            break
-        a = quo
-        k += 1
-    return k, a
-
-
 def _cancel(a, b):
     """(g, a/g, b/g) for g = gcd(a, b) of two nonzero primitive integer
     polynomials; a and b come back unchanged when g = [1].
@@ -172,23 +106,17 @@ def _cancel(a, b):
     quotients.  Any other pair takes the heuristic gcd `K.poly_gcd`, whose
     proof of the gcd divides each side once and returns those quotients."""
     for s, other in ((b, a), (a, b)):
-        if (e := _q_one_plus_q_exponents(s)) is not None:
+        if (e := K.q_one_plus_q_exponents(s)) is not None:
             i, j = e
             vq = 0
             while vq < i and other[vq] == 0:
                 vq += 1
-            k, rest = _divide_out_one_plus_q(other[vq:], j)
+            k, rest = K.divide_out_one_plus_q(other[vq:], j)
             if vq == k == 0:
                 return [1], a, b
-            g, quo = _q_one_plus_q(vq, k), _q_one_plus_q(i - vq, j - k)
+            g, quo = K.q_one_plus_q(vq, k), K.q_one_plus_q(i - vq, j - k)
             return (g, rest, quo) if other is a else (g, quo, rest)
     return K.poly_gcd(a, b)
-
-
-def _clear_denominators(coeffs):
-    """Integer coefficients and their common denominator L: coeffs == ints / L."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _power(base, n: int, one, mul=operator.mul):
@@ -313,7 +241,7 @@ class QPolynomial(_DensePolynomial):
         return f"QPolynomial({list(self.coeffs)!r})"
 
     def __str__(self):
-        ints, den = _clear_denominators(self.coeffs)
+        ints, den = K.clear_denominators(self.coeffs)
         return _render_poly(ints, "q", 1, den)
 
     def evaluate(self, q0) -> Fraction:
@@ -326,7 +254,7 @@ class QPolynomial(_DensePolynomial):
         content * primitive == self; primitive has positive leading
         coefficient.  The zero polynomial gives (0, []).
         """
-        ints, den = _clear_denominators(self.coeffs)
+        ints, den = K.clear_denominators(self.coeffs)
         g, prim = K.poly_primitive(ints)
         return Fraction(g, den), prim
 
@@ -446,7 +374,7 @@ class QRational:
         den_lcm = lcm(c1.denominator, c2.denominator)
         i1 = c1.numerator * (den_lcm // c1.denominator)
         i2 = c2.numerator * (den_lcm // c2.denominator)
-        num = K.poly_trim([i1 * x + i2 * y for x, y in zip_longest(m1, m2, fillvalue=0)])
+        num = K.combine(((i1, m1), (i2, m2)))
         if not num:
             return QRational.zero()
         cont, num = K.poly_primitive(num)
@@ -537,22 +465,12 @@ class QRational:
         """
         if self._c == 0:
             return self
-        dn, dd = len(self._num) - 1, len(self._den) - 1
-        rn = K.poly_trim(list(reversed(self._num)))
-        rd = K.poly_trim(list(reversed(self._den)))
-        shift = dd - dn
-        if shift >= 0:
-            rn = [0] * shift + rn
-        else:
-            rd = [0] * (-shift) + rd
-        c = self._c
-        if rn[-1] < 0:
-            rn = [-x for x in rn]
-            c = -c
-        if rd[-1] < 0:
-            rd = [-x for x in rd]
-            c = -c
-        return QRational._raw(c, rn, rd)
+        # N(1/q) / D(1/q) is q^d N(1/q) / (q^d D(1/q)) at the larger degree d;
+        # the reversed rows stay primitive, so their contents are signs
+        d = max(len(self._num), len(self._den)) - 1
+        sn, rn = K.poly_primitive(K.reverse(self._num, d))
+        sd, rd = K.poly_primitive(K.reverse(self._den, d))
+        return QRational._raw(self._c * (sn * sd), rn, rd)
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point; PoleError at a denominator root."""
@@ -604,14 +522,14 @@ def weighted_sum(terms) -> QRational:
 def over_one_plus_q(ints, k: int) -> QRational:
     """The integer polynomial `ints` (coefficient of q^i at i) over
     (1+q)^k, in canonical form with no gcd: the content comes out first,
-    then `_divide_out_one_plus_q` cancels (1+q) while the numerator
+    then `K.divide_out_one_plus_q` cancels (1+q) while the numerator
     vanishes at q = -1.  1+q is irreducible and the denominator's only
     factor, so nothing else can cancel."""
     cont, num = K.poly_primitive(K.poly_trim(list(ints)))
     if not cont:
         return QRational.zero()
-    j, num = _divide_out_one_plus_q(num, k)
-    return QRational._raw(Fraction(cont), num, _q_one_plus_q(0, k - j))
+    j, num = K.divide_out_one_plus_q(num, k)
+    return QRational._raw(Fraction(cont), num, K.q_one_plus_q(0, k - j))
 
 
 def _powers(x, count):
@@ -829,8 +747,8 @@ _BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 
 # The parser's arithmetic on integer rows in Z[q] (int lists, trailing zeros
 # trimmed); a `/` or a negative exponent takes QRational arithmetic instead.
-_ROW_OPS = {"+": lambda a, b: K.poly_trim([x + y for x, y in zip_longest(a, b, fillvalue=0)]),
-            "-": lambda a, b: K.poly_trim([x - y for x, y in zip_longest(a, b, fillvalue=0)]),
+_ROW_OPS = {"+": lambda a, b: K.combine(((1, a), (1, b))),
+            "-": lambda a, b: K.combine(((1, a), (-1, b))),
             "*": K.poly_mul}
 
 # The parser's token pattern, compiled by the first parse so that importing

@@ -13,11 +13,12 @@ m_k = q m'_{k-1} + r m_{k-1} and
 `_moment_numerator` is the one store of these rows, memoised.  At the
 indeterminate q (`moment`, memoised too) each N_k/(1+q)^k goes straight
 into canonical form, with no Q(q) arithmetic; at a rational q = x/y,
-m_k = sum_i N_{k,i} x^i y^(k-i) / (x+y)^k is an integer sum, and at a
-p-adic q (y = 1) the same sum runs in p-adic arithmetic (`moments_at`);
-a numeric q steps the rows past the store without keeping them.
+m_k = sum_i N_{k,i} x^i y^(k-i) / (x+y)^k is an integer sum, and a
+rational q steps the rows past the store without keeping them.
 `genocchi_number`, `genocchi_polynomial`, `integrate_polynomial`, `table` at
 any `--q`, the p-adic moment limit and the log-gamma series all read it.
+A p-adic q runs the Stirling form itself (`_moment_rows`).  Every
+operation on integer rows is a `_kernel` call, under its contract.
 
 Two further pipelines build the number sequence in Q(q) by other
 algorithms and serve only as cross-checks: `GenocchiTable`, the umbral
@@ -41,21 +42,12 @@ import operator
 from _thread import allocate_lock
 from fractions import Fraction
 from functools import cache
-from itertools import count, islice, zip_longest
+from itertools import count, islice
 from math import comb, factorial
 
 from . import _kernel as K
 from .errors import PoleError
-from .exactq import (
-    QRational,
-    XPolynomial,
-    _clear_denominators,
-    _one_plus_q_times,
-    _q_one_plus_q,
-    over_one_plus_q,
-    q_bracket,
-    weighted_sum,
-)
+from .exactq import QRational, XPolynomial, over_one_plus_q, q_bracket, weighted_sum
 
 _TWO_Q = QRational(q_bracket(2))  # [2]_q = 1 + q
 
@@ -149,9 +141,9 @@ def genocchi_polynomial(n: int) -> XPolynomial:
 @cache
 def _genocchi_numerator(n: int) -> tuple:
     """G~_n(x) times (1+q)^(n-1), memoised: int tuples, the coefficient of
-    x^j at j, C(n,k) k N_(k-1) times the binomial row of (1+q)^j, k = n - j."""
+    x^j at j, C(n,k) k N_(k-1) (1+q)^j, k = n - j."""
     return tuple(tuple(comb(n, j) * (n - j) * c
-                       for c in K.poly_mul(_moment_numerator(n - j - 1), _q_one_plus_q(0, j)))
+                       for c in K.one_plus_q_power_times(_moment_numerator(n - j - 1), j))
                  for j in range(n))
 
 
@@ -170,7 +162,7 @@ def _frobenius_euler_numerator(n: int) -> tuple:
             while len(h) <= n:
                 m = len(h)
                 # h_(m-k) has degree m-k in x, so its coefficient i is there for k <= m-i
-                h.append(tuple(tuple(K.poly_trim([0] + _horner((-comb(m, k), h[m - k][i])
+                h.append(tuple(tuple(K.poly_trim([0] + K.horner((-comb(m, k), h[m - k][i])
                                                                 for k in range(m - i, 0, -1))))
                                for i in range(m)) + (tuple(comb(m, i) for i in range(m + 1)),))
     return _FE_NUMERATORS[n]
@@ -192,15 +184,6 @@ def frobenius_euler_polynomial(n: int) -> XPolynomial:
     if n < 0:
         raise ValueError("n must be non-negative")
     return _xpolynomial(_frobenius_euler_numerator(n), n)
-
-
-def _horner(terms) -> list:
-    """sum_l w_l * t_l * (1+q)^(M-l) over the pairs (w_l, t_l), l = 0..M, t_l
-    an int sequence: per term one multiplication by 1+q (a shift and an add)."""
-    acc = []
-    for w, t in terms:
-        acc = [a + b + w * x for a, b, x in zip_longest(acc + [0], [0] + acc, t, fillvalue=0)]
-    return K.poly_trim(acc)
 
 
 def _next_numerator(row, k: int) -> list:
@@ -234,6 +217,13 @@ def _moment_numerator(k: int) -> tuple:
     return _NUMERATORS[k]
 
 
+def _next_stirling_row(row, k: int) -> list:
+    """T(k, j) = j!*S(k, j), j = 0..k, from the row T(k-1, .) = `row`:
+    T(k, j) = j*(T(k-1, j) + T(k-1, j-1))."""
+    ext = [0, *row, 0]
+    return [j * (ext[j + 1] + ext[j]) for j in range(k + 1)]
+
+
 def _moment_rows(q):
     """Yield m_0, m_1, ... at q, where m_k = G~_{k+1,q}/(k+1) is the k-th
     fermionic moment.
@@ -249,35 +239,33 @@ def _moment_rows(q):
     N_k = (1+q)^k m_k follows the integer recurrence of `_moment_numerator`.
 
     At the indeterminate q (exactly `QRational.q()`) the rows are
-    `moment(k)`.  At q = x/y (y = 1 for a p-adic q or any other q, a
-    QRational constant or 1/q included, which runs through its own
-    arithmetic) m_k = sum_i N_{k,i} x^i y^(k-i) / (x+y)^k, an integer sum
-    at a rational q.  N_k is read from `_NUMERATORS` while it is stored;
-    past the store the rows are stepped here and not kept, since a numeric
-    q reads each one once.  At an inexact p-adic q with |1+q|_p < 1,
-    outside the domain |q-1|_p < 1 of the p-adic integral, this sum can
-    report fewer digits than the Stirling sum did; the digits agree.
-    m_0 = 1 at every q; any m_k with k >= 1 at q = -1 raises PoleError.
+    `moment(k)`.  Any other q is summed in its own arithmetic as
+    m_k = sum_i row_i a^i b^(k-i) / c^k, rows past the store stepped and
+    not kept.  At a rational q = x/y the rows are N_k and a, b, c = x, y,
+    x+y, an integer sum.  At any other q (p-adic, or a QRational constant
+    or 1/q) they are the Stirling rows T(k, .) and a, b, c = -q, 1+q, 1+q:
+    each term carries its own powers of q and 1+q, so a p-adic q keeps
+    every digit also where one is not a unit (q = 0 or -1 mod p).  m_0 = 1
+    at every q; any m_k with k >= 1 at q = -1 raises PoleError.
     """
     if isinstance(q, QRational) and q == QRational.q():
         yield from map(moment, count())
         return
     if isinstance(q, (int, Fraction)):
         q = Fraction(q)
-        x, y, div = q.numerator, q.denominator, Fraction
+        a, b, div, store, step = q.numerator, q.denominator, Fraction, _NUMERATORS, _next_numerator
+        c = a + b
     else:
-        x, y, div = q, 1, operator.truediv
-    s = x + y
-    x_pow, y_pow, s_pow = [x ** 0], [1], [x ** 0]
+        a, b, c, div, store, step = -q, q + 1, q + 1, operator.truediv, ((1,),), _next_stirling_row
+    a_pow, b_pow, c_pow = [a ** 0], [b ** 0], [c ** 0]
     for k in count():
-        row = _NUMERATORS[k] if k < len(_NUMERATORS) else _next_numerator(row, k)
+        row = store[k] if k < len(store) else step(row, k)
         if k:
-            x_pow.append(x_pow[-1] * x)
-            y_pow.append(y_pow[-1] * y)
-            s_pow.append(s_pow[-1] * s)
-        acc = sum(t * y_pow[k - i] * x_pow[i] for i, t in enumerate(row) if t)
+            a_pow.append(a_pow[-1] * a)
+            b_pow.append(b_pow[-1] * b)
+            c_pow.append(c_pow[-1] * c)
         try:
-            yield div(acc, s_pow[k])
+            yield div(sum(t * (a_pow[i] * b_pow[k - i]) for i, t in enumerate(row) if t), c_pow[k])
         except ZeroDivisionError:
             raise PoleError(f"pole at q = {q}") from None
 
@@ -308,15 +296,16 @@ def _mahler_numerator(values) -> list:
     the integral of C(xi, j), r^j with r = -q/(1+q), give the integral
     sum_j d_j (-q)^j (1+q)^(D-j) / (1+q)^D (K. Mahler, J. reine angew.
     Math. 199 (1958); A. M. Robert, A Course in p-adic Analysis, GTM 198,
-    ch. 4).  The numerator is one Horner loop in 1+q, a `_one_plus_q_times`
-    per step, which makes room for the top term; no moment enters it.
+    ch. 4).  Reversed at degree D the numerator is sum_j (-1)^j d_j
+    (1+q)^(D-j), one Horner loop in 1+q whose new term is the constant
+    coefficient; no moment enters it.
     """
     acc, diffs = [], list(values)
     for j in range(len(diffs)):
-        acc = _one_plus_q_times(acc)
-        acc[j] += diffs[0] if j % 2 == 0 else -diffs[0]
+        acc = K.one_plus_q_times(acc) or [0]
+        acc[0] += -diffs[0] if j % 2 else diffs[0]
         diffs = list(map(operator.sub, diffs[1:], diffs))
-    return K.poly_trim(acc)
+    return K.reverse(acc, len(values) - 1)
 
 
 def _rational_constants(coeffs):
@@ -344,6 +333,6 @@ def integrate_polynomial(poly: XPolynomial) -> QRational:
         return weighted_sum((1, c * moment(k)) for k, c in enumerate(poly.coeffs) if not c.is_zero)
     if not consts:
         return QRational.zero()
-    ints, den = _clear_denominators(consts)
+    ints, den = K.clear_denominators(consts)
     values = [K.poly_eval_int(ints, x) for x in range(len(ints))]
     return over_one_plus_q(_mahler_numerator(values), len(ints) - 1) / den

@@ -10,9 +10,8 @@ is `genocchi._frobenius_euler_numerator(n)` over (1+q)^n, a series
 division that reads no moment.  q -> 1/q reverses a numerator at the
 common power; P(x+1), P(1-x), P(1) and P(2) are integer binomial sums; an
 integral is Mahler's expansion (`genocchi._mahler_numerator`), which reads
-no moment either.  A row times 1+q is `exactq._one_plus_q_times`, a
-shift and an add, and a row times (1+q)^j is `K.poly_mul` by the binomial
-row `exactq._q_one_plus_q(0, j)`.  A QRational or XPolynomial
+no moment either.  Every operation on those rows is a `_kernel` call,
+under the contract stated there.  A QRational or XPolynomial
 (`over_one_plus_q`) is built only for a witness, a public return value
 such as the `*_sides` pairs, or where THM7 and THM8 compare values over
 different powers of 1+q.
@@ -49,12 +48,11 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
 from math import comb
 
 from . import _kernel as K
 from .bernstein import BernsteinIndex, bernstein_basis
-from .exactq import QPolynomial, QRational, XPolynomial, _one_plus_q_times, _q_one_plus_q, over_one_plus_q
+from .exactq import QPolynomial, QRational, XPolynomial, over_one_plus_q
 from .genocchi import (
     _frobenius_euler_numerator,
     _genocchi_numerator,
@@ -157,39 +155,16 @@ def _integer_report(identity_id, params, indices, numerators, sides, probes=()):
     return aggregate_report(identity_id, params, pairs, probes=probes)
 
 
-def _combine(terms) -> list:
-    """sum w * t over the (w, t) pairs, t an int sequence: a trimmed int list."""
-    acc = []
-    for w, t in terms:
-        acc = [a + w * x for a, x in zip_longest(acc, t, fillvalue=0)]
-    return K.poly_trim(acc)
-
-
-def _at(rows, x: int) -> list:
-    """P(x) for P = sum_j rows[j] x^j, rows int lists, at an int x."""
-    return _combine((x ** j, row) for j, row in enumerate(rows))
-
-
-def _shift_by_one(rows) -> list:
-    """P(x + 1) for P as in `_at`: the Taylor shift by Horner's rule, one row
-    addition per step."""
-    a = [list(row) for row in rows]
-    for i in range(len(a) - 1):
-        for k in range(len(a) - 2, i - 1, -1):
-            a[k] = [x + y for x, y in zip_longest(a[k], a[k + 1], fillvalue=0)]
-    return [K.poly_trim(row) for row in a]
-
-
 # -- integral shift equation (and its n = 1 specialization) ------------------
 
 
 def _shift_equation_numerators(n: int, d: int):
     """Both sides for x^d times (1+q)^d: on the left the Mahler numerators of
     (x+n)^d and x^d, on the right (1+q)^(d+1) sum_l (-1)^(n-1-l) l^d q^l."""
-    lhs = _combine([(1, [0] * n + _mahler_numerator([(x + n) ** d for x in range(d + 1)])),
-                    ((-1) ** (n - 1), _mahler_numerator([x ** d for x in range(d + 1)]))])
+    lhs = K.combine([(1, [0] * n + _mahler_numerator([(x + n) ** d for x in range(d + 1)])),
+                     ((-1) ** (n - 1), _mahler_numerator([x ** d for x in range(d + 1)]))])
     rhs = [(-1) ** (n - 1 - ell) * ell ** d for ell in range(n)]
-    return lhs, K.poly_mul(rhs, _q_one_plus_q(0, d + 1))
+    return lhs, K.one_plus_q_power_times(rhs, d + 1)
 
 
 def shift_equation_sides(n: int, d: int):
@@ -231,8 +206,8 @@ def verify_frobenius_link(n_max: int) -> IdentityReport:
 def _complement_numerators(n: int):
     """Both sides times (1+q)^n: q h_n(x+1) + h_n(x), and (1+q)^(n+1) x^n."""
     h = _frobenius_euler_numerator(n)
-    lhs = [_combine([(1, [0] + s), (1, r)]) for s, r in zip(_shift_by_one(h), h)]
-    return lhs, [[]] * n + [_q_one_plus_q(0, n + 1)]
+    lhs = [K.combine([(1, [0] + s), (1, r)]) for s, r in zip(K.shift_by_one(h), h)]
+    return lhs, [[]] * n + [K.q_one_plus_q(0, n + 1)]
 
 
 def complement_sides(n: int):
@@ -243,7 +218,7 @@ def _classical_numerators(n: int):
     """Both sides at q = 1 times 2^(n-1), n >= 1: G_n(x+1) + G_n(x), the
     rows of G~_n(x) taken at q = 1, and n 2^n x^(n-1)."""
     g = [K.poly_trim([sum(row)]) for row in _genocchi_numerator(n)]
-    return [_combine([(1, s), (1, r)]) for s, r in zip(_shift_by_one(g), g)], [[]] * (n - 1) + [[n << n]]
+    return [K.combine([(1, s), (1, r)]) for s, r in zip(K.shift_by_one(g), g)], [[]] * (n - 1) + [[n << n]]
 
 
 def complement_classical_sides(n: int):
@@ -268,7 +243,7 @@ def _boundary_numerators(n: int):
     """Both sides times (1+q)^(n-1): q G~_n(1) + G~_n (row 0 of G~_n(x)),
     and [2]_q at n = 1, else 0."""
     g = _genocchi_numerator(n)
-    return _combine([(1, [0] + _at(g, 1))] + [(1, row) for row in g[:1]]), [1, 1] if n == 1 else []
+    return K.combine([(1, [0] + K.rows_at(g, 1))] + [(1, row) for row in g[:1]]), [1, 1] if n == 1 else []
 
 
 def boundary_sides(n: int):
@@ -299,7 +274,7 @@ def _reflection_numerators(n: int):
     """Both sides times (1+q)^(n-1): G~_n(1-x) with q -> 1/q, each row
     reversed at degree n-1, and (-1)^(n+1) G~_n(x)."""
     g = _genocchi_numerator(n)
-    inverted = _shift_by_one([K.poly_trim([*row, *[0] * (n - len(row))][::-1]) for row in g])
+    inverted = K.shift_by_one([K.reverse(row, n - 1) for row in g])
     sign = (-1) ** (n + 1)
     return [[-c for c in row] if j % 2 else row for j, row in enumerate(inverted)], \
         [[sign * c for c in row] for row in g]
@@ -327,10 +302,10 @@ def _power_integral(k: int) -> tuple:
 
 def _binomial_expansion_numerators(n: int):
     """Both sides times (n+1) (1+q)^n: the integral of (x+xi)^n, whose x^j
-    coefficient is (n+1) C(n,j) times `_power_integral(n-j)` times the
-    binomial row of (1+q)^j, and G~_(n+1)(x)."""
+    coefficient is (n+1) C(n,j) `_power_integral(n-j)` (1+q)^j, and
+    G~_(n+1)(x)."""
     lhs = tuple(tuple((n + 1) * comb(n, j) * c
-                      for c in K.poly_mul(_power_integral(n - j), _q_one_plus_q(0, j)))
+                      for c in K.one_plus_q_power_times(_power_integral(n - j), j))
                 for j in range(n + 1))
     return lhs, _genocchi_numerator(n + 1)
 
@@ -353,12 +328,12 @@ def verify_binomial_expansion(n_max: int) -> IdentityReport:
 def _shift_two_numerators(n: int):
     """Both sides times q^2 (1+q)^n: q^2 G~_(n+1)(2), and (n+1) (q (1+q)^(n+1)
     + N_n) for (n+1) [2]_q/q + G~_(n+1)/q^2."""
-    rhs = _combine([(n + 1, _q_one_plus_q(1, n + 1)), (n + 1, _moment_numerator(n))])
-    return K.poly_trim([0, 0] + _at(_genocchi_numerator(n + 1), 2)), rhs
+    rhs = K.combine([(n + 1, K.q_one_plus_q(1, n + 1)), (n + 1, _moment_numerator(n))])
+    return K.poly_trim([0, 0] + K.rows_at(_genocchi_numerator(n + 1), 2)), rhs
 
 
 def shift_two_sides(n: int):
-    den = QPolynomial(_q_one_plus_q(2, n))
+    den = QPolynomial(K.q_one_plus_q(2, n))
     return tuple(QRational(QPolynomial(side), den) for side in _shift_two_numerators(n))
 
 
@@ -383,11 +358,9 @@ def verify_shift_two(n_max: int) -> IdentityReport:
 def _eq16_numerator(j: int) -> tuple:
     """R_j = (1+q)^(j+1) + q^2 rev(N_j), the numerator of `_eq16_rhs(j)` over
     (1+q)^j: the moment with q -> 1/q is q^j N_j(1/q) / (1+q)^j, and
-    q^j N_j(1/q) is N_j's coefficient list reversed."""
-    out = _q_one_plus_q(0, j + 1) + [0]
-    for i, x in enumerate(reversed(_moment_numerator(j))):
-        out[i + 2] += x
-    return tuple(K.poly_trim(out))
+    q^2 rev(N_j) = q^(j+2) N_j(1/q) is N_j reversed at degree j + 2."""
+    return tuple(K.combine(((1, K.q_one_plus_q(0, j + 1)),
+                            (1, K.reverse(_moment_numerator(j), j + 2)))))
 
 
 def _eq16_rhs(j: int) -> QRational:
@@ -447,15 +420,15 @@ class _DifferenceTable:
                     while len(diagonal) <= s - j:
                         # E(s-i, i) from E(s-i, i-1) on diagonal s-1 and E(s-i+1, i-1) on s
                         i = len(diagonal)
-                        diagonal.append(tuple(K.poly_trim([a - b for a, b in zip_longest(
-                            _one_plus_q_times(prev[i - 1]), diagonal[i - 1], fillvalue=0)])))
+                        diagonal.append(tuple(K.combine(
+                            ((1, K.one_plus_q_times(prev[i - 1])), (-1, diagonal[i - 1])))))
         return diagonals[j + d][d]
 
 
 # t_j = N_j, N_j reversed (the moment at 1/q over (1+q)^j, times q^j), and
 # R'_j: R'_0 = 1, the integral of 1, and R'_j = R_j (`_eq16_numerator`).
 _MOMENT_TABLE = _DifferenceTable(_moment_numerator)
-_INVERTED_MOMENT_TABLE = _DifferenceTable(lambda j: _moment_numerator(j)[::-1])
+_INVERTED_MOMENT_TABLE = _DifferenceTable(lambda j: K.reverse(_moment_numerator(j), j))
 _EQ16_TABLE = _DifferenceTable(lambda j: (1,) if j == 0 else _eq16_numerator(j))
 
 

@@ -39,7 +39,7 @@ from math import inf
 
 from . import _kernel as K
 from .errors import DomainError, PoleError, PrecisionExhausted
-from .exactq import QRational, _clear_denominators, _power
+from .exactq import QRational, _power
 from .genocchi import moments_at
 
 __all__ = [
@@ -464,7 +464,7 @@ def _riemann_sums(coefficients, q, ctx: PadicContext, levels):
         raise DomainError("level m must be >= 1")
     q = _admit_q(q, ctx)
     p = ctx.p
-    g, den = _clear_denominators([Fraction(c) for c in coefficients])
+    g, den = K.clear_denominators([Fraction(c) for c in coefficients])
     if q.exact_value is not None:
         a, b = q.exact_value.numerator, q.exact_value.denominator
         setup = K.alt_weighted_setup(a, b, g)

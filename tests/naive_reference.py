@@ -6,7 +6,8 @@ from functools import cache
 from math import comb, gcd, lcm
 
 from qgenocchi.exactq import QRational, XPolynomial, q_bracket, weighted_sum
-from qgenocchi.genocchi import GenocchiTable, _horner, _moment_numerator, genocchi_number, moment
+from qgenocchi._kernel import horner
+from qgenocchi.genocchi import GenocchiTable, _moment_numerator, genocchi_number, moment
 from qgenocchi.identities import _eq16_numerator, _power_integral
 
 
@@ -247,22 +248,22 @@ def lhs_numerator(total, mk, invert):
     """sum_l C(total-mk, l) (-1)^l G~_{l+mk+1}/(l+mk+1) over (1+q)^total;
     subscript 1/q (each row N_(l+mk) reversed) if `invert`."""
     rows = (_moment_numerator(ell + mk) for ell in range(total - mk + 1))
-    return _horner((comb(total - mk, ell) * (-1) ** ell, row[::-1] if invert else row)
-                   for ell, row in enumerate(rows))
+    return horner((comb(total - mk, ell) * (-1) ** ell, row[::-1] if invert else row)
+                  for ell, row in enumerate(rows))
 
 
 def printed_numerator(total, mk):
     """The printed right side over (1+q)^(total+mk); at mk = 0 the k=0
     branch read with s = 0."""
-    return _horner((comb(mk, ell) * (-1) ** (mk + ell), _eq16_numerator(total + ell))
-                   for ell in range(mk + 1))
+    return horner((comb(mk, ell) * (-1) ** (mk + ell), _eq16_numerator(total + ell))
+                  for ell in range(mk + 1))
 
 
 def derived_numerator(total, mk):
     """The derived right side over (1+q)^total, with the exponent-0 term read
     as the integral of 1."""
-    return _horner((comb(mk, ell) * (-1) ** ell, (1,) if j == 0 else _eq16_numerator(j))
-                   for ell, j in enumerate(range(total - mk, total + 1)))
+    return horner((comb(mk, ell) * (-1) ** ell, (1,) if j == 0 else _eq16_numerator(j))
+                  for ell, j in enumerate(range(total - mk, total + 1)))
 
 
 # -- rows raised by (1+q)^j one factor at a time -------------------------------
@@ -272,8 +273,8 @@ def derived_numerator(total, mk):
 
 def genocchi_numerator(n):
     """G~_n(x) times (1+q)^(n-1), the coefficient of x^j at j: C(n,k) k
-    N_(k-1) with k = n - j, raised by `_horner` over j zero-weight terms."""
-    return tuple(tuple(_horner([(comb(n, j) * (n - j), _moment_numerator(n - j - 1))] + [(0, ())] * j))
+    N_(k-1) with k = n - j, raised by `horner` over j zero-weight terms."""
+    return tuple(tuple(horner([(comb(n, j) * (n - j), _moment_numerator(n - j - 1))] + [(0, ())] * j))
                  for j in range(n))
 
 

@@ -904,9 +904,9 @@ def test_commands_never_take_a_weighted_sum(argv):
 
 _REFUSE_HORNER = """
 import sys
-from qgenocchi import cli, genocchi, identities
+from qgenocchi import _kernel, cli
 
-horner = genocchi._horner
+horner = _kernel.horner
 
 def refuse(*_):
     raise AssertionError("an identity ran a Horner loop")
@@ -922,7 +922,7 @@ def genocchi_only(terms):
         refuse()
     return horner(terms)
 
-identities._horner, genocchi._horner = refuse, genocchi_only
+_kernel.horner = genocchi_only
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -933,7 +933,7 @@ sys.exit(cli.main(sys.argv[1:]))
 ], ids=" ".join)
 def test_identities_never_run_a_horner_loop(argv):
     # THM7 and THM8 read every side from the difference tables, and no
-    # other identity multiplies by a power of 1+q through `_horner`: its
+    # other identity multiplies by a power of 1+q through `_kernel.horner`: its
     # one caller is the Frobenius-Euler recurrence
     proc = _run_fresh(_REFUSE_HORNER, argv)
     plain = _run_fresh("import sys\nfrom qgenocchi import cli\nsys.exit(cli.main(sys.argv[1:]))", argv)

@@ -1,6 +1,8 @@
 """Correctness of the integer kernels against naive references."""
 
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given
@@ -291,3 +293,95 @@ class TestModularSum:
         for u in (4, modulus - 1):
             assert _kernel.alt_weighted_mod_sum(u, 3 ** 11, g, modulus) == \
                 _kernel.alt_weighted_int_sum(u, 1, 3 ** 11, g) % modulus
+
+
+# -- the integer-row layer ------------------------------------------------------
+
+_rows = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=9)  # trailing zeros allowed
+
+
+def _trim(row):
+    row = list(row)
+    while row and row[-1] == 0:
+        row.pop()
+    return row
+
+
+def _plain_sum(rows):
+    """The coefficient-wise sum of int rows of any lengths, trimmed."""
+    width = max(map(len, rows), default=0)
+    return _trim(sum(row[i] for row in rows if i < len(row)) for i in range(width))
+
+
+def _binomial_row(j):
+    return [comb(j, k) for k in range(j + 1)]
+
+
+def _at(row, x):
+    return sum(c * x ** i for i, c in enumerate(row))
+
+
+class TestRowLayer:
+    """Each row function against a naive reference.  Inputs are lists or
+    tuples, with trailing zeros; outputs are trimmed lists and the inputs
+    are left as they were."""
+
+    @given(terms=st.lists(st.tuples(st.integers(-50, 50), _rows), max_size=5),
+           as_tuples=st.booleans())
+    def test_combine_is_the_plain_sum(self, terms, as_tuples):
+        terms = [(w, tuple(t) if as_tuples else t) for w, t in terms]
+        before = [list(t) for _, t in terms]
+        assert _kernel.combine(terms) == _plain_sum([[w * x for x in t] for w, t in terms])
+        assert [list(t) for _, t in terms] == before
+
+    @given(row=_rows, i=st.integers(0, 4), j=st.integers(0, 12))
+    def test_times_powers_of_one_plus_q_are_the_binomial_products(self, row, i, j):
+        frozen = tuple(row)
+        assert _kernel.q_one_plus_q(i, j) == [0] * i + _binomial_row(j)
+        assert _kernel.one_plus_q_times(frozen) == naive_mul(_trim(row), _binomial_row(1))
+        assert _kernel.one_plus_q_power_times(frozen, j) == naive_mul(_trim(row), _binomial_row(j))
+        assert list(frozen) == row
+
+    @given(terms=st.lists(st.tuples(st.integers(-50, 50), _rows), max_size=6))
+    def test_horner_is_the_sum_over_descending_powers(self, terms):
+        # sum_l w_l t_l (1+q)^(M-l), l = 0..M
+        top = len(terms) - 1
+        assert _kernel.horner(terms) == _plain_sum(
+            [naive_mul([w], naive_mul(_trim(t), _binomial_row(top - ell))) for ell, (w, t) in enumerate(terms)])
+
+    @given(rows=st.lists(_rows, max_size=7), x=st.integers(-6, 6))
+    def test_rows_at_is_direct_evaluation(self, rows, x):
+        assert _kernel.rows_at(rows, x) == _plain_sum([[c * x ** k for c in row] for k, row in enumerate(rows)])
+
+    @given(rows=st.lists(_rows, max_size=7))
+    def test_shift_by_one_is_the_binomial_sum(self, rows):
+        # P(x + 1) = sum_k rows[k] (x + 1)^k has rows sum_{k >= i} C(k, i) rows[k]
+        assert _kernel.shift_by_one([tuple(row) for row in rows]) == [
+            _plain_sum([[comb(k, i) * c for c in rows[k]] for k in range(i, len(rows))])
+            for i in range(len(rows))]
+
+    @given(row=_rows, extra=st.integers(0, 4), x=st.fractions(min_value=-5, max_value=5))
+    def test_reverse_is_q_to_the_d_times_row_at_one_over_q(self, row, extra, x):
+        d = len(_trim(row)) - 1 + extra
+        got = _kernel.reverse(tuple(row), d)
+        assert got == _trim(got)
+        if x:
+            assert _at(got, x) == x ** d * _at(row, 1 / x)
+
+    @given(row=_rows, i=st.integers(0, 4), j=st.integers(0, 8), cap=st.integers(0, 10),
+           zeros=st.integers(0, 2))
+    def test_divide_out_and_recognise_powers(self, row, i, j, cap, zeros):
+        # a = row * q^i * (1+q)^j, given with trailing zeros
+        a = naive_mul([0] * i + [1], naive_mul(_trim(row) or [1], _binomial_row(j)))
+        k, rest = _kernel.divide_out_one_plus_q(tuple(a + [0] * zeros), cap)
+        assert naive_mul(rest, _binomial_row(k)) == a and rest == _trim(rest)
+        assert k == cap or _at(rest, -1) != 0  # the largest k up to cap
+        assert k >= min(j, cap)
+        powers = {(e, f): naive_mul([0] * e + [1], _binomial_row(f))
+                  for e in range(len(a)) for f in range(len(a) - e)}
+        want = next((e for e, power in powers.items() if power == a), None)
+        assert _kernel.q_one_plus_q_exponents(tuple(a + [0] * zeros)) == want
+
+    def test_clear_denominators(self):
+        ints, den = _kernel.clear_denominators([Fraction(1, 2), Fraction(-2, 3), Fraction(0)])
+        assert (ints, den) == ([3, -4], 6)
