@@ -27,6 +27,7 @@ the implementation; the package exports it as `qgenocchi.kernel_backend`.
 """
 
 import operator
+from itertools import zip_longest
 from math import comb, gcd, lcm
 
 BACKEND = "python"
@@ -219,7 +220,7 @@ def divide_out_one_plus_q(a, cap):
 
 def _add_into(acc, w, t):
     """acc += w * t in place on acc's first len(t) coefficients, acc the
-    caller's own list: the step of `combine`, `horner` and `shift_by_one`."""
+    caller's own list: the step of `combine` and `shift_by_one`."""
     n = len(t)
     if len(acc) < n:
         acc += [0] * (n - len(acc))
@@ -241,11 +242,10 @@ def combine(terms):
 
 def horner(terms):
     """sum_l w_l * t_l * (1+q)^(M-l) over the pairs (w_l, t_l), l = 0..M,
-    by Horner's rule in 1+q."""
+    by Horner's rule in 1+q: each step is (1+q) * acc + w * t in one pass."""
     acc = []
     for w, t in terms:
-        acc = one_plus_q_times(acc)
-        _add_into(acc, w, t)
+        acc = [a + b + w * x for a, b, x in zip_longest([*acc, 0], [0, *acc], t, fillvalue=0)]
     return poly_trim(acc)
 
 

@@ -122,12 +122,13 @@ def _note(line: str) -> None:
 
 # Largest numerator or denominator, in bits, of a rational --q or --x as
 # written.  It admits 1+p for every p that MAX_RIEMANN_POINTS admits.  The
-# p-adic sums slow down without bound as q and x grow: with q's numerator
-# and denominator of 32 bits `padic-converge --n 5 --prime 3 --mmax 11` took
-# 63.5 s, and a 1000-bit --x made `loggamma --prime 3 --mmax 9 --precision
-# 200` take 30.6 s.  At the cap `padic-converge --n 249 --prime 3 --mmax 11
-# --q 1048570/1048573` takes 17–24 s (CPython 3.11, shared 2-vCPU Xeon),
-# most of it in reducing the level-11 sum, a fraction of 3.5 million bits.
+# p-adic sums slow down without bound as q and x grow: with the cap raised,
+# q's numerator and denominator of 32 bits make `padic-converge --n 5 --prime
+# 3 --mmax 11` take 1.2 s, and a 1000-bit --x makes `loggamma --prime 3
+# --mmax 9 --precision 200` take 3.0 s (in-process).  At the cap `padic-converge --n 249 --prime 3 --mmax 11
+# --q 1048570/1048573` takes 0.9–1.3 s (whole process, CPython 3.11, shared
+# 2-vCPU Xeon), most of it in the level-11 powers of q's numerator and
+# denominator, 3.5 million bits each; the level sum is never reduced.
 MAX_INPUT_BITS = 20
 
 # `Fraction`'s text form: a sign, digits (single underscores may separate
@@ -395,8 +396,8 @@ def run_verify(args, write) -> int:
 # Largest p^mmax that `padic-converge` and `loggamma` accept: the number of
 # points in the finest Riemann sum.  The exact sum is in closed form, so its
 # cost follows the size of q^(p^mmax), not one step per point: at 3^11 =
-# 177147 points `loggamma` takes 0.09-0.10 s, `padic-converge --n 5 --q 5/2`
-# 0.21-0.23 s and `padic-converge --n 249` 0.12-0.16 s (whole process, with
+# 177147 points `loggamma` takes 0.08-0.09 s, `padic-converge --n 5 --q 5/2`
+# 0.09-0.10 s and `padic-converge --n 249` 0.11-0.15 s (whole process, with
 # the package compiled from source; quartiles of 14 alternating runs;
 # CPython 3.11, shared 2-vCPU Xeon).
 MAX_RIEMANN_POINTS = 200_000

@@ -456,9 +456,11 @@ def _derived_numerator(total: int, mk: int) -> tuple:
     return _EQ16_TABLE(total - mk, mk)
 
 
+@cache
 def _oracle_numerator(total: int, mk: int) -> tuple:
     """The integral of xi^mk (1-xi)^(total-mk) over (1+q)^total, by Mahler's
-    expansion of its values at 0..total (no moment and no table enters it)."""
+    expansion of its values at 0..total (no moment and no table enters it),
+    memoised."""
     return tuple(_mahler_numerator([x ** mk * (1 - x) ** (total - mk) for x in range(total + 1)]))
 
 

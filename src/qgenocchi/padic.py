@@ -4,10 +4,17 @@ A `PadicNumber` is (valuation, unit, absolute precision) over a fixed
 `PadicContext`; arithmetic never reports more precision than its inputs
 justify.  Values embedded from rationals additionally remember the exact
 fraction (a private shadow), and arithmetic keeps the shadow alive as long
-as every operand has one; that is what lets the level-m Riemann sums of
-polynomial integrands be asserted exactly, with no tolerance.  Series
-operations (the p-adic logarithm, the log-gamma series) truncate, so they
-drop the shadow and report the truncation-limited precision.
+as every operand has one; that is what lets `fermionic_riemann_sum` return
+the level-m sum of a polynomial integrand exactly, with no tolerance.  An
+exact shadow costs a gcd wherever it is made, so the commands' paths make
+none they would throw away: an exact level sum comes from `_level_sums` as
+an unreduced integer pair, `moment_convergence` reads its error valuation
+from one integer and `loggamma_direct_levels` embeds the pair with no gcd
+(`PadicNumber._from_ratio`).  Series operations (the p-adic logarithm, the
+log-gamma series) truncate, so they drop the shadow and report the
+truncation-limited precision; the log-gamma series drops it from its
+moments and from 1/x before its tail, whose terms are then products
+modulo p^N.
 
 Every Riemann sum has a polynomial integrand, passed to
 `fermionic_riemann_sum` as its coefficients, constant term first.  The
@@ -143,14 +150,22 @@ class PadicNumber:
     def from_rational(cls, r, ctx: PadicContext) -> "PadicNumber":
         """Exact embedding of a rational, to the context precision."""
         r = Fraction(r)
-        if r == 0:
-            return cls(ctx, inf, None, inf, Fraction(0))
-        vnum, num = _split_p(r.numerator, ctx.p)
-        vden, den = _split_p(r.denominator, ctx.p)
+        return cls._from_ratio(ctx, r.numerator, r.denominator, r)
+
+    @classmethod
+    def _from_ratio(cls, ctx, num: int, den: int, exact=None) -> "PadicNumber":
+        """num/den to the context precision, for integers with den != 0 that
+        need not be coprime: one `_split_p` per side and one modular inverse,
+        no gcd.  `exact` is the shadow to keep (`from_rational` passes its
+        Fraction); without one the value is not reduced at all."""
+        if num == 0:
+            return cls(ctx, inf, None, inf, exact)
+        vnum, num = _split_p(num, ctx.p)
+        vden, den = _split_p(den, ctx.p)
         v = vnum - vden
         mod = ctx.p ** ctx.precision
         unit = num * pow(den, -1, mod) % mod
-        return cls(ctx, v, unit, v + ctx.precision, r)
+        return cls(ctx, v, unit, v + ctx.precision, exact)
 
     @classmethod
     def _order_term(cls, ctx, a) -> "PadicNumber":
@@ -452,13 +467,19 @@ def _admit_q(q, ctx: PadicContext) -> PadicNumber:
     return q
 
 
-def _riemann_sums(coefficients, q, ctx: PadicContext, levels):
+def _level_sums(coefficients, q, ctx: PadicContext, levels):
     """Yield (m, level-m sum of `fermionic_riemann_sum`) for each m in
     `levels`, with everything that does not depend on m done once: the
     levels checked, q admitted, the integrand's denominators cleared and
     the kernel set up (`K.alt_weighted_setup`).  Each level is then one
     `K.alt_weighted_finish` at count = p^m and the prefactor, which takes
-    its powers of q's numerator and denominator from the finish."""
+    its powers of q's numerator and denominator from the finish.
+
+    At an exact q = a/b a level comes as the integer pair
+    ((a+b)*total, den*(a^N + b^N)), N = p^m, not reduced: a caller that
+    truncates the value or reads a valuation never pays the gcd of two
+    p^m-bit integers.  At an inexact q it is the `PadicNumber` of the
+    modular path."""
     levels = tuple(levels)
     if levels and min(levels) < 1:
         raise DomainError("level m must be >= 1")
@@ -470,7 +491,7 @@ def _riemann_sums(coefficients, q, ctx: PadicContext, levels):
         setup = K.alt_weighted_setup(a, b, g)
         for m in levels:
             total, apow, bpow = K.alt_weighted_finish(setup, p ** m)
-            yield m, PadicNumber.from_rational(Fraction((a + b) * total, den * (apow + bpow)), ctx)
+            yield m, ((a + b) * total, den * (apow + bpow))
         return
     # modular path: q is a unit known mod p^rel, so the integer sum is known
     # mod p^rel as well, and dividing out p^vden leaves rel - vden digits
@@ -486,6 +507,14 @@ def _riemann_sums(coefficients, q, ctx: PadicContext, levels):
         yield m, PadicNumber._from_mantissa(ctx, mantissa, -vden, rel)
 
 
+def _riemann_sums(coefficients, q, ctx: PadicContext, levels):
+    """Yield (m, level-m sum of `fermionic_riemann_sum`) for each m in
+    `levels`, from one `_level_sums`; an exact level keeps its exact
+    shadow, reduced as a Fraction."""
+    for m, value in _level_sums(coefficients, q, ctx, levels):
+        yield m, PadicNumber.from_rational(Fraction(*value), ctx) if type(value) is tuple else value
+
+
 def fermionic_riemann_sum(coefficients, m: int, q, ctx: PadicContext) -> PadicNumber:
     """Level-m weighted sum ((1+q)/(1+q^(p^m))) * sum_xi (-1)^xi q^xi f(xi)
     for the polynomial f(xi) = sum_j coefficients[j] * xi^j.
@@ -498,7 +527,10 @@ def fermionic_riemann_sum(coefficients, m: int, q, ctx: PadicContext) -> PadicNu
     multiplications by small integers and the two powers a^(p^m) and
     b^(p^m), whatever the number of points, and the prefactor
     (a+b)/(a^(p^m)+b^(p^m)) is applied with those powers in one rational
-    division (its denominator is a unit, so no precision is lost).
+    division (its denominator is a unit, so no precision is lost).  The
+    value keeps that rational as its `exact_value`, reduced as a Fraction:
+    a gcd of two integers of about p^m * log2(max(|a|, b)) bits, which the
+    commands, reading only digits and valuations, never take.
     Otherwise q is known only to its precision, and the same closed form
     is taken modulo p^rel, the digits q is known to.  The constant
     integrand gives exactly 1 at every level.  This is one level of the
@@ -506,6 +538,11 @@ def fermionic_riemann_sum(coefficients, m: int, q, ctx: PadicContext) -> PadicNu
     `loggamma_direct_levels` share across their levels.
     """
     return next(_riemann_sums(coefficients, q, ctx, (m,)))[1]
+
+
+def _drop_shadow(a: PadicNumber) -> PadicNumber:
+    """a without its exact shadow; an exact zero stays an exact zero."""
+    return PadicNumber(a.ctx, a._val, a._unit, a._abs)
 
 
 def _moments(q: PadicNumber, n: int, first: int = 0) -> list:
@@ -549,8 +586,17 @@ def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
         raise PoleError("pole at q = -1")
     q = _admit_q(q, ctx)
     limit = _moments(q, n, first=n)[0]
+    p = ctx.p
     out = []
-    for m, value in _riemann_sums((0,) * n + (1,), q, ctx, range(1, m_max + 1)):
+    for m, value in _level_sums((0,) * n + (1,), q, ctx, range(1, m_max + 1)):
+        if type(value) is tuple:
+            # S - L = (S_num * L_den - L_num * S_den) / (S_den * L_den), whose
+            # denominator is prime to p: S_den = a^N + b^N = 2a^N (mod p),
+            # and L is an integer polynomial in r = -q/(1+q), 1+q = 2 (mod p)
+            (num, den), lim = value, limit.exact_value
+            diff = num * lim.denominator - lim.numerator * den
+            out.append((m, inf if diff == 0 else _split_p(diff, p)[0]))
+            continue
         diff = value - limit
         out.append((m, None if diff.is_order_term else diff.valuation))
     return out
@@ -591,6 +637,9 @@ def loggamma_series(x: PadicNumber, q, ctx: PadicContext) -> PadicNumber:
     margin.  With the moments m_k = G~_{k+1,q}/(k+1) at q from
     `genocchi.moments_at`, G~_2/2 = m_1 and the n-th coefficient is
     (-1)^(n+1) m_{n+1}/(n(n+1)); they are p-integral for |q-1|_p < 1.
+    The head (x + m_1) log x - x is taken as it is; the tail works on the
+    moments and 1/x without their exact shadows, so each term is a product
+    modulo p^N and no exact product is re-embedded.
     """
     v = _loggamma_domain_check(x)
     q = _admit_q(q, ctx)
@@ -598,7 +647,8 @@ def loggamma_series(x: PadicNumber, q, ctx: PadicContext) -> PadicNumber:
     logx = iwasawa_log(x)
     m = _moments(q, terms + 1)
     acc = (x + m[1]) * logx - x
-    inv_x = ctx.one() / x
+    m = [_drop_shadow(c) for c in m]
+    inv_x = _drop_shadow(ctx.one() / x)
     xpow = inv_x
     for n in range(1, terms + 1):
         acc = acc + m[n + 1] * Fraction((-1) ** (n + 1), n * (n + 1)) * xpow
@@ -627,7 +677,9 @@ def loggamma_direct_levels(x: PadicNumber, q, levels, ctx: PadicContext):
     for j, c in enumerate(log_part):
         coeffs[j + 1] += c
     precision = min(v + N, x.abs_precision)
-    for m, value in _riemann_sums(coeffs, q, ctx, levels):
+    for m, value in _level_sums(coeffs, q, ctx, levels):
+        if type(value) is tuple:
+            value = PadicNumber._from_ratio(ctx, *value)
         yield m, value.truncated(precision)
 
 

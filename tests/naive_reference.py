@@ -5,8 +5,9 @@ from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
 
+from qgenocchi import padic
 from qgenocchi.exactq import QRational, XPolynomial, q_bracket, weighted_sum
-from qgenocchi._kernel import horner
+from qgenocchi._kernel import alt_weighted_finish, alt_weighted_setup, clear_denominators, horner
 from qgenocchi.genocchi import GenocchiTable, _moment_numerator, genocchi_number, moment
 from qgenocchi.identities import _eq16_numerator, _power_integral
 
@@ -198,6 +199,78 @@ def naive_split_p(n, p):
         n //= p
         v += 1
     return v, n
+
+
+# -- the p-adic layer with every exact value a Fraction -------------------------
+#
+# `padic` reads an exact level sum as an unreduced integer pair and runs the
+# log-gamma series tail modulo p^N.  These normalise every exact level as a
+# Fraction, embed it with its exact shadow and keep the shadows through the
+# series, as the layer once did.
+
+
+def fraction_level_sums(coefficients, q, ctx, levels):
+    """(m, level-m fermionic Riemann sum): at an exact q each level is the
+    embedding of Fraction((a+b)*total, den*(a^N + b^N)); an inexact q takes
+    the modular path of `padic._riemann_sums`."""
+    q = padic._admit_q(q, ctx)
+    if q.exact_value is None:
+        yield from padic._riemann_sums(coefficients, q, ctx, levels)
+        return
+    g, den = clear_denominators([Fraction(c) for c in coefficients])
+    a, b = q.exact_value.numerator, q.exact_value.denominator
+    setup = alt_weighted_setup(a, b, g)
+    for m in levels:
+        total, apow, bpow = alt_weighted_finish(setup, ctx.p ** m)
+        yield m, padic.PadicNumber.from_rational(Fraction((a + b) * total, den * (apow + bpow)), ctx)
+
+
+def shadow_moment_convergence(n, q, m_max, ctx):
+    """[(m, v_p(S_m - m_n))] from the embedded levels, by p-adic subtraction."""
+    q = q if isinstance(q, padic.PadicNumber) else padic.PadicNumber.from_rational(q, ctx)
+    q = padic._admit_q(q, ctx)
+    limit = padic._moments(q, n, first=n)[0]
+    out = []
+    for m, value in fraction_level_sums((0,) * n + (1,), q, ctx, range(1, m_max + 1)):
+        diff = value - limit
+        out.append((m, None if diff.is_order_term else diff.valuation))
+    return out
+
+
+def shadow_loggamma_series(x, q, ctx):
+    """`padic.loggamma_series` with every moment and power of 1/x exact, so
+    that each product is re-embedded from its Fraction."""
+    v = padic._loggamma_domain_check(x)
+    q = padic._admit_q(q, ctx)
+    terms = padic._loggamma_series_terms(v, ctx)
+    logx = padic.iwasawa_log(x)
+    m = padic._moments(q, terms + 1)
+    acc = (x + m[1]) * logx - x
+    inv_x = ctx.one() / x
+    xpow = inv_x
+    for n in range(1, terms + 1):
+        acc = acc + m[n + 1] * Fraction((-1) ** (n + 1), n * (n + 1)) * xpow
+        xpow = xpow * inv_x
+    return acc.truncated(v + ctx.precision)
+
+
+def shadow_loggamma_direct_levels(x, q, levels, ctx):
+    """`padic.loggamma_direct_levels` over `fraction_level_sums`."""
+    v = padic._loggamma_domain_check(x)
+    N = ctx.precision
+    J = padic._log_series_terms(-v, N, ctx.p)
+    xr = x.rational_representative()
+    log_part = [padic.iwasawa_log(x).rational_representative() - 1]
+    xpow = Fraction(1)
+    for j in range(1, J + 1):
+        xpow *= xr
+        log_part.append(Fraction((-1) ** (j + 1)) / (j * xpow))
+    coeffs = [xr * c for c in log_part] + [Fraction(0)]
+    for j, c in enumerate(log_part):
+        coeffs[j + 1] += c
+    precision = min(v + N, x.abs_precision)
+    for m, value in fraction_level_sums(coeffs, q, ctx, levels):
+        yield m, value.truncated(precision)
 
 
 # -- the Bernstein identities as sums in Q(q) ---------------------------------

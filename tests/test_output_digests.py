@@ -131,6 +131,9 @@ DIGESTS = {
     "padic-converge --n 249 --prime 3 --mmax 11": (
         "6f24a91de56ab2e1c855db33b104184f234272182de158025963c9dc328b61b2",
         EMPTY, 0),
+    "padic-converge --n 249 --prime 3 --mmax 11 --q 1048570/1048573": (
+        "88e4a09b01ee778ac955d60993780bcb62521101741609afd194bdd3b3d318e9",
+        "7d4ed6546d35694ea5d2e4fd48fa187cb7795a546fd3829115dd60a80089ef08", 4),
     "loggamma --prime 3 --mmax 11 --precision 120": (
         "6088613e45db5d05b80f22d83839e4cffa397547f4aa4f2a9a635e2f5a4b72e7",
         EMPTY, 0),

@@ -14,7 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qgenocchi
-from naive_reference import naive_split_p
+from naive_reference import (
+    naive_split_p,
+    shadow_loggamma_direct_levels,
+    shadow_loggamma_series,
+    shadow_moment_convergence,
+)
 from qgenocchi import padic
 from qgenocchi.errors import DomainError, PoleError, PrecisionExhausted
 from qgenocchi.genocchi import GenocchiTable, moment, moments_at
@@ -424,15 +429,21 @@ print(status, calls)
 """
 
 
+def _run_fresh(script, *argv):
+    """One run of `script` with `argv` in a fresh interpreter that imports
+    the package under test."""
+    src = str(Path(qgenocchi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def _count_calls(function, *argv):
     """(exit status, number of calls) of `function`, named "module:name",
     over one CLI run in a fresh interpreter, so the count covers the whole
     command."""
-    src = str(Path(qgenocchi.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", _COUNT_CALLS, function, *argv],
-                          capture_output=True, text=True, env=env)
+    proc = _run_fresh(_COUNT_CALLS, function, *argv)
     assert proc.returncode == 0, proc.stderr
     status, calls = proc.stdout.split()
     return int(status), int(calls)
@@ -565,7 +576,7 @@ class TestMomentsAtPadic:
 
         q = PadicNumber.from_rational(F(4), CTX3)
         monkeypatch.setattr(PadicNumber, "from_rational", classmethod(counted))
-        monkeypatch.setattr(padic, "_riemann_sums", stop)
+        monkeypatch.setattr(padic, "_level_sums", stop)
         with pytest.raises(FirstSum):
             moment_convergence(30, q, 1, CTX3)
         assert embedded == [moments_at(F(4), 30)[30]]
@@ -617,3 +628,104 @@ class TestLogGammaSeriesCoefficients:
     def test_index_needs_a_pole_of_x(self):
         with pytest.raises(DomainError):
             loggamma_genocchi_index(CTX3.one(), CTX3)
+
+
+def _state(value):
+    """(valuation, unit, abs_precision) of a PadicNumber."""
+    return value.valuation, value.unit, value.abs_precision
+
+
+def _shadow_grid(p, N, rng):
+    """Seeded x (v(x) < 0, principal unit) and q (|q-1|_p < 1, q = 1 among
+    them) in PadicContext(p, N), each exact and truncated to fewer digits."""
+    ctx = PadicContext(p, N)
+    xs, qs = [], []
+    for k in (1, 1, 2):
+        x = PadicNumber.from_rational(F(1 + p * rng.randint(-9, 9), p ** k * (1 + p * rng.randint(0, 9))),
+                                      ctx)
+        xs += [x, x.truncated(x.valuation + rng.randint(2, N - 1))]
+    for a, b in [(0, 0)] + [(rng.randint(-9, 9), rng.randint(0, 9)) for _ in range(4)]:
+        q = PadicNumber.from_rational(F(1 + p * a, 1 + p * b), ctx)
+        qs += [q, q.truncated(rng.randint(1, N - 1)), q.truncated(N - 1)]
+    return ctx, xs, qs
+
+
+# the levels each grid runs: p^m up to a few hundred points
+_GRID_LEVELS = {3: 4, 5: 3, 7: 2, 11: 2}
+
+
+class TestAgainstTheExactShadowLayer:
+    """The p-adic layer reads exact level sums as integer pairs and runs the
+    series tail modulo p^N; `naive_reference` keeps every exact value as a
+    Fraction.  Both give the same digits, precisions and valuations."""
+
+    @pytest.mark.parametrize("p", sorted(_GRID_LEVELS))
+    @pytest.mark.parametrize("N", [4, 8, 12, 20])
+    def test_loggamma_matches(self, p, N):
+        rng = random.Random(p * 100 + N)
+        ctx, xs, qs = _shadow_grid(p, N, rng)
+        for x in xs:
+            for q in qs:
+                assert _state(loggamma_series(x, q, ctx)) == \
+                    _state(shadow_loggamma_series(x, q, ctx)), (str(x), str(q))
+        levels = range(1, _GRID_LEVELS[p] + 1)
+        for x in xs[:2]:
+            for q in qs:
+                got = [(m, _state(v)) for m, v in loggamma_direct_levels(x, q, levels, ctx)]
+                want = [(m, _state(v)) for m, v in shadow_loggamma_direct_levels(x, q, levels, ctx)]
+                assert got == want, (str(x), str(q))
+
+    @pytest.mark.parametrize("p", sorted(_GRID_LEVELS))
+    @pytest.mark.parametrize("N", [4, 8, 12, 20])
+    def test_moment_convergence_matches(self, p, N):
+        rng = random.Random(p * 100 + N)
+        ctx, _, qs = _shadow_grid(p, N, rng)
+        seen = set()
+        for q in qs:
+            for n in (0, 1, rng.randint(2, 8)):
+                got = moment_convergence(n, q, _GRID_LEVELS[p], ctx)
+                assert got == shadow_moment_convergence(n, q, _GRID_LEVELS[p], ctx), (str(q), n)
+                seen.update(v for _, v in got)
+        # the constant integrand is exact at every level, and a truncated q
+        # runs out of digits at the finer levels
+        assert inf in seen
+        if N <= 8:
+            assert None in seen
+
+
+_SMALL_FRACTIONS = """
+import contextlib, io, sys
+from abc import ABCMeta
+from fractions import Fraction
+from qgenocchi import cli, padic
+
+class AnyFraction(ABCMeta):
+    def __instancecheck__(cls, obj):
+        return isinstance(obj, Fraction)
+
+class SmallFraction(Fraction, metaclass=AnyFraction):
+    def __new__(cls, *args):
+        r = Fraction(*args)
+        if max(r.numerator.bit_length(), r.denominator.bit_length()) > 4096:
+            raise AssertionError("the p-adic layer built a Fraction of over 4096 bits")
+        return r
+
+padic.Fraction = SmallFraction
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    status = cli.main(sys.argv[1:])
+print(status, len(out.getvalue()))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("loggamma", "--prime", "3", "--mmax", "7", "--q=7", "--x=1/3", "--precision", "12"),
+    ("padic-converge", "--n", "8", "--prime", "3", "--mmax", "9", "--q=4"),
+], ids=" ".join)
+def test_commands_build_no_level_sized_fraction(argv):
+    # q^(p^m) has thousands of bits at these levels (7^2187, 4^19683): an
+    # exact level enters the p-adic layer as an integer pair, never as a
+    # reduced Fraction
+    proc = _run_fresh(_SMALL_FRACTIONS, *argv)
+    assert proc.returncode == 0, proc.stderr
+    status, written = map(int, proc.stdout.split())
+    assert status == 0 and written > 0
