@@ -51,6 +51,7 @@ from .identities import IdentityReport
 from .padic import (
     PadicContext,
     PadicNumber,
+    exact_riemann_sum,
     fermionic_riemann_sum,
     iwasawa_log,
     loggamma_direct,
@@ -80,6 +81,7 @@ __all__ = [
     "bernstein_operator",
     "bernstein_product",
     "bernstein_reflect",
+    "exact_riemann_sum",
     "fermionic_riemann_sum",
     "frobenius_euler_polynomial",
     "genocchi_number",

@@ -75,7 +75,6 @@ from .exactq import QRational, xpoly_text
 from .genocchi import integrate_polynomial, moments_at
 from .padic import (
     PadicContext,
-    PadicNumber,
     loggamma_direct_levels,
     loggamma_genocchi_index,
     loggamma_series,
@@ -189,8 +188,8 @@ def _parse_x(args) -> Fraction:
 # p-adic embedding works modulo p^precision, so the cost grows with
 # precision * log p, without bound: `padic-converge --n 1 --prime 3 --mmax 2`
 # took 1.8 s at --precision 1000000 and 12.5 s at 4000000, and at the cap
-# `padic-converge --n 249 --prime 199999 --mmax 1` takes 5 s (1.2 s at the
-# default 12; CPython 3.11, 2-vCPU Xeon).  `loggamma` needs G~ a few indices
+# `padic-converge --n 249 --prime 199999 --mmax 1` takes 0.33-0.5 s, as at
+# the default 12 (whole process, 11 runs; CPython 3.11, shared 2-vCPU Xeon).  `loggamma` needs G~ a few indices
 # past --precision / -v(x), so with x under MAX_INPUT_BITS the Genocchi
 # index cap stops it first, near 2980 at x = 1/3^12 and near 245 at
 # x = 1/p; --precision 400 at x = 1/p must reach that cap.
@@ -353,7 +352,7 @@ def _instance_reports(spec: IdentitySpec, n_max: int) -> list:
 
 # Largest --nmax that `verify` accepts, with or without --only; it must admit
 # 30, the largest default range.  The whole suite took 0.40 s at --nmax 25,
-# 0.93 s at 40 and 1.5 s at 50 (whole process, medians; 1.4-1.8 s at 50),
+# 0.5 s at 40 and 1.0 s at 50 (whole process, medians; 0.92-1.16 s at 50),
 # printing 0.69, 3.6 and 8.6 MB and peaking at 20, 30 and 47 MB resident
 # (CPython 3.11, shared 2-vCPU Xeon); time grows about as nmax^2 and
 # output as nmax^3.6.  Most of the peak at 50 is THM7's difference tables.
@@ -454,7 +453,7 @@ def run_loggamma(args, write) -> int:
     _check_riemann_points(args)
     ctx = _check_padic_config(args)
     q0 = _parse_q(args, allow_symbolic=False)
-    x = PadicNumber.from_rational(_parse_x(args), ctx)
+    x = _parse_x(args)
     _check_genocchi_index(loggamma_genocchi_index(x, ctx),
                           f"--precision {args.precision} --x {args.x_spec}")
     series = loggamma_series(x, q0, ctx)

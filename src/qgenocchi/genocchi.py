@@ -224,8 +224,8 @@ def _next_stirling_row(row, k: int) -> list:
     return [j * (ext[j + 1] + ext[j]) for j in range(k + 1)]
 
 
-def _moment_rows(q):
-    """Yield m_0, m_1, ... at q, where m_k = G~_{k+1,q}/(k+1) is the k-th
+def _moment_rows(q, first: int = 0):
+    """Yield m_first, m_first+1, ... at q, where m_k = G~_{k+1,q}/(k+1) is the k-th
     fermionic moment.
 
     [2]_q/(q*e^t + 1) = sum_j r^j (e^t - 1)^j with r = -q/(1+q), and
@@ -245,11 +245,12 @@ def _moment_rows(q):
     x+y, an integer sum.  At any other q (p-adic, or a QRational constant
     or 1/q) they are the Stirling rows T(k, .) and a, b, c = -q, 1+q, 1+q:
     each term carries its own powers of q and 1+q, so a p-adic q keeps
-    every digit also where one is not a unit (q = 0 or -1 mod p).  m_0 = 1
-    at every q; any m_k with k >= 1 at q = -1 raises PoleError.
+    every digit also where one is not a unit (q = 0 or -1 mod p).  The rows
+    below `first` are stepped but not evaluated.  m_0 = 1 at every q; any
+    m_k with k >= 1 at q = -1 raises PoleError.
     """
     if isinstance(q, QRational) and q == QRational.q():
-        yield from map(moment, count())
+        yield from map(moment, count(first))
         return
     if isinstance(q, (int, Fraction)):
         q = Fraction(q)
@@ -264,6 +265,8 @@ def _moment_rows(q):
             a_pow.append(a_pow[-1] * a)
             b_pow.append(b_pow[-1] * b)
             c_pow.append(c_pow[-1] * c)
+        if k < first:
+            continue
         try:
             yield div(sum(t * (a_pow[i] * b_pow[k - i]) for i, t in enumerate(row) if t), c_pow[k])
         except ZeroDivisionError:
@@ -279,13 +282,14 @@ def moment(n: int) -> QRational:
     return over_one_plus_q(_moment_numerator(n), n)
 
 
-def moments_at(q, n: int) -> list:
-    """[m_0, ..., m_n] at q from `_moment_rows`, so G~_{k+1}(q) =
+def moments_at(q, n: int, first: int = 0) -> list:
+    """[m_first, ..., m_n] at q from `_moment_rows`, so G~_{k+1}(q) =
     (k+1) * m_k: Fractions at a rational q, PadicNumbers (precision tracked
-    through the sum) at a p-adic one, QRationals at `QRational.q()`."""
+    through the sum) at a p-adic one, QRationals at `QRational.q()`.  Only
+    the rows asked for are evaluated: `first=n` gives [m_n] alone."""
     if n < 0:
         raise ValueError("moment index must be non-negative")
-    return list(islice(_moment_rows(q), n + 1))
+    return list(islice(_moment_rows(q, first), max(n + 1 - first, 0)))
 
 
 def _mahler_numerator(values) -> list:

@@ -1,20 +1,17 @@
 """Precision-tracked p-adic arithmetic and the fermionic q-integral.
 
 A `PadicNumber` is (valuation, unit, absolute precision) over a fixed
-`PadicContext`; arithmetic never reports more precision than its inputs
-justify.  Values embedded from rationals additionally remember the exact
-fraction (a private shadow), and arithmetic keeps the shadow alive as long
-as every operand has one; that is what lets `fermionic_riemann_sum` return
-the level-m sum of a polynomial integrand exactly, with no tolerance.  An
-exact shadow costs a gcd wherever it is made, so the commands' paths make
-none they would throw away: an exact level sum comes from `_level_sums` as
-an unreduced integer pair, `moment_convergence` reads its error valuation
-from one integer and `loggamma_direct_levels` embeds the pair with no gcd
-(`PadicNumber._from_ratio`).  Series operations (the p-adic logarithm, the
-log-gamma series) truncate, so they drop the shadow and report the
-truncation-limited precision; the log-gamma series drops it from its
-moments and from 1/x before its tail, whose terms are then products
-modulo p^N.
+`PadicContext` and nothing more; arithmetic never reports more precision
+than its inputs justify.  An exact rational enters as a `Fraction` (or an
+int) where a function can use it.  An exact q = a/b is read from a and b:
+a level sum comes from `_level_sums` as the unreduced integer pair of the
+closed form, which `exact_riemann_sum` reduces, `fermionic_riemann_sum`
+embeds with no gcd (`PadicNumber._from_ratio`) and `moment_convergence`
+compares with the moment m_n as a Fraction.  An exact x has its logarithm
+taken from its exact unit (`iwasawa_log`), which keeps the digits that an
+embedded x loses.  A q or x given as a `PadicNumber` is known to its
+precision only.  Series (the logarithm, the log-gamma tail) are summed in
+integers modulo the power of p their target precision needs.
 
 Every Riemann sum has a polynomial integrand, passed to
 `fermionic_riemann_sum` as its coefficients, constant term first.  The
@@ -31,11 +28,11 @@ restricted to p-power times principal unit, where the branch term is
 computable and vanishes at pure powers of p.
 
 Every valuation and unit of an integer comes from `_split_p`, and every q
-that enters a Riemann sum or the log-gamma series passes `_admit_q`: it is
-taken into the context and must satisfy |q-1|_p < 1.  The moment limit and
-the log-gamma coefficients need the q-Genocchi numbers only at that q, so
-they read `genocchi.moments_at` (through `_moments`) and never build a
-rational function of q.
+that enters a Riemann sum or the log-gamma series passes `_admit_q`, which
+refuses it unless |q-1|_p < 1.  The moment limit and the log-gamma
+coefficients need the q-Genocchi numbers only at that q, so they read
+`genocchi.moments_at`, Fractions at an exact q, and never build a rational
+function of q; the moment limit evaluates its one row alone.
 """
 
 from __future__ import annotations
@@ -56,6 +53,7 @@ __all__ = [
     "padic_log1p",
     "iwasawa_log",
     "fermionic_riemann_sum",
+    "exact_riemann_sum",
     "moment_convergence",
     "loggamma_series",
     "loggamma_genocchi_index",
@@ -135,44 +133,43 @@ class PadicNumber:
     cancellation in subtraction and has `valuation is None`.
     """
 
-    __slots__ = ("ctx", "_val", "_unit", "_abs", "_exact")
+    __slots__ = ("ctx", "_val", "_unit", "_abs")
 
-    def __init__(self, ctx, _val, _unit, _abs, _exact=None):
+    def __init__(self, ctx, _val, _unit, _abs):
         self.ctx = ctx
         self._val = _val
         self._unit = _unit
         self._abs = _abs
-        self._exact = _exact
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_rational(cls, r, ctx: PadicContext) -> "PadicNumber":
-        """Exact embedding of a rational, to the context precision."""
+        """Embedding of a rational to the context precision: the value
+        keeps N = ctx.precision digits of its unit and forgets the rest."""
         r = Fraction(r)
-        return cls._from_ratio(ctx, r.numerator, r.denominator, r)
+        return cls._from_ratio(ctx, r.numerator, r.denominator)
 
     @classmethod
-    def _from_ratio(cls, ctx, num: int, den: int, exact=None) -> "PadicNumber":
+    def _from_ratio(cls, ctx, num: int, den: int) -> "PadicNumber":
         """num/den to the context precision, for integers with den != 0 that
         need not be coprime: one `_split_p` per side and one modular inverse,
-        no gcd.  `exact` is the shadow to keep (`from_rational` passes its
-        Fraction); without one the value is not reduced at all."""
+        no gcd."""
         if num == 0:
-            return cls(ctx, inf, None, inf, exact)
+            return cls(ctx, inf, None, inf)
         vnum, num = _split_p(num, ctx.p)
         vden, den = _split_p(den, ctx.p)
         v = vnum - vden
         mod = ctx.p ** ctx.precision
         unit = num * pow(den, -1, mod) % mod
-        return cls(ctx, v, unit, v + ctx.precision, exact)
+        return cls(ctx, v, unit, v + ctx.precision)
 
     @classmethod
     def _order_term(cls, ctx, a) -> "PadicNumber":
-        return cls(ctx, None, None, a, None)
+        return cls(ctx, None, None, a)
 
     @classmethod
-    def _from_unit(cls, ctx, v, unit, abs_prec, exact=None) -> "PadicNumber":
+    def _from_unit(cls, ctx, v, unit, abs_prec) -> "PadicNumber":
         """Normalize a (valuation, unit) pair against its absolute precision."""
         rel = min(abs_prec - v, ctx.precision)
         if rel <= 0:
@@ -181,16 +178,16 @@ class PadicNumber:
         if unit == 0:
             # the claimed valuation was not supported by the residue
             return cls._order_term(ctx, abs_prec)
-        return cls(ctx, v, unit, v + rel, exact)
+        return cls(ctx, v, unit, v + rel)
 
     @classmethod
-    def _from_mantissa(cls, ctx, mantissa, shift, known_digits, exact=None) -> "PadicNumber":
+    def _from_mantissa(cls, ctx, mantissa, shift, known_digits) -> "PadicNumber":
         """Value mantissa * p^shift with mantissa known mod p^known_digits."""
         mantissa %= ctx.p ** known_digits
         if mantissa == 0:
             return cls._order_term(ctx, known_digits + shift)
         v, mantissa = _split_p(mantissa, ctx.p)
-        return cls._from_unit(ctx, v + shift, mantissa, known_digits + shift, exact)
+        return cls._from_unit(ctx, v + shift, mantissa, known_digits + shift)
 
     # -- state predicates ------------------------------------------------------
 
@@ -221,12 +218,6 @@ class PadicNumber:
     def abs_precision(self):
         return self._abs
 
-    @property
-    def exact_value(self):
-        """The exact rational this value was built from, when arithmetic has
-        preserved exactness; otherwise None."""
-        return self._exact
-
     # -- arithmetic ------------------------------------------------------------
 
     def _coerce(self, other):
@@ -246,8 +237,6 @@ class PadicNumber:
             return o
         if o.is_exact_zero:
             return self
-        if self._exact is not None and o._exact is not None:
-            return PadicNumber.from_rational(self._exact + o._exact, self.ctx)
         A = min(self._abs, o._abs)
         w = min(self._val if self._val is not None else self._abs,
                 o._val if o._val is not None else o._abs)
@@ -265,7 +254,7 @@ class PadicNumber:
         if self._unit is None:
             return self
         return PadicNumber(self.ctx, self._val, (-self._unit) % self.ctx.p ** (self._abs - self._val),
-                           self._abs, None if self._exact is None else -self._exact)
+                           self._abs)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -285,8 +274,6 @@ class PadicNumber:
             return NotImplemented
         if self.is_exact_zero or o.is_exact_zero:
             return PadicNumber.from_rational(0, self.ctx)
-        if self._exact is not None and o._exact is not None:
-            return PadicNumber.from_rational(self._exact * o._exact, self.ctx)
         if self.is_order_term or o.is_order_term:
             a = self._abs if self.is_order_term else self._val
             b = o._abs if o.is_order_term else o._val
@@ -296,7 +283,7 @@ class PadicNumber:
             raise PrecisionExhausted("product would carry no significant digits")
         v = self._val + o._val
         unit = self._unit * o._unit % self.ctx.p ** rel
-        return PadicNumber(self.ctx, v, unit, v + rel, None)
+        return PadicNumber(self.ctx, v, unit, v + rel)
 
     __rmul__ = __mul__
 
@@ -310,8 +297,6 @@ class PadicNumber:
             raise PrecisionExhausted(f"divisor is O({o.ctx.p}^{o._abs}): not certified nonzero")
         if self.is_exact_zero:
             return self
-        if self._exact is not None and o._exact is not None:
-            return PadicNumber.from_rational(self._exact / o._exact, self.ctx)
         if self.is_order_term:
             return PadicNumber._order_term(self.ctx, self._abs - o._val)
         rel = min(self._abs - self._val, o._abs - o._val, self.ctx.precision)
@@ -320,7 +305,7 @@ class PadicNumber:
         v = self._val - o._val
         mod = self.ctx.p ** rel
         unit = self._unit * pow(o._unit, -1, mod) % mod
-        return PadicNumber(self.ctx, v, unit, v + rel, None)
+        return PadicNumber(self.ctx, v, unit, v + rel)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -331,18 +316,16 @@ class PadicNumber:
     def __pow__(self, n: int):
         if n < 0:
             return (self.ctx.one() / self) ** (-n)
-        if self._exact is not None:
-            return PadicNumber.from_rational(self._exact ** n, self.ctx)
         return _power(self, n, self.ctx.one())
 
     # -- helpers ---------------------------------------------------------------
 
     def truncated(self, abs_prec) -> "PadicNumber":
-        """Forget digits beyond the given absolute precision (and the exact
-        shadow); used after series truncation."""
+        """Forget digits beyond the given absolute precision; used after
+        series truncation."""
         if self.is_exact_zero:
             return PadicNumber._order_term(self.ctx, abs_prec)
-        if abs_prec >= self._abs and self._exact is None:
+        if abs_prec >= self._abs:
             return self
         if self.is_order_term:
             return PadicNumber._order_term(self.ctx, min(self._abs, abs_prec))
@@ -350,8 +333,6 @@ class PadicNumber:
 
     def rational_representative(self) -> Fraction:
         """Some exact rational congruent to this value modulo p^abs_precision."""
-        if self._exact is not None:
-            return self._exact
         if self._unit is None:
             return Fraction(0)
         return Fraction(self._unit) * Fraction(self.ctx.p) ** self._val
@@ -405,11 +386,12 @@ def _log_series_terms(v: int, target, p: int) -> int:
 
 
 def padic_log1p(z: PadicNumber) -> PadicNumber:
-    """log(1+z) for valuation(z) >= 1, by exact partial summation.
+    """log(1+z) for valuation(z) >= 1, summed in integers modulo p^target.
 
-    `_log_series_terms` says how many terms the target precision needs.
-    The result's reported precision is capped by both the input precision
-    and the context.
+    `_log_series_terms` says how many terms the target precision needs; the
+    target is capped by both the input precision and the context.  The term
+    z^n/n is z^n/p^k times the inverse of the unit n/p^k, k = v_p(n), with
+    z^n kept modulo p^(target + the largest k) so that no digit is lost.
     """
     ctx = z.ctx
     if z.is_exact_zero:
@@ -421,48 +403,62 @@ def padic_log1p(z: PadicNumber) -> PadicNumber:
     v = z.valuation
     if v < 1:
         raise DomainError(f"log1p needs valuation >= 1, got {v}")
+    p = ctx.p
     target = min(z.abs_precision, v + ctx.precision)
-    zr = z.rational_representative()
-    acc = Fraction(0)
-    zn = zr
-    for n in range(1, _log_series_terms(v, target, ctx.p) + 1):
-        acc += Fraction((-1) ** (n + 1), n) * zn
-        zn *= zr
-    return PadicNumber.from_rational(acc, ctx).truncated(target)
+    terms = _log_series_terms(v, target, p)
+    mod = p ** target
+    wide = mod * p ** _floor_log(terms, p)
+    zi = z.unit * p ** v % wide
+    acc, zn = 0, 1
+    for n in range(1, terms + 1):
+        zn = zn * zi % wide
+        k, n_unit = _split_p(n, p)
+        term = zn // p ** k * pow(n_unit, -1, mod)
+        acc += term if n % 2 else -term
+    return PadicNumber._from_mantissa(ctx, acc, 0, target)
 
 
-def iwasawa_log(x: PadicNumber) -> PadicNumber:
+def iwasawa_log(x, ctx: PadicContext = None) -> PadicNumber:
     """log_p extended by log_p(p) = 0, for x = p^v * (1 + z) with v_p(z) >= 1.
 
-    Evaluation points whose unit is not principal (unit != 1 mod p) are
-    outside the supported branch and raise DomainError.
+    x is a `PadicNumber`, or an exact rational (a Fraction or an int) with
+    the context to work in, whose unit a/b gives z = (a - b)/b exactly: its
+    logarithm keeps v_p(z) digits more than that of x embedded.  A unit
+    that is not principal (not 1 mod p) is outside the supported branch
+    and raises DomainError.
     """
-    if x.is_zero:
-        raise DomainError("logarithm of zero")
-    if x._unit % x.ctx.p != 1:
-        raise DomainError("Iwasawa log restricted to p-power times principal unit")
-    if x._exact is not None:
-        u = x._exact * Fraction(x.ctx.p) ** (-x._val)
-        z = PadicNumber.from_rational(u - 1, x.ctx)
+    if isinstance(x, PadicNumber):
+        if x.is_zero:
+            raise DomainError("logarithm of zero")
+        ctx, a, b = x.ctx, x._unit, 1
+        z = PadicNumber._from_mantissa(ctx, a - 1, 0, x._abs - x._val)
     else:
-        z = PadicNumber._from_mantissa(x.ctx, x._unit - 1, 0, x._abs - x._val)
+        x = Fraction(x)
+        if x == 0:
+            raise DomainError("logarithm of zero")
+        a, b = _split_p(x.numerator, ctx.p)[1], _split_p(x.denominator, ctx.p)[1]
+        z = PadicNumber._from_ratio(ctx, a - b, b)
+    if (a - b) % ctx.p:
+        raise DomainError("Iwasawa log restricted to p-power times principal unit")
     return padic_log1p(z)
 
 
 # -- the fermionic Riemann sum -------------------------------------------------
 
 
-def _admit_q(q, ctx: PadicContext) -> PadicNumber:
-    """q as an element of ctx, refused unless |q-1|_p < 1.
-
-    That is: q is a unit whose first digit is 1, read from q's own
-    valuation and unit with no arithmetic (so nothing else is embedded).
-    q = 1, the classical limit point, has |q-1|_p = 0 and is admitted.
-    """
-    q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
-    if q.ctx != ctx:
-        raise DomainError("q belongs to a different context")
-    if q.valuation != 0 or q.unit % ctx.p != 1:
+def _admit_q(q, ctx: PadicContext):
+    """q as a `PadicNumber` of ctx or an exact Fraction, refused unless
+    |q-1|_p < 1: q is a unit whose first digit is 1, read with no arithmetic
+    from a PadicNumber's valuation and unit, or from a/b as a = b (mod p).
+    q = 1, the classical limit point, is admitted."""
+    if isinstance(q, PadicNumber):
+        if q.ctx != ctx:
+            raise DomainError("q belongs to a different context")
+        admitted = q.valuation == 0 and q.unit % ctx.p == 1
+    else:
+        q = Fraction(q)
+        admitted = (q.numerator - q.denominator) % ctx.p == 0
+    if not admitted:
         raise DomainError("need |q-1|_p < 1 (valuation(q-1) >= 1)")
     return q
 
@@ -475,10 +471,10 @@ def _level_sums(coefficients, q, ctx: PadicContext, levels):
     `K.alt_weighted_finish` at count = p^m and the prefactor, which takes
     its powers of q's numerator and denominator from the finish.
 
-    At an exact q = a/b a level comes as the integer pair
+    At an exact q = a/b (a Fraction) a level comes as the integer pair
     ((a+b)*total, den*(a^N + b^N)), N = p^m, not reduced: a caller that
     truncates the value or reads a valuation never pays the gcd of two
-    p^m-bit integers.  At an inexact q it is the `PadicNumber` of the
+    p^m-bit integers.  At a `PadicNumber` q it is the `PadicNumber` of the
     modular path."""
     levels = tuple(levels)
     if levels and min(levels) < 1:
@@ -486,8 +482,8 @@ def _level_sums(coefficients, q, ctx: PadicContext, levels):
     q = _admit_q(q, ctx)
     p = ctx.p
     g, den = K.clear_denominators([Fraction(c) for c in coefficients])
-    if q.exact_value is not None:
-        a, b = q.exact_value.numerator, q.exact_value.denominator
+    if not isinstance(q, PadicNumber):
+        a, b = q.numerator, q.denominator
         setup = K.alt_weighted_setup(a, b, g)
         for m in levels:
             total, apow, bpow = K.alt_weighted_finish(setup, p ** m)
@@ -507,14 +503,6 @@ def _level_sums(coefficients, q, ctx: PadicContext, levels):
         yield m, PadicNumber._from_mantissa(ctx, mantissa, -vden, rel)
 
 
-def _riemann_sums(coefficients, q, ctx: PadicContext, levels):
-    """Yield (m, level-m sum of `fermionic_riemann_sum`) for each m in
-    `levels`, from one `_level_sums`; an exact level keeps its exact
-    shadow, reduced as a Fraction."""
-    for m, value in _level_sums(coefficients, q, ctx, levels):
-        yield m, PadicNumber.from_rational(Fraction(*value), ctx) if type(value) is tuple else value
-
-
 def fermionic_riemann_sum(coefficients, m: int, q, ctx: PadicContext) -> PadicNumber:
     """Level-m weighted sum ((1+q)/(1+q^(p^m))) * sum_xi (-1)^xi q^xi f(xi)
     for the polynomial f(xi) = sum_j coefficients[j] * xi^j.
@@ -522,53 +510,46 @@ def fermionic_riemann_sum(coefficients, m: int, q, ctx: PadicContext) -> PadicNu
     The coefficients come constant term first, each anything `Fraction`
     takes (an int, a Fraction, a float or a string such as "3/2").
 
-    With an exactly-known rational q = a/b the sum is exact: the kernel
-    returns b^(p^m-1) times the inner sum in closed form, with O(deg^2)
-    multiplications by small integers and the two powers a^(p^m) and
-    b^(p^m), whatever the number of points, and the prefactor
-    (a+b)/(a^(p^m)+b^(p^m)) is applied with those powers in one rational
-    division (its denominator is a unit, so no precision is lost).  The
-    value keeps that rational as its `exact_value`, reduced as a Fraction:
-    a gcd of two integers of about p^m * log2(max(|a|, b)) bits, which the
-    commands, reading only digits and valuations, never take.
-    Otherwise q is known only to its precision, and the same closed form
+    With an exactly-known rational q = a/b, a Fraction or an int, the
+    kernel returns b^(p^m-1) times the inner sum in closed form, with
+    O(deg^2) multiplications by small integers and the two powers a^(p^m)
+    and b^(p^m), whatever the number of points, and the prefactor
+    (a+b)/(a^(p^m)+b^(p^m)) is applied with those powers (its denominator
+    is a unit, so no precision is lost).  The sum is that exact rational
+    (`exact_riemann_sum`) embedded to the context precision, with no gcd.
+    At a `PadicNumber` q, known only to its precision, the same closed form
     is taken modulo p^rel, the digits q is known to.  The constant
     integrand gives exactly 1 at every level.  This is one level of the
     prepared sum whose set-up `moment_convergence` and
     `loggamma_direct_levels` share across their levels.
     """
-    return next(_riemann_sums(coefficients, q, ctx, (m,)))[1]
+    value = next(_level_sums(coefficients, q, ctx, (m,)))[1]
+    return PadicNumber._from_ratio(ctx, *value) if type(value) is tuple else value
 
 
-def _drop_shadow(a: PadicNumber) -> PadicNumber:
-    """a without its exact shadow; an exact zero stays an exact zero."""
-    return PadicNumber(a.ctx, a._val, a._unit, a._abs)
-
-
-def _moments(q: PadicNumber, n: int, first: int = 0) -> list:
-    """The moments m_first..m_n at q as elements of q's context: exact
-    embeddings of the rational values when q is exact (only those asked
-    for are embedded), and the closed form run in p-adic arithmetic
-    otherwise."""
-    if q.exact_value is None:
-        return moments_at(q, n)[first:]
-    return [PadicNumber.from_rational(m, q.ctx) for m in moments_at(q.exact_value, n)[first:]]
+def exact_riemann_sum(coefficients, m: int, q, p: int) -> Fraction:
+    """The level-m sum of `fermionic_riemann_sum` at an exact q (a Fraction
+    or anything `Fraction` takes) as a Fraction: the closed form's rational
+    reduced by one gcd of two integers of about p^m * log2(max(|a|, b))
+    bits.  The same checks apply: p an odd prime, m >= 1 and |q-1|_p < 1.
+    """
+    value = next(_level_sums(coefficients, Fraction(q), PadicContext(p, 1), (m,)))[1]
+    return Fraction(*value)
 
 
 def qrational_at_padic(r: QRational, q: PadicNumber) -> PadicNumber:
     """Evaluate a rational function of q at a p-adic point.
 
     The tests use it as the reference that the closed form behind
-    `_moments` must reproduce digit for digit at an inexact q."""
-    if q.exact_value is not None:
-        return PadicNumber.from_rational(r.evaluate(q.exact_value), q.ctx)
+    `moments_at` must reproduce digit for digit at a p-adic q."""
     return K.poly_eval_int(r.num.coeffs, q) / K.poly_eval_int(r.den.coeffs, q)
 
 
 def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
     """Measure v_p(S_m - L) for m = 1..m_max, where S_m is the level-m
     Riemann sum of xi^n and L = m_n = G~_{n+1,q}/(n+1) the moment at q,
-    from `genocchi.moments_at` for exact and inexact q alike.
+    from `genocchi.moments_at` evaluating its row n alone, for an exact q
+    (a Fraction or an int) and a `PadicNumber` q alike.
 
     q is checked before any work: an exact q = -1 with n >= 1 raises
     PoleError (the moment's pole), then `_admit_q` refuses any q outside
@@ -577,15 +558,14 @@ def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
     Returns a list of (level, error_valuation) pairs; the valuation is
     +inf when the level value is exactly the moment (the constant
     integrand), and None when cancellation exhausts the precision
-    available for an inexactly-known q.
+    available for a p-adic q.
     """
     if n < 0:
         raise DomainError("moment index must be non-negative")
-    q = q if isinstance(q, PadicNumber) else PadicNumber.from_rational(q, ctx)
-    if n >= 1 and q.exact_value == -1:
+    if not isinstance(q, PadicNumber) and n >= 1 and Fraction(q) == -1:
         raise PoleError("pole at q = -1")
     q = _admit_q(q, ctx)
-    limit = _moments(q, n, first=n)[0]
+    limit = moments_at(q, n, first=n)[0]
     p = ctx.p
     out = []
     for m, value in _level_sums((0,) * n + (1,), q, ctx, range(1, m_max + 1)):
@@ -593,8 +573,8 @@ def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
             # S - L = (S_num * L_den - L_num * S_den) / (S_den * L_den), whose
             # denominator is prime to p: S_den = a^N + b^N = 2a^N (mod p),
             # and L is an integer polynomial in r = -q/(1+q), 1+q = 2 (mod p)
-            (num, den), lim = value, limit.exact_value
-            diff = num * lim.denominator - lim.numerator * den
+            num, den = value
+            diff = num * limit.denominator - limit.numerator * den
             out.append((m, inf if diff == 0 else _split_p(diff, p)[0]))
             continue
         diff = value - limit
@@ -605,10 +585,12 @@ def moment_convergence(n: int, q, m_max: int, ctx: PadicContext):
 # -- the p-adic log-gamma value, two ways --------------------------------------
 
 
-def _loggamma_domain_check(x: PadicNumber) -> int:
-    if x.is_zero or x.valuation is None or x.valuation >= 0:
+def _loggamma_domain_check(x, ctx: PadicContext) -> int:
+    """v(x) for x a `PadicNumber` or an exact Fraction, refused unless < 0."""
+    v = x.valuation if isinstance(x, PadicNumber) else fraction_valuation(x, ctx.p)
+    if v is None or v >= 0:
         raise DomainError("log-gamma needs valuation(x) < 0 (|x|_p > 1)")
-    return x.valuation
+    return v
 
 
 def _loggamma_series_terms(v: int, ctx: PadicContext) -> int:
@@ -622,14 +604,14 @@ def _loggamma_series_terms(v: int, ctx: PadicContext) -> int:
     return n - 1
 
 
-def loggamma_genocchi_index(x: PadicNumber, ctx: PadicContext) -> int:
+def loggamma_genocchi_index(x, ctx: PadicContext) -> int:
     """The largest index n of a G~_{n,q} that `loggamma_series(x, q, ctx)`
-    reads (DomainError unless v(x) < 0); cheap, so a caller can refuse an
-    input before any work."""
-    return _loggamma_series_terms(_loggamma_domain_check(x), ctx) + 2
+    reads (DomainError unless v(x) < 0), for x a `PadicNumber` or a
+    Fraction; cheap, so a caller can refuse an input before any work."""
+    return _loggamma_series_terms(_loggamma_domain_check(x, ctx), ctx) + 2
 
 
-def loggamma_series(x: PadicNumber, q, ctx: PadicContext) -> PadicNumber:
+def loggamma_series(x, q, ctx: PadicContext) -> PadicNumber:
     """(x + G~_2/2) log x + sum_{n>=1} (-1)^(n+1) G~_{n+2}/(n(n+1)(n+2) x^n) - x.
 
     Truncated so the first omitted term's guaranteed valuation exceeds the
@@ -637,18 +619,18 @@ def loggamma_series(x: PadicNumber, q, ctx: PadicContext) -> PadicNumber:
     margin.  With the moments m_k = G~_{k+1,q}/(k+1) at q from
     `genocchi.moments_at`, G~_2/2 = m_1 and the n-th coefficient is
     (-1)^(n+1) m_{n+1}/(n(n+1)); they are p-integral for |q-1|_p < 1.
-    The head (x + m_1) log x - x is taken as it is; the tail works on the
-    moments and 1/x without their exact shadows, so each term is a product
-    modulo p^N and no exact product is re-embedded.
+    x and q are each a `PadicNumber` or exact (a Fraction or an int).  At
+    an exact x the logarithm comes from its exact unit (`iwasawa_log`), and
+    with an exact q too, x + m_1 is added as Fractions before it is
+    embedded.  Each term of the tail is a product modulo p^N.
     """
-    v = _loggamma_domain_check(x)
+    v = _loggamma_domain_check(x, ctx)
     q = _admit_q(q, ctx)
     terms = _loggamma_series_terms(v, ctx)
-    logx = iwasawa_log(x)
-    m = _moments(q, terms + 1)
+    logx = iwasawa_log(x, ctx)
+    m = moments_at(q, terms + 1)
     acc = (x + m[1]) * logx - x
-    m = [_drop_shadow(c) for c in m]
-    inv_x = _drop_shadow(ctx.one() / x)
+    inv_x = ctx.one() / x
     xpow = inv_x
     for n in range(1, terms + 1):
         acc = acc + m[n + 1] * Fraction((-1) ** (n + 1), n * (n + 1)) * xpow
@@ -656,18 +638,19 @@ def loggamma_series(x: PadicNumber, q, ctx: PadicContext) -> PadicNumber:
     return acc.truncated(v + ctx.precision)
 
 
-def loggamma_direct_levels(x: PadicNumber, q, levels, ctx: PadicContext):
+def loggamma_direct_levels(x, q, levels, ctx: PadicContext):
     """Yield (m, `loggamma_direct`(x, q, m, ctx)) for each level m >= 1 in
     `levels`, one at a time, with the integrand and the kernel set-up built
     once for all of them.  Its checks run when the first value is asked for.
     """
-    if x.ctx != ctx:
+    exact = not isinstance(x, PadicNumber)
+    if not exact and x.ctx != ctx:
         raise DomainError("x belongs to a different context")
-    v = _loggamma_domain_check(x)
+    v = _loggamma_domain_check(x, ctx)
     N = ctx.precision
     J = _log_series_terms(-v, N, ctx.p)
-    xr = x.rational_representative()
-    log_part = [iwasawa_log(x).rational_representative() - 1]
+    xr = Fraction(x) if exact else x.rational_representative()
+    log_part = [iwasawa_log(x, ctx).rational_representative() - 1]
     xpow = Fraction(1)
     for j in range(1, J + 1):
         xpow *= xr
@@ -676,14 +659,14 @@ def loggamma_direct_levels(x: PadicNumber, q, levels, ctx: PadicContext):
     coeffs = [xr * c for c in log_part] + [Fraction(0)]
     for j, c in enumerate(log_part):
         coeffs[j + 1] += c
-    precision = min(v + N, x.abs_precision)
+    precision = v + N if exact else min(v + N, x.abs_precision)
     for m, value in _level_sums(coeffs, q, ctx, levels):
         if type(value) is tuple:
             value = PadicNumber._from_ratio(ctx, *value)
         yield m, value.truncated(precision)
 
 
-def loggamma_direct(x: PadicNumber, q, m: int, ctx: PadicContext) -> PadicNumber:
+def loggamma_direct(x, q, m: int, ctx: PadicContext) -> PadicNumber:
     """Level-m Riemann sum of (x+xi)(log_p(x+xi) - 1) against the
     alternating q-weights, with log_p(x+xi) = log_p x + log1p(xi/x).
 
@@ -693,7 +676,8 @@ def loggamma_direct(x: PadicNumber, q, m: int, ctx: PadicContext) -> PadicNumber
     term of valuation > N + 2, has valuation > v(x) + N + 2.
     The truncated integrand is one rational polynomial in xi, summed by the
     prepared sum behind `fermionic_riemann_sum`; the result carries the
-    precision of x on the scale of x, v(x) + N at most.  This is
+    precision of x on the scale of x, v(x) + N at most, and x is a
+    `PadicNumber` or exact (a Fraction or an int).  This is
     `loggamma_direct_levels` at one level.
     """
     return next(loggamma_direct_levels(x, q, (m,), ctx))[1]

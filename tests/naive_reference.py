@@ -203,64 +203,87 @@ def naive_split_p(n, p):
 
 # -- the p-adic layer with every exact value a Fraction -------------------------
 #
-# `padic` reads an exact level sum as an unreduced integer pair and runs the
-# log-gamma series tail modulo p^N.  These normalise every exact level as a
-# Fraction, embed it with its exact shadow and keep the shadows through the
-# series, as the layer once did.
+# `padic` reads an exact level sum as an unreduced integer pair, evaluates
+# one moment row and runs the log-gamma series tail modulo p^N.  These do
+# the exact arithmetic in Fractions and embed each result once: a level sum
+# reduced as a Fraction, the moment from the Stirling form above, the whole
+# series tail as one Fraction.  A q or x given as a PadicNumber is known to
+# its precision only, and there they take the p-adic arithmetic.
+
+
+def _exact(value):
+    """value is an exact rational (not a PadicNumber)."""
+    return not isinstance(value, padic.PadicNumber)
+
+
+def _embed(value, ctx):
+    return padic.PadicNumber.from_rational(value, ctx) if _exact(value) else value
 
 
 def fraction_level_sums(coefficients, q, ctx, levels):
-    """(m, level-m fermionic Riemann sum): at an exact q each level is the
-    embedding of Fraction((a+b)*total, den*(a^N + b^N)); an inexact q takes
-    the modular path of `padic._riemann_sums`."""
+    """(m, level-m fermionic Riemann sum): at an exact q the Fraction
+    (a+b)*total / (den*(a^N + b^N)) of the closed form, at a PadicNumber q
+    the modular path of `padic.fermionic_riemann_sum`."""
     q = padic._admit_q(q, ctx)
-    if q.exact_value is None:
-        yield from padic._riemann_sums(coefficients, q, ctx, levels)
+    if not _exact(q):
+        for m in levels:
+            yield m, padic.fermionic_riemann_sum(coefficients, m, q, ctx)
         return
     g, den = clear_denominators([Fraction(c) for c in coefficients])
-    a, b = q.exact_value.numerator, q.exact_value.denominator
+    a, b = q.numerator, q.denominator
     setup = alt_weighted_setup(a, b, g)
     for m in levels:
         total, apow, bpow = alt_weighted_finish(setup, ctx.p ** m)
-        yield m, padic.PadicNumber.from_rational(Fraction((a + b) * total, den * (apow + bpow)), ctx)
+        yield m, Fraction((a + b) * total, den * (apow + bpow))
 
 
-def shadow_moment_convergence(n, q, m_max, ctx):
-    """[(m, v_p(S_m - m_n))] from the embedded levels, by p-adic subtraction."""
-    q = q if isinstance(q, padic.PadicNumber) else padic.PadicNumber.from_rational(q, ctx)
+def fraction_moment_convergence(n, q, m_max, ctx):
+    """[(m, v_p(S_m - m_n))]: at an exact q the valuation of a difference of
+    Fractions, at a PadicNumber q of a p-adic difference."""
     q = padic._admit_q(q, ctx)
-    limit = padic._moments(q, n, first=n)[0]
+    limit = stirling_moments_at(q, n)[n]
     out = []
     for m, value in fraction_level_sums((0,) * n + (1,), q, ctx, range(1, m_max + 1)):
         diff = value - limit
-        out.append((m, None if diff.is_order_term else diff.valuation))
+        if _exact(diff):
+            out.append((m, padic.fraction_valuation(diff, ctx.p)))
+        else:
+            out.append((m, None if diff.is_order_term else diff.valuation))
     return out
 
 
-def shadow_loggamma_series(x, q, ctx):
-    """`padic.loggamma_series` with every moment and power of 1/x exact, so
-    that each product is re-embedded from its Fraction."""
-    v = padic._loggamma_domain_check(x)
+def fraction_loggamma_series(x, q, ctx):
+    """`padic.loggamma_series` with the moments from the Stirling form: at
+    an exact x and q, x + m_1 and the whole tail
+    sum_n (-1)^(n+1) m_{n+1} / (n(n+1) x^n) are Fractions, each embedded
+    once; otherwise the tail is a sum of p-adic products."""
+    v = padic._loggamma_domain_check(x, ctx)
     q = padic._admit_q(q, ctx)
     terms = padic._loggamma_series_terms(v, ctx)
-    logx = padic.iwasawa_log(x)
-    m = padic._moments(q, terms + 1)
-    acc = (x + m[1]) * logx - x
+    logx = padic.iwasawa_log(x, ctx)
+    m = stirling_moments_at(q, terms + 1)
+    head = _embed(x + m[1], ctx) * logx - x
+    if _exact(x) and _exact(q):
+        x = Fraction(x)
+        tail = sum(m[n + 1] * Fraction((-1) ** (n + 1), n * (n + 1)) / x ** n
+                   for n in range(1, terms + 1))
+        return (head + _embed(tail, ctx)).truncated(v + ctx.precision)
     inv_x = ctx.one() / x
-    xpow = inv_x
+    acc, xpow = head, inv_x
     for n in range(1, terms + 1):
-        acc = acc + m[n + 1] * Fraction((-1) ** (n + 1), n * (n + 1)) * xpow
+        acc = acc + _embed(m[n + 1], ctx) * Fraction((-1) ** (n + 1), n * (n + 1)) * xpow
         xpow = xpow * inv_x
     return acc.truncated(v + ctx.precision)
 
 
-def shadow_loggamma_direct_levels(x, q, levels, ctx):
-    """`padic.loggamma_direct_levels` over `fraction_level_sums`."""
-    v = padic._loggamma_domain_check(x)
+def fraction_loggamma_direct_levels(x, q, levels, ctx):
+    """`padic.loggamma_direct_levels` over `fraction_level_sums`: an exact
+    level is embedded once from its Fraction."""
+    v = padic._loggamma_domain_check(x, ctx)
     N = ctx.precision
     J = padic._log_series_terms(-v, N, ctx.p)
-    xr = x.rational_representative()
-    log_part = [padic.iwasawa_log(x).rational_representative() - 1]
+    xr = Fraction(x) if _exact(x) else x.rational_representative()
+    log_part = [padic.iwasawa_log(x, ctx).rational_representative() - 1]
     xpow = Fraction(1)
     for j in range(1, J + 1):
         xpow *= xr
@@ -268,9 +291,9 @@ def shadow_loggamma_direct_levels(x, q, levels, ctx):
     coeffs = [xr * c for c in log_part] + [Fraction(0)]
     for j, c in enumerate(log_part):
         coeffs[j + 1] += c
-    precision = min(v + N, x.abs_precision)
+    precision = v + N if _exact(x) else min(v + N, x.abs_precision)
     for m, value in fraction_level_sums(coeffs, q, ctx, levels):
-        yield m, value.truncated(precision)
+        yield m, _embed(value, ctx).truncated(precision)
 
 
 # -- the Bernstein identities as sums in Q(q) ---------------------------------

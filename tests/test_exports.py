@@ -1,6 +1,7 @@
 """Every name a module exports resolves, so a stale entry in `__all__`
-fails here rather than in `from qgenocchi import *`; and no module of the
-package takes a private name from `exactq`."""
+fails here rather than in `from qgenocchi import *`; no module of the
+package takes a private name from `exactq`; and none reads an exact
+shadow of a p-adic value."""
 
 import ast
 from pathlib import Path
@@ -28,4 +29,16 @@ def test_no_module_imports_a_private_name_from_exactq():
                     (node.module, node.level) in (("exactq", 1), ("qgenocchi.exactq", 0)):
                 found += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_") and alias.name not in allowed]
+    assert found == []
+
+
+def test_no_module_reads_an_exact_shadow_of_a_padic_value():
+    # a `PadicNumber` is (valuation, unit, precision) alone: an exact value
+    # enters a p-adic function as a Fraction, so no second, exact
+    # arithmetic path reads one back from a p-adic value
+    found = []
+    for path in sorted(Path(qgenocchi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("exact_value", "_exact"):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert found == []

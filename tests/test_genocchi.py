@@ -23,7 +23,7 @@ from qgenocchi.genocchi import (
     moment,
     moments_at,
 )
-from qgenocchi.padic import PadicContext, PadicNumber
+from qgenocchi.padic import PadicContext, PadicNumber, fraction_valuation
 
 ONE_PLUS_Q = QPolynomial((1, 1))
 # the umbral recurrence in Q(q): a pipeline independent of the closed form
@@ -244,6 +244,15 @@ class TestMomentsAt:
         values = genocchi_recurrence_at(q0, 80)
         assert moments_at(q0, 79) == [values[k + 1] / (k + 1) for k in range(80)]
 
+    @pytest.mark.parametrize("kind", ["rational", "symbolic", "p-adic"])
+    def test_first_gives_the_tail_of_the_row_list(self, kind):
+        q = {"rational": F(-7, 3), "symbolic": QRational.q(),
+             "p-adic": PadicNumber.from_rational(F(4), PadicContext(3, 12)).truncated(7)}[kind]
+        key = _padic_key if kind == "p-adic" else (lambda m: m)
+        whole = [key(m) for m in moments_at(q, 12)]
+        for first in (0, 1, 7, 12, 13):
+            assert [key(m) for m in moments_at(q, 12, first)] == whole[first:], first
+
     def test_first_values(self):
         # m_0 = 1, m_1 = -q/(1+q), m_2 = q(q-1)/(1+q)^2 at q = 4
         assert moments_at(4, 2) == [1, F(-4, 5), F(12, 25)]
@@ -272,7 +281,7 @@ class TestMomentsAt:
 
 
 def _padic_key(x):
-    return x.valuation, x.unit, x.abs_precision, x.exact_value
+    return x.valuation, x.unit, x.abs_precision
 
 
 def _residue_points(residue, primes=(3, 5, 7)):
@@ -296,9 +305,14 @@ class TestEngineAgainstStirlingReference:
 
     @pytest.mark.parametrize("q0", (F(4), F(7, 2), F(1, 3), F(-2)))
     def test_at_an_exact_padic_q(self, q0):
+        # q embedded to 10 digits: both sums agree digit for digit, and each
+        # moment agrees with the exact one to the precision it reports
         q = PadicNumber.from_rational(q0, PadicContext(3, 10))
-        assert ([_padic_key(m) for m in moments_at(q, 40)]
-                == [_padic_key(m) for m in stirling_moments_at(q, 40)])
+        got = moments_at(q, 40)
+        assert [_padic_key(m) for m in got] == [_padic_key(m) for m in stirling_moments_at(q, 40)]
+        for m, exact in zip(got, stirling_moments_at(q0, 40)):
+            assert fraction_valuation(m.rational_representative() - exact, 3) >= m.abs_precision, \
+                (q0, str(m), exact)
 
     @pytest.mark.parametrize("residue,primes", [(1, (3, 5, 7)), (0, (3, 5, 7)), (2, (5, 7)),
                                                 (-1, (3, 5, 7))])

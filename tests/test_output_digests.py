@@ -155,6 +155,14 @@ DIGESTS = {
     "loggamma --prime 3 --mmax 5 --q 7/4 --x 4/9": (
         "63e6a1e01ccdb54f8fe43d5e5090ff53482325374fb09e091bfe8532c33086bf",
         EMPTY, 0),
+    # x with a unit that is not an integer: a digit lost from the exact x
+    # (its unit 4/7 at p=3, 11/6 at p=5) shows in the series and the levels
+    "loggamma --prime 3 --mmax 5 --q 7/4 --x 4/63 --precision 400": (
+        "deb5a166ebfa514012747306d1df47dd63be453bb881903c681eab55ca787b5d",
+        EMPTY, 0),
+    "loggamma --prime 5 --mmax 3 --q 6 --x 11/30 --precision 200 --format json": (
+        "862462fa0a6bcba320ea04d328d3b82dcedf87b2b8e803fbdd202be3926aeffb",
+        EMPTY, 0),
     "padic-converge --n 8 --prime 3 --mmax 9 --q=4": (
         "87560cbac13e5beaf3d857febb894b41945d78266fdfd22d9a3bf1060760550f",
         EMPTY, 0),
